@@ -11,8 +11,9 @@ from .evaluation import (ClassEval, EvalReport, PRPoint, average_precision,
                          evaluate, match_detections, mean_ap,
                          precision_recall_curve)
 from .geometry import (PolarBox, Point2, QuadBox, intersection_area,
-                       normalize_angle, oriented_nms, polar_to_quad,
-                       polygon_area, quad_to_polar, rotated_iou, signed_area)
+                       normalize_angle, oriented_nms, pairwise_iou,
+                       polar_to_quad, polygon_area, quad_to_polar,
+                       rotated_iou, signed_area)
 from .losses import (LossConfig, LossValue, pole_focal_loss, polar_ring_loss,
                      ring_area, smooth_l1, total_loss, total_regression_loss)
 from .postprocess import (DecodeResult, Detection, PolePoint, binarize,
@@ -35,7 +36,8 @@ __all__ = [
     "decode_poles", "encode_regression", "evaluate", "extract_pole_points",
     "gaussian_heatmap", "generate_dataset", "generate_scene", "image_to_input",
     "intersection_area", "load_checkpoint", "match_detections", "mean_ap",
-    "normalize_angle", "oriented_nms", "polar_to_quad", "pole_cell",
+    "normalize_angle", "oriented_nms", "pairwise_iou", "polar_to_quad",
+    "pole_cell",
     "pole_focal_loss", "polar_ring_loss", "polygon_area",
     "precision_recall_curve", "predict_planes", "quad_to_polar", "read_pgm",
     "ring_area", "rotated_iou", "save_checkpoint", "signed_area", "smooth_l1",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoClasses, UndefinedRecall
-from .geometry import QuadBox, rotated_iou
+from .geometry import QuadBox, pairwise_iou
 from .postprocess import Detection
 
 
@@ -47,20 +47,22 @@ def match_detections(detections: list[Detection], ground_truth: list[QuadBox],
     """Greedy matching; returns a TP flag per detection in input order."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in (0, 1]")
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
-    gt_taken = [False] * len(ground_truth)
     flags = [False] * len(detections)
+    if not ground_truth:
+        return flags
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    iou = pairwise_iou(
+        np.array([d.quad.corners for d in detections]).reshape(-1, 4, 2),
+        np.array([g.corners for g in ground_truth]).reshape(-1, 4, 2))
+    det_classes = np.array([d.class_id for d in detections], dtype=np.int64)
+    gt_classes = np.array([g.class_id for g in ground_truth], dtype=np.int64)
+    # zero marks a ground truth a detection cannot claim: another class,
+    # or already taken; the threshold is positive, so zero never matches
+    iou[det_classes[:, None] != gt_classes[None, :]] = 0.0
     for i in order:
-        det = detections[i]
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(ground_truth):
-            if gt_taken[j] or gt.class_id != det.class_id:
-                continue
-            iou = rotated_iou(det.quad, gt)
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            gt_taken[best_j] = True
+        j = int(np.argmax(iou[i]))  # the lowest index wins ties
+        if iou[i, j] >= iou_threshold:
+            iou[:, j] = 0.0
             flags[i] = True
     return flags
 

@@ -80,11 +80,16 @@ def normalize_angle(raw: float) -> float:
     return a
 
 
+def _shoelace(pts: np.ndarray) -> np.ndarray:
+    """Signed shoelace area over the last two axes (..., n, 2)."""
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                        axis=-1)
+
+
 def signed_area(corners) -> float:
     """Shoelace signed area; positive for counterclockwise order."""
-    pts = np.asarray(corners, dtype=np.float64)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return float(_shoelace(np.asarray(corners, dtype=np.float64)))
 
 
 def polygon_area(corners) -> float:
@@ -125,67 +130,121 @@ def polar_to_quad(pbox: PolarBox) -> QuadBox:
     return QuadBox(corners, pbox.class_id)
 
 
-def _ccw(pts: np.ndarray) -> np.ndarray:
-    return pts[::-1] if signed_area(pts) < 0.0 else pts
+def _corner_array(corners) -> np.ndarray:
+    c = np.asarray(corners, dtype=np.float64)
+    if c.ndim != 3 or c.shape[1:] != (4, 2):
+        raise ValueError(f"corner arrays must have shape (N, 4, 2), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("corners must be finite")
+    return c
 
 
-def clip_polygon(subject, clip) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against a convex polygon.
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    Returns the intersection polygon's vertices (possibly empty). Both
-    inputs are reoriented counterclockwise internally, so corner order
-    does not matter. Boundary points are kept.
+
+def _inside(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """(K, 4) mask: point i of ``pts[k]`` lies on the inner side of every
+    edge of the counterclockwise quad ``poly[k]``, boundary kept."""
+    edges = (np.roll(poly, -1, axis=1) - poly)[:, None, :, :]
+    offsets = pts[:, :, None, :] - poly[:, None, :, :]
+    return np.all(_cross(edges, offsets) >= -_CLIP_EPS, axis=2)
+
+
+def _edge_crossings(p: np.ndarray, q: np.ndarray):
+    """Crossings of each edge of ``p[k]`` with each edge of ``q[k]``:
+    (K, 16, 2) points and the (K, 16) mask of edge pairs that do cross.
+
+    Parallel edges count as not crossing; where two of them overlap, the
+    overlap's ends are corners of one quad lying inside the other.
     """
-    out = [tuple(p) for p in _ccw(np.asarray(subject, dtype=np.float64))]
-    clip_pts = _ccw(np.asarray(clip, dtype=np.float64))
-    n = len(clip_pts)
-    for k in range(n):
-        if not out:
-            break
-        ax, ay = clip_pts[k]
-        bx, by = clip_pts[(k + 1) % n]
-        ex, ey = bx - ax, by - ay
+    dp = (np.roll(p, -1, axis=1) - p)[:, :, None, :]
+    dq = (np.roll(q, -1, axis=1) - q)[:, None, :, :]
+    w = q[:, None, :, :] - p[:, :, None, :]
+    denom = _cross(dp, dq)
+    num_t, num_u = _cross(w, dq), _cross(w, dp)
+    # 0 <= num/denom <= 1 for both edge parameters, tested without dividing
+    sign, size = np.sign(denom), np.abs(denom)
+    t_in, u_in = sign * num_t, sign * num_u
+    hit = ((denom != 0.0) & (t_in >= 0.0) & (t_in <= size)
+           & (u_in >= 0.0) & (u_in <= size))
+    t = num_t / np.where(hit, denom, 1.0)
+    points = p[:, :, None, :] + t[..., None] * dp
+    return points.reshape(len(p), 16, 2), hit.reshape(len(p), 16)
 
-        def inside(p):
-            return ex * (p[1] - ay) - ey * (p[0] - ax) >= -_CLIP_EPS
 
-        def intersect(p, q):
-            # intersection of segment p->q with the infinite line a->b
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            t = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
-            return (p[0] + t * dx, p[1] + t * dy)
+def _intersection_areas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Area of the convex intersection of each pair of counterclockwise
+    quads ``p[k]``, ``q[k]``; (K,) float64.
 
-        prev_pts, out = out, []
-        s = prev_pts[-1]
-        for e in prev_pts:
-            if inside(e):
-                if not inside(s):
-                    out.append(intersect(s, e))
-                out.append(e)
-            elif inside(s):
-                out.append(intersect(s, e))
-            s = e
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+    The intersection's vertices are the corners of each quad inside the
+    other plus the edge crossings. Sorted by angle about their mean they
+    trace the convex polygon, whose area the shoelace formula gives.
+    """
+    crossings, crosses = _edge_crossings(p, q)
+    pts = np.concatenate([p, q, crossings], axis=1)
+    keep = np.concatenate([_inside(p, q), _inside(q, p), crosses], axis=1)
+    count = keep.sum(axis=1)
+    center = (np.where(keep[..., None], pts, 0.0).sum(axis=1)
+              / np.maximum(count, 1)[:, None])
+    rel = pts - center[:, None, :]
+    angle = np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
+    order = np.argsort(angle, axis=1)
+    rel = np.take_along_axis(rel, order[..., None], axis=1)
+    keep = np.take_along_axis(keep, order, axis=1)
+    # dropped points repeat the first kept vertex, which adds no area
+    rel = np.where(keep[..., None], rel, rel[:, :1])
+    return np.where(count >= 3, np.maximum(_shoelace(rel), 0.0), 0.0)
+
+
+def _pairwise_overlap(a: np.ndarray, b: np.ndarray):
+    """(D, G) intersection and union areas of the quads ``a`` (D, 4, 2) and
+    ``b`` (G, 4, 2)."""
+    signed_a, signed_b = _shoelace(a), _shoelace(b)
+    area_a, area_b = np.abs(signed_a), np.abs(signed_b)
+    a = np.where((signed_a < 0.0)[:, None, None], a[:, ::-1], a)
+    b = np.where((signed_b < 0.0)[:, None, None], b[:, ::-1], b)
+    lo_a, hi_a = a.min(axis=1)[:, None], a.max(axis=1)[:, None]
+    lo_b, hi_b = b.min(axis=1)[None], b.max(axis=1)[None]
+    near = np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=2)
+    rows, cols = np.nonzero(near)
+    p, q = a[rows], b[cols]
+    # each pair is clipped in one canonical order (lexicographically smaller
+    # corners first), so swapping a and b transposes the result bit for bit
+    flat_p, flat_q = p.reshape(-1, 8), q.reshape(-1, 8)
+    first = np.argmax(flat_p != flat_q, axis=1)
+    k = np.arange(len(first))
+    swap = (flat_p[k, first] > flat_q[k, first])[:, None, None]
+    inter = np.zeros((len(a), len(b)))
+    # no intersection exceeds the smaller quad; the bound also zeroes a quad
+    # whose corners coincide, whose degenerate edges reject no point
+    inter[rows, cols] = np.minimum(
+        _intersection_areas(np.where(swap, q, p), np.where(swap, p, q)),
+        np.minimum(area_a[rows], area_b[cols]))
+    return inter, area_a[:, None] + area_b[None, :] - inter
+
+
+def pairwise_iou(a, b) -> np.ndarray:
+    """Rotated IoU of every quad in ``a`` against every quad in ``b``.
+
+    ``a`` and ``b`` are corner arrays of shape (D, 4, 2) and (G, 4, 2), each
+    quad convex with its corners in perimeter order, either winding. Returns
+    a (D, G) float64 matrix in [0, 1]. Pairs whose axis-aligned bounding
+    boxes do not overlap are exactly 0; only the others are clipped.
+    """
+    inter, union = _pairwise_overlap(_corner_array(a), _corner_array(b))
+    iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    return np.clip(iou, 0.0, 1.0)
 
 
 def intersection_area(a: QuadBox, b: QuadBox) -> float:
-    """Area of the convex intersection of two quads via polygon clipping."""
-    poly = clip_polygon(a.corners, b.corners)
-    if len(poly) < 3:
-        return 0.0
-    return polygon_area(poly)
+    """Area of the convex intersection of two quads."""
+    return float(_pairwise_overlap(a.corners[None], b.corners[None])[0][0, 0])
 
 
 def rotated_iou(a: QuadBox, b: QuadBox) -> float:
     """Intersection-over-union of two oriented boxes, in [0, 1]."""
-    inter = intersection_area(a, b)
-    if inter <= 0.0:
-        return 0.0
-    union = polygon_area(a.corners) + polygon_area(b.corners) - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(pairwise_iou(a.corners[None], b.corners[None])[0, 0])
 
 
 def oriented_nms(dets: Sequence[tuple[QuadBox, float]],
@@ -193,14 +252,20 @@ def oriented_nms(dets: Sequence[tuple[QuadBox, float]],
     """Greedy descending-score suppression; returns kept indices.
 
     Score ties are broken by lower original index. No two kept boxes
-    overlap with IoU strictly above the threshold.
+    overlap with IoU strictly above the threshold, which must lie in [0, 1].
     """
+    if not 0.0 <= iou_threshold <= 1.0:  # also rejects nan
+        raise ValueError("iou_threshold must lie in [0, 1]")
     for _, score in dets:
         if not math.isfinite(score):
             raise ValueError("detection scores must be finite")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    corners = np.array([quad.corners for quad, _ in dets]).reshape(-1, 4, 2)
+    overlaps = pairwise_iou(corners, corners) > iou_threshold
+    suppressed = np.zeros(len(dets), dtype=bool)
     kept: list[int] = []
     for i in order:
-        if all(rotated_iou(dets[i][0], dets[j][0]) <= iou_threshold for j in kept):
+        if not suppressed[i]:
             kept.append(i)
+            suppressed |= overlaps[i]
     return kept

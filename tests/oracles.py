@@ -1,10 +1,12 @@
 """Independent reference implementations used to derive expected test values.
 
 Nothing here shares code with the package: areas come from Monte Carlo
-sampling and half-plane tests, gradients from finite differences, and
-connected components from scipy. Tests compare package output against
-these, so disagreement points at the implementation (or, symmetrically,
-at the oracle) rather than at a copied bug.
+sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
+and matching from plain per-pair loops over that clip, gradients from
+finite differences, and connected components from scipy. Tests compare
+package output against these, so disagreement points at the
+implementation (or, symmetrically, at the oracle) rather than at a copied
+bug.
 """
 
 from __future__ import annotations
@@ -38,10 +40,14 @@ def points_in_convex_quad(points: np.ndarray, corners: np.ndarray) -> np.ndarray
     return inside
 
 
-def shoelace(corners) -> float:
+def signed_shoelace(corners) -> float:
     pts = np.asarray(corners, dtype=np.float64)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def shoelace(corners) -> float:
+    return abs(signed_shoelace(corners))
 
 
 def mc_intersection_area(corners_a, corners_b, num_samples: int,
@@ -82,6 +88,31 @@ def random_rectangle(rng: np.random.Generator, center_range=(5.0, 60.0),
     rot = np.array([[math.cos(phi), -math.sin(phi)],
                     [math.sin(phi), math.cos(phi)]])
     return offs @ rot.T + np.array([cx, cy])
+
+
+def jittered_scene(rng: np.random.Generator, num_objects: int,
+                   copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense scene: ``num_objects`` rectangles packed into a 40 px square,
+    each followed by ``copies`` jittered duplicates (shift, scale, turn),
+    the way a detector reports one object several times. Returns the
+    (num_objects * (copies + 1), 4, 2) corners and the object index of each.
+    """
+    corners, owner = [], []
+    for k in range(num_objects):
+        base = random_rectangle(rng, center_range=(10.0, 30.0),
+                                side_range=(4.0, 14.0))
+        corners.append(base)
+        owner.append(k)
+        center = base.mean(axis=0)
+        for _ in range(copies):
+            phi = rng.uniform(-0.15, 0.15)
+            rot = np.array([[math.cos(phi), -math.sin(phi)],
+                            [math.sin(phi), math.cos(phi)]])
+            scale = rng.uniform(0.85, 1.15)
+            shift = rng.uniform(-1.5, 1.5, size=2)
+            corners.append((base - center) @ rot.T * scale + center + shift)
+            owner.append(k)
+    return np.array(corners), np.array(owner)
 
 
 def rect_polar_truth(cx: float, cy: float, w: float, h: float,
@@ -149,3 +180,99 @@ def voc_ap_reference(scored_flags: list[tuple[float, bool]], num_gt: int) -> flo
         ap += (recall - prev_recall) * best
         prev_recall = recall
     return ap
+
+
+def _ccw(pts: np.ndarray) -> np.ndarray:
+    return pts[::-1] if signed_shoelace(pts) < 0.0 else pts
+
+
+def clip_polygon(subject, clip, eps: float = 1e-9) -> np.ndarray:
+    """Sutherland-Hodgman clip of a polygon against a convex polygon.
+
+    Returns the intersection polygon's vertices (possibly empty). Both
+    inputs are reoriented counterclockwise first, so corner order does not
+    matter. A point within ``eps`` (cross-product units) outside an edge
+    counts as inside, so clipping a polygon against itself returns it.
+    """
+    out = [tuple(p) for p in _ccw(np.asarray(subject, dtype=np.float64))]
+    clip_pts = _ccw(np.asarray(clip, dtype=np.float64))
+    n = len(clip_pts)
+    for k in range(n):
+        if not out:
+            break
+        ax, ay = clip_pts[k]
+        bx, by = clip_pts[(k + 1) % n]
+        ex, ey = bx - ax, by - ay
+
+        def inside(p):
+            return ex * (p[1] - ay) - ey * (p[0] - ax) >= -eps
+
+        def intersect(p, q):
+            # intersection of segment p->q with the infinite line a->b
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            denom = ex * dy - ey * dx
+            t = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
+            return (p[0] + t * dx, p[1] + t * dy)
+
+        prev_pts, out = out, []
+        s = prev_pts[-1]
+        for e in prev_pts:
+            if inside(e):
+                if not inside(s):
+                    out.append(intersect(s, e))
+                out.append(e)
+            elif inside(s):
+                out.append(intersect(s, e))
+            s = e
+    return np.array(out, dtype=np.float64).reshape(-1, 2)
+
+
+def clip_intersection_area(corners_a, corners_b) -> float:
+    poly = clip_polygon(corners_a, corners_b)
+    return shoelace(poly) if len(poly) >= 3 else 0.0
+
+
+def clip_iou(corners_a, corners_b) -> float:
+    """Rotated IoU from one scalar Sutherland-Hodgman clip per pair."""
+    inter = clip_intersection_area(corners_a, corners_b)
+    if inter <= 0.0:
+        return 0.0
+    union = shoelace(corners_a) + shoelace(corners_b) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def clip_iou_matrix(corners_a, corners_b) -> np.ndarray:
+    return np.array([[clip_iou(a, b) for b in corners_b] for a in corners_a],
+                    dtype=np.float64).reshape(len(corners_a), len(corners_b))
+
+
+def greedy_nms_reference(corners, scores, iou_threshold: float) -> list[int]:
+    """Greedy oriented NMS with one scalar clip per (candidate, kept) pair."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    kept: list[int] = []
+    for i in order:
+        if all(clip_iou(corners[i], corners[j]) <= iou_threshold for j in kept):
+            kept.append(i)
+    return kept
+
+
+def greedy_match_reference(det_corners, det_classes, det_scores, gt_corners,
+                           gt_classes, iou_threshold: float) -> list[bool]:
+    """VOC greedy matching with one scalar clip per (detection, GT) pair."""
+    order = sorted(range(len(det_scores)), key=lambda i: -det_scores[i])
+    gt_taken = [False] * len(gt_corners)
+    flags = [False] * len(det_scores)
+    for i in order:
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(gt_corners):
+            if gt_taken[j] or gt_classes[j] != det_classes[i]:
+                continue
+            iou = clip_iou(det_corners[i], gt)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0 and best_iou >= iou_threshold:
+            gt_taken[best_j] = True
+            flags[i] = True
+    return flags

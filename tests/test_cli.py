@@ -195,6 +195,17 @@ class TestDetect:
         base = len(parse_detections(workspace["dets"].read_text()).records)
         assert len(parse_detections(out.read_text()).records) <= base
 
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    def test_nms_threshold_outside_unit_interval_is_io_error(
+            self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "nms.txt"
+        code = cli.main(["detect", "--data", str(workspace["data"]),
+                         "--checkpoint", str(workspace["ckpt"]),
+                         "--out", str(out), "--nms-iou", value])
+        assert code == 3
+        assert "iou_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_saturated_threshold_gives_empty_file(self, workspace, tmp_path,
                                                   capsys):
         out = tmp_path / "none.txt"

@@ -7,7 +7,7 @@ from polardet.evaluation import (average_precision, evaluate, match_detections,
 from polardet.geometry import QuadBox
 from polardet.postprocess import Detection
 
-from oracles import voc_ap_reference
+from oracles import greedy_match_reference, jittered_scene, voc_ap_reference
 
 
 def square(cx, cy, size=4.0, class_id=0):
@@ -50,6 +50,13 @@ class TestMatchDetections:
         assert flags == [True]
         assert flags2 == [True, False]
 
+    def test_iou_tie_goes_to_lower_gt_index(self):
+        # the first detection sits midway between two gts (IoU 1/3 each) and
+        # takes gt 0; the second then finds gt 0 taken and gt 1 too far
+        gts = [square(8, 10), square(12, 10)]
+        flags = match_detections([det(10, 10, 0.9), det(8.5, 10, 0.5)], gts, 0.3)
+        assert flags == [True, False]
+
     def test_iou_below_threshold_is_fp(self):
         # 4x4 squares 2 apart: inter 8, union 24, IoU 1/3
         flags = match_detections([det(12, 10, 0.9)], [square(10, 10)], 0.5)
@@ -65,6 +72,30 @@ class TestMatchDetections:
             match_detections([], [], 0.0)
         with pytest.raises(ValueError):
             match_detections([], [], 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
+    def test_decisions_match_scalar_reference(self, threshold):
+        rng = np.random.default_rng(round(threshold * 100) + 1)
+        matched = 0
+        for _ in range(15):
+            corners, owner = jittered_scene(rng, num_objects=6, copies=3)
+            # each object's first box is its ground truth, the copies detect it
+            gt_idx = np.unique(owner, return_index=True)[1]
+            det_idx = np.setdiff1d(np.arange(len(corners)), gt_idx)
+            classes = rng.integers(0, 2, len(corners))
+            # a copy mostly keeps its object's class
+            classes = np.where(rng.uniform(size=len(corners)) < 0.8,
+                               classes[gt_idx][owner], classes)
+            scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
+            dets = [Detection(QuadBox(corners[i], int(classes[i])),
+                              int(classes[i]), float(scores[i])) for i in det_idx]
+            gts = [QuadBox(corners[j], int(classes[j])) for j in gt_idx]
+            flags = match_detections(dets, gts, threshold)
+            assert flags == greedy_match_reference(
+                corners[det_idx], classes[det_idx], scores[det_idx],
+                corners[gt_idx], classes[gt_idx], threshold)
+            matched += sum(flags)
+        assert 0 < matched < 15 * len(det_idx)
 
 
 class TestPrecisionRecallCurve:

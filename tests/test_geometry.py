@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from polardet.errors import DegenerateBox, InvalidPolygon
 from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
-                               clip_polygon, intersection_area,
-                               normalize_angle, oriented_nms, polar_to_quad,
+                               intersection_area, normalize_angle,
+                               oriented_nms, pairwise_iou, polar_to_quad,
                                polygon_area, quad_to_polar, rotated_iou,
                                signed_area)
 
-from oracles import mc_iou, random_rectangle, rect_polar_truth
+from oracles import (clip_iou_matrix, greedy_nms_reference, jittered_scene,
+                     mc_iou, random_rectangle, rect_polar_truth)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -171,8 +172,8 @@ class TestRoundTrips:
 
 class TestClipping:
     def test_self_clip_returns_full_area(self):
-        poly = clip_polygon(UNIT_SQUARE, UNIT_SQUARE)
-        assert polygon_area(poly) == pytest.approx(1.0)
+        square = QuadBox(UNIT_SQUARE)
+        assert intersection_area(square, square) == pytest.approx(1.0)
 
     def test_offset_squares_hand_value(self):
         shifted = UNIT_SQUARE + np.array([0.5, 0.25])
@@ -238,6 +239,102 @@ class TestRotatedIoU:
         assert inter <= min(polygon_area(a.corners), polygon_area(b.corners)) + 1e-9
 
 
+def rectangle(cx, cy, w, h, phi, start, reverse):
+    """Rotated rectangle with a chosen first corner and winding."""
+    offs = np.array([[w / 2, h / 2], [-w / 2, h / 2],
+                     [-w / 2, -h / 2], [w / 2, -h / 2]])
+    corners = rotate_about(offs, np.zeros(2), phi) + np.array([cx, cy])
+    corners = np.roll(corners, start, axis=0)
+    return corners[::-1] if reverse else corners
+
+
+rectangles = st.builds(rectangle, st.floats(0.0, 40.0), st.floats(0.0, 40.0),
+                       st.floats(0.5, 20.0), st.floats(0.5, 20.0),
+                       st.floats(0.0, math.pi), st.integers(0, 3),
+                       st.booleans())
+
+
+def quads(rects):
+    return np.array(rects, dtype=np.float64).reshape(-1, 4, 2)
+
+
+# left corner at the origin
+DIAMOND = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 0.0], [0.5, 0.5]])
+SQUARE_AT = {
+    "identical": UNIT_SQUARE,
+    "reversed winding": (UNIT_SQUARE + [0.3, 0.3])[::-1],
+    "nested": UNIT_SQUARE * 0.5 + 0.25,
+    "rotated nested": rotate_about(UNIT_SQUARE * 0.5 + 0.25, [0.5, 0.5], 0.4),
+    "touching edge": UNIT_SQUARE + [1.0, 0.0],
+    "touching corner": UNIT_SQUARE + [1.0, 1.0],
+    "diamond corner on corner": DIAMOND + [1.0, 1.0],
+    "diamond corner on edge": DIAMOND + [1.0, 0.5],
+    "segment inside": np.array([[0.25, 0.5], [0.75, 0.5], [0.75, 0.5],
+                                [0.25, 0.5]]),
+    "point": np.full((4, 2), 0.5),
+    "far": UNIT_SQUARE + 10.0,
+}
+EXPECTED_AGAINST_UNIT_SQUARE = {
+    "identical": 1.0, "reversed winding": 0.49 / 1.51, "nested": 0.25,
+    "rotated nested": 0.25, "touching edge": 0.0, "touching corner": 0.0,
+    "diamond corner on corner": 0.0, "diamond corner on edge": 0.0,
+    "segment inside": 0.0, "point": 0.0, "far": 0.0,
+}
+
+
+class TestPairwiseIoU:
+    @given(st.lists(rectangles, max_size=7), st.lists(rectangles, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_clip_oracle_and_is_symmetric(self, rects_a, rects_b):
+        a, b = quads(rects_a), quads(rects_b)
+        with np.errstate(all="raise"):
+            got = pairwise_iou(a, b)
+            swapped = pairwise_iou(b, a)
+        assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+        np.testing.assert_allclose(got, clip_iou_matrix(a, b), rtol=0, atol=1e-12)
+        assert np.array_equal(got, swapped.T)
+
+    @pytest.mark.parametrize("name", sorted(SQUARE_AT))
+    def test_special_cases(self, name):
+        a, b = quads([UNIT_SQUARE]), quads([SQUARE_AT[name]])
+        with np.errstate(all="raise"):
+            got = pairwise_iou(a, b)
+            swapped = pairwise_iou(b, a)
+            self_iou = pairwise_iou(b, b)
+        assert got[0, 0] == pytest.approx(EXPECTED_AGAINST_UNIT_SQUARE[name],
+                                          abs=1e-12)
+        np.testing.assert_allclose(got, clip_iou_matrix(a, b), rtol=0, atol=1e-12)
+        assert np.array_equal(got, swapped.T)
+        # a zero-area quad has no IoU with anything, itself included
+        assert self_iou[0, 0] == (0.0 if polygon_area(SQUARE_AT[name]) == 0.0
+                                  else pytest.approx(1.0))
+
+    def test_empty_shapes(self):
+        boxes = quads([UNIT_SQUARE, UNIT_SQUARE + 0.5])
+        none = np.zeros((0, 4, 2))
+        assert pairwise_iou(none, boxes).shape == (0, 2)
+        assert pairwise_iou(boxes, none).shape == (2, 0)
+        assert pairwise_iou(none, none).shape == (0, 0)
+
+    def test_one_by_one_agrees_with_rotated_iou(self):
+        rng = np.random.default_rng(21)
+        boxes = np.array([random_rectangle(rng, center_range=(10, 25))
+                          for _ in range(12)])
+        matrix = pairwise_iou(boxes, boxes)
+        for i in range(12):
+            for j in range(12):
+                assert rotated_iou(QuadBox(boxes[i]), QuadBox(boxes[j])) == \
+                    pytest.approx(matrix[i, j], abs=1e-15)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_iou(np.zeros((2, 3, 2)), np.zeros((1, 4, 2)))
+        bad = quads([UNIT_SQUARE]).copy()
+        bad[0, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            pairwise_iou(quads([UNIT_SQUARE]), bad)
+
+
 class TestOrientedNMS:
     def _box(self, cx, cy, size=4.0):
         half = size / 2
@@ -269,6 +366,33 @@ class TestOrientedNMS:
 
     def test_empty_input(self):
         assert oriented_nms([], 0.5) == []
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
+                                           -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        disjoint = [(self._box(10 * k, 0), 0.5) for k in range(3)]
+        with pytest.raises(ValueError):
+            oriented_nms(disjoint, threshold)
+
+    def test_threshold_bounds_accepted(self):
+        dets = [(self._box(10, 10), 0.9), (self._box(10, 10), 0.8),
+                (self._box(30, 30), 0.7)]
+        assert oriented_nms(dets, 0.0) == [0, 2]
+        assert oriented_nms(dets, 1.0) == [0, 1, 2]
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
+    def test_decisions_match_scalar_reference(self, threshold):
+        rng = np.random.default_rng(round(threshold * 100))
+        suppressed = 0
+        for _ in range(15):
+            corners, _owner = jittered_scene(rng, num_objects=6, copies=3)
+            # one decimal makes score ties, exercising the index tie-break
+            scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1).tolist()
+            kept = oriented_nms([(QuadBox(c), s) for c, s in zip(corners, scores)],
+                                threshold)
+            assert kept == greedy_nms_reference(corners, scores, threshold)
+            suppressed += len(corners) - len(kept)
+        assert suppressed > 0
 
 
 def test_area_eps_guards_degeneracy():
