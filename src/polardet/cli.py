@@ -27,7 +27,8 @@ from .evaluation import evaluate
 from .formats import (parse_annotations, parse_detections, quad_from_record,
                       record_from_detection, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
-from .geometry import QuadBox, oriented_nms, quad_to_polar
+from .geometry import (QuadBox, check_iou_threshold, oriented_nms,
+                       quad_to_polar)
 from .losses import LossConfig
 from .postprocess import (Detection, decode_detections, decode_poles,
                           extract_pole_points, topk_extract)
@@ -229,6 +230,9 @@ def _nms_filter(dets: list[Detection], iou: float) -> list[Detection]:
 
 
 def cmd_detect(args) -> int:
+    # checked up front: NMS itself only runs for classes that were detected
+    if args.nms_iou is not None:
+        check_iou_threshold(args.nms_iou)
     class_names, items = _load_dataset(args.data)
     net, _meta = load_checkpoint(args.checkpoint)
     if net.num_classes != len(class_names):

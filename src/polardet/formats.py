@@ -5,11 +5,7 @@ Annotation files carry one object per line:
     x1 y1 x2 y2 x3 y3 x4 y4 class_name difficulty
 
 Leading metadata lines of the form ``key:value`` (e.g. an imagesource or
-acquisition date) are skipped. Horizontal annotation files use
-
-    xmin ymin xmax ymax class_name difficulty
-
-and are expanded to four corners. Detection files add the image id and
+acquisition date) are skipped. Detection files add the image id and
 confidence up front:
 
     image_id score x1 y1 x2 y2 x3 y3 x4 y4 class_name
@@ -82,43 +78,6 @@ def parse_annotations(text: str) -> ParseResult:
             result.warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
             continue
         result.records.append(AnnotationRecord(tuple(coords), tokens[8], difficulty))
-    return result
-
-
-def parse_horizontal_annotations(text: str) -> ParseResult:
-    """Parse axis-aligned annotations, expanding each to four corners.
-
-    Corners run counterclockwise (increasing polar angle with y down)
-    starting from (xmin, ymin).
-    """
-    result = ParseResult()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" in line.split()[0]:
-            continue
-        tokens = line.split()
-        if len(tokens) not in (5, 6):
-            result.warnings.append(f"line {lineno}: expected 5 or 6 fields, got {len(tokens)}")
-            continue
-        coords = _finite_floats(tokens[:4])
-        if coords is None:
-            result.warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
-            continue
-        x0, y0, x1, y1 = coords
-        if x1 <= x0 or y1 <= y0:
-            result.warnings.append(f"line {lineno}: empty or inverted box")
-            continue
-        difficulty = 0
-        if len(tokens) == 6:
-            try:
-                difficulty = int(tokens[5])
-            except ValueError:
-                result.warnings.append(f"line {lineno}: bad difficulty {tokens[5]!r}")
-                continue
-        corners = (x0, y0, x1, y0, x1, y1, x0, y1)
-        result.records.append(AnnotationRecord(corners, tokens[4], difficulty))
     return result
 
 

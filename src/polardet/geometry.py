@@ -247,6 +247,12 @@ def rotated_iou(a: QuadBox, b: QuadBox) -> float:
     return float(pairwise_iou(a.corners[None], b.corners[None])[0, 0])
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Raise ValueError unless the threshold lies in [0, 1] (nan fails)."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError("iou_threshold must lie in [0, 1]")
+
+
 def oriented_nms(dets: Sequence[tuple[QuadBox, float]],
                  iou_threshold: float) -> list[int]:
     """Greedy descending-score suppression; returns kept indices.
@@ -254,8 +260,7 @@ def oriented_nms(dets: Sequence[tuple[QuadBox, float]],
     Score ties are broken by lower original index. No two kept boxes
     overlap with IoU strictly above the threshold, which must lie in [0, 1].
     """
-    if not 0.0 <= iou_threshold <= 1.0:  # also rejects nan
-        raise ValueError("iou_threshold must lie in [0, 1]")
+    check_iou_threshold(iou_threshold)
     for _, score in dets:
         if not math.isfinite(score):
             raise ValueError("detection scores must be finite")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import EncodedSample
 from .errors import DivergenceError, ShapeError, StateError, VersionError
@@ -51,31 +52,34 @@ def _out_len(size: int, stride: int) -> int:
 
 
 def _im2col(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """(N, C, H, W) -> (C*9, N*oh*ow) columns; rows run (c, ki, kj) like the
+    flattened weight, columns run (n, oy, ox)."""
     n, c, h, w = x.shape
     oh, ow = _out_len(h, stride), _out_len(w, stride)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 3, 3, oh, ow), dtype=x.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
-                                    kj:kj + stride * (ow - 1) + 1:stride]
-    return cols.reshape(n, c * 9, oh * ow), (oh, ow)
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow), (oh, ow)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int) -> np.ndarray:
+    """Scatter-add (C*9, N*oh*ow) column gradients back to (N, C, H, W)."""
     n, c, h, w = x_shape
     oh, ow = _out_len(h, stride), _out_len(w, stride)
-    dc = dcols.reshape(n, c, 3, 3, oh, ow)
-    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+    dc = dcols.reshape(c, 3, 3, n, oh, ow)
+    dxp = np.zeros((c, n, h + 2, w + 2), dtype=dcols.dtype)
     for ki in range(3):
         for kj in range(3):
             dxp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
-                kj:kj + stride * (ow - 1) + 1:stride] += dc[:, :, ki, kj]
-    return dxp[:, :, 1:-1, 1:-1]
+                kj:kj + stride * (ow - 1) + 1:stride] += dc[:, ki, kj]
+    return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
 
 
 class Conv2d:
-    """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias."""
+    """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias.
+
+    Both directions are single matrix products over the whole batch: the
+    columns of every image sit side by side in one (C*9, N*oh*ow) matrix.
+    """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
                  rng: np.random.Generator, bias_init: float = 0.0):
@@ -88,24 +92,23 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None  # so two sets of columns are never live at once
         cols, (oh, ow) = _im2col(x, self.stride)
         wmat = self.weight.value.reshape(self.out_ch, -1)
-        y = wmat[None] @ cols + self.bias.value[None, :, None]
+        y = wmat @ cols
+        y += self.bias.value[:, None]
         self._cache = (x.shape, cols)
-        return y.reshape(x.shape[0], self.out_ch, oh, ow)
+        return y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError(f"{self.weight.name}: backward before forward")
         x_shape, cols = self._cache
-        n = x_shape[0]
-        dmat = dout.reshape(n, self.out_ch, -1)
-        self.weight.grad += np.einsum("nol,nkl->ok", dmat, cols).reshape(
-            self.weight.value.shape)
-        self.bias.grad += dout.sum(axis=(0, 2, 3))
+        dmat = dout.transpose(1, 0, 2, 3).reshape(self.out_ch, -1)
+        self.weight.grad += (dmat @ cols.T).reshape(self.weight.value.shape)
+        self.bias.grad += dmat.sum(axis=1)
         wmat = self.weight.value.reshape(self.out_ch, -1)
-        dcols = wmat.T[None] @ dmat
-        return _col2im(dcols, x_shape, self.stride)
+        return _col2im(wmat.T @ dmat, x_shape, self.stride)
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]

@@ -195,13 +195,20 @@ class TestDetect:
         base = len(parse_detections(workspace["dets"].read_text()).records)
         assert len(parse_detections(out.read_text()).records) <= base
 
-    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    @pytest.mark.parametrize("value, extra", [
+        pytest.param("nan", [], id="nan"),
+        pytest.param("-0.1", [], id="-0.1"),
+        pytest.param("1.5", [], id="1.5"),
+        # no image yields a detection, so NMS itself never runs
+        pytest.param("nan", ["--threshold", "0.9999999"],
+                     id="nan-no-detections"),
+    ])
     def test_nms_threshold_outside_unit_interval_is_io_error(
-            self, workspace, tmp_path, capsys, value):
+            self, workspace, tmp_path, capsys, value, extra):
         out = tmp_path / "nms.txt"
         code = cli.main(["detect", "--data", str(workspace["data"]),
                          "--checkpoint", str(workspace["ckpt"]),
-                         "--out", str(out), "--nms-iou", value])
+                         "--out", str(out), "--nms-iou", value, *extra])
         assert code == 3
         assert "iou_threshold" in capsys.readouterr().err
         assert not out.exists()

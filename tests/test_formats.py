@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from polardet.errors import UnknownClass
 from polardet.formats import (AnnotationRecord, DetectionRecord,
                               parse_annotations, parse_detections,
-                              parse_horizontal_annotations, quad_from_record,
-                              record_from_detection, serialize_annotations,
-                              serialize_detections)
-from polardet.geometry import QuadBox, signed_area
+                              quad_from_record, record_from_detection,
+                              serialize_annotations, serialize_detections)
+from polardet.geometry import QuadBox
 from polardet.postprocess import Detection
 
 
@@ -83,34 +82,6 @@ class TestParseAnnotations:
         for record in result.records:
             assert len(record.corners) == 8
             assert all(np.isfinite(record.corners))
-
-
-class TestParseHorizontal:
-    def test_expansion_to_four_corners(self):
-        result = parse_horizontal_annotations("10 20 30 60 car 0\n")
-        (record,) = result.records
-        assert record.corners == (10.0, 20.0, 30.0, 20.0, 30.0, 60.0, 10.0, 60.0)
-        # counterclockwise in the y-down frame: positive signed area
-        assert signed_area(np.asarray(record.corners).reshape(4, 2)) > 0
-
-    def test_difficulty_optional(self):
-        result = parse_horizontal_annotations("10 20 30 60 car\n")
-        assert result.records[0].difficulty == 0
-
-    def test_inverted_box_warns(self):
-        result = parse_horizontal_annotations("30 20 10 60 car 0\n")
-        assert result.records == []
-        assert "inverted" in result.warnings[0]
-
-    def test_metadata_skipped(self):
-        result = parse_horizontal_annotations("imagesource:x\n10 20 30 60 car\n")
-        assert len(result.records) == 1
-        assert result.warnings == []
-
-    @given(st.text(max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_never_raises(self, text):
-        parse_horizontal_annotations(text)
 
 
 class TestParseDetections:

@@ -38,6 +38,29 @@ def conv3x3_reference(x, weight, bias, stride):
     return out
 
 
+def conv3x3_backward_reference(x, weight, dout, stride):
+    """Gradients of sum(conv3x3(x) * dout) w.r.t. weight, bias and x, one
+    product at a time; nothing shared with the im2col implementation."""
+    n, cin, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dweight = np.zeros_like(weight)
+    dbias = np.zeros(weight.shape[0])
+    dxp = np.zeros_like(xp)
+    for ni in range(n):
+        for oc in range(weight.shape[0]):
+            for oy in range(dout.shape[2]):
+                for ox in range(dout.shape[3]):
+                    g = dout[ni, oc, oy, ox]
+                    dbias[oc] += g
+                    for ic in range(cin):
+                        for ky in range(3):
+                            for kx in range(3):
+                                iy, ix = oy * stride + ky, ox * stride + kx
+                                dweight[oc, ic, ky, kx] += g * xp[ni, ic, iy, ix]
+                                dxp[ni, ic, iy, ix] += g * weight[oc, ic, ky, kx]
+    return dweight, dbias, dxp[:, :, 1:-1, 1:-1]
+
+
 def tiny_batch(seed=0, num_images=2, size=32, num_classes=2):
     """Synthetic images plus encoded targets for loss-level tests."""
     rng = np.random.default_rng(seed)
@@ -65,11 +88,30 @@ class TestConv2d:
     def test_matches_loop_reference(self, stride):
         rng = np.random.default_rng(0)
         conv = Conv2d("c", 3, 4, stride, rng)
-        x = rng.standard_normal((2, 3, 8, 8))
-        got = conv.forward(x)
-        expected = conv3x3_reference(x, conv.weight.value, conv.bias.value, stride)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-        assert got.shape == (2, 4, 8 // stride, 8 // stride)
+        conv.bias.value[:] = rng.standard_normal(4)
+        for h, w in [(8, 8), (7, 5)]:
+            x = rng.standard_normal((2, 3, h, w))
+            got = conv.forward(x)
+            expected = conv3x3_reference(x, conv.weight.value, conv.bias.value,
+                                         stride)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            assert got.shape == (2, 4, (h - 1) // stride + 1,
+                                 (w - 1) // stride + 1)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_backward_matches_loop_reference(self, stride):
+        # odd, non-square maps: every gradient entry, not a sample of them
+        rng = np.random.default_rng(5)
+        conv = Conv2d("c", 3, 4, stride, rng)
+        x = rng.standard_normal((2, 3, 7, 5))
+        dout = rng.standard_normal(conv.forward(x).shape)
+        dx = conv.backward(dout)
+        dweight, dbias, dx_ref = conv3x3_backward_reference(
+            x, conv.weight.value, dout, stride)
+        assert dx.shape == x.shape
+        np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
 
     def test_weight_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
