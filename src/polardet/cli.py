@@ -30,8 +30,8 @@ from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import (QuadBox, check_iou_threshold, oriented_nms,
                        quad_to_polar)
 from .losses import LossConfig
-from .postprocess import (Detection, decode_detections, decode_poles,
-                          extract_pole_points, topk_extract)
+from .postprocess import (Detection, check_score_threshold, decode_detections,
+                          decode_poles, extract_pole_points, topk_extract)
 from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
 from .toynet import (ToyNet, TrainConfig, TrainingSample, image_to_input,
                      load_checkpoint, predict_planes, save_checkpoint, train)
@@ -230,7 +230,8 @@ def _nms_filter(dets: list[Detection], iou: float) -> list[Detection]:
 
 
 def cmd_detect(args) -> int:
-    # checked up front: NMS itself only runs for classes that were detected
+    # checked up front: topk never binarizes, and NMS sees only detections
+    check_score_threshold(args.threshold)
     if args.nms_iou is not None:
         check_iou_threshold(args.nms_iou)
     class_names, items = _load_dataset(args.data)

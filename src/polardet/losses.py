@@ -12,10 +12,10 @@ network's angle head is range-bounded to (0, pi), so wrap-around cannot occur.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import EmptyImage, InvalidRadius, ShapeError
 
@@ -44,9 +44,9 @@ class LossConfig:
 
 @dataclass
 class LossValue:
-    """A scalar loss and the gradients w.r.t. its differentiated inputs."""
+    """A loss and its gradients; elementwise arrays for array inputs."""
 
-    value: float
+    value: float | np.ndarray
     gradients: dict
 
 
@@ -84,8 +84,8 @@ def pole_focal_loss(pred: np.ndarray, target: np.ndarray, cfg: LossConfig,
     return LossValue(float(value), {"pred": grad})
 
 
-def smooth_l1(u: float, u_star: float, beta: float = 1.0) -> LossValue:
-    """Smooth-L1 distance between a prediction and its target.
+def smooth_l1(u: ArrayLike, u_star: ArrayLike, beta: float = 1.0) -> LossValue:
+    """Smooth-L1 distance between predictions and their targets, elementwise.
 
     Quadratic within ``beta`` of the target, linear outside; the gradient is
     w.r.t. ``u``.
@@ -93,53 +93,50 @@ def smooth_l1(u: float, u_star: float, beta: float = 1.0) -> LossValue:
     if beta <= 0:
         raise ValueError("beta must be positive")
     r = u - u_star
-    if abs(r) < beta:
-        return LossValue(0.5 * r * r / beta, {"u": r / beta})
-    return LossValue(abs(r) - 0.5 * beta, {"u": math.copysign(1.0, r)})
+    a = np.abs(r)
+    q = np.minimum(a, beta)  # |r| where quadratic; cannot overflow where not
+    return LossValue(np.where(a < beta, 0.5 * q * q / beta, a - 0.5 * beta)[()],
+                     {"u": np.where(a < beta, r / beta, np.sign(r))[()]})
 
 
-def ring_area(rho: float, rho_star: float, theta: float, theta_star: float) -> float:
+def ring_area(rho: ArrayLike, rho_star: ArrayLike, theta: ArrayLike,
+              theta_star: ArrayLike) -> ArrayLike:
     """Area of the ring sector swept between predicted and true (rho, theta).
 
     Zero exactly when the radii agree or the angles agree.
     """
-    if rho <= 0 or rho_star <= 0:
-        raise InvalidRadius(f"radii must be positive, got {rho} and {rho_star}")
-    return 0.5 * abs((rho * rho - rho_star * rho_star) * (theta - theta_star))
+    radii = np.concatenate([np.ravel(rho), np.ravel(rho_star)])
+    if np.any(radii <= 0):
+        raise InvalidRadius(f"radii must be positive, got {radii[radii <= 0][0]}")
+    return 0.5 * np.abs((rho * rho - rho_star * rho_star) * (theta - theta_star))
 
 
-def polar_ring_loss(rho: float, rho_star: float, theta: float, theta_star: float,
-                    beta: float = 1.0) -> LossValue:
+def polar_ring_loss(rho: ArrayLike, rho_star: ArrayLike, theta: ArrayLike,
+                    theta_star: ArrayLike, beta: float = 1.0) -> LossValue:
     """Smooth-L1 of the ring-sector product magnitude against zero.
 
     The product |(rho^2 - rho*^2)(theta - theta*)| is used as defined for the
     loss, i.e. without the 1/2 factor of the plain ring area; the difference
     is absorbed by the ring weight. Gradients are w.r.t. ``rho`` and ``theta``.
     """
-    if rho <= 0 or rho_star <= 0:
-        raise InvalidRadius(f"radii must be positive, got {rho} and {rho_star}")
+    sl1 = smooth_l1(2.0 * ring_area(rho, rho_star, theta, theta_star), 0.0, beta)
+    dl_dg = sl1.gradients["u"]
     dr2 = rho * rho - rho_star * rho_star
     dt = theta - theta_star
-    g = abs(dr2 * dt)
-    sl1 = smooth_l1(g, 0.0, beta)
-    dl_dg = sl1.gradients["u"]
-
-    def sign(v):
-        return 0.0 if v == 0.0 else math.copysign(1.0, v)
-
-    dg_drho = sign(dr2) * 2.0 * rho * abs(dt)
-    dg_dtheta = abs(dr2) * sign(dt)
+    dg_drho = np.sign(dr2) * 2.0 * rho * np.abs(dt)
+    dg_dtheta = np.abs(dr2) * np.sign(dt)
     return LossValue(sl1.value, {"rho": dl_dg * dg_drho,
                                  "theta": dl_dg * dg_dtheta})
 
 
-def total_regression_loss(pred: tuple[float, float, float],
-                          target: tuple[float, float, float],
+def total_regression_loss(pred: tuple[ArrayLike, ArrayLike, ArrayLike],
+                          target: tuple[ArrayLike, ArrayLike, ArrayLike],
                           cfg: LossConfig) -> LossValue:
     """Ring-area terms for both angles plus Smooth-L1 on all three values.
 
-    ``pred`` and ``target`` are (rho, theta1, theta2) triples; gradients are
-    returned for all three predictions.
+    ``pred`` and ``target`` are (rho, theta1, theta2) triples of scalars or
+    of equal-shape arrays, one entry per pole cell; the value and the
+    gradients for all three predictions are elementwise.
     """
     rho, t1, t2 = pred
     rho_s, t1_s, t2_s = target

@@ -47,10 +47,15 @@ class DecodeResult:
     dropped_invalid: int = 0
 
 
-def binarize(channel: np.ndarray, threshold: float) -> np.ndarray:
-    """Threshold one heatmap channel; the boundary value is kept true."""
+def check_score_threshold(threshold: float) -> None:
+    """Raise ValueError unless the threshold lies in (0, 1) (nan fails)."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
+
+
+def binarize(channel: np.ndarray, threshold: float) -> np.ndarray:
+    """Threshold one heatmap channel; the boundary value is kept true."""
+    check_score_threshold(threshold)
     return np.asarray(channel) >= threshold
 
 

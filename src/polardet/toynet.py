@@ -110,22 +110,19 @@ class Conv2d:
         wmat = self.weight.value.reshape(self.out_ch, -1)
         return _col2im(wmat.T @ dmat, x_shape, self.stride)
 
-    def params(self) -> list[Param]:
-        return [self.weight, self.bias]
-
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None  # the x > 0 mask
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        self._cache = x > 0.0
+        return np.where(self._cache, x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             raise StateError("relu backward before forward")
-        return np.where(self._mask, dout, 0.0)
+        return np.where(self._cache, dout, 0.0)
 
 
 class ResidualBlock:
@@ -145,9 +142,6 @@ class ResidualBlock:
         d = self.relu2.backward(dout)
         dx = self.conv1.backward(self.relu1.backward(self.conv2.backward(d)))
         return dx + d
-
-    def params(self) -> list[Param]:
-        return self.conv1.params() + self.conv2.params()
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -195,10 +189,18 @@ class ToyNet:
         self.head_angle = Conv2d("head_angle", c2, 2, 1, rng)
         self._cache = None
 
+    def _convs(self) -> list[Conv2d]:
+        return [self.stem, self.down, self.block1.conv1, self.block1.conv2,
+                self.block2.conv1, self.block2.conv2,
+                self.head_heat, self.head_rho, self.head_angle]
+
+    def _relus(self) -> list[ReLU]:
+        return [self.stem_relu, self.down_relu,
+                self.block1.relu1, self.block1.relu2,
+                self.block2.relu1, self.block2.relu2]
+
     def parameters(self) -> list[Param]:
-        layers = [self.stem, self.down, self.block1, self.block2,
-                  self.head_heat, self.head_rho, self.head_angle]
-        return [p for layer in layers for p in layer.params()]
+        return [p for conv in self._convs() for p in (conv.weight, conv.bias)]
 
     def num_parameters(self) -> int:
         return sum(p.value.size for p in self.parameters())
@@ -209,12 +211,10 @@ class ToyNet:
         Finite-difference checks use this to detect when a perturbation
         flips a unit across zero, which invalidates the central difference.
         """
-        relus = [self.stem_relu, self.down_relu,
-                 self.block1.relu1, self.block1.relu2,
-                 self.block2.relu1, self.block2.relu2]
-        if any(r._mask is None for r in relus):
+        relus = self._relus()
+        if any(r._cache is None for r in relus):
             raise StateError("relu_signs before forward")
-        return np.concatenate([r._mask.reshape(-1) for r in relus])
+        return np.concatenate([r._cache.reshape(-1) for r in relus])
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -339,31 +339,25 @@ def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: list[EncodedSample],
     d_theta = np.zeros_like(out.theta)
 
     pole_sum = 0.0
-    reg_values: list[float] = []
-    reg_grads: list[tuple[int, int, int, dict]] = []
     for b, tgt in enumerate(targets):
         fl = pole_focal_loss(out.heat[b], tgt.heatmap, cfg,
                              max(len(tgt.pole_cells), 1))
         pole_sum += fl.value
         d_heat[b] = fl.gradients["pred"] / n
-        for _class_id, cx, cy in tgt.pole_cells:
-            pred = (float(out.rho[b, cy, cx]),
-                    float(out.theta[b, 0, cy, cx]),
-                    float(out.theta[b, 1, cy, cx]))
-            truth = (float(tgt.rho[cy, cx]),
-                     float(tgt.theta1[cy, cx]),
-                     float(tgt.theta2[cy, cx]))
-            reg = total_regression_loss(pred, truth, cfg)
-            reg_values.append(reg.value)
-            reg_grads.append((b, cx, cy, reg.gradients))
-
     pole_mean = pole_sum / n
-    reg_mean = float(np.mean(reg_values)) if reg_values else 0.0
-    scale = cfg.reg_weight / len(reg_values) if reg_values else 0.0
-    for b, cx, cy, grads in reg_grads:
-        d_rho[b, cy, cx] += grads["rho"] * scale
-        d_theta[b, 0, cy, cx] += grads["theta1"] * scale
-        d_theta[b, 1, cy, cx] += grads["theta2"] * scale
+
+    # (b, cy, cx) of every pole cell, in pole_cells order (the mean's order)
+    cells = [np.asarray(t.pole_cells, dtype=np.intp).reshape(-1, 3) for t in targets]
+    b = np.repeat(np.arange(n), [len(c) for c in cells])
+    _class_id, cx, cy = np.concatenate(cells).T
+    truth = np.stack([(t.rho, t.theta1, t.theta2) for t in targets])[b, :, cy, cx]
+    reg = total_regression_loss((out.rho[b, cy, cx], *out.theta[b, :, cy, cx].T),
+                                tuple(truth.T), cfg)
+    reg_mean = float(np.mean(reg.value)) if b.size else 0.0
+    scale = cfg.reg_weight / b.size if b.size else 0.0
+    np.add.at(d_rho, (b, cy, cx), reg.gradients["rho"] * scale)
+    np.add.at(d_theta, (b, slice(None), cy, cx),
+              np.stack((reg.gradients["theta1"], reg.gradients["theta2"]), axis=1) * scale)
 
     if backward:
         net.backward(d_heat, d_rho, d_theta)
@@ -437,6 +431,8 @@ def load_checkpoint(path) -> tuple[ToyNet, dict]:
 
 
 def predict_planes(net: ToyNet, image: np.ndarray):
-    """Run one image; returns (heatmap, rho, theta1, theta2) planes."""
+    """Run one image; returns (heatmap, rho, theta1, theta2), caching nothing."""
     out = net.forward(image_to_input(image))
+    for layer in [net, *net._convs(), *net._relus()]:
+        layer._cache = None  # no backward pass reads them
     return out.heat[0], out.rho[0], out.theta[0, 0], out.theta[0, 1]

@@ -276,3 +276,34 @@ def greedy_match_reference(det_corners, det_classes, det_scores, gt_corners,
             gt_taken[best_j] = True
             flags[i] = True
     return flags
+
+
+def regression_loss_reference(pred, truth, lam: float, beta: float):
+    """Per-cell regression loss in plain Python floats: two ring terms plus
+    three Smooth-L1 terms, with branches taken by ``if``.
+
+    Returns (value, d_rho, d_theta1, d_theta2).
+    """
+    def sl1(r):
+        if abs(r) < beta:
+            return 0.5 * r * r / beta, r / beta
+        return abs(r) - 0.5 * beta, math.copysign(1.0, r)
+
+    def sign(v):
+        return 0.0 if v == 0.0 else math.copysign(1.0, v)
+
+    def ring(rho, rho_s, t, t_s):
+        dr2, dt = rho * rho - rho_s * rho_s, t - t_s
+        value, dl_dg = sl1(abs(dr2 * dt))
+        return (value, dl_dg * (sign(dr2) * 2.0 * rho * abs(dt)),
+                dl_dg * (abs(dr2) * sign(dt)))
+
+    rho, t1, t2 = (float(v) for v in pred)
+    rho_s, t1_s, t2_s = (float(v) for v in truth)
+    r1, r1_rho, r1_t = ring(rho, rho_s, t1, t1_s)
+    r2, r2_rho, r2_t = ring(rho, rho_s, t2, t2_s)
+    s_rho, g_rho = sl1(rho - rho_s)
+    s_t1, g_t1 = sl1(t1 - t1_s)
+    s_t2, g_t2 = sl1(t2 - t2_s)
+    return (lam * (r1 + r2) + s_rho + s_t1 + s_t2,
+            lam * (r1_rho + r2_rho) + g_rho, lam * r1_t + g_t1, lam * r2_t + g_t2)

@@ -213,6 +213,18 @@ class TestDetect:
         assert "iou_threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "0"])
+    def test_topk_threshold_outside_open_unit_interval_is_io_error(
+            self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "topk.txt"
+        code = cli.main(["detect", "--data", str(workspace["data"]),
+                         "--checkpoint", str(workspace["ckpt"]),
+                         "--out", str(out), "--extractor", "topk",
+                         "--threshold", value])
+        assert code == 3
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_saturated_threshold_gives_empty_file(self, workspace, tmp_path,
                                                   capsys):
         out = tmp_path / "none.txt"

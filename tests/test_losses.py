@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polardet.errors import EmptyImage, InvalidRadius, ShapeError
-from polardet.losses import (CLAMP_EPS, LossConfig, pole_focal_loss,
+from polardet.losses import (CLAMP_EPS, LossConfig, LossValue, pole_focal_loss,
                              polar_ring_loss, ring_area, smooth_l1,
                              total_loss, total_regression_loss)
 
-from oracles import fd_gradient
+from oracles import fd_gradient, regression_loss_reference
 
 
 def focal_reference(pred, target, alpha, beta, num_objects):
@@ -259,6 +259,103 @@ class TestTotalRegressionLoss:
                 return total_regression_loss(tuple(probe), truth, cfg).value
             assert out.gradients[key] == pytest.approx(
                 fd_gradient(value_at, pred[i]), abs=1e-6)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestArrayInputs:
+    """Shape-(K,) inputs give, bit for bit, what K scalar calls give."""
+
+    @staticmethod
+    def cells():
+        rng = np.random.default_rng(9)
+        rho, rho_s = rng.uniform(0.5, 4.0, (2, 12))
+        t, t_s = rng.uniform(0.0, math.pi, (2, 12))
+        rho_s[0], t_s[1] = rho[0], t[1]          # dr2 == 0, dt == 0
+        rho[2], rho_s[2] = 2.5, 1.5              # |rho - rho*| == beta
+        t[3], t_s[3] = 0.25, 1.25                # |t - t*| == beta
+        rho[4], rho_s[4], t[4], t_s[4] = 1.5, 0.5, 1.0, 0.5  # ring g == beta
+        rho[5], rho_s[5], t[5], t_s[5] = 1.0, 1.0, 0.7, 0.7
+        return rho, rho_s, t, t_s
+
+    def assert_matches_scalar_calls(self, fn, *args):
+        got = fn(*args)
+        calls = [fn(*(a[i] for a in args)) for i in range(len(args[0]))]
+        if isinstance(got, LossValue):
+            assert all(isinstance(c.value, np.float64) for c in calls)
+            np.testing.assert_array_equal(_bits(got.value),
+                                          _bits([c.value for c in calls]))
+            for key, grad in got.gradients.items():
+                assert grad.shape == got.value.shape
+                assert all(isinstance(c.gradients[key], np.float64) for c in calls)
+                np.testing.assert_array_equal(
+                    _bits(grad), _bits([c.gradients[key] for c in calls]))
+        else:
+            assert all(isinstance(c, np.float64) for c in calls)
+            np.testing.assert_array_equal(_bits(got), _bits(calls))
+
+    def test_smooth_l1(self):
+        rho, rho_s, t, t_s = self.cells()
+        self.assert_matches_scalar_calls(smooth_l1, rho, rho_s)
+        self.assert_matches_scalar_calls(smooth_l1, t, t_s)
+
+    def test_ring_area(self):
+        self.assert_matches_scalar_calls(ring_area, *self.cells())
+
+    def test_polar_ring_loss(self):
+        self.assert_matches_scalar_calls(polar_ring_loss, *self.cells())
+
+    def test_total_regression_loss(self):
+        rho, rho_s, t, t_s = self.cells()
+        t2, t2_s = t[::-1].copy(), t_s[::-1].copy()
+        cfg = LossConfig()
+        pred, truth = (rho, t, t2), (rho_s, t_s, t2_s)
+        got = total_regression_loss(pred, truth, cfg)
+        calls = [total_regression_loss(tuple(a[i] for a in pred),
+                                       tuple(a[i] for a in truth), cfg)
+                 for i in range(len(rho))]
+        np.testing.assert_array_equal(_bits(got.value),
+                                      _bits([c.value for c in calls]))
+        for key in ("rho", "theta1", "theta2"):
+            np.testing.assert_array_equal(
+                _bits(got.gradients[key]),
+                _bits([c.gradients[key] for c in calls]))
+        # and what the per-cell Python-float formulation gives
+        reference = [regression_loss_reference(tuple(a[i] for a in pred),
+                                               tuple(a[i] for a in truth),
+                                               cfg.lambda_ring, cfg.smooth_l1_beta)
+                     for i in range(len(rho))]
+        np.testing.assert_array_equal(
+            _bits(np.stack([got.value, got.gradients["rho"], got.gradients["theta1"],
+                            got.gradients["theta2"]], axis=1)),
+            _bits(reference))
+
+    def test_empty_shape(self):
+        empty = np.zeros(0)
+        assert smooth_l1(empty, empty).value.shape == (0,)
+        assert ring_area(empty, empty, empty, empty).shape == (0,)
+        ring = polar_ring_loss(empty, empty, empty, empty)
+        assert ring.value.shape == ring.gradients["theta"].shape == (0,)
+        out = total_regression_loss((empty,) * 3, (empty,) * 3, LossConfig())
+        assert out.value.shape == (0,)
+        assert all(g.shape == (0,) for g in out.gradients.values())
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5])
+    def test_any_nonpositive_radius_rejected(self, bad):
+        rho, rho_s, t, t_s = self.cells()
+        for i in range(len(rho)):
+            for which in (0, 1):
+                radii = [rho.copy(), rho_s.copy()]
+                radii[which][i] = bad
+                with pytest.raises(InvalidRadius, match=f"got .*{bad}"):
+                    polar_ring_loss(radii[0], radii[1], t, t_s)
+                with pytest.raises(InvalidRadius):
+                    ring_area(radii[0], radii[1], t, t_s)
+                with pytest.raises(InvalidRadius):
+                    total_regression_loss((radii[0], t, t_s), (radii[1], t_s, t),
+                                          LossConfig())
 
 
 class TestTotalLoss:
