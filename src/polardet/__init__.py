@@ -5,14 +5,13 @@ and the two smallest corner angles; the network regresses those three
 numbers per object on a stride-4 grid next to a per-class center heatmap.
 """
 
-from .encoding import (EncodedSample, GridConfig, encode_regression,
-                       gaussian_heatmap, pole_cell)
+from .encoding import EncodedSample, GridConfig, encode_regression
 from .evaluation import (ClassEval, EvalReport, PRPoint, average_precision,
                          evaluate, match_detections, mean_ap,
                          precision_recall_curve)
 from .geometry import (PolarBox, Point2, QuadBox, intersection_area,
                        normalize_angle, oriented_nms, pairwise_iou,
-                       polar_to_quad, polygon_area, quad_to_polar,
+                       polar_to_quad, quad_to_polar,
                        rotated_iou, signed_area)
 from .losses import (LossConfig, LossValue, pole_focal_loss, polar_ring_loss,
                      ring_area, smooth_l1, total_loss, total_regression_loss)
@@ -34,11 +33,10 @@ __all__ = [
     "TrainConfig", "TrainingSample", "average_precision", "binarize",
     "compute_batch_loss", "connected_components", "decode_detections",
     "decode_poles", "encode_regression", "evaluate", "extract_pole_points",
-    "gaussian_heatmap", "generate_dataset", "generate_scene", "image_to_input",
+    "generate_dataset", "generate_scene", "image_to_input",
     "intersection_area", "load_checkpoint", "match_detections", "mean_ap",
     "normalize_angle", "oriented_nms", "pairwise_iou", "polar_to_quad",
-    "pole_cell",
-    "pole_focal_loss", "polar_ring_loss", "polygon_area",
+    "pole_focal_loss", "polar_ring_loss",
     "precision_recall_curve", "predict_planes", "quad_to_polar", "read_pgm",
     "ring_area", "rotated_iou", "save_checkpoint", "signed_area", "smooth_l1",
     "topk_extract", "total_loss", "total_regression_loss", "train",

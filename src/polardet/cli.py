@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import GridConfig, encode_regression
+from .encoding import BoxArrays, GridConfig, encode_boxes, encode_regression
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import evaluate
 from .formats import (parse_annotations, parse_detections, quad_from_record,
                       record_from_detection, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import (QuadBox, check_iou_threshold, oriented_nms,
-                       quad_to_polar)
+                       quad_to_polar, quads_to_polar)
 from .losses import LossConfig
 from .postprocess import (Detection, check_score_threshold, decode_detections,
                           decode_poles, extract_pole_points, topk_extract)
@@ -88,16 +88,6 @@ def _load_ground_truth(items, class_names):
     return gt
 
 
-def write_heatmap_csv(path, heatmap: np.ndarray) -> None:
-    """Dense channel blocks of comma-separated rows, blank line between."""
-    with open(path, "w") as fh:
-        for c, channel in enumerate(np.asarray(heatmap)):
-            if c:
-                fh.write("\n")
-            for row in channel:
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
-
-
 def read_heatmap_csv(path) -> np.ndarray:
     blocks = [b for b in Path(path).read_text().split("\n\n") if b.strip()]
     channels = []
@@ -127,41 +117,22 @@ def write_encoding_csv(path, sample, cfg: GridConfig) -> None:
                 writer.writerow([name, "", gx, gy, f"{plane[gy, gx]:.9g}"])
 
 
-def read_encoding_csv(path, cfg: GridConfig):
-    """Rebuild (heatmap, rho, theta1, theta2) arrays from a sparse dump."""
-    heat = np.zeros((cfg.num_classes, cfg.grid_h, cfg.grid_w))
-    planes = {"rho": np.zeros((cfg.grid_h, cfg.grid_w)),
-              "theta1": np.zeros((cfg.grid_h, cfg.grid_w)),
-              "theta2": np.zeros((cfg.grid_h, cfg.grid_w))}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            gx, gy = int(row["cell_x"]), int(row["cell_y"])
-            if row["map"] == "heat":
-                heat[int(row["class"]), gy, gx] = float(row["value"])
-            else:
-                planes[row["map"]][gy, gx] = float(row["value"])
-    return heat, planes["rho"], planes["theta1"], planes["theta2"]
-
-
 def _encode_items(items, class_names, stride: int):
-    """Load images and encode annotations into training samples."""
-    samples = []
-    grid_cfg = None
-    for image_id, img_path, ann_path in items:
-        image = read_pgm(img_path)
-        if grid_cfg is None:
-            grid_cfg = GridConfig(image.shape[1], image.shape[0], stride,
-                                  len(class_names))
-        elif image.shape != (grid_cfg.height, grid_cfg.width):
+    """Load images and encode the annotations of all of them at once."""
+    images = [read_pgm(img_path) for _id, img_path, _ann in items]
+    for (image_id, _img, _ann), image in zip(items, images):
+        if image.shape != images[0].shape:
             raise ShapeError(f"{image_id}: image {image.shape} differs from "
-                             f"({grid_cfg.height}, {grid_cfg.width})")
-        parsed = parse_annotations(ann_path.read_text())
-        for w in parsed.warnings:
-            print(f"{ann_path}: {w}", file=sys.stderr)
-        polars = [quad_to_polar(quad_from_record(r, class_names))
-                  for r in parsed.records]
-        samples.append(TrainingSample(image, encode_regression(polars, grid_cfg)))
-    return samples, grid_cfg
+                             f"{images[0].shape}")
+    grid_cfg = GridConfig(images[0].shape[1], images[0].shape[0], stride,
+                          len(class_names))
+    per_image = list(_load_ground_truth(items, class_names).values())
+    quads = [q for image_quads in per_image for q in image_quads]
+    boxes = BoxArrays(np.repeat(np.arange(len(items)), [len(q) for q in per_image]),
+                      np.array([q.class_id for q in quads], dtype=np.intp),
+                      *quads_to_polar([q.corners for q in quads]))
+    targets = encode_boxes(boxes, len(images), grid_cfg)
+    return [TrainingSample(*pair) for pair in zip(images, targets)], grid_cfg
 
 
 def cmd_synth(args) -> int:
@@ -249,8 +220,8 @@ def cmd_detect(args) -> int:
         if args.extractor == "cc":
             result = decode_detections(heat, rho, t1, t2, args.threshold, cfg)
         else:
-            poles = topk_extract(heat, args.k)
-            poles = [p for p in poles if p.score >= args.threshold]
+            poles = [p for p in topk_extract(heat, args.k)
+                     if p.score >= args.threshold]
             result = decode_poles(poles, rho, t1, t2, cfg)
         dropped += result.dropped_invalid
         dets = result.detections
@@ -336,11 +307,13 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    check_score_threshold(args.threshold)
     heatmap = read_heatmap_csv(args.heatmap)
     if args.extractor == "cc":
         poles = extract_pole_points(heatmap, args.threshold)
     else:
-        poles = topk_extract(heatmap, args.k)
+        poles = [p for p in topk_extract(heatmap, args.k)
+                 if p.score >= args.threshold]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "cell_x", "cell_y", "score"])

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CellCollision, DegenerateBox, OutOfBounds
-from .geometry import Point2, PolarBox, polar_to_quad
+from .geometry import PolarBox
 
 # Gaussian kernels are cut at 3 sigma; the largest discarded value is e^-4.5
 TRUNCATION_SIGMAS = 3.0
@@ -66,77 +67,96 @@ class EncodedSample:
     pole_cells: list[tuple[int, int, int]] = field(default_factory=list)  # (class_id, cx, cy)
 
 
-def pole_cell(pole: Point2, cfg: GridConfig) -> tuple[int, int]:
-    """Grid cell containing a pole point: (floor(x/d), floor(y/d))."""
-    x, y = pole
-    if not (0.0 <= x < cfg.width and 0.0 <= y < cfg.height):
-        raise OutOfBounds(f"pole ({x}, {y}) outside {cfg.width}x{cfg.height} image")
-    return int(x // cfg.stride), int(y // cfg.stride)
+class BoxArrays(NamedTuple):
+    """Polar boxes of one or more images, one row per box."""
+
+    image: np.ndarray     # (B,) index of the box's image
+    class_id: np.ndarray  # (B,)
+    pole: np.ndarray      # (B, 2) pixels
+    rho: np.ndarray       # (B,) pixels
+    theta: np.ndarray     # (B, 2) radians
 
 
-def _side_lengths(box: PolarBox) -> tuple[float, float]:
-    # side lengths of the oriented rectangle (adjacent-corner distances),
-    # not the axis-aligned extent
-    c = polar_to_quad(box).corners
-    return (float(np.hypot(*(c[1] - c[0]))), float(np.hypot(*(c[2] - c[1]))))
+def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
+                     cfg: GridConfig) -> np.ndarray:
+    """(num_images, C, grid_h, grid_w) per-class Gaussian peaks merged by max.
 
-
-def gaussian_heatmap(boxes: list[PolarBox], cfg: GridConfig) -> np.ndarray:
-    """Render per-class Gaussian peaks, one per box, merged by elementwise max.
-
-    Each box contributes exp(-(dx^2 + dy^2) / (2 sigma^2)) around its pole
-    cell with sigma = min(side lengths) / 3, converted to grid units. The
-    peak value at the pole cell is exactly 1.
+    A box renders exp(-(dx^2 + dy^2) / (2 sigma^2)) in a window around its
+    pole cell, cut at ``TRUNCATION_SIGMAS`` sigma; sigma is a third of its
+    shorter side (between ``polar_to_quad``'s corners, from the same ``math``
+    calls) in grid units. The peak value at the pole cell is exactly 1.
     """
-    heat = np.zeros((cfg.num_classes, cfg.grid_h, cfg.grid_w))
-    for box in boxes:
-        if not 0 <= box.class_id < cfg.num_classes:
-            raise ValueError(f"class_id {box.class_id} outside [0, {cfg.num_classes})")
-        cx, cy = pole_cell(box.pole, cfg)
-        w, h = _side_lengths(box)
-        if min(w, h) <= 0.0:
-            raise DegenerateBox("box has a zero-length side")
-        sigma = min(w, h) / 3.0 / cfg.stride
-        radius = int(math.ceil(TRUNCATION_SIGMAS * sigma))
-        x0, x1 = max(cx - radius, 0), min(cx + radius, cfg.grid_w - 1)
-        y0, y1 = max(cy - radius, 0), min(cy + radius, cfg.grid_h - 1)
-        gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        r2 = (gx - cx) ** 2 + (gy - cy) ** 2
-        kernel = np.exp(-r2 / (2.0 * sigma * sigma))
-        kernel[r2 > (TRUNCATION_SIGMAS * sigma) ** 2] = 0.0
-        ch = heat[box.class_id]
-        ch[y0:y1 + 1, x0:x1 + 1] = np.maximum(ch[y0:y1 + 1, x0:x1 + 1], kernel)
+    bad = np.flatnonzero((boxes.class_id < 0) | (boxes.class_id >= cfg.num_classes))
+    if bad.size:
+        raise ValueError(f"class_id {boxes.class_id[bad[0]]} outside [0, {cfg.num_classes})")
+    t = np.column_stack((boxes.theta, boxes.theta[:, 0] + math.pi)).ravel().tolist()
+    trig = np.array([(math.cos(a), math.sin(a)) for a in t]).reshape(-1, 3, 2)
+    side = np.diff(boxes.pole[:, None, :] + boxes.rho[:, None, None] * trig, axis=1)
+    short = np.hypot(side[..., 0], side[..., 1]).min(axis=1)
+    if np.any(short <= 0.0):
+        raise DegenerateBox("box has a zero-length side")
+    sigma = short / 3.0 / cfg.stride
+    radius = np.ceil(TRUNCATION_SIGMAS * sigma).astype(np.intp)
+    heat = np.zeros((num_images, cfg.num_classes, cfg.grid_h, cfg.grid_w))
+    for r in np.unique(radius):  # one window size at a time
+        sel = np.flatnonzero(radius == r)
+        d = np.arange(-r, r + 1)
+        r2 = d[:, None] ** 2 + d[None, :] ** 2
+        s = sigma[sel, None, None]
+        gy = cells[sel, 1, None, None] + d[:, None]
+        gx = cells[sel, 0, None, None] + d[None, :]
+        keep = ((r2 <= (TRUNCATION_SIGMAS * s) ** 2)
+                & (0 <= gy) & (gy < cfg.grid_h) & (0 <= gx) & (gx < cfg.grid_w))
+        index = np.broadcast_arrays(boxes.image[sel, None, None],
+                                    boxes.class_id[sel, None, None], gy, gx)
+        kernel = np.exp(-r2 / (2.0 * s * s))
+        np.maximum.at(heat, tuple(i[keep] for i in index), kernel[keep])
     return heat
 
 
-def encode_regression(boxes: list[PolarBox], cfg: GridConfig) -> EncodedSample:
-    """Build the full target set for one image.
+def encode_boxes(boxes: BoxArrays, num_images: int,
+                 cfg: GridConfig) -> list[EncodedSample]:
+    """Build the full target set of ``num_images`` images at once.
 
-    Targets are defined at the exact pole cell only. Two boxes landing in
-    the same cell are a generator bug at desk scale, so that raises
-    ``CellCollision`` instead of silently overwriting.
+    Targets are defined at the exact pole cell (floor(x/d), floor(y/d))
+    only. Two boxes of one image in one cell are a generator bug at desk
+    scale, so they raise ``CellCollision`` instead of one overwriting the
+    other. Each kind of fault is checked over all boxes at once, in the
+    order: pole outside the image, shared cell, unknown class, zero-length
+    side. The error names the first offending box, counted within its image.
     """
-    shape = (cfg.grid_h, cfg.grid_w)
-    rho = np.zeros(shape)
-    theta1 = np.zeros(shape)
-    theta2 = np.zeros(shape)
-    mask = np.zeros(shape, dtype=bool)
-    cells: list[tuple[int, int, int]] = []
-    occupied: dict[tuple[int, int], int] = {}
-    for i, box in enumerate(boxes):
-        cx, cy = pole_cell(box.pole, cfg)
-        if (cx, cy) in occupied:
-            raise CellCollision(
-                f"boxes {occupied[(cx, cy)]} and {i} share pole cell ({cx}, {cy})"
-            )
-        occupied[(cx, cy)] = i
-        rho[cy, cx] = box.rho / cfg.stride
-        theta1[cy, cx] = box.theta1
-        theta2[cy, cx] = box.theta2
-        mask[cy, cx] = True
-        cells.append((box.class_id, cx, cy))
-    return EncodedSample(
-        heatmap=gaussian_heatmap(boxes, cfg),
-        rho=rho, theta1=theta1, theta2=theta2,
-        pole_mask=mask, pole_cells=cells,
-    )
+    x, y = boxes.pole.T
+    outside = np.flatnonzero(~((0.0 <= x) & (x < cfg.width) & (0.0 <= y) & (y < cfg.height)))
+    if outside.size:
+        i = outside[0]
+        raise OutOfBounds(f"pole ({x[i]}, {y[i]}) outside {cfg.width}x{cfg.height} image")
+    cells = (boxes.pole // cfg.stride).astype(np.intp)
+    cx, cy = cells.T
+    key = (boxes.image * cfg.grid_h + cy) * cfg.grid_w + cx
+    _keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    clash = np.flatnonzero(first[inverse] != np.arange(len(key)))
+    if clash.size:
+        j = clash[0]
+        i = first[inverse[j]]
+        same = boxes.image == boxes.image[j]
+        raise CellCollision(f"boxes {np.count_nonzero(same[:i])} and "
+                            f"{np.count_nonzero(same[:j])} share pole cell ({cx[j]}, {cy[j]})")
+    heat = _render_heatmaps(boxes, cells, num_images, cfg)
+    planes = np.zeros((3, num_images, cfg.grid_h, cfg.grid_w))
+    planes[:, boxes.image, cy, cx] = (boxes.rho / cfg.stride, *boxes.theta.T)
+    mask = np.zeros((num_images, cfg.grid_h, cfg.grid_w), dtype=bool)
+    mask[boxes.image, cy, cx] = True
+    pole_cells: list[list[tuple[int, int, int]]] = [[] for _ in range(num_images)]
+    for b, *cell in np.column_stack((boxes.image, boxes.class_id, cells)).tolist():
+        pole_cells[b].append(tuple(cell))
+    return [EncodedSample(heat[k], planes[0, k], planes[1, k], planes[2, k], mask[k],
+                          pole_cells[k]) for k in range(num_images)]
+
+
+def encode_regression(boxes: list[PolarBox], cfg: GridConfig) -> EncodedSample:
+    """Build the full target set for one image; see ``encode_boxes``."""
+    rows = np.array([(b.class_id, *b.pole, b.rho, b.theta1, b.theta2) for b in boxes],
+                    dtype=np.float64).reshape(-1, 6)
+    arrays = BoxArrays(np.zeros(len(boxes), dtype=np.intp), rows[:, 0].astype(np.intp),
+                       rows[:, 1:3], rows[:, 3], rows[:, 4:])
+    return encode_boxes(arrays, 1, cfg)[0]

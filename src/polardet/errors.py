@@ -9,10 +9,6 @@ class DegenerateBox(PolarDetError):
     """Quad with (near-)zero area cannot be converted to polar form."""
 
 
-class InvalidPolygon(PolarDetError):
-    """Polygon with fewer than three vertices."""
-
-
 class OutOfBounds(PolarDetError):
     """Pole point outside the image bounds."""
 

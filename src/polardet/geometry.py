@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBox, InvalidPolygon
+from .errors import DegenerateBox
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,31 +92,32 @@ def signed_area(corners) -> float:
     return float(_shoelace(np.asarray(corners, dtype=np.float64)))
 
 
-def polygon_area(corners) -> float:
-    """Absolute area of a simple polygon via the shoelace formula."""
-    pts = np.asarray(corners, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
-        raise InvalidPolygon(f"need at least 3 vertices, got shape {pts.shape}")
-    return abs(signed_area(pts))
-
-
-def quad_to_polar(quad: QuadBox) -> PolarBox:
-    """Convert a four-corner box into its polar representation.
+def quads_to_polar(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polar form of B four-corner boxes: (B, 4, 2) corners to poles (B, 2),
+    radii (B,) and angle pairs (B, 2).
 
     The pole is the corner centroid, the radius is the mean of the four
     corner distances (absorbing annotation error on imperfect rectangles),
     and the angles are the two smallest of the four normalized corner
-    angles. For an exact rectangle both angles land in [0, pi).
+    angles. For an exact rectangle both angles land in [0, pi). The angles
+    come from ``math.atan2``, whose results numpy's SIMD loops may not match.
     """
-    c = quad.corners
-    if polygon_area(c) <= AREA_EPS:
+    c = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+    if np.any(np.abs(_shoelace(c)) <= AREA_EPS):
         raise DegenerateBox(f"quad area <= {AREA_EPS} px^2")
-    pole = c.mean(axis=0)
-    offsets = c - pole
-    rho = float(np.hypot(offsets[:, 0], offsets[:, 1]).mean())
-    angles = sorted(normalize_angle(math.atan2(dy, dx)) for dx, dy in offsets)
-    return PolarBox(Point2(float(pole[0]), float(pole[1])), rho,
-                    angles[0], angles[1], quad.class_id)
+    pole = c.mean(axis=1)
+    offsets = c - pole[:, None, :]
+    rho = np.hypot(offsets[..., 0], offsets[..., 1]).mean(axis=1)
+    angles = np.array([normalize_angle(math.atan2(dy, dx))
+                       for dx, dy in offsets.reshape(-1, 2).tolist()])
+    return pole, rho, np.sort(angles.reshape(-1, 4), axis=1)[:, :2]
+
+
+def quad_to_polar(quad: QuadBox) -> PolarBox:
+    """Polar representation of one four-corner box; see ``quads_to_polar``."""
+    pole, rho, theta = quads_to_polar(quad.corners[None])
+    return PolarBox(Point2(*pole[0].tolist()), float(rho[0]), *theta[0].tolist(),
+                    quad.class_id)
 
 
 def polar_to_quad(pbox: PolarBox) -> QuadBox:

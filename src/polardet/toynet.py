@@ -1,8 +1,8 @@
 """A small numpy CNN with hand-written backprop for desk-scale training.
 
 Layout: two stride-2 3x3 convs take a single-channel image down to the
-stride-4 output grid, two residual blocks refine the features, and three
-3x3 heads emit the heatmap logits, radius and the two angles. Activations
+stride-4 output grid, two residual blocks refine the features, and one 3x3
+head conv emits the heatmap logits, radius and two angles as rows. Activations
 keep every output in its valid range: sigmoid for heatmap probabilities,
 softplus for the radius (grid units, always positive) and pi * sigmoid for
 angles in (0, pi).
@@ -40,10 +40,10 @@ class Param:
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros_like(value) if grad is None else grad
 
 
 def _out_len(size: int, stride: int) -> int:
@@ -82,13 +82,14 @@ class Conv2d:
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator, bias_init: float = 0.0):
+                 rng: np.random.Generator, input_grad: bool = True):
         fan_in = in_ch * 9
         weight = rng.standard_normal((out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / fan_in)
         self.weight = Param(f"{name}.weight", weight)
-        self.bias = Param(f"{name}.bias", np.full(out_ch, bias_init, dtype=np.float64))
+        self.bias = Param(f"{name}.bias", np.zeros(out_ch))
         self.stride = stride
         self.out_ch = out_ch
+        self.input_grad = input_grad
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -100,13 +101,15 @@ class Conv2d:
         self._cache = (x.shape, cols)
         return y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise StateError(f"{self.weight.name}: backward before forward")
         x_shape, cols = self._cache
         dmat = dout.transpose(1, 0, 2, 3).reshape(self.out_ch, -1)
         self.weight.grad += (dmat @ cols.T).reshape(self.weight.value.shape)
         self.bias.grad += dmat.sum(axis=1)
+        if not self.input_grad:  # a layer reading the image: nothing uses dx
+            return None
         wmat = self.weight.value.reshape(self.out_ch, -1)
         return _col2im(wmat.T @ dmat, x_shape, self.stride)
 
@@ -117,12 +120,12 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0.0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)  # NaN stays NaN, so divergence shows
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("relu backward before forward")
-        return np.where(self._cache, dout, 0.0)
+        return dout * self._cache
 
 
 class ResidualBlock:
@@ -177,22 +180,28 @@ class ToyNet:
         c1, c2 = base_channels, base_channels * 2
         self.num_classes = num_classes
         self.base_channels = base_channels
-        self.stem = Conv2d("stem", 1, c1, 2, rng)
+        self.stem = Conv2d("stem", 1, c1, 2, rng, input_grad=False)
         self.stem_relu = ReLU()
         self.down = Conv2d("down", c1, c2, 2, rng)
         self.down_relu = ReLU()
         self.block1 = ResidualBlock("block1", c2, rng)
         self.block2 = ResidualBlock("block2", c2, rng)
-        self.head_heat = Conv2d("head_heat", c2, num_classes, 1, rng,
-                                bias_init=HEAT_BIAS_INIT)
-        self.head_rho = Conv2d("head_rho", c2, 1, 1, rng)
-        self.head_angle = Conv2d("head_angle", c2, 2, 1, rng)
+        # one conv for all heads (one draw gives three per-head draws' values);
+        # parameters() and the checkpoint keep each head's rows as views
+        self.head = Conv2d("head", c2, num_classes + 3, 1, rng)
+        self.head.bias.value[:num_classes] = HEAT_BIAS_INIT
+        heads = (("head_heat", slice(0, num_classes)),
+                 ("head_rho", slice(num_classes, num_classes + 1)),
+                 ("head_angle", slice(num_classes + 1, None)))
+        w, b = self.head.weight, self.head.bias
+        self.head_params = [p for name, r in heads for p in (
+            Param(f"{name}.weight", w.value[r], w.grad[r]),
+            Param(f"{name}.bias", b.value[r], b.grad[r]))]
         self._cache = None
 
     def _convs(self) -> list[Conv2d]:
         return [self.stem, self.down, self.block1.conv1, self.block1.conv2,
-                self.block2.conv1, self.block2.conv2,
-                self.head_heat, self.head_rho, self.head_angle]
+                self.block2.conv1, self.block2.conv2, self.head]
 
     def _relus(self) -> list[ReLU]:
         return [self.stem_relu, self.down_relu,
@@ -200,7 +209,8 @@ class ToyNet:
                 self.block2.relu1, self.block2.relu2]
 
     def parameters(self) -> list[Param]:
-        return [p for conv in self._convs() for p in (conv.weight, conv.bias)]
+        return [p for conv in self._convs()[:-1]
+                for p in (conv.weight, conv.bias)] + self.head_params
 
     def num_parameters(self) -> int:
         return sum(p.value.size for p in self.parameters())
@@ -229,12 +239,13 @@ class ToyNet:
                              f"by stride {self.stride}")
         t = self.stem_relu.forward(self.stem.forward(x))
         t = self.down_relu.forward(self.down.forward(t))
-        f = self.block2.forward(self.block1.forward(t))
-        z_rho = self.head_rho.forward(f)
-        p = _sigmoid(self.head_heat.forward(f))
+        z = self.head.forward(self.block2.forward(self.block1.forward(t)))
+        nc = self.num_classes
+        p = _sigmoid(z[:, :nc])
+        z_rho = z[:, nc:nc + 1]
         sig_rho = _sigmoid(z_rho)
         rho = np.logaddexp(0.0, z_rho)  # softplus keeps the radius positive
-        sig_ang = _sigmoid(self.head_angle.forward(f))
+        sig_ang = _sigmoid(z[:, nc + 1:])
         theta = math.pi * sig_ang
         self._cache = (p, sig_rho, sig_ang)
         return NetOutputs(heat=p, rho=rho[:, 0], theta=theta)
@@ -245,13 +256,11 @@ class ToyNet:
         if self._cache is None:
             raise StateError("backward before forward")
         p, sig_rho, sig_ang = self._cache
-        dz_heat = d_heat * p * (1.0 - p)
-        dz_rho = d_rho[:, None] * sig_rho  # d softplus(z) / dz = sigmoid(z)
-        dz_ang = d_theta * math.pi * sig_ang * (1.0 - sig_ang)
-        df = (self.head_heat.backward(dz_heat)
-              + self.head_rho.backward(dz_rho)
-              + self.head_angle.backward(dz_ang))
-        dt = self.block1.backward(self.block2.backward(df))
+        dz = np.concatenate((
+            d_heat * p * (1.0 - p),
+            d_rho[:, None] * sig_rho,  # d softplus(z) / dz = sigmoid(z)
+            d_theta * math.pi * sig_ang * (1.0 - sig_ang)), axis=1)
+        dt = self.block1.backward(self.block2.backward(self.head.backward(dz)))
         dt = self.down.backward(self.down_relu.backward(dt))
         self.stem.backward(self.stem_relu.backward(dt))
         self._cache = None

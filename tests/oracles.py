@@ -307,3 +307,83 @@ def regression_loss_reference(pred, truth, lam: float, beta: float):
     s_t2, g_t2 = sl1(t2 - t2_s)
     return (lam * (r1 + r2) + s_rho + s_t1 + s_t2,
             lam * (r1_rho + r2_rho) + g_rho, lam * r1_t + g_t1, lam * r2_t + g_t2)
+
+
+def encode_records_reference(records_per_image, class_names, cfg):
+    """Training targets the per-box way: for each image, each annotation
+    record goes through its own polar conversion, pole-cell lookup and
+    Gaussian window, in plain Python floats and ``math`` functions.
+
+    ``records_per_image`` holds one list of annotation records (``corners``
+    and ``class_name``) per image; ``cfg`` has the grid's width, height,
+    stride and num_classes. Returns one dict of target arrays per image,
+    keyed like ``EncodedSample``'s fields, and raises the package's errors.
+    """
+    from polardet.errors import CellCollision, DegenerateBox, OutOfBounds, UnknownClass
+
+    d = cfg.stride
+    gh, gw = cfg.height // d, cfg.width // d
+
+    def polar(corners):
+        if shoelace(corners) <= 1e-6:
+            raise DegenerateBox("quad area <= 1e-06 px^2")
+        pole = corners.mean(axis=0)
+        offsets = corners - pole
+        rho = float(np.hypot(offsets[:, 0], offsets[:, 1]).mean())
+        angles = []
+        for dx, dy in offsets:
+            a = math.fmod(math.atan2(dy, dx), 2.0 * math.pi)
+            if a < 0.0:
+                a += 2.0 * math.pi
+            angles.append(0.0 if a >= 2.0 * math.pi else a)
+        angles.sort()
+        return float(pole[0]), float(pole[1]), rho, angles[0], angles[1]
+
+    def cell(x, y):
+        if not (0.0 <= x < cfg.width and 0.0 <= y < cfg.height):
+            raise OutOfBounds(f"pole ({x}, {y}) outside {cfg.width}x{cfg.height} image")
+        return int(x // d), int(y // d)
+
+    out = []
+    for records in records_per_image:
+        boxes = []
+        for r in records:
+            if r.class_name not in class_names:
+                raise UnknownClass(f"class {r.class_name!r} not in {class_names}")
+            corners = np.asarray(r.corners, dtype=np.float64).reshape(4, 2)
+            boxes.append((*polar(corners), class_names.index(r.class_name)))
+        target = {"heatmap": np.zeros((cfg.num_classes, gh, gw)),
+                  "rho": np.zeros((gh, gw)), "theta1": np.zeros((gh, gw)),
+                  "theta2": np.zeros((gh, gw)),
+                  "pole_mask": np.zeros((gh, gw), dtype=bool), "pole_cells": []}
+        occupied = {}
+        for i, (x, y, rho, t1, t2, class_id) in enumerate(boxes):
+            cx, cy = cell(x, y)
+            if (cx, cy) in occupied:
+                raise CellCollision(f"boxes {occupied[(cx, cy)]} and {i} share "
+                                    f"pole cell ({cx}, {cy})")
+            occupied[(cx, cy)] = i
+            target["rho"][cy, cx] = rho / d
+            target["theta1"][cy, cx] = t1
+            target["theta2"][cy, cx] = t2
+            target["pole_mask"][cy, cx] = True
+            target["pole_cells"].append((class_id, cx, cy))
+        for x, y, rho, t1, t2, class_id in boxes:
+            cx, cy = cell(x, y)
+            c = np.array([[x + rho * math.cos(t), y + rho * math.sin(t)]
+                          for t in (t1, t2, t1 + math.pi)])
+            side = min(float(np.hypot(*(c[1] - c[0]))), float(np.hypot(*(c[2] - c[1]))))
+            if side <= 0.0:
+                raise DegenerateBox("box has a zero-length side")
+            sigma = side / 3.0 / d
+            radius = int(math.ceil(3.0 * sigma))
+            x0, x1 = max(cx - radius, 0), min(cx + radius, gw - 1)
+            y0, y1 = max(cy - radius, 0), min(cy + radius, gh - 1)
+            gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+            r2 = (gx - cx) ** 2 + (gy - cy) ** 2
+            kernel = np.exp(-r2 / (2.0 * sigma * sigma))
+            kernel[r2 > (3.0 * sigma) ** 2] = 0.0
+            window = target["heatmap"][class_id, y0:y1 + 1, x0:x1 + 1]
+            np.maximum(window, kernel, out=window)
+        out.append(target)
+    return out

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,34 @@ from polardet.errors import DivergenceError
 from polardet.formats import parse_annotations, parse_detections, quad_from_record
 from polardet.geometry import quad_to_polar
 from polardet.synthdata import read_pgm
+
+
+def write_heatmap_csv(path, heatmap: np.ndarray) -> None:
+    """Dense channel blocks of comma-separated rows, blank line between: the
+    format ``polardet extract --heatmap`` reads."""
+    with open(path, "w") as fh:
+        for c, channel in enumerate(np.asarray(heatmap)):
+            if c:
+                fh.write("\n")
+            for row in channel:
+                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+
+
+def read_encoding_csv(path, cfg: GridConfig):
+    """Rebuild (heatmap, rho, theta1, theta2) arrays from the sparse dump
+    ``polardet encode-dump`` writes."""
+    heat = np.zeros((cfg.num_classes, cfg.grid_h, cfg.grid_w))
+    planes = {"rho": np.zeros((cfg.grid_h, cfg.grid_w)),
+              "theta1": np.zeros((cfg.grid_h, cfg.grid_w)),
+              "theta2": np.zeros((cfg.grid_h, cfg.grid_w))}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            gx, gy = int(row["cell_x"]), int(row["cell_y"])
+            if row["map"] == "heat":
+                heat[int(row["class"]), gy, gx] = float(row["value"])
+            else:
+                planes[row["map"]][gy, gx] = float(row["value"])
+    return heat, planes["rho"], planes["theta1"], planes["theta2"]
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +380,7 @@ class TestExtract:
         heat = np.zeros((1, 8, 8))
         heat[0, 2:5, 2:5] = [[0.3, 0.5, 0.3], [0.5, 0.9, 0.5], [0.3, 0.5, 0.3]]
         hm_path = tmp_path / "heat.csv"
-        cli.write_heatmap_csv(hm_path, heat)
+        write_heatmap_csv(hm_path, heat)
         out = tmp_path / "poles.csv"
         assert cli.main(["extract", "--heatmap", str(hm_path),
                          "--out", str(out)]) == 0
@@ -366,7 +395,7 @@ class TestExtract:
         heat[0, 1, 1] = 0.8
         heat[1, 4, 4] = 0.6
         hm_path = tmp_path / "heat.csv"
-        cli.write_heatmap_csv(hm_path, heat)
+        write_heatmap_csv(hm_path, heat)
         out = tmp_path / "poles.csv"
         assert cli.main(["extract", "--heatmap", str(hm_path),
                          "--out", str(out), "--extractor", "topk",
@@ -375,10 +404,33 @@ class TestExtract:
         rows = out.read_text().splitlines()[1:]
         assert rows == ["0,1,1,0.800000", "1,4,4,0.600000"]
 
+    def test_topk_drops_poles_below_threshold(self, tmp_path, capsys):
+        heat = np.zeros((1, 2, 2))
+        heat[0, 1, 0] = 0.9
+        hm_path = tmp_path / "heat.csv"
+        write_heatmap_csv(hm_path, heat)
+        out = tmp_path / "poles.csv"
+        assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out),
+                         "--extractor", "topk", "--threshold", "0.95"]) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines() == ["class,cell_x,cell_y,score"]
+
+    @pytest.mark.parametrize("extractor", ["topk", "cc"])
+    def test_nan_threshold_is_io_error(self, tmp_path, capsys, extractor):
+        heat = np.zeros((1, 2, 2))
+        heat[0, 1, 0] = 0.9
+        hm_path = tmp_path / "heat.csv"
+        write_heatmap_csv(hm_path, heat)
+        out = tmp_path / "poles.csv"
+        assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out),
+                         "--extractor", extractor, "--threshold", "nan"]) == 3
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_csv_round_trip(self, tmp_path):
         heat = np.random.default_rng(0).uniform(0, 1, (3, 5, 7))
         path = tmp_path / "h.csv"
-        cli.write_heatmap_csv(path, heat)
+        write_heatmap_csv(path, heat)
         np.testing.assert_allclose(cli.read_heatmap_csv(path), heat,
                                    rtol=1e-8)
 
@@ -391,7 +443,7 @@ class TestEncodeDump:
                          "--image-id", "img_00003", "--out", str(out)]) == 0
         capsys.readouterr()
         cfg = GridConfig(32, 32, 4, 2)
-        heat, rho, t1, t2 = cli.read_encoding_csv(out, cfg)
+        heat, rho, t1, t2 = read_encoding_csv(out, cfg)
 
         ann = (data / "annotations" / "img_00003.txt").read_text()
         polars = [quad_to_polar(quad_from_record(r, ["class0", "class1"]))

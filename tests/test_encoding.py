@@ -3,14 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from polardet.encoding import (GridConfig, TRUNCATION_SIGMAS, encode_regression,
-                               gaussian_heatmap, pole_cell)
-from polardet.errors import CellCollision, OutOfBounds
+from polardet import cli
+from polardet.encoding import GridConfig, TRUNCATION_SIGMAS, encode_regression
+from polardet.errors import (CellCollision, DegenerateBox, OutOfBounds,
+                             PolarDetError, UnknownClass)
+from polardet.formats import parse_annotations
 from polardet.geometry import Point2, PolarBox
+from polardet.synthdata import SceneSpec, write_dataset, write_pgm
+
+from oracles import encode_records_reference
+
+TARGET_FIELDS = ("heatmap", "rho", "theta1", "theta2", "pole_mask")
 
 
 def make_box(x, y, rho=6.0, t1=0.5, t2=2.0, class_id=0):
     return PolarBox(Point2(x, y), rho, t1, t2, class_id)
+
+
+def pole_cell(pole, cfg):
+    ((_class_id, cx, cy),) = encode_regression([make_box(*pole)], cfg).pole_cells
+    return cx, cy
+
+
+def gaussian_heatmap(boxes, cfg):
+    return encode_regression(boxes, cfg).heatmap
 
 
 def reference_heatmap(cfg, entries):
@@ -170,9 +186,105 @@ class TestEncodeRegression:
         with pytest.raises(CellCollision, match="0 and 1"):
             encode_regression([make_box(10.0, 10.0), make_box(11.0, 9.0)], cfg)
 
+    def test_zero_length_side_rejected(self):
+        cfg = GridConfig(64, 64, 4)
+        with pytest.raises(DegenerateBox, match="zero-length side"):
+            encode_regression([make_box(33.0, 21.0, t1=0.5, t2=0.5)], cfg)
+
+    def test_empty_image(self):
+        cfg = GridConfig(64, 32, 4, num_classes=2)
+        sample = encode_regression([], cfg)
+        assert sample.heatmap.shape == (2, 8, 16)
+        assert not sample.heatmap.any() and not sample.pole_mask.any()
+        assert sample.pole_cells == []
+
     def test_heatmap_consistent_with_standalone_render(self):
         cfg = GridConfig(64, 64, 4, num_classes=2)
         boxes = [rect_polar(17.0, 21.0, 12.0, 9.0, phi=1.0, class_id=0),
                  rect_polar(45.0, 41.0, 16.0, 10.0, phi=2.0, class_id=1)]
         sample = encode_regression(boxes, cfg)
-        np.testing.assert_array_equal(sample.heatmap, gaussian_heatmap(boxes, cfg))
+        # min sides 9 and 10 px: sigma 0.75 and 5/6 cells
+        expected = reference_heatmap(cfg, [(0, 4, 5, 0.75), (1, 11, 10, 10.0 / 12.0)])
+        np.testing.assert_allclose(sample.heatmap, expected, rtol=0, atol=1e-12)
+
+
+def _encode_both(data, size):
+    """The training path's targets for a dataset directory, and the per-box
+    reference's; each side is a list of targets or the error it raised."""
+    names, items = cli._load_dataset(data)
+    records = [parse_annotations(ann.read_text()).records for _id, _img, ann in items]
+    try:
+        expected = encode_records_reference(records, names,
+                                            GridConfig(size, size, 4, len(names)))
+    except PolarDetError as exc:
+        expected = exc
+    try:
+        got = [s.target for s in cli._encode_items(items, names, 4)[0]]
+    except PolarDetError as exc:
+        got = exc
+    return got, expected
+
+
+def _assert_same_targets(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return
+    assert len(got) == len(expected)
+    for sample, ref in zip(got, expected):
+        for name in TARGET_FIELDS:
+            a, b = getattr(sample, name), ref[name]
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert sample.pole_cells == ref["pole_cells"]
+
+
+def _write_scenes(root, annotations, size=64, classes=("a", "b")):
+    """A dataset of blank images with the given annotation texts."""
+    (root / "images").mkdir(parents=True)
+    (root / "annotations").mkdir()
+    (root / "classes.txt").write_text("\n".join(classes) + "\n")
+    for k, text in enumerate(annotations):
+        write_pgm(root / "images" / f"img_{k:05d}.pgm", np.zeros((size, size)))
+        (root / "annotations" / f"img_{k:05d}.txt").write_text(text)
+    return root
+
+
+def _square(cx, cy, half=4.0, class_name="a"):
+    corners = [cx + half, cy + half, cx - half, cy + half,
+               cx - half, cy - half, cx + half, cy - half]
+    return " ".join(f"{v:.6f}" for v in corners) + f" {class_name} 0\n"
+
+
+class TestDatasetEncoding:
+    """The training path encodes every scene at once; it must give the
+    per-box reference's targets bit for bit, and raise the same errors."""
+
+    @pytest.mark.parametrize("spec, count, seed", [
+        (SceneSpec(), 500, 7),
+        (SceneSpec(width=256, height=256, num_classes=2, min_objects=45,
+                   max_objects=45), 20, 7001),
+    ], ids=["reference-500", "crowded-256"])
+    def test_bitwise_equal_to_per_box_reference(self, tmp_path, spec, count, seed):
+        write_dataset(tmp_path, spec, count, seed)
+        got, expected = _encode_both(tmp_path, spec.width)
+        assert not isinstance(expected, Exception)
+        _assert_same_targets(got, expected)
+
+    @pytest.mark.parametrize("annotations, error", [
+        ([_square(20, 20), "10 10 20 10 30 10 40 10 a 0\n"], DegenerateBox),
+        ([_square(20, 20), _square(66, 30)], OutOfBounds),
+        ([_square(20, 20), _square(30, 30) + _square(10, 10) + _square(11, 9)],
+         CellCollision),
+        ([_square(20, 20), _square(30, 30, class_name="zzz")], UnknownClass),
+        (["", _square(30, 30, class_name="b")], None),
+        ([_square(2, 2, half=6.4), _square(62, 61, half=9.0, class_name="b")], None),
+    ], ids=["degenerate", "out-of-bounds", "cell-collision", "unknown-class",
+            "empty-annotation-file", "kernel-clipped-at-border"])
+    def test_error_parity_with_per_box_reference(self, tmp_path, annotations, error):
+        got, expected = _encode_both(_write_scenes(tmp_path, annotations), 64)
+        if error is None:
+            assert not isinstance(expected, Exception)
+        else:
+            assert isinstance(expected, error)
+        _assert_same_targets(got, expected)

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polardet.errors import DegenerateBox, InvalidPolygon
+from polardet.errors import DegenerateBox
 from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
                                intersection_area, normalize_angle,
                                oriented_nms, pairwise_iou, polar_to_quad,
-                               polygon_area, quad_to_polar, rotated_iou,
-                               signed_area)
+                               quad_to_polar, rotated_iou, signed_area)
 
 from oracles import (clip_iou_matrix, greedy_nms_reference, jittered_scene,
-                     mc_iou, random_rectangle, rect_polar_truth)
+                     mc_iou, random_rectangle, rect_polar_truth, shoelace)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -58,11 +57,7 @@ class TestAreas:
     def test_triangle_area(self):
         # hand value: base 4, height 3 -> 6
         tri = [(0, 0), (4, 0), (0, 3)]
-        assert polygon_area(tri) == pytest.approx(6.0)
-
-    def test_too_few_vertices_rejected(self):
-        with pytest.raises(InvalidPolygon):
-            polygon_area([(0, 0), (1, 1)])
+        assert signed_area(tri) == pytest.approx(6.0)
 
 
 class TestQuadBoxValidation:
@@ -236,7 +231,7 @@ class TestRotatedIoU:
         iou = rotated_iou(a, b)
         assert 0.0 <= iou <= 1.0
         inter = intersection_area(a, b)
-        assert inter <= min(polygon_area(a.corners), polygon_area(b.corners)) + 1e-9
+        assert inter <= min(shoelace(a.corners), shoelace(b.corners)) + 1e-9
 
 
 def rectangle(cx, cy, w, h, phi, start, reverse):
@@ -306,7 +301,7 @@ class TestPairwiseIoU:
         np.testing.assert_allclose(got, clip_iou_matrix(a, b), rtol=0, atol=1e-12)
         assert np.array_equal(got, swapped.T)
         # a zero-area quad has no IoU with anything, itself included
-        assert self_iou[0, 0] == (0.0 if polygon_area(SQUARE_AT[name]) == 0.0
+        assert self_iou[0, 0] == (0.0 if shoelace(SQUARE_AT[name]) == 0.0
                                   else pytest.approx(1.0))
 
     def test_empty_shapes(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -159,6 +160,17 @@ class TestConv2d:
         conv.backward(dout)
         np.testing.assert_allclose(conv.bias.grad, dout.sum(axis=(0, 2, 3)))
 
+    def test_weight_only_backward_matches_loop_reference(self):
+        rng = np.random.default_rng(6)
+        conv = Conv2d("c", 1, 4, 2, rng, input_grad=False)
+        x = rng.standard_normal((2, 1, 7, 5))
+        dout = rng.standard_normal(conv.forward(x).shape)
+        assert conv.backward(dout) is None
+        dweight, dbias, _dx = conv3x3_backward_reference(x, conv.weight.value,
+                                                         dout, 2)
+        np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
+
     def test_backward_requires_forward(self):
         conv = Conv2d("c", 1, 1, 1, np.random.default_rng(0))
         with pytest.raises(StateError):
@@ -179,6 +191,20 @@ class TestReLU:
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
         grad = relu.backward(np.array([5.0, 5.0, 5.0]))
         np.testing.assert_array_equal(grad, [0.0, 0.0, 5.0])
+
+    def test_signed_zeros_and_negatives(self):
+        relu = ReLU()
+        x = np.array([-np.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 2.0])
+        out = relu.forward(x)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, 1e-300, 2.0])
+        assert not np.signbit(out[:3]).any()
+        grad = relu.backward(np.full(7, -5.0))
+        np.testing.assert_array_equal(grad, [0.0] * 5 + [-5.0, -5.0])
+        np.testing.assert_array_equal(relu._cache, x > 0.0)
+
+    def test_nan_propagates(self):
+        out = ReLU().forward(np.array([np.nan, 1.0]))
+        assert np.isnan(out[0]) and out[1] == 1.0
 
 
 class TestToyNetForward:
@@ -235,6 +261,55 @@ class TestToyNetForward:
             net.backward(np.zeros((1, 2, 32, 32)), np.zeros((1, 32, 32)),
                          np.zeros((1, 2, 32, 32)))
 
+    def test_parameter_layout_is_the_checkpoint_layout(self):
+        net = ToyNet(num_classes=2, base_channels=16)
+        convs = [("stem", 1, 16), ("down", 16, 32)] + [
+            (f"block{b}.conv{c}", 32, 32) for b in (1, 2) for c in (1, 2)]
+        heads = [("head_heat", 32, 2), ("head_rho", 32, 1), ("head_angle", 32, 2)]
+        expected = []
+        for name, cin, cout in convs + heads:
+            expected += [(f"{name}.weight", (cout, cin, 3, 3)), (f"{name}.bias", (cout,))]
+        assert [(p.name, p.value.shape) for p in net.parameters()] == expected
+
+    def test_initial_parameter_bytes_are_pinned(self):
+        # the values drawn before the three heads became one conv
+        params = ToyNet(2, 16, seed=0).parameters()
+        digest = hashlib.sha256(b"".join(p.value.tobytes() for p in params))
+        assert digest.hexdigest() == ("d38d686b25bfb480d924a8cb8b3083e1"
+                                      "bc784762fe5d24e71baf60312ef13e8a")
+
+    def test_fused_head_gradients_match_three_convs(self):
+        rng = np.random.default_rng(8)
+        net = ToyNet(num_classes=2, base_channels=4, seed=2)
+        x = rng.standard_normal((3, 1, 32, 32))
+        out = net.forward(x)
+        d_heat, d_rho, d_theta = (rng.standard_normal(a.shape)
+                                  for a in (out.heat, out.rho, out.theta))
+        net.zero_grads()
+        net.backward(d_heat, d_rho, d_theta)
+
+        t = net.down_relu.forward(net.down.forward(
+            net.stem_relu.forward(net.stem.forward(x))))
+        f = net.block2.forward(net.block1.forward(t))
+
+        def sig(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        params = {p.name: p for p in net.parameters()}
+        for head, dz_of in (
+                ("head_heat", lambda z: d_heat * sig(z) * (1.0 - sig(z))),
+                ("head_rho", lambda z: d_rho[:, None] * sig(z)),
+                ("head_angle",
+                 lambda z: d_theta * math.pi * sig(z) * (1.0 - sig(z)))):
+            weight, bias = params[f"{head}.weight"], params[f"{head}.bias"]
+            conv = Conv2d("ref", 8, weight.value.shape[0], 1, rng)
+            conv.weight.value[...] = weight.value
+            conv.bias.value[...] = bias.value
+            conv.backward(dz_of(conv.forward(f)))
+            for got, ref in ((weight.grad, conv.weight.grad),
+                             (bias.grad, conv.bias.grad)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_parameter_count_small_variant(self):
         # 20 + 76 + 2*296 + 74 + 37 + 74, counted layer by layer by hand
         net = ToyNet(num_classes=2, base_channels=2)
@@ -286,9 +361,10 @@ class TestBatchLoss:
         assert stats.reg == 0.0
         assert stats.total == stats.pole > 0.0
         assert all(np.isfinite(p.grad).all() for p in net.parameters())
-        assert np.any(net.head_heat.weight.grad != 0.0)
-        assert not np.any(net.head_rho.weight.grad)
-        assert not np.any(net.head_angle.weight.grad)
+        grads = {p.name: p.grad for p in net.parameters()}
+        assert np.any(grads["head_heat.weight"] != 0.0)
+        assert not np.any(grads["head_rho.weight"])
+        assert not np.any(grads["head_angle.weight"])
 
     def test_gradients_match_fd_with_an_empty_image(self):
         x, targets = tiny_batch(seed=5, num_images=3)
@@ -363,9 +439,18 @@ class TestTrain:
         for h in history:
             assert h.total == pytest.approx(h.pole + 0.1 * h.reg)
 
+    def test_nan_image_raises_divergence(self):
+        # relu passes NaN on, so a NaN pixel reaches the loss; numpy's
+        # invalid-value warnings on the way are expected here
+        samples = self._samples(n=2)
+        for s in samples:
+            s.image[3, 5] = np.nan
+        net = ToyNet(num_classes=2, base_channels=2)
+        with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+            train(net, samples, TrainConfig(iterations=5, batch_size=2))
+        assert err.value.iteration == 0
+
     def test_non_finite_loss_raises_divergence_with_iteration(self):
-        # NaN images are laundered by relu masking (nan > 0 is False), so
-        # poison a regression target instead to force a non-finite loss
         samples = self._samples(n=2)
         for s in samples:
             _cid, cx, cy = s.target.pole_cells[0]
