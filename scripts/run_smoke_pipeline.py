@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Synth -> train -> detect -> eval in one go, with quick defaults.
 
-Reference run (three to four CPU-minutes, lands around 0.97 mAP@0.5):
+Reference run (under a CPU-minute, lands around 0.97 mAP@0.5):
 
     python scripts/run_smoke_pipeline.py --workdir /tmp/polardet \
         --images 500 --iterations 3000 --base-channels 16

@@ -281,7 +281,8 @@ def cmd_grad_check(args) -> int:
                                  losses=losses)
     if args.with_net:
         rng = np.random.default_rng(args.seed)
-        net = ToyNet(num_classes=2, base_channels=2, seed=args.seed)
+        net = ToyNet(num_classes=2, base_channels=2, seed=args.seed,
+                     dtype=np.float64)
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=2)
         image, boxes = generate_scene(spec, rng)
         cfg = GridConfig(32, 32, 4, 2)

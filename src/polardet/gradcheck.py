@@ -169,7 +169,13 @@ def check_all_losses(seed: int = 0, num_points: int = 1000,
 def check_net_gradients(net: ToyNet, x: np.ndarray, targets, cfg: LossConfig,
                         rng: np.random.Generator, num_coords: int = 50,
                         step: float = DEFAULT_STEP) -> GradCheckSummary:
-    """End-to-end check: perturb random weights, compare d(total loss)."""
+    """End-to-end check: perturb random weights, compare d(total loss).
+
+    The net must compute in float64: at this step size a float32 forward's
+    rounding swamps the central difference.
+    """
+    if net.dtype != np.float64:
+        raise ValueError(f"gradient audit needs a float64 net, got {net.dtype}")
     net.zero_grads()
     compute_batch_loss(net, x, targets, cfg, backward=True)
     params = net.parameters()

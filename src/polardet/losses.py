@@ -51,18 +51,26 @@ class LossValue:
 
 
 def pole_focal_loss(pred: np.ndarray, target: np.ndarray, cfg: LossConfig,
-                    num_objects: int) -> LossValue:
+                    num_objects: ArrayLike) -> LossValue:
     """Penalty-reduced focal loss over a predicted heatmap.
 
     Cells where the target is exactly 1 are positives; every other cell is a
     negative whose penalty is damped by (1 - target)^beta. The sum is
     normalized by the image's object count.
+
+    With a scalar ``num_objects`` the whole array is one image and the value
+    is a float. With an (N,) vector of counts the leading axis of ``pred``
+    and ``target`` indexes images, and the value is the (N,) per-image
+    losses; the gradient always has ``pred``'s shape.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
+    counts = np.asarray(num_objects, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
-    if num_objects < 1:
+    if counts.ndim > 1 or counts.shape != pred.shape[:counts.ndim]:
+        raise ShapeError(f"num_objects {counts.shape} vs pred {pred.shape}")
+    if np.any(counts < 1):
         raise EmptyImage("num_objects must be >= 1")
 
     a, b = cfg.alpha_focal, cfg.beta_focal
@@ -74,14 +82,16 @@ def pole_focal_loss(pred: np.ndarray, target: np.ndarray, cfg: LossConfig,
     pos_term = (1.0 - p) ** a * log_p
     damp = (1.0 - target) ** b
     neg_term = damp * p ** a * log_1p
-    value = -(pos_term[pos].sum() + neg_term[~pos].sum()) / num_objects
+    per_image = tuple(range(counts.ndim, pred.ndim))
+    value = -np.where(pos, pos_term, neg_term).sum(axis=per_image) / counts
 
+    per_cell = counts.reshape(counts.shape + (1,) * len(per_image))
     grad = np.where(
         pos,
         -(-a * (1.0 - p) ** (a - 1.0) * log_p + (1.0 - p) ** a / p),
         -damp * (a * p ** (a - 1.0) * log_1p - p ** a / (1.0 - p)),
-    ) / num_objects
-    return LossValue(float(value), {"pred": grad})
+    ) / per_cell
+    return LossValue(value if counts.ndim else float(value), {"pred": grad})
 
 
 def smooth_l1(u: ArrayLike, u_star: ArrayLike, beta: float = 1.0) -> LossValue:

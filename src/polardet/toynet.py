@@ -11,6 +11,13 @@ Every layer caches what its backward pass needs, so the training loop is
 forward -> loss gradients on the activated outputs -> backward -> Adam.
 No autodiff framework is involved; the analytic gradients are validated
 against finite differences in the test suite.
+
+Precision is split as in mixed-precision training: the conv stack (input,
+im2col columns, activations and both backward products) computes in the
+net's ``dtype``, float32 by default, while the parameters, their gradients,
+Adam's moments, the checkpoint, the head activations and every loss stay
+float64. Finite-difference audits build their nets with ``dtype=np.float64``,
+which reproduces the all-float64 arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -79,10 +86,13 @@ class Conv2d:
 
     Both directions are single matrix products over the whole batch: the
     columns of every image sit side by side in one (C*9, N*oh*ow) matrix.
+    They run in ``dtype``; the float64 weight is cast once per call, and the
+    weight and bias gradients accumulate into float64.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator, input_grad: bool = True):
+                 rng: np.random.Generator, input_grad: bool = True,
+                 dtype=np.float32):
         fan_in = in_ch * 9
         weight = rng.standard_normal((out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / fan_in)
         self.weight = Param(f"{name}.weight", weight)
@@ -90,14 +100,17 @@ class Conv2d:
         self.stride = stride
         self.out_ch = out_ch
         self.input_grad = input_grad
+        self.dtype = np.dtype(dtype)
         self._cache = None
+
+    def _wmat(self) -> np.ndarray:
+        return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = None  # so two sets of columns are never live at once
-        cols, (oh, ow) = _im2col(x, self.stride)
-        wmat = self.weight.value.reshape(self.out_ch, -1)
-        y = wmat @ cols
-        y += self.bias.value[:, None]
+        cols, (oh, ow) = _im2col(x.astype(self.dtype, copy=False), self.stride)
+        y = self._wmat() @ cols
+        y += self.bias.value.astype(self.dtype, copy=False)[:, None]
         self._cache = (x.shape, cols)
         return y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
@@ -105,13 +118,13 @@ class Conv2d:
         if self._cache is None:
             raise StateError(f"{self.weight.name}: backward before forward")
         x_shape, cols = self._cache
-        dmat = dout.transpose(1, 0, 2, 3).reshape(self.out_ch, -1)
+        dmat = dout.astype(self.dtype, copy=False).transpose(1, 0, 2, 3).reshape(
+            self.out_ch, -1)
         self.weight.grad += (dmat @ cols.T).reshape(self.weight.value.shape)
         self.bias.grad += dmat.sum(axis=1)
         if not self.input_grad:  # a layer reading the image: nothing uses dx
             return None
-        wmat = self.weight.value.reshape(self.out_ch, -1)
-        return _col2im(wmat.T @ dmat, x_shape, self.stride)
+        return _col2im(self._wmat().T @ dmat, x_shape, self.stride)
 
 
 class ReLU:
@@ -131,10 +144,10 @@ class ReLU:
 class ResidualBlock:
     """conv-relu-conv plus identity skip, final relu."""
 
-    def __init__(self, name: str, channels: int, rng: np.random.Generator):
-        self.conv1 = Conv2d(f"{name}.conv1", channels, channels, 1, rng)
+    def __init__(self, name: str, channels: int, rng: np.random.Generator, dtype):
+        self.conv1 = Conv2d(f"{name}.conv1", channels, channels, 1, rng, dtype=dtype)
         self.relu1 = ReLU()
-        self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng)
+        self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng, dtype=dtype)
         self.relu2 = ReLU()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -159,7 +172,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NetOutputs:
-    """Activated head outputs for a batch."""
+    """Activated head outputs for a batch, float64 whatever the net's dtype."""
 
     heat: np.ndarray   # (N, C, gh, gw), sigmoid probabilities
     rho: np.ndarray    # (N, gh, gw), softplus, grid units
@@ -167,11 +180,15 @@ class NetOutputs:
 
 
 class ToyNet:
-    """Minimal stride-4 detector trunk plus heatmap/radius/angle heads."""
+    """Minimal stride-4 detector trunk plus heatmap/radius/angle heads.
+
+    ``dtype`` is the conv stack's compute precision; parameters stay float64.
+    """
 
     stride = 4
 
-    def __init__(self, num_classes: int, base_channels: int = 16, seed: int = 0):
+    def __init__(self, num_classes: int, base_channels: int = 16, seed: int = 0,
+                 dtype=np.float32):
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if base_channels < 1:
@@ -180,15 +197,16 @@ class ToyNet:
         c1, c2 = base_channels, base_channels * 2
         self.num_classes = num_classes
         self.base_channels = base_channels
-        self.stem = Conv2d("stem", 1, c1, 2, rng, input_grad=False)
+        self.dtype = np.dtype(dtype)
+        self.stem = Conv2d("stem", 1, c1, 2, rng, input_grad=False, dtype=dtype)
         self.stem_relu = ReLU()
-        self.down = Conv2d("down", c1, c2, 2, rng)
+        self.down = Conv2d("down", c1, c2, 2, rng, dtype=dtype)
         self.down_relu = ReLU()
-        self.block1 = ResidualBlock("block1", c2, rng)
-        self.block2 = ResidualBlock("block2", c2, rng)
+        self.block1 = ResidualBlock("block1", c2, rng, dtype)
+        self.block2 = ResidualBlock("block2", c2, rng, dtype)
         # one conv for all heads (one draw gives three per-head draws' values);
         # parameters() and the checkpoint keep each head's rows as views
-        self.head = Conv2d("head", c2, num_classes + 3, 1, rng)
+        self.head = Conv2d("head", c2, num_classes + 3, 1, rng, dtype=dtype)
         self.head.bias.value[:num_classes] = HEAT_BIAS_INIT
         heads = (("head_heat", slice(0, num_classes)),
                  ("head_rho", slice(num_classes, num_classes + 1)),
@@ -231,7 +249,7 @@ class ToyNet:
             p.grad.fill(0.0)
 
     def forward(self, x: np.ndarray) -> NetOutputs:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected (N, 1, H, W) input, got {x.shape}")
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
@@ -240,6 +258,7 @@ class ToyNet:
         t = self.stem_relu.forward(self.stem.forward(x))
         t = self.down_relu.forward(self.down.forward(t))
         z = self.head.forward(self.block2.forward(self.block1.forward(t)))
+        z = z.astype(np.float64, copy=False)  # activations and losses in float64
         nc = self.num_classes
         p = _sigmoid(z[:, :nc])
         z_rho = z[:, nc:nc + 1]
@@ -343,17 +362,13 @@ def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: list[EncodedSample],
         raise ShapeError(f"batch {x.shape[0]} vs {len(targets)} targets")
     out = net.forward(x)
     n = x.shape[0]
-    d_heat = np.zeros_like(out.heat)
     d_rho = np.zeros_like(out.rho)
     d_theta = np.zeros_like(out.theta)
 
-    pole_sum = 0.0
-    for b, tgt in enumerate(targets):
-        fl = pole_focal_loss(out.heat[b], tgt.heatmap, cfg,
-                             max(len(tgt.pole_cells), 1))
-        pole_sum += fl.value
-        d_heat[b] = fl.gradients["pred"] / n
-    pole_mean = pole_sum / n
+    fl = pole_focal_loss(out.heat, np.stack([t.heatmap for t in targets]), cfg,
+                         [max(len(t.pole_cells), 1) for t in targets])
+    pole_mean = float(np.mean(fl.value))
+    d_heat = fl.gradients["pred"] / n
 
     # (b, cy, cx) of every pole cell, in pole_cells order (the mean's order)
     cells = [np.asarray(t.pole_cells, dtype=np.intp).reshape(-1, 3) for t in targets]

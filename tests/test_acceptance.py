@@ -22,6 +22,7 @@ from polardet.gradcheck import check_all_losses
 from polardet.losses import ring_area
 from polardet.postprocess import decode_detections, extract_pole_points, topk_extract
 from polardet.synthdata import SceneSpec, generate_scene
+from polardet.toynet import load_checkpoint
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from oracles import mc_iou, random_rectangle  # noqa: E402
@@ -211,11 +212,13 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
 
     # the CPU figure counts every BLAS thread, so it grows with their number
     blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    compute = load_checkpoint(ckpt)[0].dtype  # the conv stack's precision
     ok = report.mean_ap >= 0.5 and late <= 0.5 * early and cpu < 900.0
     _verdict(7, "end-to-end pipeline on held-out scenes", ok,
              f"mAP@0.5 {report.mean_ap:.4f} (floor 0.5), loss MA100 "
              f"{early:.4f}->{late:.4f}, {cpu:.0f}s CPU / {wall:.0f}s wall "
-             f"with OPENBLAS_NUM_THREADS={blas} on {os.cpu_count()} CPUs")
+             f"in {compute} with OPENBLAS_NUM_THREADS={blas} on "
+             f"{os.cpu_count()} CPUs")
     assert report.mean_ap >= 0.5
     assert late <= 0.5 * early
     assert cpu < 900.0

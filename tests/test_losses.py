@@ -96,15 +96,41 @@ class TestPoleFocalLoss:
         np.testing.assert_allclose(four.gradients["pred"],
                                    one.gradients["pred"] / 4.0)
 
+    def test_batch_call_matches_per_image_loop(self):
+        # one (N, C, H, W) call with an (N,) count vector: each image's value
+        # sums its cells in another order than the plain loop, so it holds
+        # to 1e-12 relative; the gradient equals a one-image call's exactly
+        rng = np.random.default_rng(3)
+        pred = rng.uniform(0.0, 1.0, (4, 2, 6, 6))
+        target = rng.uniform(0.0, 0.999, (4, 2, 6, 6))
+        target[:, 1, 3, 2] = 1.0
+        target[2, 0, 0, 5] = 1.0
+        counts = np.array([1, 3, 2, 1])
+        batch = pole_focal_loss(pred, target, LossConfig(), counts)
+        assert batch.value.shape == (4,)
+        for b, n in enumerate(counts.tolist()):
+            one = pole_focal_loss(pred[b], target[b], LossConfig(), n)
+            assert isinstance(one.value, float)
+            assert batch.value[b] == pytest.approx(
+                focal_reference(pred[b], target[b], 2.0, 4.0, n), rel=1e-12)
+            np.testing.assert_array_equal(batch.gradients["pred"][b],
+                                          one.gradients["pred"])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             pole_focal_loss(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)),
                             LossConfig(), 1)
+        with pytest.raises(ShapeError):  # three counts for two images
+            pole_focal_loss(np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2, 2)),
+                            LossConfig(), [1, 1, 1])
 
     def test_zero_objects_rejected(self):
         with pytest.raises(EmptyImage):
             pole_focal_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
                             LossConfig(), 0)
+        with pytest.raises(EmptyImage):
+            pole_focal_loss(np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2, 2)),
+                            LossConfig(), [1, 0])
 
 
 class TestSmoothL1:

@@ -89,7 +89,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_loop_reference(self, stride):
         rng = np.random.default_rng(0)
-        conv = Conv2d("c", 3, 4, stride, rng)
+        conv = Conv2d("c", 3, 4, stride, rng, dtype=np.float64)
         conv.bias.value[:] = rng.standard_normal(4)
         for h, w in [(8, 8), (7, 5)]:
             x = rng.standard_normal((2, 3, h, w))
@@ -104,7 +104,7 @@ class TestConv2d:
     def test_backward_matches_loop_reference(self, stride):
         # odd, non-square maps: every gradient entry, not a sample of them
         rng = np.random.default_rng(5)
-        conv = Conv2d("c", 3, 4, stride, rng)
+        conv = Conv2d("c", 3, 4, stride, rng, dtype=np.float64)
         x = rng.standard_normal((2, 3, 7, 5))
         dout = rng.standard_normal(conv.forward(x).shape)
         dx = conv.backward(dout)
@@ -117,7 +117,7 @@ class TestConv2d:
 
     def test_weight_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
-        conv = Conv2d("c", 2, 3, 2, rng)
+        conv = Conv2d("c", 2, 3, 2, rng, dtype=np.float64)
         x = rng.standard_normal((1, 2, 6, 6))
         dout = rng.standard_normal((1, 3, 3, 3))
         conv.forward(x)
@@ -136,7 +136,7 @@ class TestConv2d:
 
     def test_input_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
-        conv = Conv2d("c", 1, 2, 1, rng)
+        conv = Conv2d("c", 1, 2, 1, rng, dtype=np.float64)
         x = rng.standard_normal((1, 1, 5, 5))
         dout = rng.standard_normal((1, 2, 5, 5))
         conv.forward(x)
@@ -162,7 +162,7 @@ class TestConv2d:
 
     def test_weight_only_backward_matches_loop_reference(self):
         rng = np.random.default_rng(6)
-        conv = Conv2d("c", 1, 4, 2, rng, input_grad=False)
+        conv = Conv2d("c", 1, 4, 2, rng, input_grad=False, dtype=np.float64)
         x = rng.standard_normal((2, 1, 7, 5))
         dout = rng.standard_normal(conv.forward(x).shape)
         assert conv.backward(dout) is None
@@ -170,6 +170,24 @@ class TestConv2d:
                                                          dout, 2)
         np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
         np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_float32_matches_loop_reference(self, stride):
+        # float32 columns and products against the float64 loops: within
+        # 1e-6 of each array's largest magnitude (float32's epsilon is 1.2e-7)
+        rng = np.random.default_rng(5)
+        conv = Conv2d("c", 3, 4, stride, rng)
+        conv.bias.value[:] = rng.standard_normal(4)
+        x = rng.standard_normal((2, 3, 7, 5))
+        y = conv.forward(x)
+        dout = rng.standard_normal(y.shape)
+        dx = conv.backward(dout)
+        assert y.dtype == dx.dtype == np.float32
+        assert conv.weight.grad.dtype == conv.bias.grad.dtype == np.float64
+        expected = (conv3x3_reference(x, conv.weight.value, conv.bias.value, stride),
+                    *conv3x3_backward_reference(x, conv.weight.value, dout, stride))
+        for got, ref in zip((y, conv.weight.grad, conv.bias.grad, dx), expected):
+            assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_backward_requires_forward(self):
         conv = Conv2d("c", 1, 1, 1, np.random.default_rng(0))
@@ -280,7 +298,7 @@ class TestToyNetForward:
 
     def test_fused_head_gradients_match_three_convs(self):
         rng = np.random.default_rng(8)
-        net = ToyNet(num_classes=2, base_channels=4, seed=2)
+        net = ToyNet(num_classes=2, base_channels=4, seed=2, dtype=np.float64)
         x = rng.standard_normal((3, 1, 32, 32))
         out = net.forward(x)
         d_heat, d_rho, d_theta = (rng.standard_normal(a.shape)
@@ -302,13 +320,55 @@ class TestToyNetForward:
                 ("head_angle",
                  lambda z: d_theta * math.pi * sig(z) * (1.0 - sig(z)))):
             weight, bias = params[f"{head}.weight"], params[f"{head}.bias"]
-            conv = Conv2d("ref", 8, weight.value.shape[0], 1, rng)
+            conv = Conv2d("ref", 8, weight.value.shape[0], 1, rng, dtype=np.float64)
             conv.weight.value[...] = weight.value
             conv.bias.value[...] = bias.value
             conv.backward(dz_of(conv.forward(f)))
             for got, ref in ((weight.grad, conv.weight.grad),
                              (bias.grad, conv.bias.grad)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_float32_net_matches_float64_net(self):
+        # same parameters, one forward and backward in each precision: every
+        # output and Param.grad within 1e-5 of the array's largest magnitude
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 1, 32, 32))
+        nets = [ToyNet(2, 4, seed=2), ToyNet(2, 4, seed=2, dtype=np.float64)]
+        assert nets[0].dtype == np.float32
+        outs = [net.forward(x) for net in nets]
+        grads = [rng.standard_normal(a.shape)
+                 for a in (outs[0].heat, outs[0].rho, outs[0].theta)]
+        for net in nets:
+            net.zero_grads()
+            net.backward(*grads)
+        pairs = [(getattr(outs[0], k), getattr(outs[1], k))
+                 for k in ("heat", "rho", "theta")]
+        pairs += [(p.grad, q.grad) for p, q in zip(nets[0].parameters(),
+                                                   nets[1].parameters())]
+        for got, ref in pairs:
+            assert got.dtype == np.float64
+            assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_float64_outputs_and_gradients_are_pinned(self):
+        # the outputs and gradients of the all-float64 net before the conv
+        # stack got a dtype, one digest per OpenBLAS float64 GEMM kernel
+        # family (each family rounds differently): Prescott/Core2, Nehalem,
+        # Sandybridge, Haswell/Zen and SkylakeX and later
+        rng = np.random.default_rng(8)
+        net = ToyNet(num_classes=2, base_channels=4, seed=2, dtype=np.float64)
+        out = net.forward(rng.standard_normal((3, 1, 32, 32)))
+        net.zero_grads()
+        net.backward(*(rng.standard_normal(a.shape)
+                       for a in (out.heat, out.rho, out.theta)))
+        arrays = [out.heat, out.rho, out.theta] + [p.grad for p in net.parameters()]
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert digest in {
+            "6d8cb72b6284688853edf88cac99a2b5a06fab6ea992b1bb9dbf68e730f3e922",
+            "2dac18907510cf24dfb012cab65acd585643426999668d195b045ba77dd18fdb",
+            "b9853588204037a1fcd45a8cb35f5a756bffa00862e574c29f778bc19d8a2e01",
+            "8e24e0be0d5d7a5cc0716f39accbb665e6af37ea88183c070eff6b95e9b9f1ff",
+            "09b08e6c48c0a8f5ca74f8e9140fa85b5d166ba6711779c56193d640b6325f04",
+        }
 
     def test_parameter_count_small_variant(self):
         # 20 + 76 + 2*296 + 74 + 37 + 74, counted layer by layer by hand
@@ -347,11 +407,17 @@ class TestBatchLoss:
 
     def test_gradients_match_finite_differences(self):
         x, targets = tiny_batch(seed=5)
-        net = ToyNet(num_classes=2, base_channels=2, seed=7)
+        net = ToyNet(num_classes=2, base_channels=2, seed=7, dtype=np.float64)
         rng = np.random.default_rng(11)
         summary = check_net_gradients(net, x, targets, LossConfig(), rng,
                                       num_coords=80)
         assert summary.max_rel_error < 1e-5
+
+    def test_gradient_audit_refuses_a_float32_net(self):
+        x, targets = tiny_batch(seed=5)
+        with pytest.raises(ValueError, match="float32"):
+            check_net_gradients(ToyNet(num_classes=2, base_channels=2), x,
+                                targets, LossConfig(), np.random.default_rng(11))
 
     def test_batch_without_pole_cells(self):
         x, targets = tiny_batch()
@@ -369,7 +435,7 @@ class TestBatchLoss:
     def test_gradients_match_fd_with_an_empty_image(self):
         x, targets = tiny_batch(seed=5, num_images=3)
         targets[1] = encode_regression([], GridConfig(32, 32, 4, 2))
-        net = ToyNet(num_classes=2, base_channels=2, seed=7)
+        net = ToyNet(num_classes=2, base_channels=2, seed=7, dtype=np.float64)
         summary = check_net_gradients(net, x, targets, LossConfig(),
                                       np.random.default_rng(11), num_coords=80)
         assert summary.max_rel_error < 1e-5
@@ -483,6 +549,39 @@ class TestCheckpoint:
         img = np.random.default_rng(0).uniform(0, 1, (32, 32))
         for a, b in zip(predict_planes(net, img), predict_planes(loaded, img)):
             np.testing.assert_array_equal(a, b)
+
+    def test_float64_checkpoint_loads_into_float32_net(self, tmp_path):
+        # a net trained in float64, saved, and loaded into the default
+        # float32 net: the parameters are the same bytes, and on held-out
+        # scenes the detections agree in count and class, with corners and
+        # scores within 1e-3 (float32 rounding moves them by about 1e-5)
+        from polardet.geometry import quad_to_polar
+        from polardet.postprocess import decode_detections
+        from polardet.synthdata import SceneSpec, generate_dataset
+        spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
+        grid = GridConfig(32, 32, 4, 2)
+        samples = [TrainingSample(img, encode_regression(
+            [quad_to_polar(b) for b in boxes], grid))
+            for _iid, img, boxes in generate_dataset(spec, 20, 0)]
+        net = ToyNet(2, 4, seed=0, dtype=np.float64)
+        train(net, samples, TrainConfig(iterations=150, batch_size=4,
+                                        learning_rate=0.005))
+        save_checkpoint(tmp_path / "f64.npz", net)
+        loaded, _meta = load_checkpoint(tmp_path / "f64.npz")
+        assert loaded.dtype == np.float32
+        for p, q in zip(net.parameters(), loaded.parameters()):
+            assert p.value.tobytes() == q.value.tobytes()
+        total = 0
+        for _iid, img, _boxes in generate_dataset(spec, 10, 99):
+            ref, got = (decode_detections(*predict_planes(m, img), 0.3, grid)
+                        for m in (net, loaded))
+            assert len(got.detections) == len(ref.detections)
+            total += len(ref.detections)
+            for d, r in zip(got.detections, ref.detections):
+                assert d.class_id == r.class_id
+                assert np.abs(d.quad.corners - r.quad.corners).max() < 1e-3
+                assert abs(d.score - r.score) < 1e-3
+        assert total >= 5
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
