@@ -64,27 +64,29 @@ def connected_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
 
     Components are ordered by their smallest (row, col) member and each
     component's cells are sorted, so the output is fully deterministic.
+    Seeds come from ``np.argwhere``, which is row-major, so a component is
+    found from its smallest member; the flood fill reads Python lists.
     """
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    seen = np.zeros_like(mask)
+    rows = mask.tolist()
+    seen = [[False] * w for _ in range(h)]
     comps: list[list[tuple[int, int]]] = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if not mask[r0, c0] or seen[r0, c0]:
-                continue
-            seen[r0, c0] = True
-            queue = deque([(r0, c0)])
-            cells = []
-            while queue:
-                r, c = queue.popleft()
-                cells.append((r, c))
-                for dr, dc in _NEIGHBORS_8:
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] and not seen[rr, cc]:
-                        seen[rr, cc] = True
-                        queue.append((rr, cc))
-            comps.append(sorted(cells))
+    for r0, c0 in np.argwhere(mask).tolist():
+        if seen[r0][c0]:
+            continue
+        seen[r0][c0] = True
+        queue = deque([(r0, c0)])
+        cells = []
+        while queue:
+            r, c = queue.popleft()
+            cells.append((r, c))
+            for dr, dc in _NEIGHBORS_8:
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and rows[rr][cc] and not seen[rr][cc]:
+                    seen[rr][cc] = True
+                    queue.append((rr, cc))
+        comps.append(sorted(cells))
     return comps
 
 

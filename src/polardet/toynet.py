@@ -7,10 +7,12 @@ keep every output in its valid range: sigmoid for heatmap probabilities,
 softplus for the radius (grid units, always positive) and pi * sigmoid for
 angles in (0, pi).
 
-Every layer caches what its backward pass needs, so the training loop is
-forward -> loss gradients on the activated outputs -> backward -> Adam.
-No autodiff framework is involved; the analytic gradients are validated
-against finite differences in the test suite.
+Every layer's ``forward`` caches what its backward pass needs, so the
+training loop is forward -> loss gradients on the activated outputs ->
+backward -> Adam. No autodiff framework is involved; the analytic gradients
+are validated against finite differences in the test suite. Inference calls
+the layers instead (``ToyNet.predict``): the same arithmetic, bit for bit,
+with nothing cached, so only one layer's im2col columns are alive at a time.
 
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
@@ -87,7 +89,9 @@ class Conv2d:
     Both directions are single matrix products over the whole batch: the
     columns of every image sit side by side in one (C*9, N*oh*ow) matrix.
     They run in ``dtype``; the float64 weight is cast once per call, and the
-    weight and bias gradients accumulate into float64.
+    weight and bias gradients accumulate into float64. ``forward`` keeps the
+    columns for ``backward``; calling the layer returns the same output and
+    lets them go.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
@@ -106,13 +110,21 @@ class Conv2d:
     def _wmat(self) -> np.ndarray:
         return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = None  # so two sets of columns are never live at once
+    def _product(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, output): im2col -> GEMM -> bias -> (N, O, oh, ow) view."""
         cols, (oh, ow) = _im2col(x.astype(self.dtype, copy=False), self.stride)
         y = self._wmat() @ cols
         y += self.bias.value.astype(self.dtype, copy=False)[:, None]
+        return cols, y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._product(x)[1]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None  # so two sets of columns are never live at once
+        cols, y = self._product(x)
         self._cache = (x.shape, cols)
-        return y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
@@ -149,6 +161,9 @@ class ResidualBlock:
         self.relu1 = ReLU()
         self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng, dtype=dtype)
         self.relu2 = ReLU()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(self.conv2(np.maximum(self.conv1(x), 0.0)) + x, 0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))
@@ -248,16 +263,17 @@ class ToyNet:
         for p in self.parameters():
             p.grad.fill(0.0)
 
-    def forward(self, x: np.ndarray) -> NetOutputs:
+    def _input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected (N, 1, H, W) input, got {x.shape}")
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
             raise ShapeError(f"input {x.shape[2]}x{x.shape[3]} not divisible "
                              f"by stride {self.stride}")
-        t = self.stem_relu.forward(self.stem.forward(x))
-        t = self.down_relu.forward(self.down.forward(t))
-        z = self.head.forward(self.block2.forward(self.block1.forward(t)))
+        return x
+
+    def _activate(self, z: np.ndarray) -> tuple[NetOutputs, tuple]:
+        """Head logits -> (outputs, what backward needs), all float64."""
         z = z.astype(np.float64, copy=False)  # activations and losses in float64
         nc = self.num_classes
         p = _sigmoid(z[:, :nc])
@@ -266,8 +282,21 @@ class ToyNet:
         rho = np.logaddexp(0.0, z_rho)  # softplus keeps the radius positive
         sig_ang = _sigmoid(z[:, nc + 1:])
         theta = math.pi * sig_ang
-        self._cache = (p, sig_rho, sig_ang)
-        return NetOutputs(heat=p, rho=rho[:, 0], theta=theta)
+        return NetOutputs(heat=p, rho=rho[:, 0], theta=theta), (p, sig_rho, sig_ang)
+
+    def forward(self, x: np.ndarray) -> NetOutputs:
+        x = self._input(x)
+        t = self.stem_relu.forward(self.stem.forward(x))
+        t = self.down_relu.forward(self.down.forward(t))
+        z = self.head.forward(self.block2.forward(self.block1.forward(t)))
+        out, self._cache = self._activate(z)
+        return out
+
+    def predict(self, x: np.ndarray) -> NetOutputs:
+        """``forward``'s outputs, bit for bit, with nothing cached anywhere."""
+        t = np.maximum(self.stem(self._input(x)), 0.0)
+        t = np.maximum(self.down(t), 0.0)
+        return self._activate(self.head(self.block2(self.block1(t))))[0]
 
     def backward(self, d_heat: np.ndarray, d_rho: np.ndarray,
                  d_theta: np.ndarray) -> None:
@@ -456,7 +485,5 @@ def load_checkpoint(path) -> tuple[ToyNet, dict]:
 
 def predict_planes(net: ToyNet, image: np.ndarray):
     """Run one image; returns (heatmap, rho, theta1, theta2), caching nothing."""
-    out = net.forward(image_to_input(image))
-    for layer in [net, *net._convs(), *net._relus()]:
-        layer._cache = None  # no backward pass reads them
+    out = net.predict(image_to_input(image))
     return out.heat[0], out.rho[0], out.theta[0, 0], out.theta[0, 1]

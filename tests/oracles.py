@@ -3,7 +3,8 @@
 Nothing here shares code with the package: areas come from Monte Carlo
 sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
 and matching from plain per-pair loops over that clip, gradients from
-finite differences, and connected components from scipy. Tests compare
+finite differences, and connected components from scipy, neighbour
+expansion or a full row-major scan. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -156,6 +157,31 @@ def brute_force_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
             frontier = new_frontier
         remaining -= comp
         comps.append(comp)
+    return comps
+
+
+def scan_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
+    """8-connected components found by visiting every cell in row-major
+    order: ordered by smallest member, each component's cells sorted."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    comps = []
+    for r0 in range(h):
+        for c0 in range(w):
+            if not mask[r0, c0] or seen[r0, c0]:
+                continue
+            seen[r0, c0] = True
+            stack, cells = [(r0, c0)], []
+            while stack:
+                r, c = stack.pop()
+                cells.append((r, c))
+                for rr in range(max(r - 1, 0), min(r + 2, h)):
+                    for cc in range(max(c - 1, 0), min(c + 2, w)):
+                        if mask[rr, cc] and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            stack.append((rr, cc))
+            comps.append(sorted(cells))
     return comps
 
 

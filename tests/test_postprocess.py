@@ -11,7 +11,7 @@ from polardet.postprocess import (binarize, connected_components,
                                   decode_detections, decode_poles,
                                   extract_pole_points, topk_extract, PolePoint)
 
-from oracles import brute_force_components
+from oracles import brute_force_components, scan_components
 
 
 def scipy_components(mask):
@@ -65,6 +65,20 @@ class TestConnectedComponents:
         ours = {frozenset(c) for c in connected_components(mask)}
         theirs = {frozenset(c) for c in brute_force_components(mask)}
         assert ours == theirs
+
+    def test_matches_full_scan_exactly(self):
+        # the same lists in the same order as visiting every cell row-major
+        rng = np.random.default_rng(2)
+        for density in (0.05, 0.3, 0.6):
+            for _ in range(5):
+                mask = rng.random((64, 64)) < density
+                assert connected_components(mask) == scan_components(mask)
+
+    def test_full_and_empty_64x64(self):
+        full = np.ones((64, 64), dtype=bool)
+        assert connected_components(full) == [
+            [(r, c) for r in range(64) for c in range(64)]]
+        assert connected_components(~full) == []
 
     def test_deterministic_ordering(self):
         mask = np.zeros((4, 4), dtype=bool)

@@ -249,13 +249,15 @@ class TestToyNetForward:
 
     def test_indivisible_input_rejected(self):
         net = ToyNet(num_classes=1, base_channels=2)
-        with pytest.raises(ShapeError):
-            net.forward(np.zeros((1, 1, 30, 32)))
+        for run in (net.forward, net.predict):
+            with pytest.raises(ShapeError):
+                run(np.zeros((1, 1, 30, 32)))
 
     def test_wrong_channel_count_rejected(self):
         net = ToyNet(num_classes=1, base_channels=2)
-        with pytest.raises(ShapeError):
-            net.forward(np.zeros((1, 3, 32, 32)))
+        for run in (net.forward, net.predict):
+            with pytest.raises(ShapeError):
+                run(np.zeros((1, 3, 32, 32)))
 
     def test_backward_requires_forward(self):
         net = ToyNet(num_classes=1, base_channels=2)
@@ -278,6 +280,47 @@ class TestToyNetForward:
         with pytest.raises(StateError):
             net.backward(np.zeros((1, 2, 32, 32)), np.zeros((1, 32, 32)),
                          np.zeros((1, 2, 32, 32)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_is_forward_bit_for_bit(self, dtype):
+        net = ToyNet(num_classes=2, base_channels=4, seed=3, dtype=dtype)
+        x = np.random.default_rng(4).standard_normal((2, 1, 32, 48))
+        ref, got = net.forward(x), net.predict(x)
+        for key in ("heat", "rho", "theta"):
+            a, b = getattr(ref, key), getattr(got, key)
+            assert b.dtype == np.float64 and b.shape == a.shape
+            assert b.tobytes() == a.tobytes()
+
+    def test_predict_leaves_the_training_caches_alone(self):
+        # forward -> predict on another batch -> backward gives the
+        # gradients of forward -> backward, byte for byte
+        rng = np.random.default_rng(9)
+        x, other = rng.standard_normal((2, 2, 1, 32, 32))
+        grads = []
+        for interleave in (False, True):
+            net = ToyNet(num_classes=2, base_channels=4, seed=2)
+            out = net.forward(x)
+            if interleave:
+                net.predict(other)
+            d_rng = np.random.default_rng(10)
+            net.zero_grads()
+            net.backward(*(d_rng.standard_normal(a.shape)
+                           for a in (out.heat, out.rho, out.theta)))
+            grads.append(b"".join(p.grad.tobytes() for p in net.parameters()))
+        assert grads[0] == grads[1]
+
+    def test_predict_planes_peak_memory(self):
+        # one layer's im2col columns alive at a time (4.7 MB at most here);
+        # a training forward holds all of them, about 28 MB at its peak
+        net = ToyNet(num_classes=2, base_channels=16)
+        image = np.random.default_rng(0).uniform(0, 1, (256, 256))
+        tracemalloc.start()
+        try:
+            predict_planes(net, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_parameter_layout_is_the_checkpoint_layout(self):
         net = ToyNet(num_classes=2, base_channels=16)
