@@ -30,7 +30,7 @@ from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import (QuadBox, check_iou_threshold, oriented_nms,
                        quad_to_polar, quads_to_polar)
 from .losses import LossConfig
-from .postprocess import (Detection, check_score_threshold, decode_detections,
+from .postprocess import (Detection, PolePoint, check_score_threshold,
                           decode_poles, extract_pole_points, topk_extract)
 from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
 from .toynet import (ToyNet, TrainConfig, TrainingSample, image_to_input,
@@ -200,6 +200,13 @@ def _nms_filter(dets: list[Detection], iou: float) -> list[Detection]:
     return kept_all
 
 
+def _extract(heatmap: np.ndarray, args) -> list[PolePoint]:
+    """Pole points by ``--extractor``; ``--threshold`` filters both extractors."""
+    if args.extractor == "cc":
+        return extract_pole_points(heatmap, args.threshold)
+    return [p for p in topk_extract(heatmap, args.k) if p.score >= args.threshold]
+
+
 def cmd_detect(args) -> int:
     # checked up front: topk never binarizes, and NMS sees only detections
     check_score_threshold(args.threshold)
@@ -217,12 +224,7 @@ def cmd_detect(args) -> int:
         cfg = GridConfig(image.shape[1], image.shape[0], net.stride,
                          net.num_classes)
         heat, rho, t1, t2 = predict_planes(net, image)
-        if args.extractor == "cc":
-            result = decode_detections(heat, rho, t1, t2, args.threshold, cfg)
-        else:
-            poles = [p for p in topk_extract(heat, args.k)
-                     if p.score >= args.threshold]
-            result = decode_poles(poles, rho, t1, t2, cfg)
+        result = decode_poles(_extract(heat, args), rho, t1, t2, cfg)
         dropped += result.dropped_invalid
         dets = result.detections
         if args.nms_iou is not None:
@@ -309,12 +311,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_extract(args) -> int:
     check_score_threshold(args.threshold)
-    heatmap = read_heatmap_csv(args.heatmap)
-    if args.extractor == "cc":
-        poles = extract_pole_points(heatmap, args.threshold)
-    else:
-        poles = [p for p in topk_extract(heatmap, args.k)
-                 if p.score >= args.threshold]
+    poles = _extract(read_heatmap_csv(args.heatmap), args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "cell_x", "cell_y", "score"])
@@ -329,17 +326,10 @@ def cmd_encode_dump(args) -> int:
     match = [it for it in items if it[0] == args.image_id]
     if not match:
         raise FileNotFoundError(f"image id {args.image_id!r} not in {args.data}")
-    image_id, img_path, ann_path = match[0]
-    image = read_pgm(img_path)
-    cfg = GridConfig(image.shape[1], image.shape[0], args.stride,
-                     len(class_names))
-    parsed = parse_annotations(ann_path.read_text())
-    polars = [quad_to_polar(quad_from_record(r, class_names))
-              for r in parsed.records]
-    sample = encode_regression(polars, cfg)
-    write_encoding_csv(args.out, sample, cfg)
-    print(f"encoded {len(polars)} objects from {image_id} onto "
-          f"{cfg.grid_w}x{cfg.grid_h} grid")
+    (sample,), cfg = _encode_items(match[:1], class_names, args.stride)
+    write_encoding_csv(args.out, sample.target, cfg)
+    print(f"encoded {len(sample.target.pole_cells)} objects from {args.image_id} "
+          f"onto {cfg.grid_w}x{cfg.grid_h} grid")
     return EXIT_OK
 
 
@@ -401,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--loss", choices=("focal", "smooth_l1", "ring",
                                       "total_reg", "all"), default="all")
     p.add_argument("--with-net", action="store_true")
-    p.add_argument("--net-coords", type=int, default=50)
+    p.add_argument("--net-coords", type=_positive_int, default=50)
     p.add_argument("--net-tolerance", type=float, default=1e-3)
     p.add_argument("--out", help="also write the results as CSV here")
     p.set_defaults(func=cmd_grad_check)

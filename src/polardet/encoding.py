@@ -8,14 +8,13 @@ stored in output-grid units (pixels / stride); the decoder multiplies back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CellCollision, DegenerateBox, OutOfBounds
-from .geometry import PolarBox
+from .geometry import PolarBox, polars_to_quads
 
 # Gaussian kernels are cut at 3 sigma; the largest discarded value is e^-4.5
 TRUNCATION_SIGMAS = 3.0
@@ -83,15 +82,13 @@ def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
 
     A box renders exp(-(dx^2 + dy^2) / (2 sigma^2)) in a window around its
     pole cell, cut at ``TRUNCATION_SIGMAS`` sigma; sigma is a third of its
-    shorter side (between ``polar_to_quad``'s corners, from the same ``math``
-    calls) in grid units. The peak value at the pole cell is exactly 1.
+    shorter side (between the corners ``polars_to_quads`` gives it) in grid
+    units. The peak value at the pole cell is exactly 1.
     """
     bad = np.flatnonzero((boxes.class_id < 0) | (boxes.class_id >= cfg.num_classes))
     if bad.size:
         raise ValueError(f"class_id {boxes.class_id[bad[0]]} outside [0, {cfg.num_classes})")
-    t = np.column_stack((boxes.theta, boxes.theta[:, 0] + math.pi)).ravel().tolist()
-    trig = np.array([(math.cos(a), math.sin(a)) for a in t]).reshape(-1, 3, 2)
-    side = np.diff(boxes.pole[:, None, :] + boxes.rho[:, None, None] * trig, axis=1)
+    side = np.diff(polars_to_quads(boxes.pole, boxes.rho, boxes.theta)[:, :3], axis=1)
     short = np.hypot(side[..., 0], side[..., 1]).min(axis=1)
     if np.any(short <= 0.0):
         raise DegenerateBox("box has a zero-length side")

@@ -120,15 +120,21 @@ def quad_to_polar(quad: QuadBox) -> PolarBox:
                     quad.class_id)
 
 
+def polars_to_quads(pole, rho, theta) -> np.ndarray:
+    """Corners (B, 4, 2) at angles (t1, t2, t1+pi, t2+pi), counterclockwise, of
+    B poles (B, 2), radii (B,) and angle pairs (B, 2); ``quads_to_polar``'s
+    inverse. Each cosine and sine is one ``math`` call, as in the scalar formula."""
+    angles = np.asarray(theta, dtype=np.float64).reshape(-1, 2).tolist()
+    trig = np.array([[(math.cos(t), math.sin(t)) for t in (a, b, a + math.pi, b + math.pi)]
+                     for a, b in angles]).reshape(-1, 4, 2)
+    return (np.asarray(pole, dtype=np.float64).reshape(-1, 1, 2)
+            + np.asarray(rho, dtype=np.float64).reshape(-1, 1, 1) * trig)
+
+
 def polar_to_quad(pbox: PolarBox) -> QuadBox:
-    """Emit the four corners at angles (t1, t2, t1+pi, t2+pi), counterclockwise."""
-    xs, ys = pbox.pole
-    corners = np.array(
-        [[xs + pbox.rho * math.cos(t), ys + pbox.rho * math.sin(t)]
-         for t in (pbox.theta1, pbox.theta2,
-                   pbox.theta1 + math.pi, pbox.theta2 + math.pi)]
-    )
-    return QuadBox(corners, pbox.class_id)
+    """One-box call of ``polars_to_quads``."""
+    corners = polars_to_quads(pbox.pole, pbox.rho, (pbox.theta1, pbox.theta2))
+    return QuadBox(corners[0], pbox.class_id)
 
 
 def _corner_array(corners) -> np.ndarray:

@@ -43,13 +43,24 @@ def _summarize(name: str, errors: list[float]) -> GradCheckSummary:
     return GradCheckSummary(name, len(errors), float(arr.max()), float(arr.mean()))
 
 
+def _audit(name: str, probe, num_points: int, step: float) -> GradCheckSummary:
+    """Central differences at ``num_points`` probes: ``probe(i)`` draws the
+    i-th sample and returns the loss as a function of one coordinate, that
+    coordinate's value and the analytic derivative there."""
+    errors = []
+    for i in range(num_points):
+        f, x, analytic = probe(i)
+        errors.append(relative_error(analytic, central_difference(f, x, step)))
+    return _summarize(name, errors)
+
+
 def check_focal_gradients(rng: np.random.Generator, num_points: int = 1000,
                           step: float = DEFAULT_STEP,
                           cfg: LossConfig | None = None) -> GradCheckSummary:
     """Perturb one heatmap cell at a time on random positive/negative mixes."""
     cfg = cfg or LossConfig()
-    errors = []
-    for _ in range(num_points):
+
+    def probe(_i):
         shape = (1, 4, 4)
         target = rng.uniform(0.0, 0.999, shape)
         pole = (0, int(rng.integers(4)), int(rng.integers(4)))
@@ -62,28 +73,27 @@ def check_focal_gradients(rng: np.random.Generator, num_points: int = 1000,
         analytic = pole_focal_loss(pred, target, cfg, num_objects).gradients["pred"][cell]
 
         def value_at(v):
-            probe = pred.copy()
-            probe[cell] = v
-            return pole_focal_loss(probe, target, cfg, num_objects).value
+            moved = pred.copy()
+            moved[cell] = v
+            return pole_focal_loss(moved, target, cfg, num_objects).value
 
-        fd = central_difference(value_at, pred[cell], step)
-        errors.append(relative_error(analytic, fd))
-    return _summarize("pole_focal_loss", errors)
+        return value_at, pred[cell], analytic
+
+    return _audit("pole_focal_loss", probe, num_points, step)
 
 
 def check_smooth_l1_gradients(rng: np.random.Generator, num_points: int = 1000,
                               step: float = DEFAULT_STEP,
                               beta: float = 1.0) -> GradCheckSummary:
-    errors = []
-    while len(errors) < num_points:
-        u = rng.uniform(-4.0, 4.0)
-        u_star = rng.uniform(-4.0, 4.0)
-        if abs(abs(u - u_star) - beta) < 1e-3:  # second-derivative seam
-            continue
-        analytic = smooth_l1(u, u_star, beta).gradients["u"]
-        fd = central_difference(lambda v: smooth_l1(v, u_star, beta).value, u, step)
-        errors.append(relative_error(analytic, fd))
-    return _summarize("smooth_l1", errors)
+    def probe(_i):
+        while True:
+            u = rng.uniform(-4.0, 4.0)
+            u_star = rng.uniform(-4.0, 4.0)
+            if abs(abs(u - u_star) - beta) >= 1e-3:  # off the second-derivative seam
+                return (lambda v: smooth_l1(v, u_star, beta).value, u,
+                        smooth_l1(u, u_star, beta).gradients["u"])
+
+    return _audit("smooth_l1", probe, num_points, step)
 
 
 def _ring_sample(rng: np.random.Generator, beta: float):
@@ -105,21 +115,16 @@ def _ring_sample(rng: np.random.Generator, beta: float):
 def check_ring_gradients(rng: np.random.Generator, num_points: int = 1000,
                          step: float = DEFAULT_STEP,
                          beta: float = 1.0) -> GradCheckSummary:
-    errors = []
-    for i in range(num_points):
+    def probe(i):
         rho, rho_star, theta, theta_star = _ring_sample(rng, beta)
-        loss = polar_ring_loss(rho, rho_star, theta, theta_star, beta)
+        grads = polar_ring_loss(rho, rho_star, theta, theta_star, beta).gradients
         if i % 2 == 0:
-            fd = central_difference(
-                lambda v: polar_ring_loss(v, rho_star, theta, theta_star, beta).value,
-                rho, step)
-            errors.append(relative_error(loss.gradients["rho"], fd))
-        else:
-            fd = central_difference(
-                lambda v: polar_ring_loss(rho, rho_star, v, theta_star, beta).value,
-                theta, step)
-            errors.append(relative_error(loss.gradients["theta"], fd))
-    return _summarize("polar_ring_loss", errors)
+            return (lambda v: polar_ring_loss(v, rho_star, theta, theta_star, beta).value,
+                    rho, grads["rho"])
+        return (lambda v: polar_ring_loss(rho, rho_star, v, theta_star, beta).value,
+                theta, grads["theta"])
+
+    return _audit("polar_ring_loss", probe, num_points, step)
 
 
 def check_total_regression_gradients(rng: np.random.Generator,
@@ -128,23 +133,23 @@ def check_total_regression_gradients(rng: np.random.Generator,
                                      cfg: LossConfig | None = None) -> GradCheckSummary:
     cfg = cfg or LossConfig()
     names = ("rho", "theta1", "theta2")
-    errors = []
-    for i in range(num_points):
+
+    def probe(i):
         rho, rho_star, t1, t1_star = _ring_sample(rng, cfg.smooth_l1_beta)
         _, _, t2, t2_star = _ring_sample(rng, cfg.smooth_l1_beta)
-        pred = [rho, t1, t2]
+        pred = (rho, t1, t2)
         truth = (rho_star, t1_star, t2_star)
         coord = i % 3
-        analytic = total_regression_loss(tuple(pred), truth, cfg).gradients[names[coord]]
+        analytic = total_regression_loss(pred, truth, cfg).gradients[names[coord]]
 
         def value_at(v):
-            probe = list(pred)
-            probe[coord] = v
-            return total_regression_loss(tuple(probe), truth, cfg).value
+            moved = list(pred)
+            moved[coord] = v
+            return total_regression_loss(tuple(moved), truth, cfg).value
 
-        fd = central_difference(value_at, pred[coord], step)
-        errors.append(relative_error(analytic, fd))
-    return _summarize("total_regression_loss", errors)
+        return value_at, pred[coord], analytic
+
+    return _audit("total_regression_loss", probe, num_points, step)
 
 
 LOSS_CHECKERS = {

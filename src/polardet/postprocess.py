@@ -3,8 +3,9 @@
 Extraction binarizes each class channel, finds 8-connected components and
 keeps each component's peak, so the number of detections is capped only by
 the grid, not by a fixed K. The CornerNet-style top-K extractor is kept as
-the ablation baseline. Decoding reads (rho, theta1, theta2) at each pole
-cell, places the pole at the cell center and converts back to a quad.
+the ablation baseline. Decoding gathers (rho, theta1, theta2) at all pole
+cells of an image at once, places each pole at its cell center and converts
+them to quads in one ``polars_to_quads`` call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .encoding import GridConfig
 from .errors import ShapeError
-from .geometry import Point2, PolarBox, QuadBox, polar_to_quad
+from .geometry import QuadBox, polars_to_quads
 
 _NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -138,7 +139,8 @@ def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
 
     Poles are placed at cell centers (cell * d + d/2) and radii rescaled to
     input pixels. Poles whose regression values violate the polar-box
-    invariants are dropped and tallied.
+    invariants are dropped and tallied; a NaN violates neither test, so it
+    reaches ``QuadBox`` and raises ``ValueError``.
     """
     shape = (cfg.grid_h, cfg.grid_w)
     for name, plane in (("rho", rho_plane), ("theta1", theta1_plane),
@@ -146,18 +148,16 @@ def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
         if np.shape(plane) != shape:
             raise ShapeError(f"{name} plane {np.shape(plane)} vs grid {shape}")
     d = cfg.stride
-    result = DecodeResult()
-    for p in poles:
-        rho = float(rho_plane[p.cell_y, p.cell_x]) * d
-        t1 = float(theta1_plane[p.cell_y, p.cell_x])
-        t2 = float(theta2_plane[p.cell_y, p.cell_x])
-        if rho <= 0.0 or t2 <= t1:
-            result.dropped_invalid += 1
-            continue
-        pole = Point2(p.cell_x * d + d / 2.0, p.cell_y * d + d / 2.0)
-        quad = polar_to_quad(PolarBox(pole, rho, t1, t2, p.class_id))
-        result.detections.append(Detection(quad, p.class_id, p.score))
-    return result
+    cells = np.array([(p.cell_x, p.cell_y) for p in poles], dtype=np.intp).reshape(-1, 2)
+    cx, cy = cells.T
+    rho = np.asarray(rho_plane)[cy, cx].astype(np.float64) * d
+    theta = np.column_stack([np.asarray(plane)[cy, cx].astype(np.float64)
+                             for plane in (theta1_plane, theta2_plane)])
+    keep = np.flatnonzero(~((rho <= 0.0) | (theta[:, 1] <= theta[:, 0])))
+    corners = polars_to_quads(cells[keep] * d + d / 2.0, rho[keep], theta[keep])
+    kept = [poles[i] for i in keep.tolist()]
+    return DecodeResult([Detection(QuadBox(c, p.class_id), p.class_id, p.score)
+                         for p, c in zip(kept, corners)], len(poles) - len(kept))
 
 
 def decode_detections(heatmap: np.ndarray, rho_plane: np.ndarray,

@@ -3,8 +3,9 @@
 Nothing here shares code with the package: areas come from Monte Carlo
 sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
 and matching from plain per-pair loops over that clip, gradients from
-finite differences, and connected components from scipy, neighbour
-expansion or a full row-major scan. Tests compare
+finite differences, connected components from scipy, neighbour
+expansion or a full row-major scan, and decoded corners from one scalar
+``math`` formula per pole. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -51,6 +52,11 @@ def shoelace(corners) -> float:
     return abs(signed_shoelace(corners))
 
 
+#: rows of Monte Carlo samples drawn at a time; the generator yields the
+#: same stream however it is cut, so the estimate does not depend on this
+MC_CHUNK_ROWS = 2 ** 15
+
+
 def mc_intersection_area(corners_a, corners_b, num_samples: int,
                          rng: np.random.Generator) -> float:
     """Monte Carlo intersection area over the joint bounding box."""
@@ -60,10 +66,12 @@ def mc_intersection_area(corners_a, corners_b, num_samples: int,
     box_area = float(np.prod(hi - lo))
     if box_area <= 0.0:
         return 0.0
-    samples = rng.uniform(lo, hi, size=(num_samples, 2))
-    hit = (points_in_convex_quad(samples, corners_a)
-           & points_in_convex_quad(samples, corners_b))
-    return box_area * float(np.count_nonzero(hit)) / num_samples
+    hits = 0
+    for start in range(0, num_samples, MC_CHUNK_ROWS):
+        samples = rng.uniform(lo, hi, size=(min(MC_CHUNK_ROWS, num_samples - start), 2))
+        hits += int(np.count_nonzero(points_in_convex_quad(samples, corners_a)
+                                     & points_in_convex_quad(samples, corners_b)))
+    return box_area * float(hits) / num_samples
 
 
 def mc_iou(corners_a, corners_b, num_samples: int,
@@ -133,6 +141,34 @@ def rect_polar_truth(cx: float, cy: float, w: float, h: float,
 
 def fd_gradient(f, x: float, step: float = 1e-6) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def decode_poles_reference(poles, rho_plane, theta1_plane, theta2_plane,
+                           stride: int):
+    """Decoding one pole at a time, in plain Python floats and ``math``.
+
+    ``poles`` are objects with ``class_id``, ``cell_x``, ``cell_y`` and
+    ``score``. A pole with rho <= 0 or theta2 <= theta1 is dropped; any other
+    pole becomes four corners at angles (t1, t2, t1+pi, t2+pi) about its
+    cell center, and non-finite corners raise ``ValueError``. Returns
+    ([(corners (4, 2), class_id, score)], number dropped).
+    """
+    d = stride
+    detections, dropped = [], 0
+    for p in poles:
+        rho = float(rho_plane[p.cell_y, p.cell_x]) * d
+        t1 = float(theta1_plane[p.cell_y, p.cell_x])
+        t2 = float(theta2_plane[p.cell_y, p.cell_x])
+        if rho <= 0.0 or t2 <= t1:
+            dropped += 1
+            continue
+        xs, ys = p.cell_x * d + d / 2.0, p.cell_y * d + d / 2.0
+        corners = np.array([[xs + rho * math.cos(t), ys + rho * math.sin(t)]
+                            for t in (t1, t2, t1 + math.pi, t2 + math.pi)])
+        if not np.all(np.isfinite(corners)):
+            raise ValueError("corners must be finite")
+        detections.append((corners, p.class_id, p.score))
+    return detections, dropped
 
 
 def brute_force_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -364,6 +365,14 @@ class TestGradCheckCommand:
         assert len(out) == 1
         assert out[0].startswith("polar_ring_loss:")
 
+    @pytest.mark.parametrize("flags", [["--points", "0"],
+                                       ["--with-net", "--net-coords", "0"]])
+    def test_zero_points_is_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["grad-check", *flags])
+        assert err.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "gc.csv"
         assert cli.main(["grad-check", "--points", "20",
@@ -453,6 +462,21 @@ class TestEncodeDump:
         np.testing.assert_allclose(rho, sample.rho, rtol=1e-8)
         np.testing.assert_allclose(t1, sample.theta1, rtol=1e-8)
         np.testing.assert_allclose(t2, sample.theta2, rtol=1e-8)
+
+    def test_annotation_warnings_go_to_stderr(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        ann = data / "annotations" / "img_00003.txt"
+        ann.write_text(ann.read_text() + "1 2 3\n")
+        out = tmp_path / "enc.csv"
+        assert cli.main(["encode-dump", "--data", str(data),
+                         "--image-id", "img_00003", "--out", str(out)]) == 0
+        assert "expected 10 fields, got 3" in capsys.readouterr().err
+        clean = tmp_path / "clean.csv"
+        assert cli.main(["encode-dump", "--data", str(workspace["data"]),
+                         "--image-id", "img_00003", "--out", str(clean)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == clean.read_bytes()
 
     def test_unknown_image_id_is_io_error(self, workspace, capsys):
         code = cli.main(["encode-dump", "--data", str(workspace["data"]),

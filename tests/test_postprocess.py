@@ -11,7 +11,7 @@ from polardet.postprocess import (binarize, connected_components,
                                   decode_detections, decode_poles,
                                   extract_pole_points, topk_extract, PolePoint)
 
-from oracles import brute_force_components, scan_components
+from oracles import brute_force_components, decode_poles_reference, scan_components
 
 
 def scipy_components(mask):
@@ -218,6 +218,52 @@ class TestDecoding:
         assert result.dropped_invalid == 3
         assert len(result.detections) == 1
         assert result.detections[0].quad.corners.mean(axis=0) == pytest.approx((18.0, 18.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pole_reference_bit_for_bit(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        cfg = GridConfig(64, 48, 4, num_classes=3)
+        shape = (cfg.grid_h, cfg.grid_w)
+        # about a third of the radii are <= 0 (some exactly 0) and about
+        # half of the angle pairs are out of order or equal
+        rho = rng.uniform(-2.0, 4.0, shape).astype(dtype)
+        rho[rng.random(shape) < 0.1] = 0.0
+        t1 = rng.uniform(0.0, math.pi, shape).astype(dtype)
+        t2 = rng.uniform(0.0, math.pi, shape).astype(dtype)
+        equal = rng.random(shape) < 0.1
+        t2[equal] = t1[equal]
+        cells = rng.choice(cfg.grid_h * cfg.grid_w, size=60, replace=False)
+        poles = [PolePoint(int(rng.integers(3)), int(c % cfg.grid_w),
+                           int(c // cfg.grid_w), float(rng.random()))
+                 for c in cells]
+        result = decode_poles(poles, rho, t1, t2, cfg)
+        expected, dropped = decode_poles_reference(poles, rho, t1, t2, cfg.stride)
+        assert 0 < dropped < len(poles)
+        assert result.dropped_invalid == dropped
+        assert len(result.detections) == len(expected)
+        for det, (corners, class_id, score) in zip(result.detections, expected):
+            assert det.quad.corners.dtype == np.float64
+            assert det.quad.corners.tobytes() == corners.tobytes()
+            assert det.class_id == det.quad.class_id == class_id
+            assert det.score == score
+
+    def test_empty_pole_list(self):
+        cfg = GridConfig(64, 64, 4)
+        plane = np.ones((16, 16), dtype=np.float32)
+        result = decode_poles([], plane, plane, plane, cfg)
+        assert result.detections == [] and result.dropped_invalid == 0
+        assert decode_poles_reference([], plane, plane, plane, 4) == ([], 0)
+
+    def test_nan_radius_is_not_dropped_and_raises(self):
+        cfg = GridConfig(64, 64, 4)
+        rho, t1, t2 = self._planes(cfg, {(1, 1): (1.0, 0.5, 2.0),
+                                         (2, 2): (math.nan, 0.5, 2.0)})
+        poles = [PolePoint(0, 1, 1, 0.5), PolePoint(0, 2, 2, 0.5)]
+        with pytest.raises(ValueError, match="finite"):
+            decode_poles(poles, rho, t1, t2, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            decode_poles_reference(poles, rho, t1, t2, cfg.stride)
 
     def test_plane_shape_mismatch_rejected(self):
         cfg = GridConfig(64, 64, 4)
