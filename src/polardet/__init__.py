@@ -15,9 +15,9 @@ from .geometry import (PolarBox, Point2, QuadBox, intersection_area,
                        rotated_iou, signed_area)
 from .losses import (LossConfig, LossValue, pole_focal_loss, polar_ring_loss,
                      ring_area, smooth_l1, total_loss, total_regression_loss)
-from .postprocess import (DecodeResult, Detection, PolePoint, binarize,
-                          connected_components, decode_detections,
-                          decode_poles, extract_pole_points, topk_extract)
+from .postprocess import (DecodeResult, Detections, PolePoint, binarize,
+                          connected_components, decode_poles,
+                          extract_pole_points, topk_extract)
 from .synthdata import (SceneSpec, generate_dataset, generate_scene, read_pgm,
                         write_dataset, write_pgm)
 from .toynet import (Adam, ToyNet, TrainConfig, TrainingSample,
@@ -27,14 +27,14 @@ from .toynet import (Adam, ToyNet, TrainConfig, TrainingSample,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ClassEval", "DecodeResult", "Detection", "EncodedSample",
+    "Adam", "ClassEval", "DecodeResult", "Detections", "EncodedSample",
     "EvalReport", "GridConfig", "LossConfig", "LossValue", "PRPoint",
     "Point2", "PolarBox", "PolePoint", "QuadBox", "SceneSpec", "ToyNet",
     "TrainConfig", "TrainingSample", "average_precision", "binarize",
-    "compute_batch_loss", "connected_components", "decode_detections",
-    "decode_poles", "encode_regression", "evaluate", "extract_pole_points",
-    "generate_dataset", "generate_scene", "image_to_input",
-    "intersection_area", "load_checkpoint", "match_detections", "mean_ap",
+    "compute_batch_loss", "connected_components", "decode_poles",
+    "encode_regression", "evaluate", "extract_pole_points", "generate_dataset",
+    "generate_scene", "image_to_input", "intersection_area",
+    "load_checkpoint", "match_detections", "mean_ap",
     "normalize_angle", "oriented_nms", "pairwise_iou", "polar_to_quad",
     "pole_focal_loss", "polar_ring_loss",
     "precision_recall_curve", "predict_planes", "quad_to_polar", "read_pgm",

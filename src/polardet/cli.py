@@ -21,16 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import BoxArrays, GridConfig, encode_boxes, encode_regression
+from .encoding import BoxArrays, GridConfig, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import evaluate
-from .formats import (parse_annotations, parse_detections, quad_from_record,
-                      record_from_detection, serialize_detections)
+from .formats import (DetectionRecord, parse_annotations, parse_detections,
+                      quad_from_record, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
-from .geometry import (QuadBox, check_iou_threshold, oriented_nms,
-                       quad_to_polar, quads_to_polar)
+from .geometry import QuadBox, check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
-from .postprocess import (Detection, PolePoint, check_score_threshold,
+from .postprocess import (Detections, PolePoint, check_score_threshold,
                           decode_poles, extract_pole_points, topk_extract)
 from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
 from .toynet import (ToyNet, TrainConfig, TrainingSample, image_to_input,
@@ -117,6 +116,14 @@ def write_encoding_csv(path, sample, cfg: GridConfig) -> None:
                 writer.writerow([name, "", gx, gy, f"{plane[gy, gx]:.9g}"])
 
 
+def _box_arrays(per_image: list[list[QuadBox]]) -> BoxArrays:
+    """Polar boxes of the quads of each image, one row per quad."""
+    quads = [q for image_quads in per_image for q in image_quads]
+    return BoxArrays(np.repeat(np.arange(len(per_image)), [len(q) for q in per_image]),
+                     np.array([q.class_id for q in quads], dtype=np.intp),
+                     *quads_to_polar([q.corners for q in quads]))
+
+
 def _encode_items(items, class_names, stride: int):
     """Load images and encode the annotations of all of them at once."""
     images = [read_pgm(img_path) for _id, img_path, _ann in items]
@@ -127,11 +134,7 @@ def _encode_items(items, class_names, stride: int):
     grid_cfg = GridConfig(images[0].shape[1], images[0].shape[0], stride,
                           len(class_names))
     per_image = list(_load_ground_truth(items, class_names).values())
-    quads = [q for image_quads in per_image for q in image_quads]
-    boxes = BoxArrays(np.repeat(np.arange(len(items)), [len(q) for q in per_image]),
-                      np.array([q.class_id for q in quads], dtype=np.intp),
-                      *quads_to_polar([q.corners for q in quads]))
-    targets = encode_boxes(boxes, len(images), grid_cfg)
+    targets = encode_boxes(_box_arrays(per_image), len(images), grid_cfg)
     return [TrainingSample(*pair) for pair in zip(images, targets)], grid_cfg
 
 
@@ -191,15 +194,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _nms_filter(dets: list[Detection], iou: float) -> list[Detection]:
-    kept_all = []
-    for class_id in sorted({d.class_id for d in dets}):
-        group = [d for d in dets if d.class_id == class_id]
-        kept = oriented_nms([(d.quad, d.score) for d in group], iou)
-        kept_all.extend(group[i] for i in sorted(kept))
-    return kept_all
-
-
 def _extract(heatmap: np.ndarray, args) -> list[PolePoint]:
     """Pole points by ``--extractor``; ``--threshold`` filters both extractors."""
     if args.extractor == "cc":
@@ -227,30 +221,40 @@ def cmd_detect(args) -> int:
         result = decode_poles(_extract(heat, args), rho, t1, t2, cfg)
         dropped += result.dropped_invalid
         dets = result.detections
+        rows = np.arange(len(dets))
         if args.nms_iou is not None:
-            dets = _nms_filter(dets, args.nms_iou)
-        records.extend(record_from_detection(image_id, d, class_names)
-                       for d in dets)
+            kept = np.array(oriented_nms(dets.corners, dets.score, dets.class_id,
+                                         args.nms_iou), dtype=np.intp)
+            rows = kept[np.lexsort((kept, dets.class_id[kept]))]  # class-major
+        records.extend(
+            DetectionRecord(image_id, score, tuple(corners), class_names[c])
+            for corners, c, score in zip(dets.corners[rows].reshape(-1, 8).tolist(),
+                                         dets.class_id[rows].tolist(),
+                                         dets.score[rows].tolist()))
     Path(args.out).write_text(serialize_detections(records))
     print(f"wrote {len(records)} detections for {len(items)} images "
           f"({dropped} invalid poles dropped)")
     return EXIT_OK
 
 
-def _detections_by_image(text: str, class_names: list[str]):
+def _detections_by_image(text: str, class_names: list[str]) -> dict[str, Detections]:
     parsed = parse_detections(text)
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
-    by_image: dict[str, list[Detection]] = {}
+    rows: dict[str, list] = {}
     for r in parsed.records:
         if r.class_name not in class_names:
             print(f"detections: unknown class {r.class_name!r} skipped",
                   file=sys.stderr)
             continue
-        quad = QuadBox(np.asarray(r.corners).reshape(4, 2),
-                       class_id=class_names.index(r.class_name))
-        by_image.setdefault(r.image_id, []).append(
-            Detection(quad, quad.class_id, r.score))
+        rows.setdefault(r.image_id, []).append(
+            (r.corners, class_names.index(r.class_name), r.score))
+    by_image = {}
+    for image_id, image_rows in rows.items():
+        corners, class_id, score = zip(*image_rows)
+        by_image[image_id] = Detections(np.array(corners).reshape(-1, 4, 2),
+                                        np.array(class_id, dtype=np.intp),
+                                        np.array(score, dtype=np.float64))
     return by_image
 
 
@@ -288,7 +292,7 @@ def cmd_grad_check(args) -> int:
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=2)
         image, boxes = generate_scene(spec, rng)
         cfg = GridConfig(32, 32, 4, 2)
-        target = encode_regression([quad_to_polar(b) for b in boxes], cfg)
+        target = encode_boxes(_box_arrays([boxes]), 1, cfg)[0]
         summaries.append(check_net_gradients(
             net, image_to_input(image), [target], LossConfig(), rng,
             num_coords=args.net_coords))
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--extractor", choices=("cc", "topk"), default="cc")
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=_positive_int, default=100)
     p.add_argument("--nms-iou", type=float, default=None)
     p.set_defaults(func=cmd_detect)
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--extractor", choices=("cc", "topk"), default="cc")
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=_positive_int, default=100)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("encode-dump", help="dump encoded targets for one image")

@@ -10,13 +10,14 @@ all-point interpolation (area under the precision envelope).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoClasses, UndefinedRecall
 from .geometry import QuadBox, pairwise_iou
-from .postprocess import Detection
+from .postprocess import Detections
 
 
 @dataclass(frozen=True)
@@ -42,24 +43,21 @@ class EvalReport:
     per_class: dict[int, ClassEval] = field(default_factory=dict)
 
 
-def match_detections(detections: list[Detection], ground_truth: list[QuadBox],
-                     iou_threshold: float) -> list[bool]:
-    """Greedy matching; returns a TP flag per detection in input order."""
+def match_detections(detections: Detections, ground_truth: list[QuadBox],
+                     iou_threshold: float) -> np.ndarray:
+    """Greedy matching; returns a (D,) bool TP flag per detection in input order."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must lie in (0, 1]")
-    flags = [False] * len(detections)
+    flags = np.zeros(len(detections), dtype=bool)
     if not ground_truth:
         return flags
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
-    iou = pairwise_iou(
-        np.array([d.quad.corners for d in detections]).reshape(-1, 4, 2),
-        np.array([g.corners for g in ground_truth]).reshape(-1, 4, 2))
-    det_classes = np.array([d.class_id for d in detections], dtype=np.int64)
-    gt_classes = np.array([g.class_id for g in ground_truth], dtype=np.int64)
+    iou = pairwise_iou(detections.corners,
+                       np.array([g.corners for g in ground_truth]).reshape(-1, 4, 2))
+    gt_classes = np.array([g.class_id for g in ground_truth], dtype=np.intp)
     # zero marks a ground truth a detection cannot claim: another class,
     # or already taken; the threshold is positive, so zero never matches
-    iou[det_classes[:, None] != gt_classes[None, :]] = 0.0
-    for i in order:
+    iou[detections.class_id[:, None] != gt_classes[None, :]] = 0.0
+    for i in np.argsort(-detections.score, kind="stable").tolist():
         j = int(np.argmax(iou[i]))  # the lowest index wins ties
         if iou[i, j] >= iou_threshold:
             iou[:, j] = 0.0
@@ -108,7 +106,7 @@ def mean_ap(per_class_ap: dict[int, float]) -> float:
     return float(np.mean(list(per_class_ap.values())))
 
 
-def evaluate(detections_by_image: dict[str, list[Detection]],
+def evaluate(detections_by_image: dict[str, Detections],
              ground_truth_by_image: dict[str, list[QuadBox]],
              iou_threshold: float = 0.5) -> EvalReport:
     """Pool matches across images and compute per-class AP and mAP.
@@ -116,30 +114,21 @@ def evaluate(detections_by_image: dict[str, list[Detection]],
     Classes with zero ground-truth instances are excluded from the mean;
     detections for such classes still exist but have no defined recall.
     """
-    image_ids = sorted(set(detections_by_image) | set(ground_truth_by_image))
-    class_ids: set[int] = set()
-    for img in image_ids:
-        class_ids.update(g.class_id for g in ground_truth_by_image.get(img, []))
-        class_ids.update(d.class_id for d in detections_by_image.get(img, []))
-
-    scores: dict[int, list[float]] = {c: [] for c in class_ids}
-    flags: dict[int, list[bool]] = {c: [] for c in class_ids}
-    num_gt = {c: 0 for c in class_ids}
-    for img in image_ids:
-        dets = detections_by_image.get(img, [])
-        gts = ground_truth_by_image.get(img, [])
-        img_flags = match_detections(dets, gts, iou_threshold)
-        for det, flag in zip(dets, img_flags):
-            scores[det.class_id].append(det.score)
-            flags[det.class_id].append(flag)
-        for gt in gts:
-            num_gt[gt.class_id] += 1
+    num_gt = Counter(g.class_id for gts in ground_truth_by_image.values() for g in gts)
+    scores: dict[int, list[float]] = defaultdict(list)
+    flags: dict[int, list[bool]] = defaultdict(list)
+    for img in sorted(detections_by_image):
+        dets = detections_by_image[img]
+        img_flags = match_detections(dets, ground_truth_by_image.get(img, []),
+                                     iou_threshold)
+        for c in np.unique(dets.class_id).tolist():
+            mine = dets.class_id == c
+            scores[c].extend(dets.score[mine].tolist())
+            flags[c].extend(img_flags[mine].tolist())
 
     report = EvalReport(iou_threshold=iou_threshold, mean_ap=0.0)
     aps: dict[int, float] = {}
-    for c in sorted(class_ids):
-        if num_gt[c] == 0:
-            continue
+    for c in sorted(num_gt):
         curve = precision_recall_curve(scores[c], flags[c], num_gt[c])
         ap = average_precision(curve, num_gt[c])
         aps[c] = ap

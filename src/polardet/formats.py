@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import UnknownClass
 from .geometry import QuadBox
-from .postprocess import Detection
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,6 @@ def quad_from_record(record: AnnotationRecord, class_names: list[str]) -> QuadBo
         raise UnknownClass(f"class {record.class_name!r} not in {class_names}")
     corners = np.asarray(record.corners, dtype=np.float64).reshape(4, 2)
     return QuadBox(corners, class_id=class_names.index(record.class_name))
-
-
-def record_from_detection(image_id: str, det: Detection,
-                          class_names: list[str]) -> DetectionRecord:
-    if not 0 <= det.class_id < len(class_names):
-        raise UnknownClass(f"class id {det.class_id} outside {len(class_names)} classes")
-    return DetectionRecord(image_id, det.score,
-                           tuple(det.quad.corners.reshape(-1).tolist()),
-                           class_names[det.class_id])
 
 
 def serialize_annotations(records: list[AnnotationRecord]) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,23 +260,25 @@ def check_iou_threshold(iou_threshold: float) -> None:
         raise ValueError("iou_threshold must lie in [0, 1]")
 
 
-def oriented_nms(dets: Sequence[tuple[QuadBox, float]],
-                 iou_threshold: float) -> list[int]:
-    """Greedy descending-score suppression; returns kept indices.
+def oriented_nms(corners, scores, class_ids, iou_threshold: float) -> list[int]:
+    """Greedy descending-score suppression within each class; returns the
+    kept indices in the order they were kept.
 
-    Score ties are broken by lower original index. No two kept boxes
-    overlap with IoU strictly above the threshold, which must lie in [0, 1].
+    ``corners`` is a (D, 4, 2) corner array with one score and one class id
+    per box. A box only suppresses boxes of its own class. Score ties are
+    broken by lower index. No two kept boxes of one class overlap with IoU
+    strictly above the threshold, which must lie in [0, 1].
     """
     check_iou_threshold(iou_threshold)
-    for _, score in dets:
-        if not math.isfinite(score):
-            raise ValueError("detection scores must be finite")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
-    corners = np.array([quad.corners for quad, _ in dets]).reshape(-1, 4, 2)
-    overlaps = pairwise_iou(corners, corners) > iou_threshold
-    suppressed = np.zeros(len(dets), dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("detection scores must be finite")
+    class_ids = np.asarray(class_ids)
+    overlaps = ((pairwise_iou(corners, corners) > iou_threshold)
+                & (class_ids[:, None] == class_ids[None, :]))
+    suppressed = np.zeros(len(scores), dtype=bool)
     kept: list[int] = []
-    for i in order:
+    for i in np.argsort(-scores, kind="stable").tolist():
         if not suppressed[i]:
             kept.append(i)
             suppressed |= overlaps[i]

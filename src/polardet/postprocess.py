@@ -5,19 +5,20 @@ keeps each component's peak, so the number of detections is capped only by
 the grid, not by a fixed K. The CornerNet-style top-K extractor is kept as
 the ablation baseline. Decoding gathers (rho, theta1, theta2) at all pole
 cells of an image at once, places each pole at its cell center and converts
-them to quads in one ``polars_to_quads`` call.
+them to quads in one ``polars_to_quads`` call; an image's detections are one
+``Detections`` row set from there to the detections file.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import GridConfig
 from .errors import ShapeError
-from .geometry import QuadBox, polars_to_quads
+from .geometry import polars_to_quads
 
 _NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -32,20 +33,23 @@ class PolePoint:
     score: float
 
 
-@dataclass(frozen=True)
-class Detection:
-    """Decoded oriented box with class and confidence."""
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Oriented boxes of one image with class and confidence, one row each."""
 
-    quad: QuadBox
-    class_id: int
-    score: float
+    corners: np.ndarray   # (D, 4, 2) float64 pixels
+    class_id: np.ndarray  # (D,) intp
+    score: np.ndarray     # (D,) float64
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 @dataclass
 class DecodeResult:
-    detections: list[Detection] = field(default_factory=list)
+    detections: Detections
     #: poles whose regression values violated rho > 0 or theta1 < theta2
-    dropped_invalid: int = 0
+    dropped_invalid: int
 
 
 def check_score_threshold(threshold: float) -> None:
@@ -140,7 +144,7 @@ def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
     Poles are placed at cell centers (cell * d + d/2) and radii rescaled to
     input pixels. Poles whose regression values violate the polar-box
     invariants are dropped and tallied; a NaN violates neither test, so it
-    reaches ``QuadBox`` and raises ``ValueError``.
+    reaches the corners and raises ``ValueError``.
     """
     shape = (cfg.grid_h, cfg.grid_w)
     for name, plane in (("rho", rho_plane), ("theta1", theta1_plane),
@@ -148,25 +152,16 @@ def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
         if np.shape(plane) != shape:
             raise ShapeError(f"{name} plane {np.shape(plane)} vs grid {shape}")
     d = cfg.stride
-    cells = np.array([(p.cell_x, p.cell_y) for p in poles], dtype=np.intp).reshape(-1, 2)
-    cx, cy = cells.T
+    index = np.array([(p.cell_x, p.cell_y, p.class_id) for p in poles],
+                     dtype=np.intp).reshape(-1, 3)
+    score = np.array([p.score for p in poles], dtype=np.float64)
+    cx, cy, class_id = index.T
     rho = np.asarray(rho_plane)[cy, cx].astype(np.float64) * d
     theta = np.column_stack([np.asarray(plane)[cy, cx].astype(np.float64)
                              for plane in (theta1_plane, theta2_plane)])
     keep = np.flatnonzero(~((rho <= 0.0) | (theta[:, 1] <= theta[:, 0])))
-    corners = polars_to_quads(cells[keep] * d + d / 2.0, rho[keep], theta[keep])
-    kept = [poles[i] for i in keep.tolist()]
-    return DecodeResult([Detection(QuadBox(c, p.class_id), p.class_id, p.score)
-                         for p, c in zip(kept, corners)], len(poles) - len(kept))
-
-
-def decode_detections(heatmap: np.ndarray, rho_plane: np.ndarray,
-                      theta1_plane: np.ndarray, theta2_plane: np.ndarray,
-                      threshold: float, cfg: GridConfig) -> DecodeResult:
-    """Connected-component extraction followed by polar decoding."""
-    heatmap = np.asarray(heatmap)
-    if heatmap.shape != (cfg.num_classes, cfg.grid_h, cfg.grid_w):
-        raise ShapeError(f"heatmap {heatmap.shape} vs grid config "
-                         f"({cfg.num_classes}, {cfg.grid_h}, {cfg.grid_w})")
-    poles = extract_pole_points(heatmap, threshold)
-    return decode_poles(poles, rho_plane, theta1_plane, theta2_plane, cfg)
+    corners = polars_to_quads(index[keep, :2] * d + d / 2.0, rho[keep], theta[keep])
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("corners must be finite")
+    return DecodeResult(Detections(corners, class_id[keep], score[keep]),
+                        len(poles) - len(keep))

@@ -20,7 +20,7 @@ from polardet.geometry import (Point2, PolarBox, QuadBox, intersection_area,
                                polar_to_quad, quad_to_polar, rotated_iou)
 from polardet.gradcheck import check_all_losses
 from polardet.losses import ring_area
-from polardet.postprocess import decode_detections, extract_pole_points, topk_extract
+from polardet.postprocess import decode_poles, extract_pole_points, topk_extract
 from polardet.synthdata import SceneSpec, generate_scene
 from polardet.toynet import load_checkpoint
 
@@ -281,19 +281,20 @@ def test_criterion_9_encode_decode_identity():
         _image, quads = generate_scene(spec, rng)
         boxes = [quad_to_polar(q) for q in quads]
         sample = encode_regression(boxes, cfg)
-        result = decode_detections(sample.heatmap, sample.rho, sample.theta1,
-                                   sample.theta2, 0.3, cfg)
+        result = decode_poles(extract_pole_points(sample.heatmap, 0.3),
+                              sample.rho, sample.theta1, sample.theta2, cfg)
+        dets = result.detections
         assert result.dropped_invalid == 0
-        assert len(result.detections) == len(boxes)
+        assert len(dets) == len(boxes)
         for box in boxes:
             snapped = Point2(int(box.pole.x // stride) * stride + stride / 2,
                              int(box.pole.y // stride) * stride + stride / 2)
             expected = polar_to_quad(PolarBox(snapped, box.rho, box.theta1,
                                               box.theta2, box.class_id))
-            matches = [d for d in result.detections
-                       if d.class_id == box.class_id
-                       and np.array_equal(d.quad.corners, expected.corners)]
-            assert len(matches) == 1, "decoded params drifted from encoding"
+            # bitwise corner equality, box by box
+            same = ((dets.class_id == box.class_id)
+                    & np.all(dets.corners == expected.corners, axis=(1, 2)))
+            assert np.count_nonzero(same) == 1, "decoded params drifted from encoding"
             worst_pole = max(worst_pole, abs(snapped.x - box.pole.x),
                              abs(snapped.y - box.pole.y))
             total += 1

@@ -8,9 +8,12 @@ import pytest
 from polardet import cli
 from polardet.encoding import GridConfig, encode_regression
 from polardet.errors import DivergenceError
-from polardet.formats import parse_annotations, parse_detections, quad_from_record
+from polardet.formats import (DetectionRecord, parse_annotations, parse_detections,
+                              quad_from_record, serialize_detections)
 from polardet.geometry import quad_to_polar
+from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
+from polardet.toynet import load_checkpoint, predict_planes
 
 
 def write_heatmap_csv(path, heatmap: np.ndarray) -> None:
@@ -204,6 +207,34 @@ class TestDetect:
         assert {r.class_name for r in parsed.records} <= {"class0", "class1"}
         ids = {r.image_id for r in parsed.records}
         assert ids <= {f"img_{i:05d}" for i in range(20)}
+
+    def test_lines_are_the_decoded_boxes(self, workspace):
+        # one line per decoded box in decode order: corners row-major, then
+        # the class name the box's class id indexes
+        names = (workspace["data"] / "classes.txt").read_text().split()
+        net, _meta = load_checkpoint(workspace["ckpt"])
+        records = []
+        for img_path in sorted((workspace["data"] / "images").glob("*.pgm")):
+            heat, *reg = predict_planes(net, read_pgm(img_path))
+            dets = decode_poles(extract_pole_points(heat, 0.3), *reg,
+                                GridConfig(32, 32, 4, len(names))).detections
+            rows = zip(dets.corners.reshape(-1, 8).tolist(),
+                       dets.class_id.tolist(), dets.score.tolist())
+            records += [DetectionRecord(img_path.stem, score, tuple(corners), names[c])
+                        for corners, c, score in rows]
+        assert records
+        assert workspace["dets"].read_text() == serialize_detections(records)
+
+    def test_class_count_mismatch_is_io_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "classes.txt").write_text("class0\nclass1\nclass2\n")
+        out = tmp_path / "d.txt"
+        code = cli.main(["detect", "--data", str(data),
+                         "--checkpoint", str(workspace["ckpt"]), "--out", str(out)])
+        assert code == 3
+        assert "checkpoint has 2 classes, dataset lists 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_topk_extractor_runs(self, workspace, tmp_path):
         out = tmp_path / "topk.txt"
@@ -497,3 +528,20 @@ class TestParser:
             cli.main(["train", "--data", "x"])
         assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    @pytest.mark.parametrize("extractor", ["cc", "topk"])
+    @pytest.mark.parametrize("command", ["detect", "extract"])
+    def test_k_below_one_is_usage_error(self, tmp_path, capsys, command,
+                                        extractor, k):
+        # the inputs do not exist: the flag must fail before any file is read
+        inputs = {"detect": ["--data", str(tmp_path / "data"),
+                             "--checkpoint", str(tmp_path / "ckpt.npz")],
+                  "extract": ["--heatmap", str(tmp_path / "heat.csv")]}[command]
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, *inputs, "--out", str(out),
+                      "--extractor", extractor, "--k", k])
+        assert err.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,7 +5,7 @@ from polardet.errors import NoClasses, UndefinedRecall
 from polardet.evaluation import (average_precision, evaluate, match_detections,
                                  mean_ap, precision_recall_curve, PRPoint)
 from polardet.geometry import QuadBox
-from polardet.postprocess import Detection
+from polardet.postprocess import Detections
 
 from oracles import greedy_match_reference, jittered_scene, voc_ap_reference
 
@@ -18,60 +18,69 @@ def square(cx, cy, size=4.0, class_id=0):
 
 
 def det(cx, cy, score, size=4.0, class_id=0):
-    return Detection(square(cx, cy, size, class_id), class_id, score)
+    return square(cx, cy, size, class_id), score
+
+
+def detections(*items):
+    """One image's ``Detections`` from (quad, score) pairs."""
+    return Detections(np.array([q.corners for q, _ in items]).reshape(-1, 4, 2),
+                      np.array([q.class_id for q, _ in items], dtype=np.intp),
+                      np.array([score for _, score in items], dtype=np.float64))
 
 
 class TestMatchDetections:
     def test_perfect_overlap_is_tp(self):
-        flags = match_detections([det(10, 10, 0.9)], [square(10, 10)], 0.5)
-        assert flags == [True]
+        flags = match_detections(detections(det(10, 10, 0.9)), [square(10, 10)], 0.5)
+        assert flags.tolist() == [True]
 
     def test_disjoint_is_fp(self):
-        flags = match_detections([det(10, 10, 0.9)], [square(30, 30)], 0.5)
-        assert flags == [False]
+        flags = match_detections(detections(det(10, 10, 0.9)), [square(30, 30)], 0.5)
+        assert flags.tolist() == [False]
 
     def test_each_gt_claimed_once(self):
-        dets = [det(10, 10, 0.9), det(10.2, 10, 0.8)]
+        dets = detections(det(10, 10, 0.9), det(10.2, 10, 0.8))
         flags = match_detections(dets, [square(10, 10)], 0.5)
-        assert flags == [True, False]
+        assert flags.tolist() == [True, False]
 
     def test_higher_score_claims_first(self):
-        dets = [det(10.2, 10, 0.6), det(10, 10, 0.9)]
+        dets = detections(det(10.2, 10, 0.6), det(10, 10, 0.9))
         flags = match_detections(dets, [square(10, 10)], 0.5)
         # the 0.9 detection wins the only gt; flags stay in input order
-        assert flags == [False, True]
+        assert flags.tolist() == [False, True]
 
     def test_matches_highest_iou_gt(self):
         # detection halfway between two gts, much closer to the second
         gts = [square(14, 10), square(11, 10)]
-        flags = match_detections([det(10, 10, 0.9)], gts, 0.2)
+        flags = match_detections(detections(det(10, 10, 0.9)), gts, 0.2)
         # the second gt is taken, so an exact det on it later is unmatched
-        flags2 = match_detections([det(10, 10, 0.9), det(11, 10, 0.5)], gts, 0.2)
-        assert flags == [True]
-        assert flags2 == [True, False]
+        flags2 = match_detections(detections(det(10, 10, 0.9), det(11, 10, 0.5)),
+                                  gts, 0.2)
+        assert flags.tolist() == [True]
+        assert flags2.tolist() == [True, False]
 
     def test_iou_tie_goes_to_lower_gt_index(self):
         # the first detection sits midway between two gts (IoU 1/3 each) and
         # takes gt 0; the second then finds gt 0 taken and gt 1 too far
         gts = [square(8, 10), square(12, 10)]
-        flags = match_detections([det(10, 10, 0.9), det(8.5, 10, 0.5)], gts, 0.3)
-        assert flags == [True, False]
+        flags = match_detections(detections(det(10, 10, 0.9), det(8.5, 10, 0.5)),
+                                 gts, 0.3)
+        assert flags.tolist() == [True, False]
 
     def test_iou_below_threshold_is_fp(self):
         # 4x4 squares 2 apart: inter 8, union 24, IoU 1/3
-        flags = match_detections([det(12, 10, 0.9)], [square(10, 10)], 0.5)
-        assert flags == [False]
+        flags = match_detections(detections(det(12, 10, 0.9)), [square(10, 10)], 0.5)
+        assert flags.tolist() == [False]
 
     def test_class_mismatch_never_matches(self):
-        flags = match_detections([det(10, 10, 0.9, class_id=1)],
+        flags = match_detections(detections(det(10, 10, 0.9, class_id=1)),
                                  [square(10, 10, class_id=0)], 0.1)
-        assert flags == [False]
+        assert flags.tolist() == [False]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            match_detections([], [], 0.0)
+            match_detections(detections(), [], 0.0)
         with pytest.raises(ValueError):
-            match_detections([], [], 1.5)
+            match_detections(detections(), [], 1.5)
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):
@@ -87,10 +96,9 @@ class TestMatchDetections:
             classes = np.where(rng.uniform(size=len(corners)) < 0.8,
                                classes[gt_idx][owner], classes)
             scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
-            dets = [Detection(QuadBox(corners[i], int(classes[i])),
-                              int(classes[i]), float(scores[i])) for i in det_idx]
+            dets = Detections(corners[det_idx], classes[det_idx], scores[det_idx])
             gts = [QuadBox(corners[j], int(classes[j])) for j in gt_idx]
-            flags = match_detections(dets, gts, threshold)
+            flags = match_detections(dets, gts, threshold).tolist()
             assert flags == greedy_match_reference(
                 corners[det_idx], classes[det_idx], scores[det_idx],
                 corners[gt_idx], classes[gt_idx], threshold)
@@ -180,8 +188,8 @@ class TestMeanAP:
 class TestEvaluate:
     def test_pools_across_images(self):
         dets = {
-            "a": [det(10, 10, 0.9), det(30, 30, 0.8)],   # TP, FP
-            "b": [det(10, 10, 0.7)],                     # TP
+            "a": detections(det(10, 10, 0.9), det(30, 30, 0.8)),   # TP, FP
+            "b": detections(det(10, 10, 0.7)),                     # TP
         }
         gts = {
             "a": [square(10, 10)],
@@ -197,23 +205,23 @@ class TestEvaluate:
         assert report.mean_ap == pytest.approx(expected)
 
     def test_gt_in_one_image_cannot_match_detection_in_another(self):
-        dets = {"a": [det(10, 10, 0.9)]}
+        dets = {"a": detections(det(10, 10, 0.9))}
         gts = {"a": [], "b": [square(10, 10)]}
         report = evaluate(dets, gts, 0.5)
         assert report.per_class[0].ap == 0.0
 
     def test_classes_without_gt_are_excluded(self):
-        dets = {"a": [det(10, 10, 0.9, class_id=0),
-                      det(20, 20, 0.8, class_id=1)]}
+        dets = {"a": detections(det(10, 10, 0.9, class_id=0),
+                                det(20, 20, 0.8, class_id=1))}
         gts = {"a": [square(10, 10, class_id=0)]}
         report = evaluate(dets, gts, 0.5)
         assert set(report.per_class) == {0}
         assert report.mean_ap == pytest.approx(1.0)
 
     def test_multi_class_mean(self):
-        dets = {"a": [det(10, 10, 0.9, class_id=0),
-                      det(40, 40, 0.8, class_id=1),
-                      det(20, 20, 0.7, class_id=1)]}  # second class1 det is FP
+        dets = {"a": detections(det(10, 10, 0.9, class_id=0),
+                                det(40, 40, 0.8, class_id=1),
+                                det(20, 20, 0.7, class_id=1))}  # second class1 det is FP
         gts = {"a": [square(10, 10, class_id=0), square(40, 40, class_id=1)]}
         report = evaluate(dets, gts, 0.5)
         assert report.per_class[0].ap == pytest.approx(1.0)
@@ -222,15 +230,16 @@ class TestEvaluate:
 
     def test_iou_threshold_changes_outcome(self):
         # det offset so IoU is 1/3: TP at 0.25, FP at 0.5
-        dets = {"a": [det(12, 10, 0.9)]}
+        dets = {"a": detections(det(12, 10, 0.9))}
         gts = {"a": [square(10, 10)]}
         assert evaluate(dets, gts, 0.25).mean_ap == pytest.approx(1.0)
         assert evaluate(dets, gts, 0.5).mean_ap == 0.0
 
     def test_no_gt_anywhere_raises(self):
         with pytest.raises(NoClasses):
-            evaluate({"a": [det(1, 1, 0.5)]}, {"a": []}, 0.5)
+            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": []}, 0.5)
 
     def test_curve_attached_to_report(self):
-        report = evaluate({"a": [det(10, 10, 0.9)]}, {"a": [square(10, 10)]}, 0.5)
+        report = evaluate({"a": detections(det(10, 10, 0.9))},
+                          {"a": [square(10, 10)]}, 0.5)
         assert report.per_class[0].curve == [PRPoint(1.0, 1.0, 0.9)]

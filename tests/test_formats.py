@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from polardet.errors import UnknownClass
 from polardet.formats import (AnnotationRecord, DetectionRecord,
                               parse_annotations, parse_detections,
-                              quad_from_record, record_from_detection,
-                              serialize_annotations, serialize_detections)
-from polardet.geometry import QuadBox
-from polardet.postprocess import Detection
+                              quad_from_record, serialize_annotations,
+                              serialize_detections)
 
 
 SAMPLE = """\
@@ -124,20 +122,6 @@ class TestRecordConversion:
         record = AnnotationRecord((0.0,) * 8, "boat", 0)
         with pytest.raises(UnknownClass):
             quad_from_record(record, ["plane", "ship"])
-
-    def test_record_from_detection(self):
-        quad = QuadBox(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]),
-                       class_id=1)
-        record = record_from_detection("img_7", Detection(quad, 1, 0.625),
-                                       ["plane", "ship"])
-        assert record == DetectionRecord(
-            "img_7", 0.625, (0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0), "ship")
-
-    def test_detection_class_out_of_range(self):
-        quad = QuadBox(np.zeros((4, 2)) + [[0, 0], [1, 0], [1, 1], [0, 1]],
-                       class_id=5)
-        with pytest.raises(UnknownClass):
-            record_from_detection("x", Detection(quad, 5, 0.5), ["only"])
 
 
 class TestSerializers:

@@ -331,49 +331,53 @@ class TestPairwiseIoU:
 
 
 class TestOrientedNMS:
-    def _box(self, cx, cy, size=4.0):
+    def _squares(self, *centers, size=4.0):
         half = size / 2
-        return QuadBox(np.array([[cx - half, cy - half], [cx + half, cy - half],
-                                 [cx + half, cy + half], [cx - half, cy + half]]))
+        return np.array([[[cx - half, cy - half], [cx + half, cy - half],
+                          [cx + half, cy + half], [cx - half, cy + half]]
+                         for cx, cy in centers]).reshape(-1, 4, 2)
 
     def test_suppresses_heavy_overlap(self):
-        dets = [(self._box(10, 10), 0.9), (self._box(10.5, 10), 0.8),
-                (self._box(30, 30), 0.7)]
-        assert oriented_nms(dets, 0.5) == [0, 2]
+        corners = self._squares((10, 10), (10.5, 10), (30, 30))
+        assert oriented_nms(corners, [0.9, 0.8, 0.7], [0, 0, 0], 0.5) == [0, 2]
 
     def test_keeps_everything_below_threshold(self):
-        dets = [(self._box(10, 10), 0.5), (self._box(16, 10), 0.9)]
+        corners = self._squares((10, 10), (16, 10))
         # IoU of 4x4 squares 6 apart is 0
-        assert sorted(oriented_nms(dets, 0.1)) == [0, 1]
+        assert sorted(oriented_nms(corners, [0.5, 0.9], [0, 0], 0.1)) == [0, 1]
 
     def test_returns_descending_score_order(self):
-        dets = [(self._box(10, 10), 0.2), (self._box(30, 10), 0.9),
-                (self._box(50, 10), 0.5)]
-        assert oriented_nms(dets, 0.5) == [1, 2, 0]
+        corners = self._squares((10, 10), (30, 10), (50, 10))
+        assert oriented_nms(corners, [0.2, 0.9, 0.5], [0, 0, 0], 0.5) == [1, 2, 0]
 
     def test_score_tie_prefers_lower_index(self):
-        dets = [(self._box(10, 10), 0.5), (self._box(10.2, 10), 0.5)]
-        assert oriented_nms(dets, 0.3) == [0]
+        corners = self._squares((10, 10), (10.2, 10))
+        assert oriented_nms(corners, [0.5, 0.5], [0, 0], 0.3) == [0]
+
+    def test_other_class_never_suppresses(self):
+        corners = self._squares((10, 10), (10, 10))
+        assert oriented_nms(corners, [0.9, 0.8], [0, 1], 0.5) == [0, 1]
+        assert oriented_nms(corners, [0.9, 0.8], [1, 1], 0.5) == [0]
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
-            oriented_nms([(self._box(0, 0), math.nan)], 0.5)
+            oriented_nms(self._squares((0, 0)), [math.nan], [0], 0.5)
 
     def test_empty_input(self):
-        assert oriented_nms([], 0.5) == []
+        assert oriented_nms(np.empty((0, 4, 2)), [], [], 0.5) == []
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
                                            -0.1, 1.5])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
-        disjoint = [(self._box(10 * k, 0), 0.5) for k in range(3)]
+        disjoint = self._squares(*((10 * k, 0) for k in range(3)))
         with pytest.raises(ValueError):
-            oriented_nms(disjoint, threshold)
+            oriented_nms(disjoint, [0.5] * 3, [0] * 3, threshold)
 
     def test_threshold_bounds_accepted(self):
-        dets = [(self._box(10, 10), 0.9), (self._box(10, 10), 0.8),
-                (self._box(30, 30), 0.7)]
-        assert oriented_nms(dets, 0.0) == [0, 2]
-        assert oriented_nms(dets, 1.0) == [0, 1, 2]
+        corners = self._squares((10, 10), (10, 10), (30, 30))
+        scores, classes = [0.9, 0.8, 0.7], [0, 0, 0]
+        assert oriented_nms(corners, scores, classes, 0.0) == [0, 2]
+        assert oriented_nms(corners, scores, classes, 1.0) == [0, 1, 2]
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):
@@ -383,9 +387,28 @@ class TestOrientedNMS:
             corners, _owner = jittered_scene(rng, num_objects=6, copies=3)
             # one decimal makes score ties, exercising the index tie-break
             scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1).tolist()
-            kept = oriented_nms([(QuadBox(c), s) for c, s in zip(corners, scores)],
-                                threshold)
+            kept = oriented_nms(corners, scores, [0] * len(corners), threshold)
             assert kept == greedy_nms_reference(corners, scores, threshold)
+            suppressed += len(corners) - len(kept)
+        assert suppressed > 0
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
+    def test_mixed_classes_match_per_class_reference(self, threshold):
+        rng = np.random.default_rng(round(threshold * 100) + 7)
+        suppressed = 0
+        for _ in range(15):
+            corners, _owner = jittered_scene(rng, num_objects=6, copies=3)
+            scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
+            classes = rng.integers(0, 3, len(corners))
+            kept = oriented_nms(corners, scores, classes, threshold)
+            expected = set()
+            for c in range(3):
+                members = np.flatnonzero(classes == c)
+                expected.update(members[greedy_nms_reference(
+                    corners[members], scores[members].tolist(), threshold)].tolist())
+            assert set(kept) == expected
+            # kept in descending score order, ties by lower index
+            assert kept == sorted(kept, key=lambda i: (-scores[i], i))
             suppressed += len(corners) - len(kept)
         assert suppressed > 0
 

@@ -3,9 +3,11 @@
 ``perfbench/`` reaches into the package from outside ``src/``:
 ``spans.conv_shapes`` swaps ``Conv2d.forward`` for a one-argument function to
 read the layer shapes, and ``spans.Tracer`` wraps public functions and the
-Conv2d and Adam methods by name. A signature change there crashes the
-benchmark before it prints a result line, and nothing else in the suite runs
-that code. The check runs in a subprocess because importing
+Conv2d and Adam methods by name, and counts boxes with ``len()`` on what
+``decode_poles`` and ``oriented_nms`` take and return. A signature change
+there crashes the benchmark before it prints a result line, or makes a
+counter read something other than a box count, and nothing else in the
+suite runs that code. The check runs in a subprocess because importing
 ``perfbench/run.py`` pins the BLAS thread variables in ``os.environ``.
 """
 
@@ -25,10 +27,11 @@ import run
 import spans
 
 import numpy as np
-from polardet import toynet
+from polardet import geometry, postprocess, toynet
 from polardet.encoding import GridConfig, encode_regression
 from polardet.geometry import Point2, PolarBox
 from polardet.losses import LossConfig
+from polardet.postprocess import PolePoint
 
 counts = run.kernel_counts(256)
 net = toynet.ToyNet(num_classes=2, base_channels=2)
@@ -37,12 +40,23 @@ images = rng.uniform(0, 1, (2, 32, 32))
 grid = GridConfig(32, 32, 4, 2)
 targets = [encode_regression([PolarBox(Point2(14.0, 18.0), 5.0, 0.5, 1.6, k)],
                              grid) for k in (0, 1)]
+# five boxes of radius 6 px: the class-0 pair one cell apart overlaps at
+# IoU 0.3, so one of them goes; the class-1 box on the same cell stays
+poles = [PolePoint(0, 2, 2, 0.9), PolePoint(0, 3, 2, 0.8), PolePoint(1, 3, 2, 0.7),
+         PolePoint(1, 6, 6, 0.6), PolePoint(0, 6, 1, 0.5)]
+plane = np.ones((8, 8))
 with spans.Tracer().installed() as tracer:
     planes = toynet.predict_planes(net, images[0])
     loss = toynet.compute_batch_loss(net, toynet.image_to_input(images),
                                      targets, LossConfig())
+    dets = postprocess.decode_poles(poles, 1.5 * plane, 0.5 * plane, 2.0 * plane,
+                                    grid).detections
+    kept = geometry.oriented_nms(dets.corners, dets.score, dets.class_id, 0.2)
 print(json.dumps({"counts": counts, "spans": sorted({s[0] for s in tracer.spans}),
-                  "heat_shape": list(planes[0].shape), "loss": loss.total}))
+                  "heat_shape": list(planes[0].shape), "loss": loss.total,
+                  "boxes": {"decoded": len(dets.score), "kept": len(kept)},
+                  "box_counts": {k: v for k, v in tracer.counts.items()
+                                 if k.startswith(("postprocess.", "geometry."))}}))
 """
 
 
@@ -58,5 +72,10 @@ def test_kernel_counts_and_tracer_run_on_the_package():
     for name in ("toynet.predict_planes", "toynet.compute_batch_loss",
                  "toynet.stem.fwd", "toynet.stem.bwd", "toynet.head.fwd",
                  "toynet.head.bwd", "losses.pole_focal_loss",
-                 "losses.total_regression_loss"):
+                 "losses.total_regression_loss", "postprocess.decode_poles",
+                 "geometry.oriented_nms"):
         assert name in got["spans"]
+    # the counters read box counts, not the number of fields of a record
+    assert got["boxes"] == {"decoded": 5, "kept": 4}
+    assert got["box_counts"] == {"postprocess.decoded": 5, "geometry.nms_in": 5,
+                                 "geometry.nms_kept": 4}

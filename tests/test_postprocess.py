@@ -6,9 +6,8 @@ from scipy import ndimage
 
 from polardet.encoding import GridConfig, encode_regression
 from polardet.errors import ShapeError
-from polardet.geometry import Point2, PolarBox, polar_to_quad, quad_to_polar
-from polardet.postprocess import (binarize, connected_components,
-                                  decode_detections, decode_poles,
+from polardet.geometry import Point2, PolarBox, QuadBox, polar_to_quad, quad_to_polar
+from polardet.postprocess import (binarize, connected_components, decode_poles,
                                   extract_pole_points, topk_extract, PolePoint)
 
 from oracles import brute_force_components, decode_poles_reference, scan_components
@@ -193,16 +192,15 @@ class TestDecoding:
         rho, t1, t2 = self._planes(cfg, {(3, 2): (1.5, 0.5, 2.0)})
         result = decode_poles([PolePoint(0, 3, 2, 0.9)], rho, t1, t2, cfg)
         assert len(result.detections) == 1
-        det = result.detections[0]
-        assert det.score == 0.9
+        assert result.detections.score.tolist() == [0.9]
         expected = polar_to_quad(PolarBox(Point2(14.0, 10.0), 6.0, 0.5, 2.0))
-        np.testing.assert_allclose(det.quad.corners, expected.corners)
+        np.testing.assert_allclose(result.detections.corners[0], expected.corners)
 
     def test_radius_rescaled_by_stride(self):
         cfg = GridConfig(128, 128, 8)
         rho, t1, t2 = self._planes(cfg, {(1, 1): (2.0, 0.4, 1.9)})
         result = decode_poles([PolePoint(0, 1, 1, 0.5)], rho, t1, t2, cfg)
-        back = quad_to_polar(result.detections[0].quad)
+        back = quad_to_polar(QuadBox(result.detections.corners[0]))
         assert back.rho == pytest.approx(16.0)
 
     def test_invalid_regression_dropped_and_counted(self):
@@ -217,7 +215,7 @@ class TestDecoding:
         result = decode_poles(poles, rho, t1, t2, cfg)
         assert result.dropped_invalid == 3
         assert len(result.detections) == 1
-        assert result.detections[0].quad.corners.mean(axis=0) == pytest.approx((18.0, 18.0))
+        assert result.detections.corners[0].mean(axis=0) == pytest.approx((18.0, 18.0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(4))
@@ -241,18 +239,20 @@ class TestDecoding:
         expected, dropped = decode_poles_reference(poles, rho, t1, t2, cfg.stride)
         assert 0 < dropped < len(poles)
         assert result.dropped_invalid == dropped
-        assert len(result.detections) == len(expected)
-        for det, (corners, class_id, score) in zip(result.detections, expected):
-            assert det.quad.corners.dtype == np.float64
-            assert det.quad.corners.tobytes() == corners.tobytes()
-            assert det.class_id == det.quad.class_id == class_id
-            assert det.score == score
+        dets = result.detections
+        assert len(dets) == len(expected)
+        assert dets.corners.dtype == np.float64
+        for k, (corners, class_id, score) in enumerate(expected):
+            assert dets.corners[k].tobytes() == corners.tobytes()
+            assert dets.class_id[k] == class_id
+            assert dets.score[k] == score
 
     def test_empty_pole_list(self):
         cfg = GridConfig(64, 64, 4)
         plane = np.ones((16, 16), dtype=np.float32)
         result = decode_poles([], plane, plane, plane, cfg)
-        assert result.detections == [] and result.dropped_invalid == 0
+        assert len(result.detections) == 0 and result.dropped_invalid == 0
+        assert result.detections.corners.shape == (0, 4, 2)
         assert decode_poles_reference([], plane, plane, plane, 4) == ([], 0)
 
     def test_nan_radius_is_not_dropped_and_raises(self):
@@ -271,12 +271,6 @@ class TestDecoding:
         with pytest.raises(ShapeError):
             decode_poles([], good, good, np.zeros((8, 8)), cfg)
 
-    def test_decode_detections_validates_heatmap_shape(self):
-        cfg = GridConfig(64, 64, 4, num_classes=2)
-        plane = np.zeros((16, 16))
-        with pytest.raises(ShapeError):
-            decode_detections(np.zeros((1, 16, 16)), plane, plane, plane, 0.3, cfg)
-
     def test_encode_decode_round_trip(self):
         rng = np.random.default_rng(21)
         cfg = GridConfig(64, 64, 4, num_classes=2)
@@ -294,17 +288,17 @@ class TestDecoding:
                                       t1 + rng.uniform(0.5, 1.5),
                                       int(rng.integers(2))))
             sample = encode_regression(boxes, cfg)
-            result = decode_detections(sample.heatmap, sample.rho, sample.theta1,
-                                       sample.theta2, 0.3, cfg)
-            assert len(result.detections) == 3
+            result = decode_poles(extract_pole_points(sample.heatmap, 0.3),
+                                  sample.rho, sample.theta1, sample.theta2, cfg)
+            dets = result.detections
+            assert len(dets) == 3
             assert result.dropped_invalid == 0
+            centers = dets.corners.mean(axis=1)
             for box in boxes:
-                best = min(result.detections,
-                           key=lambda d: math.hypot(
-                               d.quad.corners.mean(axis=0)[0] - box.pole.x,
-                               d.quad.corners.mean(axis=0)[1] - box.pole.y))
-                back = quad_to_polar(best.quad)
-                assert best.class_id == box.class_id
+                best = int(np.argmin(np.hypot(centers[:, 0] - box.pole.x,
+                                              centers[:, 1] - box.pole.y)))
+                back = quad_to_polar(QuadBox(dets.corners[best]))
+                assert dets.class_id[best] == box.class_id
                 # pole recovered to the cell center, radius and angles exactly
                 assert abs(back.pole.x - box.pole.x) <= 2.0
                 assert abs(back.pole.y - box.pole.y) <= 2.0

@@ -599,7 +599,7 @@ class TestCheckpoint:
         # scenes the detections agree in count and class, with corners and
         # scores within 1e-3 (float32 rounding moves them by about 1e-5)
         from polardet.geometry import quad_to_polar
-        from polardet.postprocess import decode_detections
+        from polardet.postprocess import decode_poles, extract_pole_points
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
         grid = GridConfig(32, 32, 4, 2)
@@ -614,16 +614,19 @@ class TestCheckpoint:
         assert loaded.dtype == np.float32
         for p, q in zip(net.parameters(), loaded.parameters()):
             assert p.value.tobytes() == q.value.tobytes()
+
+        def decode(model, img):
+            heat, *reg = predict_planes(model, img)
+            return decode_poles(extract_pole_points(heat, 0.3), *reg, grid).detections
+
         total = 0
         for _iid, img, _boxes in generate_dataset(spec, 10, 99):
-            ref, got = (decode_detections(*predict_planes(m, img), 0.3, grid)
-                        for m in (net, loaded))
-            assert len(got.detections) == len(ref.detections)
-            total += len(ref.detections)
-            for d, r in zip(got.detections, ref.detections):
-                assert d.class_id == r.class_id
-                assert np.abs(d.quad.corners - r.quad.corners).max() < 1e-3
-                assert abs(d.score - r.score) < 1e-3
+            ref, got = decode(net, img), decode(loaded, img)
+            assert len(got) == len(ref)
+            total += len(ref)
+            np.testing.assert_array_equal(got.class_id, ref.class_id)
+            assert np.abs(got.corners - ref.corners).max(initial=0.0) < 1e-3
+            assert np.abs(got.score - ref.score).max(initial=0.0) < 1e-3
         assert total >= 5
 
     def test_wrong_magic_rejected(self, tmp_path):
