@@ -14,11 +14,12 @@ from polardet import cli
 from polardet.evaluation import evaluate
 
 
-def _mean_ap(data_dir, dets_path, iou: float) -> float:
+def _mean_aps(data_dir, dets_path) -> list[float]:
+    """mAP at IoU 0.5 and 0.75."""
     names, items = cli._load_dataset(data_dir)
     gt = cli._load_ground_truth(items, names)
     dets = cli._detections_by_image(Path(dets_path).read_text(), names)
-    return evaluate(dets, gt, iou).mean_ap
+    return [r.mean_ap for r in evaluate(dets, gt, [0.5, 0.75])]
 
 
 def main() -> int:
@@ -61,8 +62,7 @@ def main() -> int:
             code = cli.main(step)
             if code != 0:
                 return code
-        rows.append((tag, lam, _mean_ap(eval_dir, dets, 0.5),
-                     _mean_ap(eval_dir, dets, 0.75)))
+        rows.append((tag, lam, *_mean_aps(eval_dir, dets)))
 
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -262,8 +262,7 @@ def cmd_eval(args) -> int:
     class_names, items = _load_dataset(args.data)
     gt = _load_ground_truth(items, class_names)
     dets = _detections_by_image(Path(args.detections).read_text(), class_names)
-    for iou in args.iou:
-        report = evaluate(dets, gt, iou)
+    for iou, report in zip(args.iou, evaluate(dets, gt, args.iou)):
         print(f"IoU {iou:.2f}: mAP {report.mean_ap:.4f}")
         for c, ce in sorted(report.per_class.items()):
             print(f"  {class_names[c]}: AP {ce.ap:.4f} "

@@ -11,6 +11,7 @@ all-point interpolation (area under the precision envelope).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +45,13 @@ class EvalReport:
 
 
 def match_detections(detections: Detections, ground_truth: list[QuadBox],
-                     iou_threshold: float) -> np.ndarray:
-    """Greedy matching; returns a (D,) bool TP flag per detection in input order."""
-    if not 0.0 < iou_threshold <= 1.0:
+                     iou_thresholds: Sequence[float]) -> np.ndarray:
+    """Greedy matching at each threshold; returns (T, D) bool TP flags, one
+    row per threshold, detections in input order. The class-masked IoU
+    matrix is built once and serves every threshold."""
+    if not all(0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError("iou_threshold must lie in (0, 1]")
-    flags = np.zeros(len(detections), dtype=bool)
+    flags = np.zeros((len(iou_thresholds), len(detections)), dtype=bool)
     if not ground_truth:
         return flags
     iou = pairwise_iou(detections.corners,
@@ -57,11 +60,14 @@ def match_detections(detections: Detections, ground_truth: list[QuadBox],
     # zero marks a ground truth a detection cannot claim: another class,
     # or already taken; the threshold is positive, so zero never matches
     iou[detections.class_id[:, None] != gt_classes[None, :]] = 0.0
-    for i in np.argsort(-detections.score, kind="stable").tolist():
-        j = int(np.argmax(iou[i]))  # the lowest index wins ties
-        if iou[i, j] >= iou_threshold:
-            iou[:, j] = 0.0
-            flags[i] = True
+    order = np.argsort(-detections.score, kind="stable").tolist()
+    for row, threshold in zip(flags, iou_thresholds):
+        free = iou.copy()
+        for i in order:
+            j = int(np.argmax(free[i]))  # the lowest index wins ties
+            if free[i, j] >= threshold:
+                free[:, j] = 0.0
+                row[i] = True
     return flags
 
 
@@ -108,30 +114,35 @@ def mean_ap(per_class_ap: dict[int, float]) -> float:
 
 def evaluate(detections_by_image: dict[str, Detections],
              ground_truth_by_image: dict[str, list[QuadBox]],
-             iou_threshold: float = 0.5) -> EvalReport:
-    """Pool matches across images and compute per-class AP and mAP.
+             iou_thresholds: Sequence[float]) -> list[EvalReport]:
+    """Pool matches across images and compute per-class AP and mAP, one
+    report per IoU threshold, in the order given.
 
     Classes with zero ground-truth instances are excluded from the mean;
     detections for such classes still exist but have no defined recall.
     """
     num_gt = Counter(g.class_id for gts in ground_truth_by_image.values() for g in gts)
     scores: dict[int, list[float]] = defaultdict(list)
-    flags: dict[int, list[bool]] = defaultdict(list)
+    flags: list[dict[int, list[bool]]] = [defaultdict(list) for _ in iou_thresholds]
     for img in sorted(detections_by_image):
         dets = detections_by_image[img]
         img_flags = match_detections(dets, ground_truth_by_image.get(img, []),
-                                     iou_threshold)
+                                     iou_thresholds)
         for c in np.unique(dets.class_id).tolist():
             mine = dets.class_id == c
             scores[c].extend(dets.score[mine].tolist())
-            flags[c].extend(img_flags[mine].tolist())
+            for by_class, row in zip(flags, img_flags):
+                by_class[c].extend(row[mine].tolist())
 
-    report = EvalReport(iou_threshold=iou_threshold, mean_ap=0.0)
-    aps: dict[int, float] = {}
-    for c in sorted(num_gt):
-        curve = precision_recall_curve(scores[c], flags[c], num_gt[c])
-        ap = average_precision(curve, num_gt[c])
-        aps[c] = ap
-        report.per_class[c] = ClassEval(c, ap, num_gt[c], len(scores[c]), curve)
-    report.mean_ap = mean_ap(aps)
-    return report
+    reports = []
+    for iou_threshold, by_class in zip(iou_thresholds, flags):
+        report = EvalReport(iou_threshold=iou_threshold, mean_ap=0.0)
+        aps: dict[int, float] = {}
+        for c in sorted(num_gt):
+            curve = precision_recall_curve(scores[c], by_class[c], num_gt[c])
+            ap = average_precision(curve, num_gt[c])
+            aps[c] = ap
+            report.per_class[c] = ClassEval(c, ap, num_gt[c], len(scores[c]), curve)
+        report.mean_ap = mean_ap(aps)
+        reports.append(report)
+    return reports

@@ -11,8 +11,17 @@ Every layer's ``forward`` caches what its backward pass needs, so the
 training loop is forward -> loss gradients on the activated outputs ->
 backward -> Adam. No autodiff framework is involved; the analytic gradients
 are validated against finite differences in the test suite. Inference calls
-the layers instead (``ToyNet.predict``): the same arithmetic, bit for bit,
-with nothing cached, so only one layer's im2col columns are alive at a time.
+the layers instead (``ToyNet.predict``): the same sums, with nothing cached,
+so only one layer's columns are alive at a time.
+
+Each conv is one matrix product per direction over im2col columns. The
+training forward keeps (n, oy, ox) columns (``_im2col``): the weight
+gradient's GEMM reduces over them, and that order fixes its bits. The
+inference forward and every input gradient lay the same columns on the
+padded input's row pitch (``_pitched_cols``, ``_col2im``), where each 3x3
+tap is one long slice. They give the same bits at the reference shapes;
+elsewhere OpenBLAS may round a product with the changed column count a few
+ulps differently.
 
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
@@ -70,28 +79,105 @@ def _im2col(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int]]:
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow), (oh, ow)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int) -> np.ndarray:
-    """Scatter-add (C*9, N*oh*ow) column gradients back to (N, C, H, W)."""
-    n, c, h, w = x_shape
-    oh, ow = _out_len(h, stride), _out_len(w, stride)
-    dc = dcols.reshape(c, 3, 3, n, oh, ow)
-    dxp = np.zeros((c, n, h + 2, w + 2), dtype=dcols.dtype)
+def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, list]:
+    """(oh, ow, pitch, rows, phases): the phase planes of a padded (h, w) map.
+
+    The map, zero-padded by one, is split into stride x stride phase planes
+    of ``rows`` rows of ``pitch`` columns: padded pixel (s*r + a, s*q + b)
+    sits on plane (a, b) at row r, column q. Flattened, output cell
+    (oy, ox) sits at oy*pitch + ox, and tap (ki, kj) reads plane
+    (ki % s, kj % s) at offset (ki // s)*pitch + kj // s from it, so each
+    tap is one slice of oh*pitch elements. Of each row's ``pitch`` cells
+    the last ``pitch - ow`` are junk (2 at stride 1, 1 at stride 2): a tap
+    reaches 2 // s rows and columns past its output cell, and the junk of
+    the last row reads into one spare row. ``phases`` pairs, per plane, the
+    index of the (C, N, H, W) pixels it holds with the index of their cells
+    in the (s, s, C, N, rows, pitch) planes.
+    """
+    s = stride
+    oh, ow = _out_len(h, s), _out_len(w, s)
+
+    def axis(size: int, phase: int) -> tuple[slice, slice]:
+        # pixel i is padded position i + 1: phase (i + 1) % s, cell (i + 1) // s
+        first = (phase - 1) % s
+        start = (first + 1) // s
+        return slice(first, None, s), slice(start, start + len(range(first, size, s)))
+
+    phases = []
+    for a in range(s):
+        ys, rs = axis(h, a)
+        for b in range(s):
+            xs, cs = axis(w, b)
+            phases.append(((..., ys, xs), (a, b, ..., rs, cs)))
+    return oh, ow, ow + 2 // s, oh + 2 // s + 1, phases
+
+
+def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """(N, C, H, W) -> (C*9, N*oh*pitch) columns and (oh, ow, pitch).
+
+    Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
+    the row pitch; the ``ox < ow`` columns equal ``_im2col``'s, the others
+    are junk whose products the caller drops.
+    """
+    n, c, h, w = x.shape
+    s = stride
+    oh, ow, pitch, rows, phases = _pitched_layout(h, w, s)
+    planes = np.zeros((s, s, c, n, rows, pitch), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for pixels, cells in phases:
+        planes[cells] = xt[pixels]
+    planes = planes.reshape(s, s, c, n, rows * pitch)
+    span = oh * pitch
+    cols = np.empty((c, 3, 3, n, span), dtype=x.dtype)
     for ki in range(3):
         for kj in range(3):
-            dxp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
-                kj:kj + stride * (ow - 1) + 1:stride] += dc[:, ki, kj]
-    return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+            off = ki // s * pitch + kj // s
+            cols[:, ki, kj] = planes[ki % s, kj % s, :, :, off:off + span]
+    return cols.reshape(c * 9, n * span), (oh, ow, pitch)
+
+
+def _col2im(dmat: np.ndarray, wmat: np.ndarray, x_shape: tuple,
+            stride: int) -> np.ndarray:
+    """Input gradient (N, C, H, W) from the (O, N*oh*ow) output gradient.
+
+    ``dmat`` is copied onto the row pitch with exact-zero junk columns and
+    multiplied once by ``wmat.T``; the nine taps are then added, in tap
+    order, as one slice each into the phase planes of ``_pitched_layout``,
+    and the planes are copied out to the pixels once. A pixel receives the
+    same column gradients in the same order as from the (n, oy, ox) columns
+    of ``_im2col``; the zeros of the junk columns change no sum.
+    """
+    n, c, h, w = x_shape
+    s = stride
+    oh, ow, pitch, rows, phases = _pitched_layout(h, w, s)
+    out_ch = wmat.shape[0]
+    dpitch = np.zeros((out_ch, n * oh, pitch), dtype=dmat.dtype)
+    dpitch[:, :, :ow] = dmat.reshape(out_ch, n * oh, ow)
+    span = oh * pitch
+    dcols = (wmat.T @ dpitch.reshape(out_ch, -1)).reshape(c, 3, 3, n, span)
+    planes = np.zeros((s, s, c, n, rows * pitch), dtype=dmat.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            off = ki // s * pitch + kj // s
+            planes[ki % s, kj % s, :, :, off:off + span] += dcols[:, ki, kj]
+    planes = planes.reshape(s, s, c, n, rows, pitch)
+    dx = np.empty((c, n, h, w), dtype=dmat.dtype)
+    for pixels, cells in phases:
+        dx[pixels] = planes[cells]
+    return dx.transpose(1, 0, 2, 3)
 
 
 class Conv2d:
     """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias.
 
     Both directions are single matrix products over the whole batch: the
-    columns of every image sit side by side in one (C*9, N*oh*ow) matrix.
-    They run in ``dtype``; the float64 weight is cast once per call, and the
-    weight and bias gradients accumulate into float64. ``forward`` keeps the
-    columns for ``backward``; calling the layer returns the same output and
-    lets them go.
+    columns of every image sit side by side in one (C*9, N*oh*ow) matrix
+    (``_im2col``), or (C*9, N*oh*pitch) on the row pitch (``_pitched_cols``,
+    ``_col2im``). They run in ``dtype``; the float64 weight is cast once per
+    call, and the weight and bias gradients accumulate into float64.
+    ``forward`` keeps its (n, oy, ox) columns for the weight gradient in
+    ``backward``, whose input gradient runs on the pitch; calling the layer
+    computes the same output on the pitch and keeps nothing.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
@@ -110,21 +196,23 @@ class Conv2d:
     def _wmat(self) -> np.ndarray:
         return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
-    def _product(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, output): im2col -> GEMM -> bias -> (N, O, oh, ow) view."""
-        cols, (oh, ow) = _im2col(x.astype(self.dtype, copy=False), self.stride)
+    def _affine(self, cols: np.ndarray) -> np.ndarray:
         y = self._wmat() @ cols
         y += self.bias.value.astype(self.dtype, copy=False)[:, None]
-        return cols, y.reshape(self.out_ch, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+        return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._product(x)[1]
+        cols, (oh, ow, pitch) = _pitched_cols(x.astype(self.dtype, copy=False),
+                                              self.stride)
+        y = self._affine(cols).reshape(self.out_ch, x.shape[0], oh, pitch)
+        return y[..., :ow].transpose(1, 0, 2, 3)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = None  # so two sets of columns are never live at once
-        cols, y = self._product(x)
+        cols, (oh, ow) = _im2col(x.astype(self.dtype, copy=False), self.stride)
         self._cache = (x.shape, cols)
-        return y
+        y = self._affine(cols).reshape(self.out_ch, x.shape[0], oh, ow)
+        return y.transpose(1, 0, 2, 3)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
@@ -136,7 +224,7 @@ class Conv2d:
         self.bias.grad += dmat.sum(axis=1)
         if not self.input_grad:  # a layer reading the image: nothing uses dx
             return None
-        return _col2im(self._wmat().T @ dmat, x_shape, self.stride)
+        return _col2im(dmat, self._wmat(), x_shape, self.stride)
 
 
 class ReLU:
@@ -176,13 +264,10 @@ class ResidualBlock:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # stable in both tails: exp only sees -|z|; min(z, -z) rather than
+    # -abs(z) keeps the sign of a NaN, so a NaN passes through as it came
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

@@ -4,8 +4,9 @@ Nothing here shares code with the package: areas come from Monte Carlo
 sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
 and matching from plain per-pair loops over that clip, gradients from
 finite differences, connected components from scipy, neighbour
-expansion or a full row-major scan, and decoded corners from one scalar
-``math`` formula per pole. Tests compare
+expansion or a full row-major scan, decoded corners from one scalar
+``math`` formula per pole, and conv input gradients from one strided add
+per tap over the (n, oy, ox) columns. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -448,4 +449,29 @@ def encode_records_reference(records_per_image, class_names, cfg):
             window = target["heatmap"][class_id, y0:y1 + 1, x0:x1 + 1]
             np.maximum(window, kernel, out=window)
         out.append(target)
+    return out
+
+
+def col2im_reference(dcols: np.ndarray, x_shape: tuple, stride: int) -> np.ndarray:
+    """Scatter-add (C*9, N*oh*ow) column gradients, columns in (n, oy, ox)
+    order as ``toynet._im2col`` lays them out, back to (N, C, H, W): one
+    strided add per tap, taps in (ki, kj) order."""
+    n, c, h, w = x_shape
+    oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+    dc = dcols.reshape(c, 3, 3, n, oh, ow)
+    dxp = np.zeros((c, n, h + 2, w + 2), dtype=dcols.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, :, ki:ki + stride * (oh - 1) + 1:stride,
+                kj:kj + stride * (ow - 1) + 1:stride] += dc[:, ki, kj]
+    return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """Logistic function, one masked pass per sign of ``z``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
     return out

@@ -181,7 +181,7 @@ def _pipeline_eval(eval_dir, dets_path, iou):
     class_names, items = cli._load_dataset(eval_dir)
     gt = cli._load_ground_truth(items, class_names)
     dets = cli._detections_by_image(dets_path.read_text(), class_names)
-    return evaluate(dets, gt, iou), class_names
+    return evaluate(dets, gt, [iou])[0], class_names
 
 
 def test_criterion_7_end_to_end_pipeline(tmp_path):

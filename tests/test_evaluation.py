@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polardet import evaluation
 from polardet.errors import NoClasses, UndefinedRecall
 from polardet.evaluation import (average_precision, evaluate, match_detections,
                                  mean_ap, precision_recall_curve, PRPoint)
@@ -30,57 +31,57 @@ def detections(*items):
 
 class TestMatchDetections:
     def test_perfect_overlap_is_tp(self):
-        flags = match_detections(detections(det(10, 10, 0.9)), [square(10, 10)], 0.5)
-        assert flags.tolist() == [True]
+        flags = match_detections(detections(det(10, 10, 0.9)), [square(10, 10)], [0.5])
+        assert flags.tolist() == [[True]]
 
     def test_disjoint_is_fp(self):
-        flags = match_detections(detections(det(10, 10, 0.9)), [square(30, 30)], 0.5)
-        assert flags.tolist() == [False]
+        flags = match_detections(detections(det(10, 10, 0.9)), [square(30, 30)], [0.5])
+        assert flags.tolist() == [[False]]
 
     def test_each_gt_claimed_once(self):
         dets = detections(det(10, 10, 0.9), det(10.2, 10, 0.8))
-        flags = match_detections(dets, [square(10, 10)], 0.5)
-        assert flags.tolist() == [True, False]
+        flags = match_detections(dets, [square(10, 10)], [0.5])
+        assert flags.tolist() == [[True, False]]
 
     def test_higher_score_claims_first(self):
         dets = detections(det(10.2, 10, 0.6), det(10, 10, 0.9))
-        flags = match_detections(dets, [square(10, 10)], 0.5)
+        flags = match_detections(dets, [square(10, 10)], [0.5])
         # the 0.9 detection wins the only gt; flags stay in input order
-        assert flags.tolist() == [False, True]
+        assert flags.tolist() == [[False, True]]
 
     def test_matches_highest_iou_gt(self):
         # detection halfway between two gts, much closer to the second
         gts = [square(14, 10), square(11, 10)]
-        flags = match_detections(detections(det(10, 10, 0.9)), gts, 0.2)
+        flags = match_detections(detections(det(10, 10, 0.9)), gts, [0.2])
         # the second gt is taken, so an exact det on it later is unmatched
         flags2 = match_detections(detections(det(10, 10, 0.9), det(11, 10, 0.5)),
-                                  gts, 0.2)
-        assert flags.tolist() == [True]
-        assert flags2.tolist() == [True, False]
+                                  gts, [0.2])
+        assert flags.tolist() == [[True]]
+        assert flags2.tolist() == [[True, False]]
 
     def test_iou_tie_goes_to_lower_gt_index(self):
         # the first detection sits midway between two gts (IoU 1/3 each) and
         # takes gt 0; the second then finds gt 0 taken and gt 1 too far
         gts = [square(8, 10), square(12, 10)]
         flags = match_detections(detections(det(10, 10, 0.9), det(8.5, 10, 0.5)),
-                                 gts, 0.3)
-        assert flags.tolist() == [True, False]
+                                 gts, [0.3])
+        assert flags.tolist() == [[True, False]]
 
     def test_iou_below_threshold_is_fp(self):
         # 4x4 squares 2 apart: inter 8, union 24, IoU 1/3
-        flags = match_detections(detections(det(12, 10, 0.9)), [square(10, 10)], 0.5)
-        assert flags.tolist() == [False]
+        flags = match_detections(detections(det(12, 10, 0.9)), [square(10, 10)], [0.5])
+        assert flags.tolist() == [[False]]
 
     def test_class_mismatch_never_matches(self):
         flags = match_detections(detections(det(10, 10, 0.9, class_id=1)),
-                                 [square(10, 10, class_id=0)], 0.1)
-        assert flags.tolist() == [False]
+                                 [square(10, 10, class_id=0)], [0.1])
+        assert flags.tolist() == [[False]]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            match_detections(detections(), [], 0.0)
+            match_detections(detections(), [], [0.0])
         with pytest.raises(ValueError):
-            match_detections(detections(), [], 1.5)
+            match_detections(detections(), [], [0.5, 1.5])
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):
@@ -98,7 +99,7 @@ class TestMatchDetections:
             scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
             dets = Detections(corners[det_idx], classes[det_idx], scores[det_idx])
             gts = [QuadBox(corners[j], int(classes[j])) for j in gt_idx]
-            flags = match_detections(dets, gts, threshold).tolist()
+            [flags] = match_detections(dets, gts, [threshold]).tolist()
             assert flags == greedy_match_reference(
                 corners[det_idx], classes[det_idx], scores[det_idx],
                 corners[gt_idx], classes[gt_idx], threshold)
@@ -195,7 +196,7 @@ class TestEvaluate:
             "a": [square(10, 10)],
             "b": [square(10, 10), square(50, 50)],
         }
-        report = evaluate(dets, gts, 0.5)
+        [report] = evaluate(dets, gts, [0.5])
         ce = report.per_class[0]
         assert ce.num_gt == 3
         assert ce.num_det == 3
@@ -207,14 +208,14 @@ class TestEvaluate:
     def test_gt_in_one_image_cannot_match_detection_in_another(self):
         dets = {"a": detections(det(10, 10, 0.9))}
         gts = {"a": [], "b": [square(10, 10)]}
-        report = evaluate(dets, gts, 0.5)
+        [report] = evaluate(dets, gts, [0.5])
         assert report.per_class[0].ap == 0.0
 
     def test_classes_without_gt_are_excluded(self):
         dets = {"a": detections(det(10, 10, 0.9, class_id=0),
                                 det(20, 20, 0.8, class_id=1))}
         gts = {"a": [square(10, 10, class_id=0)]}
-        report = evaluate(dets, gts, 0.5)
+        [report] = evaluate(dets, gts, [0.5])
         assert set(report.per_class) == {0}
         assert report.mean_ap == pytest.approx(1.0)
 
@@ -223,7 +224,7 @@ class TestEvaluate:
                                 det(40, 40, 0.8, class_id=1),
                                 det(20, 20, 0.7, class_id=1))}  # second class1 det is FP
         gts = {"a": [square(10, 10, class_id=0), square(40, 40, class_id=1)]}
-        report = evaluate(dets, gts, 0.5)
+        [report] = evaluate(dets, gts, [0.5])
         assert report.per_class[0].ap == pytest.approx(1.0)
         assert report.per_class[1].ap == pytest.approx(1.0)
         assert report.mean_ap == pytest.approx(1.0)
@@ -232,14 +233,40 @@ class TestEvaluate:
         # det offset so IoU is 1/3: TP at 0.25, FP at 0.5
         dets = {"a": detections(det(12, 10, 0.9))}
         gts = {"a": [square(10, 10)]}
-        assert evaluate(dets, gts, 0.25).mean_ap == pytest.approx(1.0)
-        assert evaluate(dets, gts, 0.5).mean_ap == 0.0
+        at_25, at_50 = evaluate(dets, gts, [0.25, 0.5])
+        assert at_25.mean_ap == pytest.approx(1.0)
+        assert at_50.mean_ap == 0.0
+
+    def test_one_iou_matrix_per_image_serves_every_threshold(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        dets, gts = {}, {}
+        for img in ("a", "b", "c"):
+            corners, owner = jittered_scene(rng, num_objects=5, copies=2)
+            gt_idx = np.unique(owner, return_index=True)[1]
+            det_idx = np.setdiff1d(np.arange(len(corners)), gt_idx)
+            dets[img] = Detections(corners[det_idx], np.zeros(len(det_idx), np.intp),
+                                   rng.uniform(0.0, 1.0, len(det_idx)))
+            gts[img] = [QuadBox(corners[j], 0) for j in gt_idx]
+        gts["d"] = [square(10, 10)]  # ground truth only: nothing to match
+        thresholds = [0.3, 0.5, 0.75]
+        singles = [evaluate(dets, gts, [t])[0] for t in thresholds]
+        calls = []
+        real = evaluation.pairwise_iou
+        monkeypatch.setattr(evaluation, "pairwise_iou",
+                            lambda a, b: calls.append(len(a)) or real(a, b))
+        reports = evaluate(dets, gts, thresholds)
+        assert len(calls) == 3  # one per image with detections
+        assert [r.iou_threshold for r in reports] == thresholds
+        for got, ref in zip(reports, singles):
+            assert got.mean_ap == ref.mean_ap
+            assert got.per_class[0].curve == ref.per_class[0].curve
+        assert 0.0 < reports[2].mean_ap < reports[0].mean_ap
 
     def test_no_gt_anywhere_raises(self):
         with pytest.raises(NoClasses):
-            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": []}, 0.5)
+            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": []}, [0.5])
 
     def test_curve_attached_to_report(self):
-        report = evaluate({"a": detections(det(10, 10, 0.9))},
-                          {"a": [square(10, 10)]}, 0.5)
+        [report] = evaluate({"a": detections(det(10, 10, 0.9))},
+                            {"a": [square(10, 10)]}, [0.5])
         assert report.per_class[0].curve == [PRPoint(1.0, 1.0, 0.9)]

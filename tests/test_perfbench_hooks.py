@@ -65,8 +65,10 @@ def test_kernel_counts_and_tracer_run_on_the_package():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    # the net's shape is unchanged, so are its FLOPs per 256x256 detect image
+    # the net's layer shapes are unchanged, so are its FLOPs per 256x256
+    # detect image and per reference-shape train iteration
     assert got["counts"]["toynet.conv_flop_per_detect_image.computed"] == 356253696
+    assert got["counts"]["toynet.conv_flop_per_train_iter.computed"] == 534380544
     assert got["heat_shape"] == [2, 8, 8]
     assert got["loss"] > 0.0
     for name in ("toynet.predict_planes", "toynet.compute_batch_loss",

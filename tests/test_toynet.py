@@ -13,9 +13,12 @@ from polardet.geometry import Point2, PolarBox
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
 from polardet.toynet import (Adam, Conv2d, ReLU, ToyNet, TrainConfig,
-                             TrainingSample, compute_batch_loss,
-                             image_to_input, load_checkpoint, predict_planes,
-                             save_checkpoint, train)
+                             TrainingSample, _im2col, _pitched_cols, _sigmoid,
+                             compute_batch_loss, image_to_input,
+                             load_checkpoint, predict_planes, save_checkpoint,
+                             train)
+
+from oracles import col2im_reference, sigmoid_reference
 
 
 def conv3x3_reference(x, weight, bias, stride):
@@ -93,27 +96,60 @@ class TestConv2d:
         conv.bias.value[:] = rng.standard_normal(4)
         for h, w in [(8, 8), (7, 5)]:
             x = rng.standard_normal((2, 3, h, w))
-            got = conv.forward(x)
             expected = conv3x3_reference(x, conv.weight.value, conv.bias.value,
                                          stride)
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-            assert got.shape == (2, 4, (h - 1) // stride + 1,
-                                 (w - 1) // stride + 1)
+            # the training forward (im2col) and the inference call (pitched)
+            for got in (conv.forward(x), conv(x)):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                assert got.shape == (2, 4, (h - 1) // stride + 1,
+                                     (w - 1) // stride + 1)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_backward_matches_loop_reference(self, stride):
-        # odd, non-square maps: every gradient entry, not a sample of them
+        # odd, square and wide maps: every gradient entry, not a sample
         rng = np.random.default_rng(5)
-        conv = Conv2d("c", 3, 4, stride, rng, dtype=np.float64)
-        x = rng.standard_normal((2, 3, 7, 5))
-        dout = rng.standard_normal(conv.forward(x).shape)
+        for h, w in [(7, 5), (9, 9), (5, 11)]:
+            conv = Conv2d("c", 3, 4, stride, rng, dtype=np.float64)
+            x = rng.standard_normal((2, 3, h, w))
+            dout = rng.standard_normal(conv.forward(x).shape)
+            dx = conv.backward(dout)
+            dweight, dbias, dx_ref = conv3x3_backward_reference(
+                x, conv.weight.value, dout, stride)
+            assert dx.shape == x.shape
+            np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pitched_columns_are_im2col_columns(self, stride, dtype):
+        # the ox < ow columns on the row pitch, byte for byte
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            for h, w in [(8, 8), (7, 5), (6, 9), (9, 9)]:
+                x = rng.standard_normal((n, 3, h, w)).astype(dtype)
+                cols, (oh, ow, pitch) = _pitched_cols(x, stride)
+                ref, shape = _im2col(x, stride)
+                assert shape == (oh, ow) and cols.dtype == dtype
+                valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
+                assert valid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 32, 16, 16, 32, 1),   # block convs
+                                       (8, 16, 32, 32, 32, 2),   # down
+                                       (8, 32, 16, 16, 5, 1)])   # fused head
+    def test_input_gradient_is_the_strided_add_oracle(self, shape):
+        # at the reference training shape the pitched GEMM and slice adds
+        # give the nine strided adds' bytes
+        n, cin, h, w, cout, stride = shape
+        rng = np.random.default_rng(12)
+        conv = Conv2d("c", cin, cout, stride, rng)
+        dout = rng.standard_normal(conv.forward(
+            rng.standard_normal((n, cin, h, w))).shape)
         dx = conv.backward(dout)
-        dweight, dbias, dx_ref = conv3x3_backward_reference(
-            x, conv.weight.value, dout, stride)
-        assert dx.shape == x.shape
-        np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+        dmat = dout.astype(np.float32).transpose(1, 0, 2, 3).reshape(cout, -1)
+        ref = col2im_reference(conv._wmat().T @ dmat, (n, cin, h, w), stride)
+        assert dx.shape == ref.shape and dx.dtype == np.float32
+        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(ref).tobytes()
 
     def test_weight_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -291,6 +327,29 @@ class TestToyNetForward:
             assert b.dtype == np.float64 and b.shape == a.shape
             assert b.tobytes() == a.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_is_forward_within_rounding(self, dtype):
+        # shapes where the pitched GEMM has a column count OpenBLAS's
+        # small-matrix kernel rounds differently from forward's: within
+        # 16 ulps of each output's largest magnitude (measured: 5.7e-7 in
+        # float32, 1.2e-15 in float64)
+        net = ToyNet(num_classes=2, base_channels=16, dtype=dtype)
+        bound = 16 * np.finfo(dtype).eps
+        for n, size in [(1, 32), (3, 28), (2, 36)]:
+            x = np.random.default_rng(size).standard_normal((n, 1, size, size))
+            ref, got = net.forward(x), net.predict(x)
+            for key in ("heat", "rho", "theta"):
+                a, b = getattr(ref, key), getattr(got, key)
+                assert b.shape == a.shape
+                assert np.abs(b - a).max() <= bound * np.abs(a).max()
+
+    def test_sigmoid_is_the_masked_formulation_bit_for_bit(self):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                          -np.nan, 36.0, -36.0, 5e-324, -5e-324])
+        rand = np.random.default_rng(13).standard_normal((2, 3, 16, 16)) * 20.0
+        for z in (edges, rand):
+            assert _sigmoid(z).tobytes() == sigmoid_reference(z).tobytes()
+
     def test_predict_leaves_the_training_caches_alone(self):
         # forward -> predict on another batch -> backward gives the
         # gradients of forward -> backward, byte for byte
@@ -310,8 +369,9 @@ class TestToyNetForward:
         assert grads[0] == grads[1]
 
     def test_predict_planes_peak_memory(self):
-        # one layer's im2col columns alive at a time (4.7 MB at most here);
-        # a training forward holds all of them, about 28 MB at its peak
+        # one layer's columns alive at a time (4.9 MB at most here, on the
+        # row pitch): the traced peak is 7.5 MB, where a training forward
+        # holds every layer's columns, about 28 MB at its peak
         net = ToyNet(num_classes=2, base_channels=16)
         image = np.random.default_rng(0).uniform(0, 1, (256, 256))
         tracemalloc.start()
