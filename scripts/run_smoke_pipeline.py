@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Synth -> train -> detect -> eval in one go, with quick defaults.
 
-Reference run (under a CPU-minute, lands around 0.97 mAP@0.5):
+Reference run (the README quick start's five commands; lands around 0.97
+mAP@0.5):
 
     python scripts/run_smoke_pipeline.py --workdir /tmp/polardet \
-        --images 500 --iterations 3000 --base-channels 16
+        --images 500 --eval-images 60 --iterations 3000 --base-channels 16
+
+After each command it prints the command's wall seconds and the process's
+peak resident set so far (``ru_maxrss``), so one run gives both the time
+and the memory of every step.
 """
 
 import argparse
+import resource
+import time
 from pathlib import Path
 
 from polardet import cli
@@ -44,12 +51,19 @@ def main() -> int:
         ["eval", "--data", str(eval_dir), "--detections", str(dets),
          "--iou", "0.5", "0.75", "--pr-out", str(work / "pr")],
     ]
+    total = 0.0
     for step in steps:
         print("$ polardet " + " ".join(step), flush=True)
+        start = time.perf_counter()
         code = cli.main(step)
+        seconds = time.perf_counter() - start
+        total += seconds
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"# {step[0]}: {seconds:.2f} s wall, peak RSS {peak_mb:.1f} MB",
+              flush=True)
         if code != 0:
             return code
-    print(f"artifacts under {work}")
+    print(f"# all steps: {total:.2f} s wall; artifacts under {work}")
     return 0
 
 

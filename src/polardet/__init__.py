@@ -9,6 +9,7 @@ from .encoding import EncodedSample, GridConfig, encode_regression
 from .evaluation import (ClassEval, EvalReport, PRPoint, average_precision,
                          evaluate, match_detections, mean_ap,
                          precision_recall_curve)
+from .formats import GroundTruth
 from .geometry import (PolarBox, Point2, QuadBox, intersection_area,
                        normalize_angle, oriented_nms, pairwise_iou,
                        polar_to_quad, quad_to_polar,
@@ -28,9 +29,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "ClassEval", "DecodeResult", "Detections", "EncodedSample",
-    "EvalReport", "GridConfig", "LossConfig", "LossValue", "PRPoint",
-    "Point2", "PolarBox", "PolePoint", "QuadBox", "SceneSpec", "ToyNet",
-    "TrainConfig", "TrainingSample", "average_precision", "binarize",
+    "EvalReport", "GridConfig", "GroundTruth", "LossConfig", "LossValue",
+    "PRPoint", "Point2", "PolarBox", "PolePoint", "QuadBox", "SceneSpec",
+    "ToyNet", "TrainConfig", "TrainingSample", "average_precision", "binarize",
     "compute_batch_loss", "connected_components", "decode_poles",
     "encode_regression", "evaluate", "extract_pole_points", "generate_dataset",
     "generate_scene", "image_to_input", "intersection_area",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -24,10 +25,10 @@ import numpy as np
 from .encoding import BoxArrays, GridConfig, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import evaluate
-from .formats import (DetectionRecord, parse_annotations, parse_detections,
-                      quad_from_record, serialize_detections)
+from .formats import (DetectionRecord, GroundTruth, parse_annotations,
+                      parse_detections, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
-from .geometry import QuadBox, check_iou_threshold, oriented_nms, quads_to_polar
+from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
 from .postprocess import (Detections, PolePoint, check_score_threshold,
                           decode_poles, extract_pole_points, topk_extract)
@@ -64,27 +65,51 @@ def _resolve(flag_value, config: dict, key: str, default, cast):
     return default
 
 
-def _load_dataset(data_dir):
-    """Return (class_names, [(image_id, image_path, annotation_path)])."""
+def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
+    """Return (class_names, image_ids): the ids of images/<id>.pgm, in file
+    name order."""
     data = Path(data_dir)
     names = [n for n in (data / "classes.txt").read_text().splitlines() if n.strip()]
-    items = []
-    for img_path in sorted((data / "images").glob("*.pgm")):
-        ann_path = data / "annotations" / (img_path.stem + ".txt")
-        items.append((img_path.stem, img_path, ann_path))
-    if not items:
-        raise FileNotFoundError(f"no images under {data / 'images'}")
-    return names, items
+    images = data / "images"
+    files = sorted(f for f in (os.listdir(images) if images.is_dir() else [])
+                   if f.endswith(".pgm"))
+    if not files:
+        raise FileNotFoundError(f"no images under {images}")
+    return names, [f[:-len(".pgm")] for f in files]
 
 
-def _load_ground_truth(items, class_names):
-    gt = {}
-    for image_id, _img, ann_path in items:
-        parsed = parse_annotations(ann_path.read_text())
-        for w in parsed.warnings:
-            print(f"{ann_path}: {w}", file=sys.stderr)
-        gt[image_id] = [quad_from_record(r, class_names) for r in parsed.records]
-    return gt
+def _read_images(data_dir, image_ids: list[str]) -> np.ndarray:
+    """The images' (N, H, W) uint8 rasters; they must share one shape."""
+    images = None
+    for k, image_id in enumerate(image_ids):
+        image = read_pgm(Path(data_dir) / "images" / f"{image_id}.pgm")
+        if images is None:
+            images = np.empty((len(image_ids), *image.shape), dtype=np.uint8)
+        elif image.shape != images.shape[1:]:
+            raise ShapeError(f"{image_id}: image {image.shape} differs from "
+                             f"{images.shape[1:]}")
+        images[k] = image
+    return images
+
+
+def _read_ground_truth(data_dir, image_ids: list[str],
+                       class_names: list[str]) -> GroundTruth:
+    """The images' annotations as one array set; each file's warnings go to
+    stderr before its class names are checked."""
+    def records():
+        for image_id in image_ids:
+            path = Path(data_dir) / "annotations" / f"{image_id}.txt"
+            parsed = parse_annotations(path.read_text())
+            for w in parsed.warnings:
+                print(f"{path}: {w}", file=sys.stderr)
+            yield parsed.records
+    return GroundTruth.from_records(records(), class_names)
+
+
+def _ground_truth_by_image(data_dir, image_ids: list[str],
+                           class_names: list[str]) -> dict[str, GroundTruth]:
+    gt = _read_ground_truth(data_dir, image_ids, class_names)
+    return dict(zip(image_ids, gt.per_image(len(image_ids))))
 
 
 def read_heatmap_csv(path) -> np.ndarray:
@@ -116,25 +141,18 @@ def write_encoding_csv(path, sample, cfg: GridConfig) -> None:
                 writer.writerow([name, "", gx, gy, f"{plane[gy, gx]:.9g}"])
 
 
-def _box_arrays(per_image: list[list[QuadBox]]) -> BoxArrays:
-    """Polar boxes of the quads of each image, one row per quad."""
-    quads = [q for image_quads in per_image for q in image_quads]
-    return BoxArrays(np.repeat(np.arange(len(per_image)), [len(q) for q in per_image]),
-                     np.array([q.class_id for q in quads], dtype=np.intp),
-                     *quads_to_polar([q.corners for q in quads]))
+def _encode(gt: GroundTruth, num_images: int, cfg: GridConfig):
+    """Training targets of ``num_images`` images from their ground truth."""
+    boxes = BoxArrays(gt.image, gt.class_id, *quads_to_polar(gt.corners))
+    return encode_boxes(boxes, num_images, cfg)
 
 
-def _encode_items(items, class_names, stride: int):
-    """Load images and encode the annotations of all of them at once."""
-    images = [read_pgm(img_path) for _id, img_path, _ann in items]
-    for (image_id, _img, _ann), image in zip(items, images):
-        if image.shape != images[0].shape:
-            raise ShapeError(f"{image_id}: image {image.shape} differs from "
-                             f"{images[0].shape}")
-    grid_cfg = GridConfig(images[0].shape[1], images[0].shape[0], stride,
-                          len(class_names))
-    per_image = list(_load_ground_truth(items, class_names).values())
-    targets = encode_boxes(_box_arrays(per_image), len(images), grid_cfg)
+def _encode_items(data_dir, image_ids: list[str], class_names, stride: int):
+    """Read the images and encode the annotations of all of them at once."""
+    images = _read_images(data_dir, image_ids)
+    grid_cfg = GridConfig(images.shape[2], images.shape[1], stride, len(class_names))
+    targets = _encode(_read_ground_truth(data_dir, image_ids, class_names),
+                      len(image_ids), grid_cfg)
     return [TrainingSample(*pair) for pair in zip(images, targets)], grid_cfg
 
 
@@ -160,8 +178,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    class_names, items = _load_dataset(args.data)
-    samples, _grid = _encode_items(items, class_names, stride=ToyNet.stride)
+    class_names, image_ids = _load_dataset(args.data)
+    samples, _grid = _encode_items(args.data, image_ids, class_names,
+                                   stride=ToyNet.stride)
     cfg = TrainConfig(
         learning_rate=_resolve(args.lr, config, "learning_rate", 0.0025, float),
         batch_size=_resolve(args.batch, config, "batch_size", 8, int),
@@ -206,15 +225,15 @@ def cmd_detect(args) -> int:
     check_score_threshold(args.threshold)
     if args.nms_iou is not None:
         check_iou_threshold(args.nms_iou)
-    class_names, items = _load_dataset(args.data)
+    class_names, image_ids = _load_dataset(args.data)
     net, _meta = load_checkpoint(args.checkpoint)
     if net.num_classes != len(class_names):
         raise VersionError(f"checkpoint has {net.num_classes} classes, "
                            f"dataset lists {len(class_names)}")
     records = []
     dropped = 0
-    for image_id, img_path, _ann in items:
-        image = read_pgm(img_path)
+    for image_id in image_ids:
+        image = read_pgm(Path(args.data) / "images" / f"{image_id}.pgm")
         cfg = GridConfig(image.shape[1], image.shape[0], net.stride,
                          net.num_classes)
         heat, rho, t1, t2 = predict_planes(net, image)
@@ -232,7 +251,7 @@ def cmd_detect(args) -> int:
                                          dets.class_id[rows].tolist(),
                                          dets.score[rows].tolist()))
     Path(args.out).write_text(serialize_detections(records))
-    print(f"wrote {len(records)} detections for {len(items)} images "
+    print(f"wrote {len(records)} detections for {len(image_ids)} images "
           f"({dropped} invalid poles dropped)")
     return EXIT_OK
 
@@ -259,8 +278,8 @@ def _detections_by_image(text: str, class_names: list[str]) -> dict[str, Detecti
 
 
 def cmd_eval(args) -> int:
-    class_names, items = _load_dataset(args.data)
-    gt = _load_ground_truth(items, class_names)
+    class_names, image_ids = _load_dataset(args.data)
+    gt = _ground_truth_by_image(args.data, image_ids, class_names)
     dets = _detections_by_image(Path(args.detections).read_text(), class_names)
     for iou, report in zip(args.iou, evaluate(dets, gt, args.iou)):
         print(f"IoU {iou:.2f}: mAP {report.mean_ap:.4f}")
@@ -291,7 +310,11 @@ def cmd_grad_check(args) -> int:
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=2)
         image, boxes = generate_scene(spec, rng)
         cfg = GridConfig(32, 32, 4, 2)
-        target = encode_boxes(_box_arrays([boxes]), 1, cfg)[0]
+        gt = GroundTruth(np.zeros(len(boxes), dtype=np.intp),
+                         np.array([b.class_id for b in boxes], dtype=np.intp),
+                         np.array([b.corners for b in boxes]),
+                         np.zeros(len(boxes), dtype=bool))
+        target = _encode(gt, 1, cfg)[0]
         summaries.append(check_net_gradients(
             net, image_to_input(image), [target], LossConfig(), rng,
             num_coords=args.net_coords))
@@ -325,11 +348,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_encode_dump(args) -> int:
-    class_names, items = _load_dataset(args.data)
-    match = [it for it in items if it[0] == args.image_id]
-    if not match:
+    class_names, image_ids = _load_dataset(args.data)
+    if args.image_id not in image_ids:
         raise FileNotFoundError(f"image id {args.image_id!r} not in {args.data}")
-    (sample,), cfg = _encode_items(match[:1], class_names, args.stride)
+    (sample,), cfg = _encode_items(args.data, [args.image_id], class_names,
+                                   args.stride)
     write_encoding_csv(args.out, sample.target, cfg)
     print(f"encoded {len(sample.target.pole_cells)} objects from {args.image_id} "
           f"onto {cfg.grid_w}x{cfg.grid_h} grid")

@@ -4,8 +4,11 @@ Matching follows the usual VOC protocol. Detections are visited in
 descending score order; each one matches the unmatched ground-truth box of
 the same class with the highest rotated IoU, provided that IoU meets the
 threshold. A matched detection is a true positive, everything else is a
-false positive, and each ground truth can be claimed once. AP uses
-all-point interpolation (area under the precision envelope).
+false positive, and each ground truth can be claimed once. Objects flagged
+difficult follow the VOC / DOTA-devkit rule: they are left out of the
+ground-truth count, are never marked taken, and a detection matched to one
+counts as neither a true nor a false positive, so it leaves the ranking.
+AP uses all-point interpolation (area under the precision envelope).
 """
 
 from __future__ import annotations
@@ -17,8 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoClasses, UndefinedRecall
-from .geometry import QuadBox, pairwise_iou
+from .formats import GroundTruth
+from .geometry import pairwise_iou
 from .postprocess import Detections
+
+#: match outcomes of a detection: a false or true positive, or matched to a
+#: difficult object and so not ranked
+FALSE_POSITIVE, TRUE_POSITIVE, IGNORED = 0, 1, -1
+
+_NO_OBJECTS = GroundTruth.from_records([], [])
 
 
 @dataclass(frozen=True)
@@ -44,31 +54,35 @@ class EvalReport:
     per_class: dict[int, ClassEval] = field(default_factory=dict)
 
 
-def match_detections(detections: Detections, ground_truth: list[QuadBox],
+def match_detections(detections: Detections, ground_truth: GroundTruth,
                      iou_thresholds: Sequence[float]) -> np.ndarray:
-    """Greedy matching at each threshold; returns (T, D) bool TP flags, one
-    row per threshold, detections in input order. The class-masked IoU
-    matrix is built once and serves every threshold."""
+    """Greedy matching at each threshold; returns (T, D) int8 outcomes
+    (``TRUE_POSITIVE``, ``FALSE_POSITIVE`` or ``IGNORED``), one row per
+    threshold, detections in input order. The class-masked IoU matrix is
+    built once and serves every threshold."""
     if not all(0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError("iou_threshold must lie in (0, 1]")
-    flags = np.zeros((len(iou_thresholds), len(detections)), dtype=bool)
-    if not ground_truth:
-        return flags
-    iou = pairwise_iou(detections.corners,
-                       np.array([g.corners for g in ground_truth]).reshape(-1, 4, 2))
-    gt_classes = np.array([g.class_id for g in ground_truth], dtype=np.intp)
+    outcome = np.full((len(iou_thresholds), len(detections)), FALSE_POSITIVE,
+                      dtype=np.int8)
+    if not len(ground_truth):
+        return outcome
+    iou = pairwise_iou(detections.corners, ground_truth.corners)
     # zero marks a ground truth a detection cannot claim: another class,
     # or already taken; the threshold is positive, so zero never matches
-    iou[detections.class_id[:, None] != gt_classes[None, :]] = 0.0
+    iou[detections.class_id[:, None] != ground_truth.class_id[None, :]] = 0.0
     order = np.argsort(-detections.score, kind="stable").tolist()
-    for row, threshold in zip(flags, iou_thresholds):
+    difficult = ground_truth.difficult.tolist()
+    for row, threshold in zip(outcome, iou_thresholds):
         free = iou.copy()
         for i in order:
             j = int(np.argmax(free[i]))  # the lowest index wins ties
             if free[i, j] >= threshold:
-                free[:, j] = 0.0
-                row[i] = True
-    return flags
+                if difficult[j]:
+                    row[i] = IGNORED
+                else:
+                    free[:, j] = 0.0
+                    row[i] = TRUE_POSITIVE
+    return outcome
 
 
 def precision_recall_curve(scores: list[float], tp_flags: list[bool],
@@ -113,36 +127,43 @@ def mean_ap(per_class_ap: dict[int, float]) -> float:
 
 
 def evaluate(detections_by_image: dict[str, Detections],
-             ground_truth_by_image: dict[str, list[QuadBox]],
+             ground_truth_by_image: dict[str, GroundTruth],
              iou_thresholds: Sequence[float]) -> list[EvalReport]:
     """Pool matches across images and compute per-class AP and mAP, one
     report per IoU threshold, in the order given.
 
-    Classes with zero ground-truth instances are excluded from the mean;
-    detections for such classes still exist but have no defined recall.
+    Classes with zero ground-truth instances (difficult ones do not count)
+    are excluded from the mean; detections for such classes still exist but
+    have no defined recall. ``num_det`` counts every detection of a class,
+    the curve only those that are not ``IGNORED``.
     """
-    num_gt = Counter(g.class_id for gts in ground_truth_by_image.values() for g in gts)
-    scores: dict[int, list[float]] = defaultdict(list)
+    num_gt: Counter = Counter()
+    for gt in ground_truth_by_image.values():
+        num_gt.update(gt.class_id[~gt.difficult].tolist())
+    num_det: Counter = Counter()
+    scores: list[dict[int, list[float]]] = [defaultdict(list) for _ in iou_thresholds]
     flags: list[dict[int, list[bool]]] = [defaultdict(list) for _ in iou_thresholds]
     for img in sorted(detections_by_image):
         dets = detections_by_image[img]
-        img_flags = match_detections(dets, ground_truth_by_image.get(img, []),
-                                     iou_thresholds)
+        outcome = match_detections(dets, ground_truth_by_image.get(img, _NO_OBJECTS),
+                                   iou_thresholds)
+        num_det.update(dets.class_id.tolist())
         for c in np.unique(dets.class_id).tolist():
             mine = dets.class_id == c
-            scores[c].extend(dets.score[mine].tolist())
-            for by_class, row in zip(flags, img_flags):
-                by_class[c].extend(row[mine].tolist())
+            for by_class, tp_by_class, row in zip(scores, flags, outcome):
+                ranked = mine & (row != IGNORED)
+                by_class[c].extend(dets.score[ranked].tolist())
+                tp_by_class[c].extend((row[ranked] == TRUE_POSITIVE).tolist())
 
     reports = []
-    for iou_threshold, by_class in zip(iou_thresholds, flags):
+    for iou_threshold, by_class, tp_by_class in zip(iou_thresholds, scores, flags):
         report = EvalReport(iou_threshold=iou_threshold, mean_ap=0.0)
         aps: dict[int, float] = {}
         for c in sorted(num_gt):
-            curve = precision_recall_curve(scores[c], by_class[c], num_gt[c])
+            curve = precision_recall_curve(by_class[c], tp_by_class[c], num_gt[c])
             ap = average_precision(curve, num_gt[c])
             aps[c] = ap
-            report.per_class[c] = ClassEval(c, ap, num_gt[c], len(scores[c]), curve)
+            report.per_class[c] = ClassEval(c, ap, num_gt[c], num_det[c], curve)
         report.mean_ap = mean_ap(aps)
         reports.append(report)
     return reports

@@ -12,17 +12,18 @@ confidence up front:
 
 Parsers never raise on malformed content; bad lines are dropped and
 reported as human-readable warnings so a corrupt line cannot take down a
-whole evaluation run.
+whole evaluation run. A dataset's parsed annotations become one
+``GroundTruth`` array set, where an unknown class name raises.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import QuadBox
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,52 @@ def parse_detections(text: str) -> ParseResult:
     return result
 
 
-def quad_from_record(record: AnnotationRecord, class_names: list[str]) -> QuadBox:
-    if record.class_name not in class_names:
-        raise UnknownClass(f"class {record.class_name!r} not in {class_names}")
-    corners = np.asarray(record.corners, dtype=np.float64).reshape(4, 2)
-    return QuadBox(corners, class_id=class_names.index(record.class_name))
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Annotated objects of one or more images, one row each, in image order."""
+
+    image: np.ndarray      # (B,) intp index of the object's image
+    class_id: np.ndarray   # (B,) intp
+    corners: np.ndarray    # (B, 4, 2) float64 pixels
+    difficult: np.ndarray  # (B,) bool
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    @classmethod
+    def from_records(cls, records_per_image: Iterable[list[AnnotationRecord]],
+                     class_names: list[str]) -> GroundTruth:
+        """Stack the records of each image in turn, image k's rows tagged k.
+
+        Each image's class names are checked as its records arrive, so an
+        iterable that reports a file's warnings before yielding its records
+        reports every file up to the first with an unknown class, which
+        raises ``UnknownClass``.
+        """
+        index: dict[str, int] = {}
+        for k, name in enumerate(class_names):
+            index.setdefault(name, k)
+        counts, class_id, corners, difficult = [], [], [], []
+        for records in records_per_image:
+            ids = [index.get(r.class_name, -1) for r in records]
+            if -1 in ids:
+                name = records[ids.index(-1)].class_name
+                raise UnknownClass(f"class {name!r} not in {class_names}")
+            counts.append(len(ids))
+            class_id += ids
+            corners += [r.corners for r in records]
+            difficult += [r.difficulty != 0 for r in records]
+        return cls(np.repeat(np.arange(len(counts)), counts),
+                   np.array(class_id, dtype=np.intp),
+                   np.array(corners, dtype=np.float64).reshape(-1, 4, 2),
+                   np.array(difficult, dtype=bool))
+
+    def per_image(self, num_images: int) -> list[GroundTruth]:
+        """Row views of images 0 to num_images - 1, one set each."""
+        bounds = np.searchsorted(self.image, np.arange(num_images + 1)).tolist()
+        return [GroundTruth(self.image[lo:hi], self.class_id[lo:hi],
+                            self.corners[lo:hi], self.difficult[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
 
 
 def serialize_annotations(records: list[AnnotationRecord]) -> str:

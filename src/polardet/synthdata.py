@@ -158,7 +158,8 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM back into a float image in [0, 1]."""
+    """Read a binary 8-bit PGM into its stored (H, W) uint8 raster (a
+    read-only view of the file's bytes); ``k / 255`` is the [0, 1] image."""
     with open(path, "rb") as fh:
         blob = fh.read()
     # header = magic, width, height, maxval; '#' comments may interleave
@@ -182,7 +183,7 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
-    return raster.reshape(h, w).astype(np.float64) / 255.0
+    return raster.reshape(h, w)
 
 
 def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import EncodedSample
 from .errors import DivergenceError, ShapeError, StateError, VersionError
@@ -71,12 +70,18 @@ def _out_len(size: int, stride: int) -> int:
 
 def _im2col(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(N, C, H, W) -> (C*9, N*oh*ow) columns; rows run (c, ki, kj) like the
-    flattened weight, columns run (n, oy, ox)."""
+    flattened weight, columns run (n, oy, ox). One zero-bordered (C, N)
+    copy of the input, then one strided copy per tap."""
     n, c, h, w = x.shape
-    oh, ow = _out_len(h, stride), _out_len(w, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow), (oh, ow)
+    s = stride
+    oh, ow = _out_len(h, s), _out_len(w, s)
+    xp = np.zeros((c, n, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, 3, 3, n, oh, ow), dtype=x.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            cols[:, ki, kj] = xp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s]
+    return cols.reshape(c * 9, n * oh * ow), (oh, ow)
 
 
 def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, list]:
@@ -399,12 +404,25 @@ class ToyNet:
         self._cache = None
 
 
+# 2 * (k / 255) - 1 for every 8-bit value k, in float64
+_RASTER_INPUT = 2.0 * (np.arange(256) / 255.0) - 1.0
+
+
 def image_to_input(images) -> np.ndarray:
-    """Stack [0, 1] grayscale images into a centered (N, 1, H, W) batch."""
-    x = np.asarray(images, dtype=np.float64)
+    """Stack grayscale images into a centered float64 (N, 1, H, W) batch.
+
+    uint8 rasters map value k to 2 * (k / 255) - 1 through one lookup;
+    any other images are [0, 1] floats and map to 2 * x - 1, so a raster
+    and its float image ``k / 255`` give the same bits.
+    """
+    x = np.asarray(images)
+    if x.dtype == np.uint8:
+        x = _RASTER_INPUT[x]
+    else:
+        x = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
     if x.ndim == 2:
         x = x[None]
-    return (2.0 * x - 1.0)[:, None]
+    return x[:, None]
 
 
 @dataclass(frozen=True)
@@ -447,7 +465,7 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainingSample:
-    image: np.ndarray      # (H, W) in [0, 1]
+    image: np.ndarray      # (H, W) uint8 raster, or float in [0, 1]
     target: EncodedSample
 
 
@@ -506,20 +524,22 @@ def train(net: ToyNet, samples: list[TrainingSample], cfg: TrainConfig,
           loss_cfg: LossConfig | None = None, callback=None) -> list[IterStats]:
     """SGD loop with Adam; returns per-iteration loss history.
 
-    Raises DivergenceError the moment the total loss stops being finite.
+    Each batch's images become network input as the batch is drawn, so
+    uint8 rasters stay uint8 in memory. Raises DivergenceError the moment
+    the total loss stops being finite.
     """
     if not samples:
         raise ValueError("no training samples")
     loss_cfg = loss_cfg or LossConfig()
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(net.parameters(), cfg)
-    x_all = image_to_input([s.image for s in samples])
     history: list[IterStats] = []
     for it in range(cfg.iterations):
         idx = rng.integers(0, len(samples), size=cfg.batch_size)
-        targets = [samples[i].target for i in idx]
+        batch = [samples[i] for i in idx]
         net.zero_grads()
-        stats = compute_batch_loss(net, x_all[idx], targets, loss_cfg)
+        stats = compute_batch_loss(net, image_to_input([s.image for s in batch]),
+                                   [s.target for s in batch], loss_cfg)
         if not math.isfinite(stats.total):
             raise DivergenceError(it)
         opt.step()

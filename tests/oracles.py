@@ -5,8 +5,9 @@ sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
 and matching from plain per-pair loops over that clip, gradients from
 finite differences, connected components from scipy, neighbour
 expansion or a full row-major scan, decoded corners from one scalar
-``math`` formula per pole, and conv input gradients from one strided add
-per tap over the (n, oy, ox) columns. Tests compare
+``math`` formula per pole, conv columns from ``np.pad`` and a sliding-window
+view, and conv input gradients from one strided add per tap over the
+(n, oy, ox) columns. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -450,6 +451,18 @@ def encode_records_reference(records_per_image, class_names, cfg):
             np.maximum(window, kernel, out=window)
         out.append(target)
     return out
+
+
+def im2col_reference(x: np.ndarray, stride: int) -> np.ndarray:
+    """(N, C, H, W) -> (C*9, N*oh*ow) conv columns, rows (c, ki, kj) and
+    columns (n, oy, ox), read off a sliding-window view of the padded input."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n, c, h, w = x.shape
+    oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow)
 
 
 def col2im_reference(dcols: np.ndarray, x_shape: tuple, stride: int) -> np.ndarray:

@@ -178,8 +178,8 @@ def test_criterion_6_average_precision_fixtures():
 
 
 def _pipeline_eval(eval_dir, dets_path, iou):
-    class_names, items = cli._load_dataset(eval_dir)
-    gt = cli._load_ground_truth(items, class_names)
+    class_names, image_ids = cli._load_dataset(eval_dir)
+    gt = cli._ground_truth_by_image(eval_dir, image_ids, class_names)
     dets = cli._detections_by_image(dets_path.read_text(), class_names)
     return evaluate(dets, gt, [iou])[0], class_names
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from polardet import cli
 from polardet.encoding import GridConfig, encode_regression
 from polardet.errors import DivergenceError
-from polardet.formats import (DetectionRecord, parse_annotations, parse_detections,
-                              quad_from_record, serialize_detections)
-from polardet.geometry import quad_to_polar
+from polardet.formats import (DetectionRecord, GroundTruth, parse_annotations,
+                              parse_detections, serialize_detections)
+from polardet.geometry import QuadBox, quad_to_polar
 from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
@@ -138,6 +139,38 @@ class TestTrain:
         rows = (workspace["root"] / "history.csv").read_text().splitlines()[1:]
         totals = [float(r.split(",")[1]) for r in rows]
         assert np.mean(totals[-50:]) < 0.5 * np.mean(totals[:50])
+
+    def test_peak_memory_holds_rasters_not_float_images(self, tmp_path, capsys):
+        # 500 64x64 scenes: the images are 2 MB as uint8 rasters and 16 MB
+        # as one float64 stack; traced peaks: 60.3 MB when every image was
+        # held as float64 twice, 29.2 MB with the rasters
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--count", "500",
+                         "--seed", "7"]) == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(["train", "--data", str(data),
+                             "--out", str(tmp_path / "net.npz"),
+                             "--iters", "2", "--log-every", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 45e6
+
+    def test_unknown_annotation_class_is_io_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        first, second = sorted((data / "annotations").iterdir())[:2]
+        first.write_text(first.read_text() + "1 2 3\n")
+        second.write_text("0 0 4 0 4 4 0 4 zeppelin 0\n")
+        code = cli.main(["train", "--data", str(data),
+                         "--out", str(tmp_path / "n.npz"), "--iters", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{first}: line " in err and "expected 10 fields, got 3" in err
+        assert "'zeppelin' not in ['class0', 'class1']" in err
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
@@ -365,6 +398,26 @@ class TestEval:
         assert "zeppelin" in captured.err
         assert "mAP" in captured.out
 
+    def test_difficult_objects_are_neither_missed_nor_found(self, tmp_path, capsys):
+        # one easy and one difficult square, one exact detection of the easy
+        # one: VOC scoring leaves the difficult square out of the count
+        data = tmp_path / "data"
+        (data / "annotations").mkdir(parents=True)
+        (data / "images").mkdir()
+        (data / "classes.txt").write_text("a\n")
+        (data / "images" / "x.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(1024))
+        easy = "4 4 12 4 12 12 4 12"
+        (data / "annotations" / "x.txt").write_text(
+            f"{easy} a 0\n20 20 28 20 28 28 20 28 a 1\n")
+        dets = tmp_path / "dets.txt"
+        dets.write_text(f"x 0.9 {easy} a\n")
+        assert cli.main(["eval", "--data", str(data), "--detections", str(dets)]) == 0
+        assert "a: AP 1.0000 (gt 1, det 1)" in capsys.readouterr().out
+        # a detection of the difficult square is not ranked at all
+        dets.write_text(f"x 0.9 {easy} a\nx 0.95 20 20 28 20 28 28 20 28 a\n")
+        assert cli.main(["eval", "--data", str(data), "--detections", str(dets)]) == 0
+        assert "a: AP 1.0000 (gt 1, det 2)" in capsys.readouterr().out
+
     def test_missing_detections_file_is_io_error(self, workspace, tmp_path,
                                                  capsys):
         code = cli.main(["eval", "--data", str(workspace["data"]),
@@ -486,8 +539,10 @@ class TestEncodeDump:
         heat, rho, t1, t2 = read_encoding_csv(out, cfg)
 
         ann = (data / "annotations" / "img_00003.txt").read_text()
-        polars = [quad_to_polar(quad_from_record(r, ["class0", "class1"]))
-                  for r in parse_annotations(ann).records]
+        gt = GroundTruth.from_records([parse_annotations(ann).records],
+                                      ["class0", "class1"])
+        polars = [quad_to_polar(QuadBox(corners, class_id))
+                  for corners, class_id in zip(gt.corners, gt.class_id.tolist())]
         sample = encode_regression(polars, cfg)
         np.testing.assert_allclose(heat, sample.heatmap, rtol=1e-8)
         np.testing.assert_allclose(rho, sample.rho, rtol=1e-8)

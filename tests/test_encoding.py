@@ -211,15 +211,16 @@ class TestEncodeRegression:
 def _encode_both(data, size):
     """The training path's targets for a dataset directory, and the per-box
     reference's; each side is a list of targets or the error it raised."""
-    names, items = cli._load_dataset(data)
-    records = [parse_annotations(ann.read_text()).records for _id, _img, ann in items]
+    names, image_ids = cli._load_dataset(data)
+    records = [parse_annotations((data / "annotations" / f"{i}.txt").read_text()).records
+               for i in image_ids]
     try:
         expected = encode_records_reference(records, names,
                                             GridConfig(size, size, 4, len(names)))
     except PolarDetError as exc:
         expected = exc
     try:
-        got = [s.target for s in cli._encode_items(items, names, 4)[0]]
+        got = [s.target for s in cli._encode_items(data, image_ids, names, 4)[0]]
     except PolarDetError as exc:
         got = exc
     return got, expected

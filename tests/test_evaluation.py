@@ -3,8 +3,10 @@ import pytest
 
 from polardet import evaluation
 from polardet.errors import NoClasses, UndefinedRecall
-from polardet.evaluation import (average_precision, evaluate, match_detections,
-                                 mean_ap, precision_recall_curve, PRPoint)
+from polardet.evaluation import (IGNORED, TRUE_POSITIVE, average_precision,
+                                 evaluate, match_detections, mean_ap,
+                                 precision_recall_curve, PRPoint)
+from polardet.formats import GroundTruth
 from polardet.geometry import QuadBox
 from polardet.postprocess import Detections
 
@@ -22,6 +24,15 @@ def det(cx, cy, score, size=4.0, class_id=0):
     return square(cx, cy, size, class_id), score
 
 
+def truth(quads, difficult=()):
+    """One image's ``GroundTruth`` from quads; ``difficult`` holds the
+    indices of the difficult ones."""
+    return GroundTruth(np.zeros(len(quads), dtype=np.intp),
+                       np.array([q.class_id for q in quads], dtype=np.intp),
+                       np.array([q.corners for q in quads]).reshape(-1, 4, 2),
+                       np.isin(np.arange(len(quads)), difficult))
+
+
 def detections(*items):
     """One image's ``Detections`` from (quad, score) pairs."""
     return Detections(np.array([q.corners for q, _ in items]).reshape(-1, 4, 2),
@@ -31,27 +42,29 @@ def detections(*items):
 
 class TestMatchDetections:
     def test_perfect_overlap_is_tp(self):
-        flags = match_detections(detections(det(10, 10, 0.9)), [square(10, 10)], [0.5])
+        flags = match_detections(detections(det(10, 10, 0.9)),
+                                 truth([square(10, 10)]), [0.5])
         assert flags.tolist() == [[True]]
 
     def test_disjoint_is_fp(self):
-        flags = match_detections(detections(det(10, 10, 0.9)), [square(30, 30)], [0.5])
+        flags = match_detections(detections(det(10, 10, 0.9)),
+                                 truth([square(30, 30)]), [0.5])
         assert flags.tolist() == [[False]]
 
     def test_each_gt_claimed_once(self):
         dets = detections(det(10, 10, 0.9), det(10.2, 10, 0.8))
-        flags = match_detections(dets, [square(10, 10)], [0.5])
+        flags = match_detections(dets, truth([square(10, 10)]), [0.5])
         assert flags.tolist() == [[True, False]]
 
     def test_higher_score_claims_first(self):
         dets = detections(det(10.2, 10, 0.6), det(10, 10, 0.9))
-        flags = match_detections(dets, [square(10, 10)], [0.5])
+        flags = match_detections(dets, truth([square(10, 10)]), [0.5])
         # the 0.9 detection wins the only gt; flags stay in input order
         assert flags.tolist() == [[False, True]]
 
     def test_matches_highest_iou_gt(self):
         # detection halfway between two gts, much closer to the second
-        gts = [square(14, 10), square(11, 10)]
+        gts = truth([square(14, 10), square(11, 10)])
         flags = match_detections(detections(det(10, 10, 0.9)), gts, [0.2])
         # the second gt is taken, so an exact det on it later is unmatched
         flags2 = match_detections(detections(det(10, 10, 0.9), det(11, 10, 0.5)),
@@ -62,26 +75,40 @@ class TestMatchDetections:
     def test_iou_tie_goes_to_lower_gt_index(self):
         # the first detection sits midway between two gts (IoU 1/3 each) and
         # takes gt 0; the second then finds gt 0 taken and gt 1 too far
-        gts = [square(8, 10), square(12, 10)]
+        gts = truth([square(8, 10), square(12, 10)])
         flags = match_detections(detections(det(10, 10, 0.9), det(8.5, 10, 0.5)),
                                  gts, [0.3])
         assert flags.tolist() == [[True, False]]
 
     def test_iou_below_threshold_is_fp(self):
         # 4x4 squares 2 apart: inter 8, union 24, IoU 1/3
-        flags = match_detections(detections(det(12, 10, 0.9)), [square(10, 10)], [0.5])
+        flags = match_detections(detections(det(12, 10, 0.9)),
+                                 truth([square(10, 10)]), [0.5])
         assert flags.tolist() == [[False]]
 
     def test_class_mismatch_never_matches(self):
         flags = match_detections(detections(det(10, 10, 0.9, class_id=1)),
-                                 [square(10, 10, class_id=0)], [0.1])
+                                 truth([square(10, 10, class_id=0)]), [0.1])
         assert flags.tolist() == [[False]]
+
+    def test_difficult_match_is_ignored_and_never_taken(self):
+        gts = truth([square(10, 10), square(30, 30)], difficult=[1])
+        dets = detections(det(30, 30, 0.9), det(30.2, 30, 0.8), det(10, 10, 0.7),
+                          det(50, 50, 0.6))
+        assert match_detections(dets, gts, [0.5]).tolist() == [
+            [IGNORED, IGNORED, TRUE_POSITIVE, 0]]
+
+    def test_difficult_object_wins_on_higher_iou(self):
+        # the detection overlaps the difficult square more than the easy one
+        gts = truth([square(10, 10), square(11, 10)], difficult=[1])
+        [[outcome]] = match_detections(detections(det(11.5, 10, 0.9)), gts, [0.2])
+        assert outcome == IGNORED
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            match_detections(detections(), [], [0.0])
+            match_detections(detections(), truth([]), [0.0])
         with pytest.raises(ValueError):
-            match_detections(detections(), [], [0.5, 1.5])
+            match_detections(detections(), truth([]), [0.5, 1.5])
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):
@@ -98,7 +125,7 @@ class TestMatchDetections:
                                classes[gt_idx][owner], classes)
             scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
             dets = Detections(corners[det_idx], classes[det_idx], scores[det_idx])
-            gts = [QuadBox(corners[j], int(classes[j])) for j in gt_idx]
+            gts = truth([QuadBox(corners[j], int(classes[j])) for j in gt_idx])
             [flags] = match_detections(dets, gts, [threshold]).tolist()
             assert flags == greedy_match_reference(
                 corners[det_idx], classes[det_idx], scores[det_idx],
@@ -193,8 +220,8 @@ class TestEvaluate:
             "b": detections(det(10, 10, 0.7)),                     # TP
         }
         gts = {
-            "a": [square(10, 10)],
-            "b": [square(10, 10), square(50, 50)],
+            "a": truth([square(10, 10)]),
+            "b": truth([square(10, 10), square(50, 50)]),
         }
         [report] = evaluate(dets, gts, [0.5])
         ce = report.per_class[0]
@@ -207,14 +234,14 @@ class TestEvaluate:
 
     def test_gt_in_one_image_cannot_match_detection_in_another(self):
         dets = {"a": detections(det(10, 10, 0.9))}
-        gts = {"a": [], "b": [square(10, 10)]}
+        gts = {"a": truth([]), "b": truth([square(10, 10)])}
         [report] = evaluate(dets, gts, [0.5])
         assert report.per_class[0].ap == 0.0
 
     def test_classes_without_gt_are_excluded(self):
         dets = {"a": detections(det(10, 10, 0.9, class_id=0),
                                 det(20, 20, 0.8, class_id=1))}
-        gts = {"a": [square(10, 10, class_id=0)]}
+        gts = {"a": truth([square(10, 10, class_id=0)])}
         [report] = evaluate(dets, gts, [0.5])
         assert set(report.per_class) == {0}
         assert report.mean_ap == pytest.approx(1.0)
@@ -223,7 +250,7 @@ class TestEvaluate:
         dets = {"a": detections(det(10, 10, 0.9, class_id=0),
                                 det(40, 40, 0.8, class_id=1),
                                 det(20, 20, 0.7, class_id=1))}  # second class1 det is FP
-        gts = {"a": [square(10, 10, class_id=0), square(40, 40, class_id=1)]}
+        gts = {"a": truth([square(10, 10, class_id=0), square(40, 40, class_id=1)])}
         [report] = evaluate(dets, gts, [0.5])
         assert report.per_class[0].ap == pytest.approx(1.0)
         assert report.per_class[1].ap == pytest.approx(1.0)
@@ -232,7 +259,7 @@ class TestEvaluate:
     def test_iou_threshold_changes_outcome(self):
         # det offset so IoU is 1/3: TP at 0.25, FP at 0.5
         dets = {"a": detections(det(12, 10, 0.9))}
-        gts = {"a": [square(10, 10)]}
+        gts = {"a": truth([square(10, 10)])}
         at_25, at_50 = evaluate(dets, gts, [0.25, 0.5])
         assert at_25.mean_ap == pytest.approx(1.0)
         assert at_50.mean_ap == 0.0
@@ -246,8 +273,8 @@ class TestEvaluate:
             det_idx = np.setdiff1d(np.arange(len(corners)), gt_idx)
             dets[img] = Detections(corners[det_idx], np.zeros(len(det_idx), np.intp),
                                    rng.uniform(0.0, 1.0, len(det_idx)))
-            gts[img] = [QuadBox(corners[j], 0) for j in gt_idx]
-        gts["d"] = [square(10, 10)]  # ground truth only: nothing to match
+            gts[img] = truth([QuadBox(corners[j], 0) for j in gt_idx])
+        gts["d"] = truth([square(10, 10)])  # ground truth only: nothing to match
         thresholds = [0.3, 0.5, 0.75]
         singles = [evaluate(dets, gts, [t])[0] for t in thresholds]
         calls = []
@@ -262,11 +289,30 @@ class TestEvaluate:
             assert got.per_class[0].curve == ref.per_class[0].curve
         assert 0.0 < reports[2].mean_ap < reports[0].mean_ap
 
+    def test_difficult_objects_leave_recall_and_ranking(self):
+        # VOC: an exact detection of the easy square alone scores AP 1
+        gts = {"a": truth([square(10, 10), square(30, 30)], difficult=[1])}
+        [report] = evaluate({"a": detections(det(10, 10, 0.9))}, gts, [0.5])
+        assert report.per_class[0].num_gt == 1
+        assert report.per_class[0].ap == 1.0
+        # a higher-scored detection of the difficult square changes nothing
+        # but the detection count
+        [again] = evaluate({"a": detections(det(30, 30, 0.95), det(10, 10, 0.9))},
+                           gts, [0.5])
+        assert again.per_class[0].curve == report.per_class[0].curve
+        assert again.per_class[0].num_det == 2
+
+    def test_class_with_only_difficult_objects_is_excluded(self):
+        gts = {"a": truth([square(10, 10), square(30, 30, class_id=1)],
+                          difficult=[1])}
+        [report] = evaluate({"a": detections(det(10, 10, 0.9))}, gts, [0.5])
+        assert set(report.per_class) == {0}
+
     def test_no_gt_anywhere_raises(self):
         with pytest.raises(NoClasses):
-            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": []}, [0.5])
+            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": truth([])}, [0.5])
 
     def test_curve_attached_to_report(self):
         [report] = evaluate({"a": detections(det(10, 10, 0.9))},
-                            {"a": [square(10, 10)]}, [0.5])
+                            {"a": truth([square(10, 10)])}, [0.5])
         assert report.per_class[0].curve == [PRPoint(1.0, 1.0, 0.9)]

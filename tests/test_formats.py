@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polardet.errors import UnknownClass
-from polardet.formats import (AnnotationRecord, DetectionRecord,
+from polardet.formats import (AnnotationRecord, DetectionRecord, GroundTruth,
                               parse_annotations, parse_detections,
-                              quad_from_record, serialize_annotations,
-                              serialize_detections)
+                              serialize_annotations, serialize_detections)
 
 
 SAMPLE = """\
@@ -111,17 +110,48 @@ class TestParseDetections:
 
 
 class TestRecordConversion:
-    def test_quad_from_record(self):
+    def test_ground_truth_from_records(self):
         record = AnnotationRecord((0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0), "ship", 0)
-        quad = quad_from_record(record, ["plane", "ship"])
-        assert quad.class_id == 1
+        gt = GroundTruth.from_records([[record]], ["plane", "ship"])
+        assert gt.class_id.tolist() == [1]
         np.testing.assert_array_equal(
-            quad.corners, [[0, 0], [4, 0], [4, 2], [0, 2]])
+            gt.corners, [[[0, 0], [4, 0], [4, 2], [0, 2]]])
 
     def test_unknown_class_rejected(self):
         record = AnnotationRecord((0.0,) * 8, "boat", 0)
-        with pytest.raises(UnknownClass):
-            quad_from_record(record, ["plane", "ship"])
+        with pytest.raises(UnknownClass, match="'boat'"):
+            GroundTruth.from_records([[record]], ["plane", "ship"])
+
+    def test_images_difficult_flags_and_dtypes(self):
+        parsed = [parse_annotations(SAMPLE).records, [],
+                  parse_annotations("1 1 5 1 5 3 1 3 ship 0\n").records]
+        gt = GroundTruth.from_records(parsed, ["plane", "ship"])
+        assert gt.image.tolist() == [0, 0, 2]
+        assert gt.class_id.tolist() == [0, 1, 1]
+        assert gt.difficult.tolist() == [False, True, False]
+        assert gt.corners.shape == (3, 4, 2) and gt.corners.dtype == np.float64
+        assert gt.corners[0, 2].tolist() == [28.0, 25.0]
+        assert [len(g) for g in gt.per_image(3)] == [2, 0, 1]
+        assert gt.per_image(3)[2].corners.tolist() == gt.corners[2:].tolist()
+
+    def test_first_unknown_class_of_a_file_stops_reading(self):
+        seen = []
+
+        def files():
+            for records in ([AnnotationRecord((0.0,) * 8, "ship", 0)],
+                            [AnnotationRecord((0.0,) * 8, "car", 0),
+                             AnnotationRecord((0.0,) * 8, "boat", 0)],
+                            []):
+                seen.append(len(records))
+                yield records
+        with pytest.raises(UnknownClass, match="'car'"):
+            GroundTruth.from_records(files(), ["plane", "ship"])
+        assert seen == [1, 2]
+
+    def test_no_records(self):
+        gt = GroundTruth.from_records([[], []], ["plane"])
+        assert len(gt) == 0 and gt.corners.shape == (0, 4, 2)
+        assert [len(g) for g in gt.per_image(2)] == [0, 0]
 
 
 class TestSerializers:

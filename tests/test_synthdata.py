@@ -147,7 +147,7 @@ class TestPgmRoundTrip:
         img = rng.uniform(0, 1, (16, 24))
         path = tmp_path / "x.pgm"
         write_pgm(path, img)
-        back = read_pgm(path)
+        back = read_pgm(path) / 255.0
         assert back.shape == img.shape
         assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
 
@@ -155,7 +155,7 @@ class TestPgmRoundTrip:
         img = np.array([[0.0, 1.0], [0.25, 0.75]])
         path = tmp_path / "e.pgm"
         write_pgm(path, img)
-        back = read_pgm(path)
+        back = read_pgm(path) / 255.0
         assert back[0, 0] == 0.0
         assert back[0, 1] == 1.0
 
@@ -163,9 +163,16 @@ class TestPgmRoundTrip:
         path = tmp_path / "c.pgm"
         raster = bytes(range(6))
         path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + raster)
-        img = read_pgm(path)
+        img = read_pgm(path) / 255.0
         assert img.shape == (2, 3)
         assert img[1, 2] == pytest.approx(5 / 255.0)
+
+    def test_returns_the_stored_raster(self, tmp_path):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 1, 127, 128, 254, 255]))
+        img = read_pgm(path)
+        assert img.dtype == np.uint8
+        assert img.tolist() == [[0, 1, 127], [128, 254, 255]]
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -18,7 +18,7 @@ from polardet.toynet import (Adam, Conv2d, ReLU, ToyNet, TrainConfig,
                              load_checkpoint, predict_planes, save_checkpoint,
                              train)
 
-from oracles import col2im_reference, sigmoid_reference
+from oracles import col2im_reference, im2col_reference, sigmoid_reference
 
 
 def conv3x3_reference(x, weight, bias, stride):
@@ -119,6 +119,18 @@ class TestConv2d:
             np.testing.assert_allclose(conv.weight.grad, dweight, rtol=0, atol=1e-10)
             np.testing.assert_allclose(conv.bias.grad, dbias, rtol=0, atol=1e-10)
             np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_im2col_is_the_sliding_window_oracle(self, stride, dtype):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            for h, w in [(8, 8), (7, 5), (6, 9), (9, 9), (1, 2)]:
+                x = rng.standard_normal((n, 3, h, w)).astype(dtype)
+                cols, (oh, ow) = _im2col(x, stride)
+                ref = im2col_reference(x, stride)
+                assert cols.dtype == dtype and cols.shape == (27, n * oh * ow)
+                assert cols.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -629,6 +641,17 @@ class TestTrain:
             train(net, samples, TrainConfig(iterations=5, batch_size=2))
         assert err.value.iteration == 0
 
+    def test_rasters_train_like_their_float_images(self):
+        rasters = [TrainingSample(np.round(s.image * 255.0).astype(np.uint8), s.target)
+                   for s in self._samples(n=4)]
+        floats = [TrainingSample(s.image / 255.0, s.target) for s in rasters]
+        runs = []
+        for samples in (rasters, floats):
+            net = ToyNet(num_classes=2, base_channels=2, seed=3)
+            history = train(net, samples, TrainConfig(iterations=3, batch_size=2))
+            runs.append((history, b"".join(p.value.tobytes() for p in net.parameters())))
+        assert runs[0] == runs[1]
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             train(ToyNet(1, 2), [], TrainConfig())
@@ -735,3 +758,10 @@ class TestImageToInput:
     def test_batch_of_images(self):
         x = image_to_input([np.zeros((4, 4)), np.ones((4, 4))])
         assert x.shape == (2, 1, 4, 4)
+
+    def test_raster_gives_the_bits_of_its_float_image(self):
+        raster = np.arange(256, dtype=np.uint8).reshape(2, 8, 16)
+        x = image_to_input(raster)
+        assert x.dtype == np.float64 and x.shape == (2, 1, 8, 16)
+        assert x.tobytes() == image_to_input(raster.astype(np.float64) / 255.0).tobytes()
+        assert image_to_input(raster[0]).tobytes() == x[:1].tobytes()
