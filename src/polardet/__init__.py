@@ -16,9 +16,8 @@ from .geometry import (PolarBox, Point2, QuadBox, intersection_area,
                        rotated_iou, signed_area)
 from .losses import (LossConfig, LossValue, pole_focal_loss, polar_ring_loss,
                      ring_area, smooth_l1, total_loss, total_regression_loss)
-from .postprocess import (DecodeResult, Detections, PolePoint, binarize,
-                          connected_components, decode_poles,
-                          extract_pole_points, topk_extract)
+from .postprocess import (DecodeResult, Detections, Poles, decode_poles,
+                          extract_pole_points)
 from .synthdata import (SceneSpec, generate_dataset, generate_scene, read_pgm,
                         write_dataset, write_pgm)
 from .toynet import (Adam, ToyNet, TrainConfig, TrainingSample,
@@ -30,9 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "ClassEval", "DecodeResult", "Detections", "EncodedSample",
     "EvalReport", "GridConfig", "GroundTruth", "LossConfig", "LossValue",
-    "PRPoint", "Point2", "PolarBox", "PolePoint", "QuadBox", "SceneSpec",
-    "ToyNet", "TrainConfig", "TrainingSample", "average_precision", "binarize",
-    "compute_batch_loss", "connected_components", "decode_poles",
+    "PRPoint", "Point2", "PolarBox", "Poles", "QuadBox", "SceneSpec",
+    "ToyNet", "TrainConfig", "TrainingSample", "average_precision",
+    "compute_batch_loss", "decode_poles",
     "encode_regression", "evaluate", "extract_pole_points", "generate_dataset",
     "generate_scene", "image_to_input", "intersection_area",
     "load_checkpoint", "match_detections", "mean_ap",
@@ -40,6 +39,6 @@ __all__ = [
     "pole_focal_loss", "polar_ring_loss",
     "precision_recall_curve", "predict_planes", "quad_to_polar", "read_pgm",
     "ring_area", "rotated_iou", "save_checkpoint", "signed_area", "smooth_l1",
-    "topk_extract", "total_loss", "total_regression_loss", "train",
+    "total_loss", "total_regression_loss", "train",
     "write_dataset", "write_pgm",
 ]

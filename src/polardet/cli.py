@@ -30,8 +30,8 @@ from .formats import (DetectionRecord, GroundTruth, parse_annotations,
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
-from .postprocess import (Detections, PolePoint, check_score_threshold,
-                          decode_poles, extract_pole_points, topk_extract)
+from .postprocess import (Detections, Poles, check_score_threshold,
+                          decode_poles, extract_pole_points)
 from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
 from .toynet import (ToyNet, TrainConfig, TrainingSample, image_to_input,
                      load_checkpoint, predict_planes, save_checkpoint, train)
@@ -213,15 +213,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _extract(heatmap: np.ndarray, args) -> list[PolePoint]:
-    """Pole points by ``--extractor``; ``--threshold`` filters both extractors."""
-    if args.extractor == "cc":
-        return extract_pole_points(heatmap, args.threshold)
-    return [p for p in topk_extract(heatmap, args.k) if p.score >= args.threshold]
+def _extract(heatmap: np.ndarray, args) -> Poles:
+    """The ranked poles: every one for ``--extractor cc``, the first ``--k``
+    for ``topk``."""
+    return extract_pole_points(heatmap, args.threshold,
+                               args.k if args.extractor == "topk" else None)
 
 
 def cmd_detect(args) -> int:
-    # checked up front: topk never binarizes, and NMS sees only detections
+    # checked before the checkpoint loads; NMS runs only on images with
+    # detections, so its threshold is checked here too
     check_score_threshold(args.threshold)
     if args.nms_iou is not None:
         check_iou_threshold(args.nms_iou)
@@ -256,12 +257,18 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _detections_by_image(text: str, class_names: list[str]) -> dict[str, Detections]:
+def _detections_by_image(text: str, class_names: list[str],
+                         image_ids: list[str]) -> dict[str, Detections]:
     parsed = parse_detections(text)
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
+    known = set(image_ids)
     rows: dict[str, list] = {}
     for r in parsed.records:
+        if r.image_id not in known:
+            print(f"detections: unknown image {r.image_id!r} skipped",
+                  file=sys.stderr)
+            continue
         if r.class_name not in class_names:
             print(f"detections: unknown class {r.class_name!r} skipped",
                   file=sys.stderr)
@@ -280,7 +287,8 @@ def _detections_by_image(text: str, class_names: list[str]) -> dict[str, Detecti
 def cmd_eval(args) -> int:
     class_names, image_ids = _load_dataset(args.data)
     gt = _ground_truth_by_image(args.data, image_ids, class_names)
-    dets = _detections_by_image(Path(args.detections).read_text(), class_names)
+    dets = _detections_by_image(Path(args.detections).read_text(), class_names,
+                                image_ids)
     for iou, report in zip(args.iou, evaluate(dets, gt, args.iou)):
         print(f"IoU {iou:.2f}: mAP {report.mean_ap:.4f}")
         for c, ce in sorted(report.per_class.items()):
@@ -336,13 +344,13 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    check_score_threshold(args.threshold)
     poles = _extract(read_heatmap_csv(args.heatmap), args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "cell_x", "cell_y", "score"])
-        writer.writerows((p.class_id, p.cell_x, p.cell_y, f"{p.score:.6f}")
-                         for p in poles)
+        rows = zip(poles.class_id.tolist(), poles.cell_x.tolist(),
+                   poles.cell_y.tolist(), poles.score.tolist())
+        writer.writerows((c, x, y, f"{score:.6f}") for c, x, y, score in rows)
     print(f"extracted {len(poles)} pole points")
     return EXIT_OK
 
@@ -364,6 +372,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
+
+
+def _add_extraction_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threshold", type=float, default=0.3)
+    p.add_argument("--extractor", choices=("cc", "topk"), default="cc",
+                   help="cc: every pole (thresholded 3x3 local maximum); "
+                        "topk: the --k highest-scoring of them")
+    p.add_argument("--k", type=_positive_int, default=100,
+                   help="poles kept per heatmap by --extractor topk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,9 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.3)
-    p.add_argument("--extractor", choices=("cc", "topk"), default="cc")
-    p.add_argument("--k", type=_positive_int, default=100)
+    _add_extraction_flags(p)
     p.add_argument("--nms-iou", type=float, default=None)
     p.set_defaults(func=cmd_detect)
 
@@ -431,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="pole extraction from a heatmap CSV")
     p.add_argument("--heatmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.3)
-    p.add_argument("--extractor", choices=("cc", "topk"), default="cc")
-    p.add_argument("--k", type=_positive_int, default=100)
+    _add_extraction_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("encode-dump", help="dump encoded targets for one image")

@@ -1,17 +1,18 @@
-"""Pole-point extraction from heatmaps and decoding into oriented detections.
+"""Pole extraction from heatmaps and decoding into oriented detections.
 
-Extraction binarizes each class channel, finds 8-connected components and
-keeps each component's peak, so the number of detections is capped only by
-the grid, not by a fixed K. The CornerNet-style top-K extractor is kept as
-the ablation baseline. Decoding gathers (rho, theta1, theta2) at all pole
-cells of an image at once, places each pole at its cell center and converts
-them to quads in one ``polars_to_quads`` call; an image's detections are one
-``Detections`` row set from there to the detections file.
+A pole is a thresholded 3x3 local maximum of a class channel (CenterNet's
+max-pool peak step), so touching objects whose Gaussians bridge above the
+threshold keep one pole each, and the number of poles is capped only by
+the grid. Every pole of a heatmap is one ranked ``Poles`` array set; the
+top-k extractor is its first k rows. Decoding gathers (rho, theta1, theta2)
+at all pole cells of an image at once, places each pole at its cell center
+and converts them to quads in one ``polars_to_quads`` call; an image's
+detections are one ``Detections`` row set from there to the detections
+file.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +21,18 @@ from .encoding import GridConfig
 from .errors import ShapeError
 from .geometry import polars_to_quads
 
-_NEIGHBORS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
+@dataclass(frozen=True, eq=False)
+class Poles:
+    """Pole cells of one heatmap, one row each, ranked by descending score."""
 
-@dataclass(frozen=True)
-class PolePoint:
-    """Predicted object center on the output grid."""
+    class_id: np.ndarray  # (P,) intp
+    cell_y: np.ndarray    # (P,) intp
+    cell_x: np.ndarray    # (P,) intp
+    score: np.ndarray     # (P,) float64
 
-    class_id: int
-    cell_x: int
-    cell_y: int
-    score: float
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,88 +60,46 @@ def check_score_threshold(threshold: float) -> None:
         raise ValueError("threshold must lie in (0, 1)")
 
 
-def binarize(channel: np.ndarray, threshold: float) -> np.ndarray:
-    """Threshold one heatmap channel; the boundary value is kept true."""
+def extract_pole_points(heatmap: np.ndarray, threshold: float,
+                        k: int | None = None) -> Poles:
+    """Every thresholded 3x3 local maximum of a (C, H, W) heatmap, ranked.
+
+    A cell is a pole when it is at least ``threshold``, strictly greater
+    than its 3x3 neighbours that come earlier in row-major order and at
+    least as large as the later ones; cells off the grid count as -inf.
+    So a tie plateau keeps its first cell, but a plateau whose cells link
+    only through a later cell (two equal cells on one row, two apart,
+    with an equal cell below between them) gives two poles. Poles are
+    ranked by descending score, ties by (class, row, col), and ``k`` keeps
+    the first k of them.
+    """
     check_score_threshold(threshold)
-    return np.asarray(channel) >= threshold
-
-
-def connected_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Partition true cells into maximal 8-connected components.
-
-    Components are ordered by their smallest (row, col) member and each
-    component's cells are sorted, so the output is fully deterministic.
-    Seeds come from ``np.argwhere``, which is row-major, so a component is
-    found from its smallest member; the flood fill reads Python lists.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    rows = mask.tolist()
-    seen = [[False] * w for _ in range(h)]
-    comps: list[list[tuple[int, int]]] = []
-    for r0, c0 in np.argwhere(mask).tolist():
-        if seen[r0][c0]:
-            continue
-        seen[r0][c0] = True
-        queue = deque([(r0, c0)])
-        cells = []
-        while queue:
-            r, c = queue.popleft()
-            cells.append((r, c))
-            for dr, dc in _NEIGHBORS_8:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and rows[rr][cc] and not seen[rr][cc]:
-                    seen[rr][cc] = True
-                    queue.append((rr, cc))
-        comps.append(sorted(cells))
-    return comps
-
-
-def extract_pole_points(heatmap: np.ndarray, threshold: float) -> list[PolePoint]:
-    """One pole per connected super-threshold component, per class channel.
-
-    Each component contributes its argmax cell with that cell's value as the
-    score; peak ties break toward the smallest (row, col). There is no cap
-    on the number of poles.
-    """
-    heatmap = np.asarray(heatmap)
-    poles: list[PolePoint] = []
-    for class_id in range(heatmap.shape[0]):
-        channel = heatmap[class_id]
-        for cells in connected_components(binarize(channel, threshold)):
-            peak = max(cells, key=lambda rc: (channel[rc], (-rc[0], -rc[1])))
-            poles.append(PolePoint(class_id, peak[1], peak[0], float(channel[peak])))
-    return poles
-
-
-def topk_extract(heatmap: np.ndarray, k: int) -> list[PolePoint]:
-    """CornerNet-style baseline: top-k positive local maxima across channels.
-
-    A cell qualifies when its value equals the max of its 3x3 neighborhood
-    within its channel and is strictly positive (the all-zero background is
-    a plateau of worthless "maxima"). Ties break by scan order
-    (channel, row, col). Misses objects whenever more than k are present.
-    """
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    heatmap = np.asarray(heatmap, dtype=np.float64)
-    c, h, w = heatmap.shape
+    heat = np.asarray(heatmap, dtype=np.float64)
+    if not np.all(np.isfinite(heat)):
+        raise ValueError("heatmap must be finite")
+    c, h, w = heat.shape
     padded = np.full((c, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heatmap
-    neigh_max = np.full((c, h, w), -np.inf)
+    padded[:, 1:-1, 1:-1] = heat
+    peak = heat >= threshold
     for dr in range(3):
         for dc in range(3):
-            np.maximum(neigh_max, padded[:, dr:dr + h, dc:dc + w], out=neigh_max)
-    cand = np.argwhere((heatmap == neigh_max) & (heatmap > 0.0))
-    ranked = sorted(cand, key=lambda idx: (-heatmap[tuple(idx)], idx[0], idx[1], idx[2]))
-    return [PolePoint(int(ci), int(cc), int(cr), float(heatmap[ci, cr, cc]))
-            for ci, cr, cc in ranked[:k]]
+            neighbour = padded[:, dr:dr + h, dc:dc + w]
+            if (dr, dc) < (1, 1):
+                peak &= heat > neighbour
+            elif (dr, dc) > (1, 1):
+                peak &= heat >= neighbour
+    class_id, cell_y, cell_x = np.nonzero(peak)
+    score = heat[class_id, cell_y, cell_x]
+    rank = np.argsort(-score, kind="stable")[:k]
+    return Poles(class_id[rank], cell_y[rank], cell_x[rank], score[rank])
 
 
-def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
+def decode_poles(poles: Poles, rho_plane: np.ndarray,
                  theta1_plane: np.ndarray, theta2_plane: np.ndarray,
                  cfg: GridConfig) -> DecodeResult:
-    """Turn pole points plus regression planes into oriented detections.
+    """Turn poles plus regression planes into oriented detections.
 
     Poles are placed at cell centers (cell * d + d/2) and radii rescaled to
     input pixels. Poles whose regression values violate the polar-box
@@ -152,16 +112,14 @@ def decode_poles(poles: list[PolePoint], rho_plane: np.ndarray,
         if np.shape(plane) != shape:
             raise ShapeError(f"{name} plane {np.shape(plane)} vs grid {shape}")
     d = cfg.stride
-    index = np.array([(p.cell_x, p.cell_y, p.class_id) for p in poles],
-                     dtype=np.intp).reshape(-1, 3)
-    score = np.array([p.score for p in poles], dtype=np.float64)
-    cx, cy, class_id = index.T
+    cx, cy = poles.cell_x, poles.cell_y
     rho = np.asarray(rho_plane)[cy, cx].astype(np.float64) * d
     theta = np.column_stack([np.asarray(plane)[cy, cx].astype(np.float64)
                              for plane in (theta1_plane, theta2_plane)])
     keep = np.flatnonzero(~((rho <= 0.0) | (theta[:, 1] <= theta[:, 0])))
-    corners = polars_to_quads(index[keep, :2] * d + d / 2.0, rho[keep], theta[keep])
+    cells = np.column_stack([cx[keep], cy[keep]])
+    corners = polars_to_quads(cells * d + d / 2.0, rho[keep], theta[keep])
     if not np.all(np.isfinite(corners)):
         raise ValueError("corners must be finite")
-    return DecodeResult(Detections(corners, class_id[keep], score[keep]),
-                        len(poles) - len(keep))
+    dets = Detections(corners, poles.class_id[keep], poles.score[keep])
+    return DecodeResult(dets, len(poles) - len(keep))

@@ -3,8 +3,8 @@
 Nothing here shares code with the package: areas come from Monte Carlo
 sampling, half-plane tests or a scalar Sutherland-Hodgman clip, greedy NMS
 and matching from plain per-pair loops over that clip, gradients from
-finite differences, connected components from scipy, neighbour
-expansion or a full row-major scan, decoded corners from one scalar
+finite differences, connected components and heatmap peaks from a full
+row-major scan, decoded corners from one scalar
 ``math`` formula per pole, conv columns from ``np.pad`` and a sliding-window
 view, and conv input gradients from one strided add per tap over the
 (n, oy, ox) columns. Tests compare
@@ -149,53 +149,31 @@ def decode_poles_reference(poles, rho_plane, theta1_plane, theta2_plane,
                            stride: int):
     """Decoding one pole at a time, in plain Python floats and ``math``.
 
-    ``poles`` are objects with ``class_id``, ``cell_x``, ``cell_y`` and
-    ``score``. A pole with rho <= 0 or theta2 <= theta1 is dropped; any other
-    pole becomes four corners at angles (t1, t2, t1+pi, t2+pi) about its
-    cell center, and non-finite corners raise ``ValueError``. Returns
+    ``poles`` is a ``Poles`` array set. A pole with rho <= 0 or
+    theta2 <= theta1 is dropped; any other pole becomes four corners at
+    angles (t1, t2, t1+pi, t2+pi) about its cell center, and non-finite
+    corners raise ``ValueError``. Returns
     ([(corners (4, 2), class_id, score)], number dropped).
     """
     d = stride
     detections, dropped = [], 0
-    for p in poles:
-        rho = float(rho_plane[p.cell_y, p.cell_x]) * d
-        t1 = float(theta1_plane[p.cell_y, p.cell_x])
-        t2 = float(theta2_plane[p.cell_y, p.cell_x])
+    for class_id, cy, cx, score in zip(poles.class_id.tolist(),
+                                       poles.cell_y.tolist(),
+                                       poles.cell_x.tolist(),
+                                       poles.score.tolist()):
+        rho = float(rho_plane[cy, cx]) * d
+        t1 = float(theta1_plane[cy, cx])
+        t2 = float(theta2_plane[cy, cx])
         if rho <= 0.0 or t2 <= t1:
             dropped += 1
             continue
-        xs, ys = p.cell_x * d + d / 2.0, p.cell_y * d + d / 2.0
+        xs, ys = cx * d + d / 2.0, cy * d + d / 2.0
         corners = np.array([[xs + rho * math.cos(t), ys + rho * math.sin(t)]
                             for t in (t1, t2, t1 + math.pi, t2 + math.pi)])
         if not np.all(np.isfinite(corners)):
             raise ValueError("corners must be finite")
-        detections.append((corners, p.class_id, p.score))
+        detections.append((corners, class_id, score))
     return detections, dropped
-
-
-def brute_force_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
-    """8-connected components by repeated neighbor expansion (no BFS order)."""
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    remaining = {(r, c) for r in range(h) for c in range(w) if mask[r, c]}
-    comps = []
-    while remaining:
-        seed_cell = next(iter(remaining))
-        comp = {seed_cell}
-        frontier = {seed_cell}
-        while frontier:
-            new_frontier = set()
-            for r, c in frontier:
-                for dr in (-1, 0, 1):
-                    for dc in (-1, 0, 1):
-                        cand = (r + dr, c + dc)
-                        if cand in remaining and cand not in comp:
-                            comp.add(cand)
-                            new_frontier.add(cand)
-            frontier = new_frontier
-        remaining -= comp
-        comps.append(comp)
-    return comps
 
 
 def scan_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
@@ -221,6 +199,38 @@ def scan_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
                             stack.append((rr, cc))
             comps.append(sorted(cells))
     return comps
+
+
+def peak_scan_reference(heatmap: np.ndarray, threshold: float,
+                        k: int | None = None) -> list[tuple[int, int, int, float]]:
+    """Poles by visiting every cell of every channel, one at a time.
+
+    A cell is a pole when it is >= ``threshold``, strictly above each of
+    its in-grid 3x3 neighbours that come before it in row-major order and
+    >= each that comes after. Returns (class, row, col, score) tuples
+    ranked by descending score, ties by (class, row, col), cut to ``k``.
+    """
+    heatmap = np.asarray(heatmap, dtype=np.float64)
+    c, h, w = heatmap.shape
+    poles = []
+    for ci in range(c):
+        for r in range(h):
+            for col in range(w):
+                v = float(heatmap[ci, r, col])
+                if v < threshold:
+                    continue
+                is_peak = True
+                for rr in range(max(r - 1, 0), min(r + 2, h)):
+                    for cc in range(max(col - 1, 0), min(col + 2, w)):
+                        u = float(heatmap[ci, rr, cc])
+                        if (rr, cc) < (r, col) and not v > u:
+                            is_peak = False
+                        if (rr, cc) > (r, col) and not v >= u:
+                            is_peak = False
+                if is_peak:
+                    poles.append((ci, r, col, v))
+    poles.sort(key=lambda p: (-p[3], p[0], p[1], p[2]))
+    return poles if k is None else poles[:k]
 
 
 def voc_ap_reference(scored_flags: list[tuple[float, bool]], num_gt: int) -> float:

@@ -398,6 +398,22 @@ class TestEval:
         assert "zeppelin" in captured.err
         assert "mAP" in captured.out
 
+    def test_unknown_image_detection_skipped_with_warning(self, workspace,
+                                                          tmp_path, capsys):
+        dets = workspace["dets"].read_text()
+        assert cli.main(["eval", "--data", str(workspace["data"]),
+                         "--detections", str(workspace["dets"])]) == 0
+        clean = capsys.readouterr().out
+        line = dets.splitlines()[0].split()
+        line[0] = "img_99999"
+        weird = tmp_path / "weird.txt"
+        weird.write_text(dets + " ".join(line) + "\n")
+        assert cli.main(["eval", "--data", str(workspace["data"]),
+                         "--detections", str(weird)]) == 0
+        captured = capsys.readouterr()
+        assert "detections: unknown image 'img_99999' skipped" in captured.err
+        assert captured.out == clean
+
     def test_difficult_objects_are_neither_missed_nor_found(self, tmp_path, capsys):
         # one easy and one difficult square, one exact detection of the easy
         # one: VOC scoring leaves the difficult square out of the count
@@ -518,6 +534,18 @@ class TestExtract:
         assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out),
                          "--extractor", extractor, "--threshold", "nan"]) == 3
         assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("extractor", ["topk", "cc"])
+    def test_non_finite_heatmap_is_io_error(self, tmp_path, capsys, extractor,
+                                            value):
+        hm_path = tmp_path / "heat.csv"
+        hm_path.write_text(f"0,0,0,0\n0,0.9,{value},0\n0,0,0,0\n0,0,0,0\n")
+        out = tmp_path / "poles.csv"
+        assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out),
+                         "--extractor", extractor]) == 3
+        assert "heatmap must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_heatmap_csv_round_trip(self, tmp_path):

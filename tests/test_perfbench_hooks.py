@@ -3,8 +3,9 @@
 ``perfbench/`` reaches into the package from outside ``src/``:
 ``spans.conv_shapes`` swaps ``Conv2d.forward`` for a one-argument function to
 read the layer shapes, and ``spans.Tracer`` wraps public functions and the
-Conv2d and Adam methods by name, and counts boxes with ``len()`` on what
-``decode_poles`` and ``oriented_nms`` take and return. A signature change
+Conv2d and Adam methods by name, and counts poles and boxes with ``len()``
+on what ``extract_pole_points``, ``decode_poles`` and ``oriented_nms`` take
+and return. A signature change
 there crashes the benchmark before it prints a result line, or makes a
 counter read something other than a box count, and nothing else in the
 suite runs that code. The check runs in a subprocess because importing
@@ -31,7 +32,6 @@ from polardet import geometry, postprocess, toynet
 from polardet.encoding import GridConfig, encode_regression
 from polardet.geometry import Point2, PolarBox
 from polardet.losses import LossConfig
-from polardet.postprocess import PolePoint
 
 counts = run.kernel_counts(256)
 net = toynet.ToyNet(num_classes=2, base_channels=2)
@@ -40,21 +40,26 @@ images = rng.uniform(0, 1, (2, 32, 32))
 grid = GridConfig(32, 32, 4, 2)
 targets = [encode_regression([PolarBox(Point2(14.0, 18.0), 5.0, 0.5, 1.6, k)],
                              grid) for k in (0, 1)]
-# five boxes of radius 6 px: the class-0 pair one cell apart overlaps at
-# IoU 0.3, so one of them goes; the class-1 box on the same cell stays
-poles = [PolePoint(0, 2, 2, 0.9), PolePoint(0, 3, 2, 0.8), PolePoint(1, 3, 2, 0.7),
-         PolePoint(1, 6, 6, 0.6), PolePoint(0, 6, 1, 0.5)]
+# five isolated peaks decode to boxes of radius 12 px: the class-0 pair two
+# cells apart overlaps at IoU 0.3, so one of them goes; the class-1 box
+# between them stays
+heat = np.zeros((2, 8, 8))
+for c, y, x, score in [(0, 2, 2, 0.9), (0, 2, 4, 0.8), (1, 2, 3, 0.7),
+                       (1, 6, 6, 0.6), (0, 6, 1, 0.5)]:
+    heat[c, y, x] = score
 plane = np.ones((8, 8))
 with spans.Tracer().installed() as tracer:
     planes = toynet.predict_planes(net, images[0])
     loss = toynet.compute_batch_loss(net, toynet.image_to_input(images),
                                      targets, LossConfig())
-    dets = postprocess.decode_poles(poles, 1.5 * plane, 0.5 * plane, 2.0 * plane,
+    poles = postprocess.extract_pole_points(heat, 0.3)
+    dets = postprocess.decode_poles(poles, 3.0 * plane, 0.5 * plane, 2.0 * plane,
                                     grid).detections
     kept = geometry.oriented_nms(dets.corners, dets.score, dets.class_id, 0.2)
 print(json.dumps({"counts": counts, "spans": sorted({s[0] for s in tracer.spans}),
                   "heat_shape": list(planes[0].shape), "loss": loss.total,
-                  "boxes": {"decoded": len(dets.score), "kept": len(kept)},
+                  "boxes": {"poles": len(poles.score), "decoded": len(dets.score),
+                            "kept": len(kept)},
                   "box_counts": {k: v for k, v in tracer.counts.items()
                                  if k.startswith(("postprocess.", "geometry."))}}))
 """
@@ -74,10 +79,12 @@ def test_kernel_counts_and_tracer_run_on_the_package():
     for name in ("toynet.predict_planes", "toynet.compute_batch_loss",
                  "toynet.stem.fwd", "toynet.stem.bwd", "toynet.head.fwd",
                  "toynet.head.bwd", "losses.pole_focal_loss",
-                 "losses.total_regression_loss", "postprocess.decode_poles",
+                 "losses.total_regression_loss",
+                 "postprocess.extract_pole_points", "postprocess.decode_poles",
                  "geometry.oriented_nms"):
         assert name in got["spans"]
-    # the counters read box counts, not the number of fields of a record
-    assert got["boxes"] == {"decoded": 5, "kept": 4}
-    assert got["box_counts"] == {"postprocess.decoded": 5, "geometry.nms_in": 5,
-                                 "geometry.nms_kept": 4}
+    # the counters read pole and box counts, not the number of fields of a
+    # record
+    assert got["boxes"] == {"poles": 5, "decoded": 5, "kept": 4}
+    assert got["box_counts"] == {"postprocess.poles": 5, "postprocess.decoded": 5,
+                                 "geometry.nms_in": 5, "geometry.nms_kept": 4}

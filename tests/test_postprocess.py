@@ -2,89 +2,38 @@ import math
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from polardet.encoding import GridConfig, encode_regression
 from polardet.errors import ShapeError
 from polardet.geometry import Point2, PolarBox, QuadBox, polar_to_quad, quad_to_polar
-from polardet.postprocess import (binarize, connected_components, decode_poles,
-                                  extract_pole_points, topk_extract, PolePoint)
+from polardet.postprocess import Poles, decode_poles, extract_pole_points
 
-from oracles import brute_force_components, decode_poles_reference, scan_components
-
-
-def scipy_components(mask):
-    labels, n = ndimage.label(mask, structure=np.ones((3, 3)))
-    return [frozenset(map(tuple, np.argwhere(labels == i + 1))) for i in range(n)]
+from oracles import decode_poles_reference, peak_scan_reference, scan_components
 
 
-class TestBinarize:
-    def test_boundary_value_is_kept(self):
-        mask = binarize(np.array([[0.29, 0.3, 0.31]]), 0.3)
-        np.testing.assert_array_equal(mask, [[False, True, True]])
-
-    def test_threshold_must_be_interior(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                binarize(np.zeros((2, 2)), bad)
+def pole_rows(poles: Poles) -> list[tuple]:
+    """(class, cell_x, cell_y, score) of each pole, in rank order."""
+    return list(zip(poles.class_id.tolist(), poles.cell_x.tolist(),
+                    poles.cell_y.tolist(), poles.score.tolist()))
 
 
-class TestConnectedComponents:
-    def test_empty_mask(self):
-        assert connected_components(np.zeros((4, 4), dtype=bool)) == []
+def make_poles(rows) -> Poles:
+    """A ``Poles`` array set from (class, cell_x, cell_y, score) rows."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    class_id, cell_x, cell_y = table[:, :3].astype(np.intp).T
+    return Poles(class_id, cell_y, cell_x, table[:, 3])
 
-    def test_single_cell(self):
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[1, 2] = True
-        assert connected_components(mask) == [[(1, 2)]]
 
-    def test_diagonal_cells_are_connected(self):
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        comps = connected_components(mask)
-        assert len(comps) == 1
-        assert comps[0] == [(0, 0), (1, 1), (2, 2)]
-
-    def test_separated_cells_are_not(self):
-        mask = np.zeros((3, 4), dtype=bool)
-        mask[0, 0] = mask[0, 3] = True
-        assert connected_components(mask) == [[(0, 0)], [(0, 3)]]
-
-    def test_matches_scipy_on_random_masks(self):
-        rng = np.random.default_rng(0)
-        for density in (0.1, 0.4, 0.7):
-            for _ in range(20):
-                mask = rng.random((12, 15)) < density
-                ours = {frozenset(c) for c in connected_components(mask)}
-                assert ours == set(scipy_components(mask))
-
-    def test_matches_brute_force_expansion(self):
-        rng = np.random.default_rng(1)
-        mask = rng.random((10, 10)) < 0.5
-        ours = {frozenset(c) for c in connected_components(mask)}
-        theirs = {frozenset(c) for c in brute_force_components(mask)}
-        assert ours == theirs
-
-    def test_matches_full_scan_exactly(self):
-        # the same lists in the same order as visiting every cell row-major
-        rng = np.random.default_rng(2)
-        for density in (0.05, 0.3, 0.6):
-            for _ in range(5):
-                mask = rng.random((64, 64)) < density
-                assert connected_components(mask) == scan_components(mask)
-
-    def test_full_and_empty_64x64(self):
-        full = np.ones((64, 64), dtype=bool)
-        assert connected_components(full) == [
-            [(r, c) for r in range(64) for c in range(64)]]
-        assert connected_components(~full) == []
-
-    def test_deterministic_ordering(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[3, 0] = mask[0, 2] = mask[0, 3] = True
-        comps = connected_components(mask)
-        # ordered by smallest member; cells sorted within a component
-        assert comps == [[(0, 2), (0, 3)], [(3, 0)]]
+def touching_row_heatmap() -> np.ndarray:
+    """The encoder's target heatmap for a row of 8 boxes of 9 x 13.5 px,
+    short sides along x and 2 px apart, centred in a 128 x 128 image."""
+    w, h, gap, size = 9.0, 13.5, 2.0, 128
+    x0 = (size - (8 * w + 7 * gap)) / 2
+    y = (size - h) / 2
+    boxes = [quad_to_polar(QuadBox(np.array([[x, y], [x + w, y], [x + w, y + h],
+                                             [x, y + h]])))
+             for x in x0 + np.arange(8) * (w + gap)]
+    return encode_regression(boxes, GridConfig(size, size, 4, 1)).heatmap
 
 
 class TestExtractPolePoints:
@@ -93,89 +42,171 @@ class TestExtractPolePoints:
         heat[0, 3:6, 3:6] = 0.4
         heat[0, 4, 5] = 0.9
         poles = extract_pole_points(heat, 0.3)
-        assert poles == [PolePoint(0, 5, 4, 0.9)]
+        # the blob's peak ranks first; the flat shoulder's first cell, (3, 3),
+        # lies outside the peak's 3x3 window, so it is a maximum of its own
+        assert pole_rows(poles) == [(0, 5, 4, 0.9), (0, 3, 3, 0.4)]
+        for field in (poles.class_id, poles.cell_y, poles.cell_x):
+            assert field.dtype == np.intp
+        assert poles.score.dtype == np.float64
 
     def test_sub_threshold_blob_ignored(self):
         heat = np.zeros((1, 8, 8))
         heat[0, 1, 1] = 0.29
         heat[0, 5, 5] = 0.31
         poles = extract_pole_points(heat, 0.3)
-        assert [(p.cell_x, p.cell_y) for p in poles] == [(5, 5)]
+        assert [(x, y) for _c, x, y, _s in pole_rows(poles)] == [(5, 5)]
+
+    def test_boundary_value_is_kept(self):
+        heat = np.zeros((1, 1, 5))
+        heat[0, 0, ::2] = [0.29, 0.3, 0.31]
+        poles = extract_pole_points(heat, 0.3)
+        assert pole_rows(poles) == [(0, 4, 0, 0.31), (0, 2, 0, 0.3)]
+
+    def test_threshold_must_be_interior(self):
+        for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                extract_pole_points(np.zeros((1, 2, 2)), bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heatmap_rejected(self, value):
+        heat = np.zeros((1, 4, 4))
+        heat[0, 1, 1] = 0.9
+        heat[0, 1, 2] = value
+        with pytest.raises(ValueError, match="heatmap must be finite"):
+            extract_pole_points(heat, 0.3)
 
     def test_two_blobs_two_poles(self):
         heat = np.zeros((1, 10, 10))
         heat[0, 1, 1] = 0.8
         heat[0, 7, 8] = 0.6
         poles = extract_pole_points(heat, 0.3)
-        assert {(p.cell_x, p.cell_y, p.score) for p in poles} == \
+        assert {(x, y, score) for _c, x, y, score in pole_rows(poles)} == \
             {(1, 1, 0.8), (8, 7, 0.6)}
 
-    def test_merged_blob_yields_one_pole(self):
-        # two peaks bridged above threshold collapse to one component
+    def test_bridged_peaks_yield_two_poles(self):
+        # two peaks bridged above threshold keep one pole each
         heat = np.zeros((1, 5, 9))
         heat[0, 2, 1:8] = 0.5
         heat[0, 2, 2] = 0.8
         heat[0, 2, 6] = 0.7
         poles = extract_pole_points(heat, 0.3)
-        assert poles == [PolePoint(0, 2, 2, 0.8)]
+        assert pole_rows(poles) == [(0, 2, 2, 0.8), (0, 6, 2, 0.7)]
+
+    def test_touching_row_keeps_one_pole_per_box(self):
+        # the 8 Gaussians bridge above 0.3 into one 8-connected component,
+        # yet each box's pole cell is a peak of 1
+        heat = touching_row_heatmap()
+        assert len(scan_components(heat[0] >= 0.3)) == 1
+        poles = extract_pole_points(heat, 0.3)
+        assert len(poles) == 8
+        assert poles.score.tolist() == [1.0] * 8
+        assert len(set(poles.cell_x.tolist())) == 8
 
     def test_peak_tie_breaks_to_smallest_row_col(self):
         heat = np.zeros((1, 6, 6))
         heat[0, 2, 2] = heat[0, 2, 3] = heat[0, 3, 2] = 0.5
         poles = extract_pole_points(heat, 0.3)
-        assert poles == [PolePoint(0, 2, 2, 0.5)]
+        assert pole_rows(poles) == [(0, 2, 2, 0.5)]
+
+    def test_plateau_linked_through_a_later_cell_gives_two_poles(self):
+        # (row 2, col 2) and (2, 4) touch only through (3, 3), after both
+        heat = np.zeros((1, 6, 6))
+        heat[0, 2, 2] = heat[0, 2, 4] = heat[0, 3, 3] = 0.5
+        poles = extract_pole_points(heat, 0.3)
+        assert pole_rows(poles) == [(0, 2, 2, 0.5), (0, 4, 2, 0.5)]
+
+    def test_constant_plateau_gives_its_first_cell(self):
+        poles = extract_pole_points(np.full((2, 64, 64), 0.5), 0.3)
+        assert pole_rows(poles) == [(0, 0, 0, 0.5), (1, 0, 0, 0.5)]
 
     def test_channels_are_independent(self):
         heat = np.zeros((2, 6, 6))
         heat[0, 1, 1] = 0.9
         heat[1, 1, 1] = 0.8
         poles = extract_pole_points(heat, 0.3)
-        assert [(p.class_id, p.cell_x, p.cell_y) for p in poles] == \
+        assert [(c, x, y) for c, x, y, _s in pole_rows(poles)] == \
             [(0, 1, 1), (1, 1, 1)]
+
+    def test_ranked_by_score_then_class_row_col(self):
+        heat = np.zeros((2, 8, 8))
+        heat[1, 0, 6] = 0.4
+        heat[0, 6, 0] = 0.7
+        heat[1, 3, 3] = 0.7
+        heat[0, 0, 3] = 0.4
+        poles = extract_pole_points(heat, 0.3)
+        assert pole_rows(poles) == [(0, 0, 6, 0.7), (1, 3, 3, 0.7),
+                                    (0, 3, 0, 0.4), (1, 6, 0, 0.4)]
 
     def test_no_cap_on_count(self):
         heat = np.zeros((1, 20, 20))
         heat[0, ::2, ::2] = 0.5  # 100 isolated cells
         assert len(extract_pole_points(heat, 0.3)) == 100
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scan_oracle_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        smooth = rng.random((3, 17, 23))
+        # steps of 0.1 and 0.25 make plateaus of equal neighbours
+        for heat in (smooth, np.round(smooth * 10.0) / 10.0,
+                     np.round(smooth * 4.0) / 4.0):
+            for threshold, k in ((0.3, None), (0.05, None), (0.3, 7)):
+                poles = extract_pole_points(heat, threshold, k)
+                got = list(zip(poles.class_id.tolist(), poles.cell_y.tolist(),
+                               poles.cell_x.tolist(), poles.score.tolist()))
+                assert got == peak_scan_reference(heat, threshold, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_component_peaks_are_poles(self, seed):
+        # each 8-connected component's arg-max (ties to the smallest
+        # (row, col)) is a pole, so no object a component found is lost
+        rng = np.random.default_rng(10 + seed)
+        heat = np.round(rng.random((2, 20, 20)) * 10.0) / 10.0
+        poles = extract_pole_points(heat, 0.3)
+        found = set(zip(poles.class_id.tolist(), poles.cell_y.tolist(),
+                        poles.cell_x.tolist()))
+        for c, channel in enumerate(heat):
+            for cells in scan_components(channel >= 0.3):
+                r, col = max(cells, key=lambda rc: (channel[rc], -rc[0], -rc[1]))
+                assert (c, r, col) in found
+
 
 class TestTopkExtract:
     def test_zero_background_yields_nothing(self):
-        assert topk_extract(np.zeros((2, 8, 8)), 10) == []
+        assert len(extract_pole_points(np.zeros((2, 8, 8)), 0.3, k=10)) == 0
 
     def test_takes_k_highest_local_maxima(self):
         heat = np.zeros((1, 10, 10))
         for i, v in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
             heat[0, 1, 2 * i + 1] = v
-        poles = topk_extract(heat, 3)
-        assert [p.score for p in poles] == [0.9, 0.8, 0.7]
+        poles = extract_pole_points(heat, 0.3, k=3)
+        assert poles.score.tolist() == [0.9, 0.8, 0.7]
 
     def test_k_larger_than_candidates(self):
         heat = np.zeros((1, 8, 8))
         heat[0, 2, 2] = 0.4
         heat[0, 6, 6] = 0.6
-        poles = topk_extract(heat, 100)
+        poles = extract_pole_points(heat, 0.3, k=100)
         assert len(poles) == 2
-        assert poles[0].score == 0.6
+        assert poles.score[0] == 0.6
 
     def test_non_maximum_cells_excluded(self):
         heat = np.zeros((1, 8, 8))
         heat[0, 3, 3] = 0.9
         heat[0, 3, 4] = 0.5  # adjacent to a higher cell
         heat[0, 3, 6] = 0.4
-        poles = topk_extract(heat, 10)
-        assert {(p.cell_x, p.cell_y) for p in poles} == {(3, 3), (6, 3)}
+        poles = extract_pole_points(heat, 0.3, k=10)
+        assert {(x, y) for _c, x, y, _s in pole_rows(poles)} == {(3, 3), (6, 3)}
 
     def test_plateau_ties_break_by_scan_order(self):
         heat = np.zeros((2, 6, 6))
         heat[1, 2, 2] = 0.5
         heat[0, 4, 4] = 0.5
-        poles = topk_extract(heat, 1)
-        assert poles[0].class_id == 0  # channel before row/col
+        poles = extract_pole_points(heat, 0.3, k=1)
+        assert poles.class_id.tolist() == [0]  # channel before row/col
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            topk_extract(np.zeros((1, 4, 4)), 0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            extract_pole_points(np.zeros((1, 4, 4)), 0.3, k=0)
 
 
 class TestDecoding:
@@ -190,7 +221,7 @@ class TestDecoding:
     def test_decode_places_pole_at_cell_center(self):
         cfg = GridConfig(64, 64, 4)
         rho, t1, t2 = self._planes(cfg, {(3, 2): (1.5, 0.5, 2.0)})
-        result = decode_poles([PolePoint(0, 3, 2, 0.9)], rho, t1, t2, cfg)
+        result = decode_poles(make_poles([(0, 3, 2, 0.9)]), rho, t1, t2, cfg)
         assert len(result.detections) == 1
         assert result.detections.score.tolist() == [0.9]
         expected = polar_to_quad(PolarBox(Point2(14.0, 10.0), 6.0, 0.5, 2.0))
@@ -199,7 +230,7 @@ class TestDecoding:
     def test_radius_rescaled_by_stride(self):
         cfg = GridConfig(128, 128, 8)
         rho, t1, t2 = self._planes(cfg, {(1, 1): (2.0, 0.4, 1.9)})
-        result = decode_poles([PolePoint(0, 1, 1, 0.5)], rho, t1, t2, cfg)
+        result = decode_poles(make_poles([(0, 1, 1, 0.5)]), rho, t1, t2, cfg)
         back = quad_to_polar(QuadBox(result.detections.corners[0]))
         assert back.rho == pytest.approx(16.0)
 
@@ -211,7 +242,7 @@ class TestDecoding:
             (3, 3): (1.0, 0.5, 0.5),   # angles equal
             (4, 4): (1.0, 0.5, 2.0),   # fine
         })
-        poles = [PolePoint(0, i, i, 0.5) for i in (1, 2, 3, 4)]
+        poles = make_poles([(0, i, i, 0.5) for i in (1, 2, 3, 4)])
         result = decode_poles(poles, rho, t1, t2, cfg)
         assert result.dropped_invalid == 3
         assert len(result.detections) == 1
@@ -232,9 +263,8 @@ class TestDecoding:
         equal = rng.random(shape) < 0.1
         t2[equal] = t1[equal]
         cells = rng.choice(cfg.grid_h * cfg.grid_w, size=60, replace=False)
-        poles = [PolePoint(int(rng.integers(3)), int(c % cfg.grid_w),
-                           int(c // cfg.grid_w), float(rng.random()))
-                 for c in cells]
+        poles = make_poles([(rng.integers(3), c % cfg.grid_w, c // cfg.grid_w,
+                             rng.random()) for c in cells])
         result = decode_poles(poles, rho, t1, t2, cfg)
         expected, dropped = decode_poles_reference(poles, rho, t1, t2, cfg.stride)
         assert 0 < dropped < len(poles)
@@ -250,16 +280,17 @@ class TestDecoding:
     def test_empty_pole_list(self):
         cfg = GridConfig(64, 64, 4)
         plane = np.ones((16, 16), dtype=np.float32)
-        result = decode_poles([], plane, plane, plane, cfg)
+        result = decode_poles(make_poles([]), plane, plane, plane, cfg)
         assert len(result.detections) == 0 and result.dropped_invalid == 0
         assert result.detections.corners.shape == (0, 4, 2)
-        assert decode_poles_reference([], plane, plane, plane, 4) == ([], 0)
+        empty = make_poles([])
+        assert decode_poles_reference(empty, plane, plane, plane, 4) == ([], 0)
 
     def test_nan_radius_is_not_dropped_and_raises(self):
         cfg = GridConfig(64, 64, 4)
         rho, t1, t2 = self._planes(cfg, {(1, 1): (1.0, 0.5, 2.0),
                                          (2, 2): (math.nan, 0.5, 2.0)})
-        poles = [PolePoint(0, 1, 1, 0.5), PolePoint(0, 2, 2, 0.5)]
+        poles = make_poles([(0, 1, 1, 0.5), (0, 2, 2, 0.5)])
         with pytest.raises(ValueError, match="finite"):
             decode_poles(poles, rho, t1, t2, cfg)
         with pytest.raises(ValueError, match="finite"):
@@ -269,7 +300,7 @@ class TestDecoding:
         cfg = GridConfig(64, 64, 4)
         good = np.zeros((16, 16))
         with pytest.raises(ShapeError):
-            decode_poles([], good, good, np.zeros((8, 8)), cfg)
+            decode_poles(make_poles([]), good, good, np.zeros((8, 8)), cfg)
 
     def test_encode_decode_round_trip(self):
         rng = np.random.default_rng(21)
