@@ -11,15 +11,11 @@ import csv
 from pathlib import Path
 
 from polardet import cli
-from polardet.evaluation import evaluate
 
 
 def _mean_aps(data_dir, dets_path) -> list[float]:
     """mAP at IoU 0.5 and 0.75."""
-    names, image_ids = cli._load_dataset(data_dir)
-    gt = cli._ground_truth_by_image(data_dir, image_ids, names)
-    dets = cli._detections_by_image(Path(dets_path).read_text(), names, image_ids)
-    return [r.mean_ap for r in evaluate(dets, gt, [0.5, 0.75])]
+    return [r.mean_ap for r in cli.score(data_dir, dets_path, [0.5, 0.75])[0]]
 
 
 def main() -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import BoxArrays, GridConfig, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
-from .evaluation import evaluate
+from .evaluation import EvalReport, evaluate
 from .formats import (DetectionRecord, GroundTruth, parse_annotations,
                       parse_detections, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
@@ -104,12 +104,6 @@ def _read_ground_truth(data_dir, image_ids: list[str],
                 print(f"{path}: {w}", file=sys.stderr)
             yield parsed.records
     return GroundTruth.from_records(records(), class_names)
-
-
-def _ground_truth_by_image(data_dir, image_ids: list[str],
-                           class_names: list[str]) -> dict[str, GroundTruth]:
-    gt = _read_ground_truth(data_dir, image_ids, class_names)
-    return dict(zip(image_ids, gt.per_image(len(image_ids))))
 
 
 def read_heatmap_csv(path) -> np.ndarray:
@@ -284,12 +278,21 @@ def _detections_by_image(text: str, class_names: list[str],
     return by_image
 
 
-def cmd_eval(args) -> int:
-    class_names, image_ids = _load_dataset(args.data)
-    gt = _ground_truth_by_image(args.data, image_ids, class_names)
-    dets = _detections_by_image(Path(args.detections).read_text(), class_names,
+def score(data_dir, detections_path, ious) -> tuple[list[EvalReport], list[str]]:
+    """``eval``'s scoring: one report per IoU threshold in ``ious`` for the
+    detections file against the dataset, and the dataset's class names.
+    Annotation and detection-file warnings go to stderr."""
+    class_names, image_ids = _load_dataset(data_dir)
+    gt = _read_ground_truth(data_dir, image_ids, class_names)
+    dets = _detections_by_image(Path(detections_path).read_text(), class_names,
                                 image_ids)
-    for iou, report in zip(args.iou, evaluate(dets, gt, args.iou)):
+    gt_by_image = dict(zip(image_ids, gt.per_image(len(image_ids))))
+    return evaluate(dets, gt_by_image, ious), class_names
+
+
+def cmd_eval(args) -> int:
+    reports, class_names = score(args.data, args.detections, args.iou)
+    for iou, report in zip(args.iou, reports):
         print(f"IoU {iou:.2f}: mAP {report.mean_ap:.4f}")
         for c, ce in sorted(report.per_class.items()):
             print(f"  {class_names[c]}: AP {ce.ap:.4f} "
@@ -374,6 +377,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _add_extraction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--extractor", choices=("cc", "topk"), default="cc",
@@ -405,14 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p.add_argument("--config", help="key=value overrides for training")
-    p.add_argument("--iters", "--iterations", type=int, dest="iterations")
-    p.add_argument("--batch", type=int)
+    p.add_argument("--iters", "--iterations", type=_positive_int, dest="iterations")
+    p.add_argument("--batch", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--lambda-ring", type=float,
                    help="ring-loss weight inside the regression term")
-    p.add_argument("--base-channels", type=int)
+    p.add_argument("--base-channels", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-every", type=int, default=200)
+    p.add_argument("--log-every", type=_non_negative_int, default=200,
+                   help="print the loss every this many iterations; 0: never")
     p.add_argument("--history", help="write per-iteration loss CSV here")
     p.set_defaults(func=cmd_train)
 

@@ -11,17 +11,17 @@ Every layer's ``forward`` caches what its backward pass needs, so the
 training loop is forward -> loss gradients on the activated outputs ->
 backward -> Adam. No autodiff framework is involved; the analytic gradients
 are validated against finite differences in the test suite. Inference calls
-the layers instead (``ToyNet.predict``): the same sums, with nothing cached,
-so only one layer's columns are alive at a time.
+the layers instead (``ToyNet.predict``): the same products, bit for bit,
+with nothing cached, so only one layer's columns are alive at a time.
 
-Each conv is one matrix product per direction over im2col columns. The
-training forward keeps (n, oy, ox) columns (``_im2col``): the weight
-gradient's GEMM reduces over them, and that order fixes its bits. The
-inference forward and every input gradient lay the same columns on the
-padded input's row pitch (``_pitched_cols``, ``_col2im``), where each 3x3
-tap is one long slice. They give the same bits at the reference shapes;
-elsewhere OpenBLAS may round a product with the changed column count a few
-ulps differently.
+Each conv's forward is one matrix product over im2col columns laid on the
+padded input's row pitch (``_pitched_cols``), where each 3x3 tap is one
+long slice. A stride-1 backward lays the output gradient's taps on the same
+pitch and takes both gradients from that one matrix: the input gradient is
+the output gradient convolved with the flipped filter, so the forward keeps
+only its input. The stride-2 layers keep their forward columns for the
+weight gradient, and ``down``'s input gradient adds its column gradients
+back tap by tap (``_col2im``).
 
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
@@ -68,22 +68,6 @@ def _out_len(size: int, stride: int) -> int:
     return (size - 1) // stride + 1
 
 
-def _im2col(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """(N, C, H, W) -> (C*9, N*oh*ow) columns; rows run (c, ki, kj) like the
-    flattened weight, columns run (n, oy, ox). One zero-bordered (C, N)
-    copy of the input, then one strided copy per tap."""
-    n, c, h, w = x.shape
-    s = stride
-    oh, ow = _out_len(h, s), _out_len(w, s)
-    xp = np.zeros((c, n, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, 3, 3, n, oh, ow), dtype=x.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, ki, kj] = xp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s]
-    return cols.reshape(c * 9, n * oh * ow), (oh, ow)
-
-
 def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, list]:
     """(oh, ow, pitch, rows, phases): the phase planes of a padded (h, w) map.
 
@@ -121,8 +105,8 @@ def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, in
     """(N, C, H, W) -> (C*9, N*oh*pitch) columns and (oh, ow, pitch).
 
     Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
-    the row pitch; the ``ox < ow`` columns equal ``_im2col``'s, the others
-    are junk whose products the caller drops.
+    the row pitch; the ``ox < ow`` columns are the conv's columns, the
+    others are junk whose products the caller drops.
     """
     n, c, h, w = x.shape
     s = stride
@@ -141,32 +125,39 @@ def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, in
     return cols.reshape(c * 9, n * span), (oh, ow, pitch)
 
 
-def _col2im(dmat: np.ndarray, wmat: np.ndarray, x_shape: tuple,
-            stride: int) -> np.ndarray:
-    """Input gradient (N, C, H, W) from the (O, N*oh*ow) output gradient.
+def _on_pitch(a: np.ndarray, pitch: int) -> np.ndarray:
+    """(C, N, h, w) -> (C, N*h*pitch): ``a`` laid on the row pitch, with
+    exact zeros in the ``pitch - w`` junk columns of each row."""
+    c, n, h, w = a.shape
+    out = np.empty((c, n, h, pitch), dtype=a.dtype)
+    out[..., w:] = 0.0
+    out[..., :w] = a
+    return out.reshape(c, -1)
 
-    ``dmat`` is copied onto the row pitch with exact-zero junk columns and
-    multiplied once by ``wmat.T``; the nine taps are then added, in tap
-    order, as one slice each into the phase planes of ``_pitched_layout``,
-    and the planes are copied out to the pixels once. A pixel receives the
-    same column gradients in the same order as from the (n, oy, ox) columns
-    of ``_im2col``; the zeros of the junk columns change no sum.
+
+def _col2im(dpitch: np.ndarray, wmat: np.ndarray, x_shape: tuple,
+            stride: int) -> np.ndarray:
+    """Input gradient (N, C, H, W) from the output gradient on the pitch.
+
+    ``dpitch`` is the (O, N*oh*pitch) output gradient with exact-zero junk
+    columns (``_on_pitch``); it is multiplied once by ``wmat.T`` and the
+    nine taps are then added, in tap order, as one slice each into the
+    phase planes of ``_pitched_layout``, and the planes are copied out to
+    the pixels once. Only the stride-2 ``down`` layer takes this path: its
+    C*9 column-gradient rows are fewer than its output gradient's O*9 taps.
     """
     n, c, h, w = x_shape
     s = stride
     oh, ow, pitch, rows, phases = _pitched_layout(h, w, s)
-    out_ch = wmat.shape[0]
-    dpitch = np.zeros((out_ch, n * oh, pitch), dtype=dmat.dtype)
-    dpitch[:, :, :ow] = dmat.reshape(out_ch, n * oh, ow)
     span = oh * pitch
-    dcols = (wmat.T @ dpitch.reshape(out_ch, -1)).reshape(c, 3, 3, n, span)
-    planes = np.zeros((s, s, c, n, rows * pitch), dtype=dmat.dtype)
+    dcols = (wmat.T @ dpitch).reshape(c, 3, 3, n, span)
+    planes = np.zeros((s, s, c, n, rows * pitch), dtype=dpitch.dtype)
     for ki in range(3):
         for kj in range(3):
             off = ki // s * pitch + kj // s
             planes[ki % s, kj % s, :, :, off:off + span] += dcols[:, ki, kj]
     planes = planes.reshape(s, s, c, n, rows, pitch)
-    dx = np.empty((c, n, h, w), dtype=dmat.dtype)
+    dx = np.empty((c, n, h, w), dtype=dpitch.dtype)
     for pixels, cells in phases:
         dx[pixels] = planes[cells]
     return dx.transpose(1, 0, 2, 3)
@@ -175,14 +166,16 @@ def _col2im(dmat: np.ndarray, wmat: np.ndarray, x_shape: tuple,
 class Conv2d:
     """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias.
 
-    Both directions are single matrix products over the whole batch: the
-    columns of every image sit side by side in one (C*9, N*oh*ow) matrix
-    (``_im2col``), or (C*9, N*oh*pitch) on the row pitch (``_pitched_cols``,
-    ``_col2im``). They run in ``dtype``; the float64 weight is cast once per
-    call, and the weight and bias gradients accumulate into float64.
-    ``forward`` keeps its (n, oy, ox) columns for the weight gradient in
-    ``backward``, whose input gradient runs on the pitch; calling the layer
-    computes the same output on the pitch and keeps nothing.
+    Every product is one matrix product over the whole batch on the row
+    pitch of ``_pitched_cols``, in ``dtype``; the float64 weight is cast
+    once per call, and the weight and bias gradients accumulate into
+    float64. A stride-1 ``forward`` keeps only its input: ``backward`` lays
+    the output gradient's taps on the pitch, an (O*9, N*H*pitch) matrix,
+    and multiplies it by the flipped, transposed weight for the input
+    gradient and by the input on the pitch for the flipped weight gradient.
+    A stride-2 ``forward`` keeps its columns for the weight gradient, and
+    ``_col2im`` gives ``down``'s input gradient. Calling the layer computes
+    the forward's output and keeps nothing.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
@@ -201,35 +194,51 @@ class Conv2d:
     def _wmat(self) -> np.ndarray:
         return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
-    def _affine(self, cols: np.ndarray) -> np.ndarray:
+    def _conv(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, output) for an input already in ``dtype``."""
+        cols, (oh, ow, pitch) = _pitched_cols(x, self.stride)
         y = self._wmat() @ cols
         y += self.bias.value.astype(self.dtype, copy=False)[:, None]
-        return y
+        y = y.reshape(self.out_ch, x.shape[0], oh, pitch)
+        return cols, y[..., :ow].transpose(1, 0, 2, 3)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        cols, (oh, ow, pitch) = _pitched_cols(x.astype(self.dtype, copy=False),
-                                              self.stride)
-        y = self._affine(cols).reshape(self.out_ch, x.shape[0], oh, pitch)
-        return y[..., :ow].transpose(1, 0, 2, 3)
+        return self._conv(x.astype(self.dtype, copy=False))[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = None  # so two sets of columns are never live at once
-        cols, (oh, ow) = _im2col(x.astype(self.dtype, copy=False), self.stride)
-        self._cache = (x.shape, cols)
-        y = self._affine(cols).reshape(self.out_ch, x.shape[0], oh, ow)
-        return y.transpose(1, 0, 2, 3)
+        x = x.astype(self.dtype, copy=False)
+        cols, y = self._conv(x)
+        # stride 1 keeps the input, stride 2 the columns
+        self._cache = (x.shape, x, None) if self.stride == 1 else (x.shape, None, cols)
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise StateError(f"{self.weight.name}: backward before forward")
-        x_shape, cols = self._cache
-        dmat = dout.astype(self.dtype, copy=False).transpose(1, 0, 2, 3).reshape(
-            self.out_ch, -1)
-        self.weight.grad += (dmat @ cols.T).reshape(self.weight.value.shape)
-        self.bias.grad += dmat.sum(axis=1)
+        (n, c, h, w), x, cols = self._cache
+        o = self.out_ch
+        dout = dout.astype(self.dtype, copy=False)
+        # (O, N, oh, ow), contiguous: the bias sums each row in one fixed order
+        dmat = np.ascontiguousarray(dout.transpose(1, 0, 2, 3))
+        self.bias.grad += dmat.reshape(o, -1).sum(axis=1)
+        if cols is None:
+            # tap row (o, ki, kj), column (n, y, x) holds dout[n, o, y+ki-1,
+            # x+kj-1], which meets weight tap (2-ki, 2-kj)
+            taps, (_, _, pitch) = _pitched_cols(dout, 1)
+            xpitch = _on_pitch(x.transpose(1, 0, 2, 3), pitch)
+            dflip = (taps @ xpitch.T).reshape(o, 3, 3, c)
+            self.weight.grad += dflip[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        else:
+            dpitch = _on_pitch(dmat, _pitched_layout(h, w, self.stride)[2])
+            self.weight.grad += (dpitch @ cols.T).reshape(self.weight.value.shape)
         if not self.input_grad:  # a layer reading the image: nothing uses dx
             return None
-        return _col2im(dmat, self._wmat(), x_shape, self.stride)
+        if cols is not None:
+            return _col2im(dpitch, self._wmat(), (n, c, h, w), self.stride)
+        wflip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = wflip.reshape(c, -1).astype(self.dtype) @ taps
+        return dx.reshape(c, n, h, pitch)[..., :w].transpose(1, 0, 2, 3)
 
 
 class ReLU:

@@ -14,7 +14,7 @@ import pytest
 
 from polardet import cli
 from polardet.encoding import GridConfig, encode_regression
-from polardet.evaluation import (average_precision, evaluate, mean_ap,
+from polardet.evaluation import (average_precision, mean_ap,
                                  precision_recall_curve)
 from polardet.geometry import (Point2, PolarBox, QuadBox, intersection_area,
                                polar_to_quad, quad_to_polar, rotated_iou)
@@ -178,10 +178,8 @@ def test_criterion_6_average_precision_fixtures():
 
 
 def _pipeline_eval(eval_dir, dets_path, iou):
-    class_names, image_ids = cli._load_dataset(eval_dir)
-    gt = cli._ground_truth_by_image(eval_dir, image_ids, class_names)
-    dets = cli._detections_by_image(dets_path.read_text(), class_names, image_ids)
-    return evaluate(dets, gt, [iou])[0], class_names
+    [report], class_names = cli.score(eval_dir, dets_path, [iou])
+    return report, class_names
 
 
 def test_criterion_7_end_to_end_pipeline(tmp_path):

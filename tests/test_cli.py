@@ -178,6 +178,18 @@ class TestTrain:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iters", "0", "must be >= 1"),
+        ("--batch", "0", "must be >= 1"),
+        ("--base-channels", "0", "must be >= 1"),
+        ("--log-every", "-1", "must be >= 0")])
+    def test_bad_count_is_usage_error(self, flag, value, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--data", str(tmp_path / "d"),
+                      "--out", str(tmp_path / "n.npz"), flag, value])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_divergence_maps_to_exit_4(self, workspace, monkeypatch, capsys):
         def explode(*a, **k):
             raise DivergenceError(7)
@@ -354,6 +366,17 @@ class TestEval:
         assert "IoU 0.50: mAP" in out
         assert "IoU 0.75: mAP" in out
         assert "class0: AP" in out
+
+    def test_score_gives_the_printed_reports(self, workspace, capsys):
+        assert cli.main(["eval", "--data", str(workspace["data"]),
+                         "--detections", str(workspace["dets"]),
+                         "--iou", "0.5", "0.75"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("IoU")]
+        reports, names = cli.score(workspace["data"], workspace["dets"], [0.5, 0.75])
+        assert names == ["class0", "class1"]
+        assert printed == [f"IoU {r.iou_threshold:.2f}: mAP {r.mean_ap:.4f}"
+                           for r in reports]
 
     def test_overfit_map_is_high(self, workspace, capsys):
         # scored on the training images on purpose: a 400-iteration overfit

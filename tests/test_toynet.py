@@ -13,7 +13,7 @@ from polardet.geometry import Point2, PolarBox
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
 from polardet.toynet import (Adam, Conv2d, ReLU, ToyNet, TrainConfig,
-                             TrainingSample, _im2col, _pitched_cols, _sigmoid,
+                             TrainingSample, _on_pitch, _pitched_cols, _sigmoid,
                              compute_batch_loss, image_to_input,
                              load_checkpoint, predict_planes, save_checkpoint,
                              train)
@@ -98,7 +98,7 @@ class TestConv2d:
             x = rng.standard_normal((2, 3, h, w))
             expected = conv3x3_reference(x, conv.weight.value, conv.bias.value,
                                          stride)
-            # the training forward (im2col) and the inference call (pitched)
+            # the training forward (caches) and the inference call (does not)
             for got in (conv.forward(x), conv(x)):
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
                 assert got.shape == (2, 4, (h - 1) // stride + 1,
@@ -123,45 +123,90 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_im2col_is_the_sliding_window_oracle(self, stride, dtype):
+        # the ox < ow columns on the row pitch, byte for byte
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9), (1, 2)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
-                cols, (oh, ow) = _im2col(x, stride)
+                cols, (oh, ow, pitch) = _pitched_cols(x, stride)
                 ref = im2col_reference(x, stride)
-                assert cols.dtype == dtype and cols.shape == (27, n * oh * ow)
-                assert cols.tobytes() == ref.tobytes()
+                assert cols.dtype == dtype and cols.shape == (27, n * oh * pitch)
+                valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
+                assert valid.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_pitched_columns_are_im2col_columns(self, stride, dtype):
-        # the ox < ow columns on the row pitch, byte for byte
+        # byte for byte on the valid columns; at stride 1 the centre tap is
+        # the input on the pitch with exact-zero junk (``_on_pitch``), the
+        # layout the weight gradient multiplies the output gradient's taps by
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
                 cols, (oh, ow, pitch) = _pitched_cols(x, stride)
-                ref, shape = _im2col(x, stride)
-                assert shape == (oh, ow) and cols.dtype == dtype
+                assert (oh, ow) == ((h - 1) // stride + 1, (w - 1) // stride + 1)
                 valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
-                assert valid.tobytes() == ref.tobytes()
+                assert valid.tobytes() == im2col_reference(x, stride).tobytes()
+                if stride == 1:
+                    centre = cols.reshape(3, 9, -1)[:, 4]
+                    xpitch = _on_pitch(x.transpose(1, 0, 2, 3), pitch)
+                    assert centre.tobytes() == xpitch.tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 32, 16, 16, 32, 1),   # block convs
                                        (8, 16, 32, 32, 32, 2),   # down
                                        (8, 32, 16, 16, 5, 1)])   # fused head
     def test_input_gradient_is_the_strided_add_oracle(self, shape):
-        # at the reference training shape the pitched GEMM and slice adds
-        # give the nine strided adds' bytes
         n, cin, h, w, cout, stride = shape
         rng = np.random.default_rng(12)
-        conv = Conv2d("c", cin, cout, stride, rng)
-        dout = rng.standard_normal(conv.forward(
-            rng.standard_normal((n, cin, h, w))).shape)
-        dx = conv.backward(dout)
-        dmat = dout.astype(np.float32).transpose(1, 0, 2, 3).reshape(cout, -1)
-        ref = col2im_reference(conv._wmat().T @ dmat, (n, cin, h, w), stride)
-        assert dx.shape == ref.shape and dx.dtype == np.float32
-        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(ref).tobytes()
+        if stride == 2:
+            # the pitched GEMM and slice adds give the nine strided adds' bytes
+            conv = Conv2d("c", cin, cout, stride, rng)
+            dout = rng.standard_normal(conv.forward(
+                rng.standard_normal((n, cin, h, w))).shape)
+            dx = conv.backward(dout)
+            dmat = dout.astype(np.float32).transpose(1, 0, 2, 3).reshape(cout, -1)
+            ref = col2im_reference(conv._wmat().T @ dmat, (n, cin, h, w), stride)
+            assert dx.shape == ref.shape and dx.dtype == np.float32
+            assert (np.ascontiguousarray(dx).tobytes()
+                    == np.ascontiguousarray(ref).tobytes())
+            return
+        # stride 1 sums the flipped-filter taps in another order: float64
+        # dx, dW and db within 1e-12 of each reference's largest magnitude
+        # (measured: at most 1.6e-15 of it; 8.9e-15 for dx and 1.7e-13 for
+        # dW, absolute)
+        for n, h, w in [(n, h, w)] + [(k, 7, 5) for k in (1, 2, 3)] + [
+                (k, 6, 9) for k in (1, 2, 3)] + [(k, 9, 9) for k in (1, 2, 3)]:
+            conv = Conv2d("c", cin, cout, stride, rng, dtype=np.float64)
+            x = rng.standard_normal((n, cin, h, w))
+            dout = rng.standard_normal(conv.forward(x).shape)
+            dx = conv.backward(dout)
+            cols = im2col_reference(x, stride)
+            dmat = dout.transpose(1, 0, 2, 3).reshape(cout, -1)
+            wmat = conv.weight.value.reshape(cout, -1)
+            refs = (col2im_reference(wmat.T @ dmat, x.shape, stride),
+                    (dmat @ cols.T).reshape(conv.weight.value.shape),
+                    dmat.sum(axis=1))
+            for got, ref in zip((dx, conv.weight.grad, conv.bias.grad), refs):
+                assert got.shape == ref.shape and got.dtype == np.float64
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_stride1_forward_keeps_only_its_input(self):
+        # the backward rebuilds its taps from the output gradient, so the
+        # forward keeps its input and not the 9x columns
+        rng = np.random.default_rng(14)
+        conv = Conv2d("c", 32, 32, 1, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = rng.standard_normal((8, 32, 16, 16)).astype(np.float32)
+            nbytes = x.nbytes
+            y = conv.forward(x)
+            del x, y
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.5 * nbytes
 
     def test_weight_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -382,8 +427,9 @@ class TestToyNetForward:
 
     def test_predict_planes_peak_memory(self):
         # one layer's columns alive at a time (4.9 MB at most here, on the
-        # row pitch): the traced peak is 7.5 MB, where a training forward
-        # holds every layer's columns, about 28 MB at its peak
+        # row pitch): the traced peak is 7.5 MB, where a training forward,
+        # which keeps the stride-2 columns and the stride-1 inputs, peaks at
+        # 12.2 MB
         net = ToyNet(num_classes=2, base_channels=16)
         image = np.random.default_rng(0).uniform(0, 1, (256, 256))
         tracemalloc.start()
@@ -465,24 +511,36 @@ class TestToyNetForward:
             assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
     def test_float64_outputs_and_gradients_are_pinned(self):
-        # the outputs and gradients of the all-float64 net before the conv
-        # stack got a dtype, one digest per OpenBLAS float64 GEMM kernel
-        # family (each family rounds differently): Prescott/Core2, Nehalem,
-        # Sandybridge, Haswell/Zen and SkylakeX and later
+        # One digest per OpenBLAS float64 GEMM kernel family, as each rounds
+        # differently: Prescott/Core2, Nehalem, Sandybridge, Haswell/Zen and
+        # SkylakeX and later. To recompute, run this net once per family
+        # with OPENBLAS_CORETYPE=Prescott, Nehalem, Sandybridge, Haswell and
+        # SkylakeX. The outputs are those of the all-float64 net before the
+        # conv stack got a dtype; the gradients are those of the stride-1
+        # backward that takes both gradients from the output gradient's taps.
         rng = np.random.default_rng(8)
         net = ToyNet(num_classes=2, base_channels=4, seed=2, dtype=np.float64)
         out = net.forward(rng.standard_normal((3, 1, 32, 32)))
         net.zero_grads()
         net.backward(*(rng.standard_normal(a.shape)
                        for a in (out.heat, out.rho, out.theta)))
-        arrays = [out.heat, out.rho, out.theta] + [p.grad for p in net.parameters()]
-        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-        assert digest in {
-            "6d8cb72b6284688853edf88cac99a2b5a06fab6ea992b1bb9dbf68e730f3e922",
-            "2dac18907510cf24dfb012cab65acd585643426999668d195b045ba77dd18fdb",
-            "b9853588204037a1fcd45a8cb35f5a756bffa00862e574c29f778bc19d8a2e01",
-            "8e24e0be0d5d7a5cc0716f39accbb665e6af37ea88183c070eff6b95e9b9f1ff",
-            "09b08e6c48c0a8f5ca74f8e9140fa85b5d166ba6711779c56193d640b6325f04",
+
+        def digest(arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        assert digest([out.heat, out.rho, out.theta]) in {
+            "f3c59a4990b79e6fc19d1a7df244b717e34f43acc321df1ab2b7722ba3ee066e",
+            "ba6c48d415bdc8fe8aa997c2b1e08d6d7b9f868475e0037e893115c5fb14968f",
+            "ab2332922b77901537dc6b78becbb13b2d7a8536d6d1e876f595df1eaab4bcfb",
+            "673973127dae76f53391f53412eb07d47343cd7b4b0de5927eed5e97e3391419",
+            "9553a3797a900a93871cd0ee847ad37bba429b3cab371d56330cf606e611b5fc",
+        }
+        assert digest([p.grad for p in net.parameters()]) in {
+            "96c8c51228420742c695c2598fbfda7660ece38cc73d6c968acd19d113d80a91",
+            "0b7c4d43caf16429bab1780f9178aaefef52e647e6f3029d2a575bf5076370d8",
+            "d5dead48792af10af4bb907ff40dce68b914e10c7b1ca1fd7832507718ded99b",
+            "d993acdb0d7a9ae588100fe79570fc0b37ec32bf4335c4239a0de81dd1682eac",
+            "8b21117b4d84e877ee2885b290a36d5b439f5c187426830f11166685992f8930",
         }
 
     def test_parameter_count_small_variant(self):
