@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -393,7 +394,13 @@ def _add_extraction_flags(p: argparse.ArgumentParser) -> None:
                    help="poles kept per heatmap by --extractor topk")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call.
+
+    Every parse shares it and its defaults, so no default is a mutable
+    object (``--iou``'s is a tuple) and no caller may modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="polardet",
         description="oriented object detection in polar coordinates")
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a detections file against a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--detections", required=True)
-    p.add_argument("--iou", type=float, nargs="+", default=[0.5])
+    p.add_argument("--iou", type=float, nargs="+", default=(0.5,))
     p.add_argument("--pr-out", help="directory for precision-recall CSVs")
     p.set_defaults(func=cmd_eval)
 
@@ -471,6 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; usage errors exit 2.
+
+    Cheap to call repeatedly in one process: the parser is built once, and
+    no call leaves state that a later one reads.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,6 +18,7 @@ whole evaluation run. A dataset's parsed annotations become one
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ def _finite_floats(tokens: list[str]) -> list[float] | None:
         values = [float(t) for t in tokens]
     except ValueError:
         return None
-    return values if all(np.isfinite(values)) else None
+    return values if all(map(math.isfinite, values)) else None
 
 
 def parse_annotations(text: str) -> ParseResult:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,6 +167,9 @@ def _col2im(dpitch: np.ndarray, wmat: np.ndarray, x_shape: tuple,
 class Conv2d:
     """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias.
 
+    With ``rng`` None the weight starts at zero instead, for a checkpoint to
+    fill, and nothing is drawn.
+
     Every product is one matrix product over the whole batch on the row
     pitch of ``_pitched_cols``, in ``dtype``; the float64 weight is cast
     once per call, and the weight and bias gradients accumulate into
@@ -179,10 +183,11 @@ class Conv2d:
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
-                 rng: np.random.Generator, input_grad: bool = True,
+                 rng: np.random.Generator | None, input_grad: bool = True,
                  dtype=np.float32):
-        fan_in = in_ch * 9
-        weight = rng.standard_normal((out_ch, in_ch, 3, 3)) * math.sqrt(2.0 / fan_in)
+        shape = (out_ch, in_ch, 3, 3)
+        weight = (np.zeros(shape) if rng is None
+                  else rng.standard_normal(shape) * math.sqrt(2.0 / (in_ch * 9)))
         self.weight = Param(f"{name}.weight", weight)
         self.bias = Param(f"{name}.bias", np.zeros(out_ch))
         self.stride = stride
@@ -258,7 +263,8 @@ class ReLU:
 class ResidualBlock:
     """conv-relu-conv plus identity skip, final relu."""
 
-    def __init__(self, name: str, channels: int, rng: np.random.Generator, dtype):
+    def __init__(self, name: str, channels: int, rng: np.random.Generator | None,
+                 dtype):
         self.conv1 = Conv2d(f"{name}.conv1", channels, channels, 1, rng, dtype=dtype)
         self.relu1 = ReLU()
         self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng, dtype=dtype)
@@ -303,11 +309,24 @@ class ToyNet:
 
     def __init__(self, num_classes: int, base_channels: int = 16, seed: int = 0,
                  dtype=np.float32):
+        self._build(num_classes, base_channels, np.random.default_rng(seed), dtype)
+
+    @classmethod
+    def _unfilled(cls, num_classes: int, base_channels: int) -> ToyNet:
+        """The float32 topology with zero weights, for a checkpoint to fill:
+        no init is drawn."""
+        net = cls.__new__(cls)
+        net._build(num_classes, base_channels, None, np.float32)
+        return net
+
+    def _build(self, num_classes: int, base_channels: int,
+               rng: np.random.Generator | None, dtype) -> None:
+        """The layers, each conv drawing its init from ``rng`` in turn, or
+        with zero weights when ``rng`` is None."""
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if base_channels < 1:
             raise ValueError("base_channels must be >= 1")
-        rng = np.random.default_rng(seed)
         c1, c2 = base_channels, base_channels * 2
         self.num_classes = num_classes
         self.base_channels = base_channels
@@ -574,25 +593,69 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
+# what np.load and reading an archive member raise on a damaged file
+_UNREADABLE = (EOFError, ValueError, zipfile.BadZipFile)
+
+
+def _member(data, key: str) -> np.ndarray:
+    """Array ``key`` of an open checkpoint archive."""
+    if key not in data:
+        raise VersionError(f"checkpoint missing array {key}")
+    try:
+        return data[key]
+    except _UNREADABLE as exc:
+        raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
+
+
+def _checkpoint_header(data) -> dict:
+    """The checked JSON header of an open checkpoint archive."""
+    try:
+        meta = json.loads(_member(data, "meta").item())
+    except (TypeError, ValueError) as exc:
+        raise VersionError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise VersionError(f"checkpoint header is a JSON {type(meta).__name__}, "
+                           f"not an object")
+    if meta.get("magic") != CHECKPOINT_MAGIC:
+        raise VersionError(f"bad magic {meta.get('magic')!r}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise VersionError(f"unsupported version {meta.get('version')!r}")
+    for key in ("num_classes", "base_channels"):
+        if type(meta.get(key)) is not int or meta[key] < 1:
+            raise VersionError(f"checkpoint {key} must be an integer >= 1, "
+                               f"got {meta.get(key)!r}")
+    return meta
+
+
 def load_checkpoint(path) -> tuple[ToyNet, dict]:
-    """Rebuild a ToyNet from a checkpoint; validates magic, version, shapes."""
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise VersionError("missing checkpoint header")
-        meta = json.loads(data["meta"].item())
-        if meta.get("magic") != CHECKPOINT_MAGIC:
-            raise VersionError(f"bad magic {meta.get('magic')!r}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise VersionError(f"unsupported version {meta.get('version')!r}")
-        net = ToyNet(meta["num_classes"], meta["base_channels"])
+    """Rebuild a float32 ToyNet and its header dict from a checkpoint.
+
+    The file must be an npz archive; its header a JSON object with the
+    magic, the version, and ``num_classes`` and ``base_channels`` as
+    integers >= 1; and each parameter array present, real, finite and of
+    the topology's shape. A failed check raises ``VersionError`` naming it
+    (``ShapeError`` for a wrong shape), and no net is returned. The net is
+    built from the header with zero weights, drawing no init, and each
+    parameter is copied in from its array once that array has passed.
+    """
+    try:
+        data = np.load(path)
+    except _UNREADABLE as exc:
+        raise VersionError(f"not an npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise VersionError("not an npz archive but a single .npy array")
+    with data:
+        meta = _checkpoint_header(data)
+        net = ToyNet._unfilled(meta["num_classes"], meta["base_channels"])
         for i, p in enumerate(net.parameters()):
-            key = f"param_{i:03d}"
-            if key not in data:
-                raise VersionError(f"checkpoint missing array {key}")
-            arr = data[key]
+            arr = _member(data, f"param_{i:03d}")
             if arr.shape != p.value.shape:
                 raise ShapeError(f"{p.name}: checkpoint {arr.shape} vs "
                                  f"model {p.value.shape}")
+            if arr.dtype.kind not in "iuf":
+                raise VersionError(f"{p.name}: {arr.dtype} array, not real")
+            if not np.isfinite(arr).all():
+                raise VersionError(f"{p.name}: non-finite value in checkpoint")
             p.value[...] = arr
     return net, meta
 

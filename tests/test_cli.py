@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from polardet.geometry import QuadBox, quad_to_polar
 from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
+
+from test_toynet import MALFORMED_CHECKPOINTS
 
 
 def write_heatmap_csv(path, heatmap: np.ndarray) -> None:
@@ -356,6 +362,20 @@ class TestDetect:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+    def test_malformed_checkpoint_is_io_error(self, workspace, tmp_path,
+                                              capsys, case):
+        write, message = MALFORMED_CHECKPOINTS[case]
+        bad = tmp_path / "bad.npz"
+        write(bad)
+        out = tmp_path / "d.txt"
+        code = cli.main(["detect", "--data", str(workspace["data"]),
+                         "--checkpoint", str(bad), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_reports_map_per_threshold(self, workspace, capsys):
@@ -623,6 +643,38 @@ class TestEncodeDump:
 
 
 class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_first_calls(self, workspace, tmp_path,
+                                                    capsys):
+        # each call, made after the others in this process, prints and
+        # writes what it does as the first call of a fresh process
+        data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+        eval_flags = ["eval", "--data", data, "--detections", str(workspace["dets"])]
+        calls = [(["detect", "--data", data, "--checkpoint", ckpt, "--out",
+                   str(tmp_path / "nms.txt"), "--nms-iou", "0.3"], tmp_path / "nms.txt"),
+                 (["detect", "--data", data, "--checkpoint", ckpt, "--out",
+                   str(tmp_path / "plain.txt")], tmp_path / "plain.txt"),
+                 ([*eval_flags, "--iou", "0.5", "0.75"], None),
+                 (eval_flags, None)]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        first = []
+        for argv, out in calls:
+            proc = subprocess.run([sys.executable, "-m", "polardet.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            first.append((proc.stdout, out and out.read_text()))
+        capsys.readouterr()
+        for (argv, out), expected in zip(calls, first):
+            assert cli.main(argv) == 0
+            assert (capsys.readouterr().out, out and out.read_text()) == expected
+        assert first[0][1] != first[1][1]  # NMS dropped a box
+        assert "IoU 0.75" in first[2][0] and "IoU 0.75" not in first[3][0]
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])

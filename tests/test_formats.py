@@ -9,6 +9,9 @@ from polardet.formats import (AnnotationRecord, DetectionRecord, GroundTruth,
                               serialize_annotations, serialize_detections)
 
 
+# float() reads each of these, and none is finite ("1e999" overflows to inf)
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+
 SAMPLE = """\
 imagesource:GoogleEarth
 gsd:0.146343590398
@@ -46,6 +49,19 @@ class TestParseAnnotations:
         result = parse_annotations("1 2 3 inf 5 6 7 8 plane 0\n")
         assert result.records == []
         assert len(result.warnings) == 1
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_tokens_drop_the_line(self, token):
+        result = parse_annotations(f"1 2 3 4 5 6 {token} 8 plane 0\n"
+                                   "10 10 30 12 28 25 8 23 plane 0\n")
+        assert [r.corners[0] for r in result.records] == [10.0]
+        assert result.warnings == ["line 1: non-numeric or non-finite coordinates"]
+
+    def test_extreme_finite_tokens_kept(self):
+        result = parse_annotations("1e308 -1e308 5e-324 -0 +3 1E2 .5 7. plane 0\n")
+        assert result.warnings == []
+        assert result.records[0].corners == (1e308, -1e308, 5e-324, -0.0, 3.0,
+                                             100.0, 0.5, 7.0)
 
     def test_bad_difficulty_warns(self):
         result = parse_annotations("1 2 3 4 5 6 7 8 plane hard\n")
@@ -102,6 +118,16 @@ class TestParseDetections:
         result = parse_detections("img nan 1 2 3 4 5 6 7 8 car\n")
         assert result.records == []
         assert len(result.warnings) == 1
+
+    @pytest.mark.parametrize("field", [1, 6])
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_tokens_drop_the_line(self, token, field):
+        # field 1 is the score, field 6 a corner coordinate
+        tokens = "img 0.5 1 2 3 4 5 6 7 8 car".split()
+        tokens[field] = token
+        result = parse_detections(" ".join(tokens) + "\nimg 0.25 1 2 3 4 5 6 7 8 car\n")
+        assert [r.score for r in result.records] == [0.25]
+        assert result.warnings == ["line 1: non-numeric or non-finite values"]
 
     @given(st.text(max_size=200))
     @settings(max_examples=100, deadline=None)

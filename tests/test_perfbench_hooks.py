@@ -5,7 +5,9 @@
 read the layer shapes, and ``spans.Tracer`` wraps public functions and the
 Conv2d and Adam methods by name, and counts poles and boxes with ``len()``
 on what ``extract_pole_points``, ``decode_poles`` and ``oriented_nms`` take
-and return. A signature change
+and return. ``toynet.load_checkpoint_ms`` is read from the span of the
+``load_checkpoint`` that ``cli`` imports by name, so ``detect`` must make
+exactly one such call. A signature change
 there crashes the benchmark before it prints a result line, or makes a
 counter read something other than a box count, and nothing else in the
 suite runs that code. The check runs in a subprocess because importing
@@ -22,13 +24,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = r"""
 import json
 import sys
+import tempfile
 
 sys.path.insert(0, sys.argv[1])
 import run
 import spans
 
 import numpy as np
-from polardet import geometry, postprocess, toynet
+from polardet import cli, geometry, postprocess, toynet
 from polardet.encoding import GridConfig, encode_regression
 from polardet.geometry import Point2, PolarBox
 from polardet.losses import LossConfig
@@ -48,6 +51,20 @@ for c, y, x, score in [(0, 2, 2, 0.9), (0, 2, 4, 0.8), (1, 2, 3, 0.7),
                        (1, 6, 6, 0.6), (0, 6, 1, 0.5)]:
     heat[c, y, x] = score
 plane = np.ones((8, 8))
+work = tempfile.TemporaryDirectory()
+data, ckpt = f"{work.name}/data", f"{work.name}/net.npz"
+cli.main(["synth", "--out", data, "--count", "2", "--width", "32",
+          "--height", "32"])
+toynet.save_checkpoint(ckpt, net)
+with spans.Tracer().installed() as detects:
+    for k in range(2):
+        detects.record("cli.detect", cli.main,
+                       ["detect", "--data", data, "--checkpoint", ckpt,
+                        "--out", f"{work.name}/dets{k}.txt"])
+work.cleanup()
+calls = [i for i, s in enumerate(detects.spans) if s[0] == "cli.detect"]
+loads = [[s[3] for s in detects.spans if s[0] == "toynet.load_checkpoint"].count(i)
+         for i in calls]
 with spans.Tracer().installed() as tracer:
     planes = toynet.predict_planes(net, images[0])
     loss = toynet.compute_batch_loss(net, toynet.image_to_input(images),
@@ -57,6 +74,7 @@ with spans.Tracer().installed() as tracer:
                                     grid).detections
     kept = geometry.oriented_nms(dets.corners, dets.score, dets.class_id, 0.2)
 print(json.dumps({"counts": counts, "spans": sorted({s[0] for s in tracer.spans}),
+                  "loads_per_detect": loads,
                   "heat_shape": list(planes[0].shape), "loss": loss.total,
                   "boxes": {"poles": len(poles.score), "decoded": len(dets.score),
                             "kept": len(kept)},
@@ -75,6 +93,8 @@ def test_kernel_counts_and_tracer_run_on_the_package():
     assert got["counts"]["toynet.conv_flop_per_detect_image.computed"] == 356253696
     assert got["counts"]["toynet.conv_flop_per_train_iter.computed"] == 534380544
     assert got["heat_shape"] == [2, 8, 8]
+    # one load_checkpoint span inside each of the two detect calls
+    assert got["loads_per_detect"] == [1, 1]
     assert got["loss"] > 0.0
     for name in ("toynet.predict_planes", "toynet.compute_batch_loss",
                  "toynet.stem.fwd", "toynet.stem.bwd", "toynet.head.fwd",

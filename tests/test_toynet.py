@@ -722,6 +722,62 @@ class TestTrain:
         assert seen == [0, 1, 2, 3]
 
 
+def _edited_checkpoint(path, edit_meta=None, edit_arrays=None):
+    """Save a ToyNet(2, 2) to ``path``, then rewrite its header and arrays."""
+    save_checkpoint(path, ToyNet(2, 2))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(arrays.pop("meta").item())
+    meta = edit_meta(meta) if edit_meta else meta
+    if edit_arrays:
+        edit_arrays(arrays)
+    np.savez(path, meta=json.dumps(meta), **arrays)
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _set_value(key, index, value):
+    def edit(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[index] = value
+    return edit
+
+
+def _truncated(path):
+    save_checkpoint(path, ToyNet(2, 2))
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _plain_npy(path):
+    with open(path, "wb") as fh:  # np.save appends .npy to a bare path
+        np.save(fh, np.zeros((2, 2)))
+
+
+# a malformed file ``detect --checkpoint`` may be handed -> (its writer,
+# what the VersionError must name)
+MALFORMED_CHECKPOINTS = {
+    "no-num-classes": (lambda p: _edited_checkpoint(p, _without("num_classes")),
+                       "num_classes must be an integer >= 1, got None"),
+    "header-list": (lambda p: _edited_checkpoint(p, lambda meta: list(meta)),
+                    "header is a JSON list"),
+    "string-base-channels": (
+        lambda p: _edited_checkpoint(p, lambda meta: {**meta, "base_channels": "16"}),
+        "base_channels must be an integer >= 1, got '16'"),
+    "truncated": (_truncated, "not an npz archive"),
+    "empty": (lambda p: p.write_bytes(b""), "not an npz archive"),
+    "plain-npy": (_plain_npy, "single .npy array"),
+    "nan-weight": (lambda p: _edited_checkpoint(
+        p, edit_arrays=_set_value("param_004", 7, np.nan)),
+        "block1.conv1.weight: non-finite value"),
+    "inf-bias": (lambda p: _edited_checkpoint(
+        p, edit_arrays=_set_value("param_013", 0, -np.inf)),
+        "head_heat.bias: non-finite value"),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_outputs(self, tmp_path):
         net = ToyNet(num_classes=2, base_channels=4, seed=5)
@@ -730,9 +786,10 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         assert meta["extra"]["classes"] == ["a", "b"]
         assert meta["magic"] == "polardet-ckpt"
+        assert loaded.dtype == net.dtype == np.float32
         img = np.random.default_rng(0).uniform(0, 1, (32, 32))
         for a, b in zip(predict_planes(net, img), predict_planes(loaded, img)):
-            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
     def test_float64_checkpoint_loads_into_float32_net(self, tmp_path):
         # a net trained in float64, saved, and loaded into the default
@@ -805,6 +862,31 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ShapeError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+    def test_malformed_file_is_version_error(self, tmp_path, case):
+        write, message = MALFORMED_CHECKPOINTS[case]
+        path = tmp_path / "bad.npz"
+        write(path)
+        with pytest.raises(VersionError, match=message):
+            load_checkpoint(path)
+
+    def test_load_draws_no_init(self, tmp_path, monkeypatch):
+        # the topology comes from the header and the weights from the file:
+        # a random init would be drawn only to be overwritten
+        net = ToyNet(num_classes=3, base_channels=4, seed=2)
+        save_checkpoint(tmp_path / "net.npz", net)
+
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("load_checkpoint made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded, _meta = load_checkpoint(tmp_path / "net.npz")
+        assert [p.name for p in loaded.parameters()] == \
+            [p.name for p in net.parameters()]
+        for p, q in zip(net.parameters(), loaded.parameters()):
+            assert q.value.tobytes() == p.value.tobytes()
+            assert not q.grad.any()
 
 
 class TestImageToInput:
