@@ -204,30 +204,49 @@ def _intersection_areas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, np.maximum(_shoelace(rel), 0.0), 0.0)
 
 
-def _pairwise_overlap(a: np.ndarray, b: np.ndarray):
-    """(D, G) intersection and union areas of the quads ``a`` (D, 4, 2) and
-    ``b`` (G, 4, 2)."""
-    signed_a, signed_b = _shoelace(a), _shoelace(b)
-    area_a, area_b = np.abs(signed_a), np.abs(signed_b)
-    a = np.where((signed_a < 0.0)[:, None, None], a[:, ::-1], a)
-    b = np.where((signed_b < 0.0)[:, None, None], b[:, ::-1], b)
+def _oriented(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quads (K, 4, 2) in counterclockwise order and their (K,) areas."""
+    signed = _shoelace(c)
+    return np.where((signed < 0.0)[:, None, None], c[:, ::-1], c), np.abs(signed)
+
+
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(D, G) mask of the quad pairs whose axis-aligned bounding boxes overlap."""
     lo_a, hi_a = a.min(axis=1)[:, None], a.max(axis=1)[:, None]
     lo_b, hi_b = b.min(axis=1)[None], b.max(axis=1)[None]
-    near = np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=2)
-    rows, cols = np.nonzero(near)
-    p, q = a[rows], b[cols]
+    return np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=2)
+
+
+def _pair_intersections(p: np.ndarray, q: np.ndarray, area_p: np.ndarray,
+                        area_q: np.ndarray) -> np.ndarray:
+    """Intersection areas (K,) of the counterclockwise quads ``p[k]`` and
+    ``q[k]`` of areas ``area_p[k]`` and ``area_q[k]``."""
     # each pair is clipped in one canonical order (lexicographically smaller
-    # corners first), so swapping a and b transposes the result bit for bit
+    # corners first), so swapping p and q gives the same bits
     flat_p, flat_q = p.reshape(-1, 8), q.reshape(-1, 8)
     first = np.argmax(flat_p != flat_q, axis=1)
     k = np.arange(len(first))
     swap = (flat_p[k, first] > flat_q[k, first])[:, None, None]
-    inter = np.zeros((len(a), len(b)))
     # no intersection exceeds the smaller quad; the bound also zeroes a quad
     # whose corners coincide, whose degenerate edges reject no point
-    inter[rows, cols] = np.minimum(
-        _intersection_areas(np.where(swap, q, p), np.where(swap, p, q)),
-        np.minimum(area_a[rows], area_b[cols]))
+    return np.minimum(_intersection_areas(np.where(swap, q, p), np.where(swap, p, q)),
+                      np.minimum(area_p, area_q))
+
+
+def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """IoU in [0, 1] from intersection and union areas; 0 where no union."""
+    iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    return np.clip(iou, 0.0, 1.0)
+
+
+def _pairwise_overlap(a: np.ndarray, b: np.ndarray):
+    """(D, G) intersection and union areas of the quads ``a`` (D, 4, 2) and
+    ``b`` (G, 4, 2)."""
+    (a, area_a), (b, area_b) = _oriented(a), _oriented(b)
+    rows, cols = np.nonzero(_near(a, b))
+    inter = np.zeros((len(a), len(b)))
+    inter[rows, cols] = _pair_intersections(a[rows], b[cols], area_a[rows],
+                                            area_b[cols])
     return inter, area_a[:, None] + area_b[None, :] - inter
 
 
@@ -239,9 +258,7 @@ def pairwise_iou(a, b) -> np.ndarray:
     a (D, G) float64 matrix in [0, 1]. Pairs whose axis-aligned bounding
     boxes do not overlap are exactly 0; only the others are clipped.
     """
-    inter, union = _pairwise_overlap(_corner_array(a), _corner_array(b))
-    iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-    return np.clip(iou, 0.0, 1.0)
+    return _iou(*_pairwise_overlap(_corner_array(a), _corner_array(b)))
 
 
 def intersection_area(a: QuadBox, b: QuadBox) -> float:
@@ -274,8 +291,16 @@ def oriented_nms(corners, scores, class_ids, iou_threshold: float) -> list[int]:
     if not np.all(np.isfinite(scores)):
         raise ValueError("detection scores must be finite")
     class_ids = np.asarray(class_ids)
-    overlaps = ((pairwise_iou(corners, corners) > iou_threshold)
-                & (class_ids[:, None] == class_ids[None, :]))
+    quads, area = _oriented(_corner_array(corners))
+    # each unordered same-class pair of overlapping bounding boxes is clipped
+    # once and mirrored: its IoU has the bits of ``pairwise_iou``'s (i, j)
+    # and (j, i), and a box's overlap with itself decides nothing
+    i, j = np.nonzero(np.triu(_near(quads, quads)
+                              & (class_ids[:, None] == class_ids[None, :]), k=1))
+    inter = _pair_intersections(quads[i], quads[j], area[i], area[j])
+    over = _iou(inter, area[i] + area[j] - inter) > iou_threshold
+    overlaps = np.zeros((len(quads), len(quads)), dtype=bool)
+    overlaps[i, j] = overlaps[j, i] = over
     suppressed = np.zeros(len(scores), dtype=bool)
     kept: list[int] = []
     for i in np.argsort(-scores, kind="stable").tolist():

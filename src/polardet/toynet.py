@@ -14,14 +14,18 @@ are validated against finite differences in the test suite. Inference calls
 the layers instead (``ToyNet.predict``): the same products, bit for bit,
 with nothing cached, so only one layer's columns are alive at a time.
 
-Each conv's forward is one matrix product over im2col columns laid on the
-padded input's row pitch (``_pitched_cols``), where each 3x3 tap is one
-long slice. A stride-1 backward lays the output gradient's taps on the same
-pitch and takes both gradients from that one matrix: the input gradient is
-the output gradient convolved with the flipped filter, so the forward keeps
-only its input. The stride-2 layers keep their forward columns for the
-weight gradient, and ``down``'s input gradient adds its column gradients
-back tap by tap (``_col2im``).
+Each conv's forward is one matrix product on the padded input's row pitch,
+where each 3x3 tap is one long slice, and it builds whichever of its two
+product matrices has fewer rows: the C*9 rows of im2col columns
+(``_pitched_cols``), or, for a stride-1 conv with fewer output than input
+channels (only the fused head), the O*9 rows of output taps, which are then
+added, each shifted by its offset. A stride-1 backward lays the output
+gradient's taps on the same pitch and takes both gradients from that one
+matrix: the input gradient is the output gradient convolved with the
+flipped filter, so the forward keeps only its input. The stride-2 layers
+keep their forward columns for the weight gradient, and ``down``'s input
+gradient adds its column gradients back tap by tap (``_col2im``): the same
+fewer-rows rule, applied to the backward.
 
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
@@ -102,13 +106,9 @@ def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, li
     return oh, ow, ow + 2 // s, oh + 2 // s + 1, phases
 
 
-def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """(N, C, H, W) -> (C*9, N*oh*pitch) columns and (oh, ow, pitch).
-
-    Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
-    the row pitch; the ``ox < ow`` columns are the conv's columns, the
-    others are junk whose products the caller drops.
-    """
+def _padded_planes(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple]:
+    """(N, C, H, W) -> its (s, s, C, N, rows*pitch) phase planes, laid out
+    by ``_pitched_layout``, and (oh, ow, pitch)."""
     n, c, h, w = x.shape
     s = stride
     oh, ow, pitch, rows, phases = _pitched_layout(h, w, s)
@@ -116,7 +116,19 @@ def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, in
     xt = x.transpose(1, 0, 2, 3)
     for pixels, cells in phases:
         planes[cells] = xt[pixels]
-    planes = planes.reshape(s, s, c, n, rows * pitch)
+    return planes.reshape(s, s, c, n, rows * pitch), (oh, ow, pitch)
+
+
+def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """(N, C, H, W) -> (C*9, N*oh*pitch) columns and (oh, ow, pitch).
+
+    Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
+    the row pitch; the ``ox < ow`` columns are the conv's columns, the
+    others are junk whose products the caller drops.
+    """
+    n, c = x.shape[:2]
+    s = stride
+    planes, (oh, ow, pitch) = _padded_planes(x, s)
     span = oh * pitch
     cols = np.empty((c, 3, 3, n, span), dtype=x.dtype)
     for ki in range(3):
@@ -171,15 +183,16 @@ class Conv2d:
     fill, and nothing is drawn.
 
     Every product is one matrix product over the whole batch on the row
-    pitch of ``_pitched_cols``, in ``dtype``; the float64 weight is cast
-    once per call, and the weight and bias gradients accumulate into
-    float64. A stride-1 ``forward`` keeps only its input: ``backward`` lays
-    the output gradient's taps on the pitch, an (O*9, N*H*pitch) matrix,
-    and multiplies it by the flipped, transposed weight for the input
-    gradient and by the input on the pitch for the flipped weight gradient.
-    A stride-2 ``forward`` keeps its columns for the weight gradient, and
-    ``_col2im`` gives ``down``'s input gradient. Calling the layer computes
-    the forward's output and keeps nothing.
+    pitch, in ``dtype``; the float64 weight is cast once per call, and the
+    weight and bias gradients accumulate into float64. The forward builds
+    whichever of its two product matrices has fewer rows (``_conv``): O*9
+    output taps or C*9 im2col columns. A stride-1 ``forward`` keeps only
+    its input: ``backward`` lays the output gradient's taps on the pitch, an
+    (O*9, N*H*pitch) matrix, and multiplies it by the flipped, transposed
+    weight for the input gradient and by the input on the pitch for the
+    flipped weight gradient. A stride-2 ``forward`` keeps its columns for
+    the weight gradient, and ``_col2im`` gives ``down``'s input gradient.
+    Calling the layer computes the forward's output and keeps nothing.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
@@ -199,12 +212,35 @@ class Conv2d:
     def _wmat(self) -> np.ndarray:
         return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
-    def _conv(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, output) for an input already in ``dtype``."""
-        cols, (oh, ow, pitch) = _pitched_cols(x, self.stride)
-        y = self._wmat() @ cols
-        y += self.bias.value.astype(self.dtype, copy=False)[:, None]
-        y = y.reshape(self.out_ch, x.shape[0], oh, pitch)
+    def _conv(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """(columns, output) for an input already in ``dtype``.
+
+        The product builds whichever matrix has fewer rows. A stride-1 conv
+        with fewer output than input channels multiplies the (O*9, C) weight
+        taps by the padded input on the pitch, and adds the nine (O, N*H*pitch)
+        tap slices, each shifted by its offset, onto the bias; it has no
+        columns (None). Every other conv multiplies the weight by its C*9
+        rows of ``_pitched_cols``.
+        """
+        n, c = x.shape[:2]
+        o = self.out_ch
+        bias = self.bias.value.astype(self.dtype, copy=False)
+        if self.stride == 1 and o < c:
+            planes, (oh, ow, pitch) = _padded_planes(x, 1)
+            wtaps = self.weight.value.transpose(0, 2, 3, 1).reshape(o * 9, c)
+            taps = wtaps.astype(self.dtype) @ planes.reshape(c, -1)
+            taps = taps.reshape(o, 9, n, -1)
+            span = oh * pitch
+            y = taps[:, 0, :, :span] + bias[:, None, None]
+            for k in range(1, 9):
+                off = k // 3 * pitch + k % 3
+                y += taps[:, k, :, off:off + span]
+            cols = None
+        else:
+            cols, (oh, ow, pitch) = _pitched_cols(x, self.stride)
+            y = self._wmat() @ cols
+            y += bias[:, None]
+        y = y.reshape(o, n, oh, pitch)
         return cols, y[..., :ow].transpose(1, 0, 2, 3)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

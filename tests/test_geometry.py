@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polardet import geometry
 from polardet.errors import DegenerateBox
 from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
                                intersection_area, normalize_angle,
@@ -358,6 +359,28 @@ class TestOrientedNMS:
         corners = self._squares((10, 10), (10, 10))
         assert oriented_nms(corners, [0.9, 0.8], [0, 1], 0.5) == [0, 1]
         assert oriented_nms(corners, [0.9, 0.8], [1, 1], 0.5) == [0]
+
+    def test_clips_each_unordered_same_class_pair_once(self, monkeypatch):
+        # only pairs of one class whose bounding boxes overlap reach the
+        # clipping kernel, each once, and never a box against itself
+        clipped = []
+        clip = geometry._intersection_areas
+
+        def spy(p, q):
+            clipped.append(len(p))
+            return clip(p, q)
+
+        monkeypatch.setattr(geometry, "_intersection_areas", spy)
+        disjoint = self._squares(*((10 * k, 0) for k in range(5)))
+        assert oriented_nms(disjoint, [0.5] * 5, [0] * 5, 0.5) == [0, 1, 2, 3, 4]
+        assert sum(clipped) == 0
+        pair = self._squares((10, 10), (11, 10))  # IoU 0.6
+        clipped.clear()
+        assert oriented_nms(pair, [0.9, 0.8], [0, 0], 0.5) == [0]
+        assert sum(clipped) == 1
+        clipped.clear()
+        assert oriented_nms(pair, [0.9, 0.8], [0, 1], 0.5) == [0, 1]
+        assert sum(clipped) == 0
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polardet import toynet
 from polardet.encoding import GridConfig, encode_regression
 from polardet.errors import (DivergenceError, ShapeError, StateError,
                              VersionError)
@@ -86,6 +87,23 @@ def tiny_batch(seed=0, num_images=2, size=32, num_classes=2):
                                   int(rng.integers(num_classes))))
         targets.append(encode_regression(boxes, cfg))
     return image_to_input(images), targets
+
+
+def float64_digests() -> tuple[str, str]:
+    """SHA-256 of the outputs and of the parameter gradients of one forward
+    and backward of a small all-float64 net."""
+    rng = np.random.default_rng(8)
+    net = ToyNet(num_classes=2, base_channels=4, seed=2, dtype=np.float64)
+    out = net.forward(rng.standard_normal((3, 1, 32, 32)))
+    net.zero_grads()
+    net.backward(*(rng.standard_normal(a.shape)
+                   for a in (out.heat, out.rho, out.theta)))
+
+    def digest(arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    return (digest([out.heat, out.rho, out.theta]),
+            digest([p.grad for p in net.parameters()]))
 
 
 class TestConv2d:
@@ -190,6 +208,26 @@ class TestConv2d:
             for got, ref in zip((dx, conv.weight.grad, conv.bias.grad), refs):
                 assert got.shape == ref.shape and got.dtype == np.float64
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_output_taps_forward_is_the_im2col_product(self, dtype, bound):
+        # a stride-1 conv with fewer output than input channels (the fused
+        # head) sums nine shifted output taps instead of multiplying im2col
+        # columns: within ``bound`` of the float64 product's largest magnitude
+        # (measured: 1.1e-15 in float64, 2.0e-7 in float32)
+        rng = np.random.default_rng(16)
+        for cin, cout in [(32, 5), (8, 5), (8, 7)]:
+            for n in (1, 3):
+                for h, w in [(7, 5), (6, 9), (9, 14)]:
+                    conv = Conv2d("head", cin, cout, 1, rng, dtype=dtype)
+                    conv.bias.value[:] = rng.standard_normal(cout)
+                    x = rng.standard_normal((n, cin, h, w))
+                    ref = (conv.weight.value.reshape(cout, -1) @ im2col_reference(x, 1)
+                           + conv.bias.value[:, None])
+                    ref = ref.reshape(cout, n, h, w).transpose(1, 0, 2, 3)
+                    for got in (conv.forward(x), conv(x)):
+                        assert got.dtype == dtype and got.shape == ref.shape
+                        assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
 
     def test_stride1_forward_keeps_only_its_input(self):
         # the backward rebuilds its taps from the output gradient, so the
@@ -376,13 +414,16 @@ class TestToyNetForward:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_predict_is_forward_bit_for_bit(self, dtype):
-        net = ToyNet(num_classes=2, base_channels=4, seed=3, dtype=dtype)
-        x = np.random.default_rng(4).standard_normal((2, 1, 32, 48))
-        ref, got = net.forward(x), net.predict(x)
-        for key in ("heat", "rho", "theta"):
-            a, b = getattr(ref, key), getattr(got, key)
-            assert b.dtype == np.float64 and b.shape == a.shape
-            assert b.tobytes() == a.tobytes()
+        # a small net, then one 256x256 detect image and one training batch
+        for shape, base in [((2, 1, 32, 48), 4), ((1, 1, 256, 256), 16),
+                            ((8, 1, 64, 64), 16)]:
+            net = ToyNet(num_classes=2, base_channels=base, seed=3, dtype=dtype)
+            x = np.random.default_rng(4).standard_normal(shape)
+            ref, got = net.forward(x), net.predict(x)
+            for key in ("heat", "rho", "theta"):
+                a, b = getattr(ref, key), getattr(got, key)
+                assert b.dtype == np.float64 and b.shape == a.shape
+                assert b.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_predict_is_forward_within_rounding(self, dtype):
@@ -399,6 +440,23 @@ class TestToyNetForward:
                 a, b = getattr(ref, key), getattr(got, key)
                 assert b.shape == a.shape
                 assert np.abs(b - a).max() <= bound * np.abs(a).max()
+
+    def test_only_the_head_sums_output_taps(self, monkeypatch):
+        # the stem, down and the four block convs multiply im2col columns;
+        # the fused head (5 rows from 32 channels) builds none
+        seen = []
+        cols = toynet._pitched_cols
+
+        def spy(x, stride):
+            seen.append((x.shape[1], stride))
+            return cols(x, stride)
+
+        monkeypatch.setattr(toynet, "_pitched_cols", spy)
+        net = ToyNet(num_classes=2, base_channels=16)
+        for run in (net.forward, net.predict):
+            seen.clear()
+            run(np.zeros((2, 1, 32, 32)))
+            assert seen == [(1, 2), (16, 2)] + [(32, 1)] * 4
 
     def test_sigmoid_is_the_masked_formulation_bit_for_bit(self):
         edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
@@ -427,9 +485,9 @@ class TestToyNetForward:
 
     def test_predict_planes_peak_memory(self):
         # one layer's columns alive at a time (4.9 MB at most here, on the
-        # row pitch): the traced peak is 7.5 MB, where a training forward,
-        # which keeps the stride-2 columns and the stride-1 inputs, peaks at
-        # 12.2 MB
+        # row pitch; the head's output taps take 0.8 MB): the traced peak is
+        # 7.5 MB, where a training forward, which keeps the stride-2 columns
+        # and the stride-1 inputs, peaks at 11.6 MB
         net = ToyNet(num_classes=2, base_channels=16)
         image = np.random.default_rng(0).uniform(0, 1, (256, 256))
         tracemalloc.start()
@@ -513,34 +571,27 @@ class TestToyNetForward:
     def test_float64_outputs_and_gradients_are_pinned(self):
         # One digest per OpenBLAS float64 GEMM kernel family, as each rounds
         # differently: Prescott/Core2, Nehalem, Sandybridge, Haswell/Zen and
-        # SkylakeX and later. To recompute, run this net once per family
-        # with OPENBLAS_CORETYPE=Prescott, Nehalem, Sandybridge, Haswell and
-        # SkylakeX. The outputs are those of the all-float64 net before the
-        # conv stack got a dtype; the gradients are those of the stride-1
-        # backward that takes both gradients from the output gradient's taps.
-        rng = np.random.default_rng(8)
-        net = ToyNet(num_classes=2, base_channels=4, seed=2, dtype=np.float64)
-        out = net.forward(rng.standard_normal((3, 1, 32, 32)))
-        net.zero_grads()
-        net.backward(*(rng.standard_normal(a.shape)
-                       for a in (out.heat, out.rho, out.theta)))
-
-        def digest(arrays):
-            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-
-        assert digest([out.heat, out.rho, out.theta]) in {
-            "f3c59a4990b79e6fc19d1a7df244b717e34f43acc321df1ab2b7722ba3ee066e",
-            "ba6c48d415bdc8fe8aa997c2b1e08d6d7b9f868475e0037e893115c5fb14968f",
-            "ab2332922b77901537dc6b78becbb13b2d7a8536d6d1e876f595df1eaab4bcfb",
-            "673973127dae76f53391f53412eb07d47343cd7b4b0de5927eed5e97e3391419",
-            "9553a3797a900a93871cd0ee847ad37bba429b3cab371d56330cf606e611b5fc",
+        # SkylakeX and later. ``python scripts/pin_digests.py`` recomputes
+        # them, running ``float64_digests`` once per family with
+        # OPENBLAS_CORETYPE=Prescott, Nehalem, Sandybridge, Haswell and
+        # SkylakeX. The outputs are those of the fused head summing its
+        # output taps; the gradients those of the stride-1 backward that
+        # takes both gradients from the output gradient's taps, fed by
+        # these outputs' activations.
+        outputs, gradients = float64_digests()
+        assert outputs in {
+            "f88037806afa9339dcc9ae0a178f4a49f5c87d21ee831b55ad660f664824122c",
+            "6026473c11fbe9463f3b5b357d2c162f54ef46e226e570c5bdc3b1cda2079522",
+            "3d7c9fec438a11999098761e37e0be630090b6b115934b25e1cdacb7fd0d7b8a",
+            "07675b531b4264de4fd5dd3ee0fff1bc46c8fdd97b1855c1cf73c55d08691af9",
+            "e72f66590095b1de31672251c7115428bc9c7e1d328b42e75081ca3f71bb9f17",
         }
-        assert digest([p.grad for p in net.parameters()]) in {
-            "96c8c51228420742c695c2598fbfda7660ece38cc73d6c968acd19d113d80a91",
-            "0b7c4d43caf16429bab1780f9178aaefef52e647e6f3029d2a575bf5076370d8",
-            "d5dead48792af10af4bb907ff40dce68b914e10c7b1ca1fd7832507718ded99b",
-            "d993acdb0d7a9ae588100fe79570fc0b37ec32bf4335c4239a0de81dd1682eac",
-            "8b21117b4d84e877ee2885b290a36d5b439f5c187426830f11166685992f8930",
+        assert gradients in {
+            "d3f40b11051a2b793082b42b6969065028b31f8f92f80e398cca4caceca005a4",
+            "ba6257134d8197076ce37f29e18ffca7d0f23511a7cab03e45936c4e23dcf898",
+            "26d9f89ca1e1a96f403e2336d768ba7eba589fab04763a165001b95b36c57900",
+            "cd6f5ed2e404709de657df806cdd2379e3494f3718365795930a9068bb22958a",
+            "0dbb7769c3eaf2b34e2d501252a30928814a96e753278b59f2e41e538d82cee1",
         }
 
     def test_parameter_count_small_variant(self):
