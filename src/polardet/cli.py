@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import BoxArrays, GridConfig, encode_boxes
+from .encoding import BoxArrays, GridConfig, Targets, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import EvalReport, evaluate
 from .formats import (DetectionRecord, GroundTruth, parse_annotations,
@@ -34,8 +34,8 @@ from .losses import LossConfig
 from .postprocess import (Detections, Poles, check_score_threshold,
                           decode_poles, extract_pole_points)
 from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
-from .toynet import (ToyNet, TrainConfig, TrainingSample, image_to_input,
-                     load_checkpoint, predict_planes, save_checkpoint, train)
+from .toynet import (ToyNet, TrainConfig, image_to_input, load_checkpoint,
+                     predict_planes, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -122,33 +122,37 @@ def read_heatmap_csv(path) -> np.ndarray:
     return np.stack(channels)
 
 
-def write_encoding_csv(path, sample, cfg: GridConfig) -> None:
-    """Sparse dump: nonzero heatmap cells plus pole-cell regression values."""
+def write_encoding_csv(path, targets: Targets, cfg: GridConfig) -> None:
+    """Sparse dump of one image's targets: nonzero heatmap cells, then each
+    regression value at the pole cells in row-major cell order."""
+    heat = targets.heat[0]
+    cx, cy = targets.cell.T
+    order = np.lexsort((cx, cy))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["map", "class", "cell_x", "cell_y", "value"])
         for c in range(cfg.num_classes):
-            for gy, gx in np.argwhere(sample.heatmap[c] > 0.0):
-                writer.writerow(["heat", c, gx, gy, f"{sample.heatmap[c, gy, gx]:.9g}"])
-        for name, plane in (("rho", sample.rho), ("theta1", sample.theta1),
-                            ("theta2", sample.theta2)):
-            for gy, gx in np.argwhere(sample.pole_mask):
-                writer.writerow([name, "", gx, gy, f"{plane[gy, gx]:.9g}"])
+            for gy, gx in np.argwhere(heat[c] > 0.0):
+                writer.writerow(["heat", c, gx, gy, f"{heat[c, gy, gx]:.9g}"])
+        for j, name in enumerate(("rho", "theta1", "theta2")):
+            for gx, gy, v in zip(cx[order], cy[order], targets.value[order, j]):
+                writer.writerow([name, "", gx, gy, f"{v:.9g}"])
 
 
-def _encode(gt: GroundTruth, num_images: int, cfg: GridConfig):
+def _encode(gt: GroundTruth, num_images: int, cfg: GridConfig) -> Targets:
     """Training targets of ``num_images`` images from their ground truth."""
     boxes = BoxArrays(gt.image, gt.class_id, *quads_to_polar(gt.corners))
     return encode_boxes(boxes, num_images, cfg)
 
 
 def _encode_items(data_dir, image_ids: list[str], class_names, stride: int):
-    """Read the images and encode the annotations of all of them at once."""
+    """(images, targets, grid): the images' (N, H, W) rasters and the
+    targets of all of them, encoded at once."""
     images = _read_images(data_dir, image_ids)
     grid_cfg = GridConfig(images.shape[2], images.shape[1], stride, len(class_names))
     targets = _encode(_read_ground_truth(data_dir, image_ids, class_names),
                       len(image_ids), grid_cfg)
-    return [TrainingSample(*pair) for pair in zip(images, targets)], grid_cfg
+    return images, targets, grid_cfg
 
 
 def cmd_synth(args) -> int:
@@ -174,8 +178,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _read_config(args.config) if args.config else {}
     class_names, image_ids = _load_dataset(args.data)
-    samples, _grid = _encode_items(args.data, image_ids, class_names,
-                                   stride=ToyNet.stride)
+    images, targets, _grid = _encode_items(args.data, image_ids, class_names,
+                                           stride=ToyNet.stride)
     cfg = TrainConfig(
         learning_rate=_resolve(args.lr, config, "learning_rate", 0.0025, float),
         batch_size=_resolve(args.batch, config, "batch_size", 8, int),
@@ -192,7 +196,7 @@ def cmd_train(args) -> int:
             print(f"iter {it}: loss {stats.total:.4f} "
                   f"(pole {stats.pole:.4f}, reg {stats.reg:.4f})", flush=True)
 
-    history = train(net, samples, cfg, loss_cfg, callback=progress)
+    history = train(net, images, targets, cfg, loss_cfg, callback=progress)
     save_checkpoint(args.out, net, extra={
         "classes": class_names,
         "iterations": cfg.iterations,
@@ -202,8 +206,8 @@ def cmd_train(args) -> int:
         with open(args.history, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "total", "pole", "reg"])
-            writer.writerows(history)
-    print(f"trained {cfg.iterations} iterations on {len(samples)} images; "
+            writer.writerows((i, *h) for i, h in enumerate(history))
+    print(f"trained {cfg.iterations} iterations on {len(images)} images; "
           f"final loss {history[-1].total:.4f}; checkpoint at {args.out}")
     return EXIT_OK
 
@@ -326,9 +330,8 @@ def cmd_grad_check(args) -> int:
                          np.array([b.class_id for b in boxes], dtype=np.intp),
                          np.array([b.corners for b in boxes]),
                          np.zeros(len(boxes), dtype=bool))
-        target = _encode(gt, 1, cfg)[0]
         summaries.append(check_net_gradients(
-            net, image_to_input(image), [target], LossConfig(), rng,
+            net, image_to_input(image), _encode(gt, 1, cfg), LossConfig(), rng,
             num_coords=args.net_coords))
     failed = False
     for s in summaries:
@@ -363,10 +366,10 @@ def cmd_encode_dump(args) -> int:
     class_names, image_ids = _load_dataset(args.data)
     if args.image_id not in image_ids:
         raise FileNotFoundError(f"image id {args.image_id!r} not in {args.data}")
-    (sample,), cfg = _encode_items(args.data, [args.image_id], class_names,
-                                   args.stride)
-    write_encoding_csv(args.out, sample.target, cfg)
-    print(f"encoded {len(sample.target.pole_cells)} objects from {args.image_id} "
+    _images, targets, cfg = _encode_items(args.data, [args.image_id], class_names,
+                                          args.stride)
+    write_encoding_csv(args.out, targets, cfg)
+    print(f"encoded {len(targets.class_id)} objects from {args.image_id} "
           f"onto {cfg.grid_w}x{cfg.grid_h} grid")
     return EXIT_OK
 

@@ -1,14 +1,15 @@
-"""Ground-truth encoding: per-class Gaussian heatmaps plus polar regression planes.
+"""Ground-truth encoding: per-class Gaussian heatmaps plus one polar row per pole.
 
 All output grids live at the network stride ``d``: a heatmap array has shape
-``(num_classes, grid_h, grid_w)`` and is indexed ``[class, cell_y, cell_x]``;
-the regression planes have shape ``(grid_h, grid_w)``. Radius targets are
-stored in output-grid units (pixels / stride); the decoder multiplies back.
+``(num_classes, grid_h, grid_w)`` and is indexed ``[class, cell_y, cell_x]``.
+The regression targets exist only at pole cells, so they are one row per box.
+Radius targets are stored in output-grid units (pixels / stride); the decoder
+multiplies back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,23 +50,6 @@ class GridConfig:
         return self.height // self.stride
 
 
-@dataclass
-class EncodedSample:
-    """Training targets for one image.
-
-    ``rho`` is in output-grid units; the theta planes are radians. The
-    regression planes are zero away from pole cells, and the heatmap is
-    exactly 1 at each pole cell in its class channel.
-    """
-
-    heatmap: np.ndarray           # (C, grid_h, grid_w) in [0, 1]
-    rho: np.ndarray               # (grid_h, grid_w)
-    theta1: np.ndarray            # (grid_h, grid_w)
-    theta2: np.ndarray            # (grid_h, grid_w)
-    pole_mask: np.ndarray         # (grid_h, grid_w) bool
-    pole_cells: list[tuple[int, int, int]] = field(default_factory=list)  # (class_id, cx, cy)
-
-
 class BoxArrays(NamedTuple):
     """Polar boxes of one or more images, one row per box."""
 
@@ -74,6 +58,30 @@ class BoxArrays(NamedTuple):
     pole: np.ndarray      # (B, 2) pixels
     rho: np.ndarray       # (B,) pixels
     theta: np.ndarray     # (B, 2) radians
+
+
+class Targets(NamedTuple):
+    """Training targets of N images: one heatmap stack and one row per pole.
+
+    Pole rows run image-major, each image's boxes in input order; image k
+    owns rows ``first[k]:first[k + 1]``. The heatmap is exactly 1 at each
+    pole cell in its class channel.
+    """
+
+    heat: np.ndarray      # (N, C, grid_h, grid_w) in [0, 1]
+    first: np.ndarray     # (N + 1,) offset of each image's first pole row
+    class_id: np.ndarray  # (P,)
+    cell: np.ndarray      # (P, 2) (cx, cy)
+    value: np.ndarray     # (P, 3) rho / stride, theta1, theta2 (radians)
+
+    def take(self, idx) -> Targets:
+        """The targets of images ``idx``, in that order, repeats included."""
+        idx = np.asarray(idx, dtype=np.intp)
+        counts = self.first[idx + 1] - self.first[idx]
+        first = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.arange(first[-1]) + np.repeat(self.first[idx] - first[:-1], counts)
+        return Targets(self.heat[idx], first, self.class_id[rows], self.cell[rows],
+                       self.value[rows])
 
 
 def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
@@ -111,8 +119,7 @@ def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
     return heat
 
 
-def encode_boxes(boxes: BoxArrays, num_images: int,
-                 cfg: GridConfig) -> list[EncodedSample]:
+def encode_boxes(boxes: BoxArrays, num_images: int, cfg: GridConfig) -> Targets:
     """Build the full target set of ``num_images`` images at once.
 
     Targets are defined at the exact pole cell (floor(x/d), floor(y/d))
@@ -139,21 +146,17 @@ def encode_boxes(boxes: BoxArrays, num_images: int,
         raise CellCollision(f"boxes {np.count_nonzero(same[:i])} and "
                             f"{np.count_nonzero(same[:j])} share pole cell ({cx[j]}, {cy[j]})")
     heat = _render_heatmaps(boxes, cells, num_images, cfg)
-    planes = np.zeros((3, num_images, cfg.grid_h, cfg.grid_w))
-    planes[:, boxes.image, cy, cx] = (boxes.rho / cfg.stride, *boxes.theta.T)
-    mask = np.zeros((num_images, cfg.grid_h, cfg.grid_w), dtype=bool)
-    mask[boxes.image, cy, cx] = True
-    pole_cells: list[list[tuple[int, int, int]]] = [[] for _ in range(num_images)]
-    for b, *cell in np.column_stack((boxes.image, boxes.class_id, cells)).tolist():
-        pole_cells[b].append(tuple(cell))
-    return [EncodedSample(heat[k], planes[0, k], planes[1, k], planes[2, k], mask[k],
-                          pole_cells[k]) for k in range(num_images)]
+    rows = np.argsort(boxes.image, kind="stable")
+    counts = np.bincount(boxes.image, minlength=num_images)
+    value = np.column_stack((boxes.rho / cfg.stride, boxes.theta))
+    return Targets(heat, np.concatenate(([0], np.cumsum(counts))),
+                   boxes.class_id[rows], cells[rows], value[rows])
 
 
-def encode_regression(boxes: list[PolarBox], cfg: GridConfig) -> EncodedSample:
+def encode_regression(boxes: list[PolarBox], cfg: GridConfig) -> Targets:
     """Build the full target set for one image; see ``encode_boxes``."""
     rows = np.array([(b.class_id, *b.pole, b.rho, b.theta1, b.theta2) for b in boxes],
                     dtype=np.float64).reshape(-1, 6)
     arrays = BoxArrays(np.zeros(len(boxes), dtype=np.intp), rows[:, 0].astype(np.intp),
                        rows[:, 1:3], rows[:, 3], rows[:, 4:])
-    return encode_boxes(arrays, 1, cfg)[0]
+    return encode_boxes(arrays, 1, cfg)

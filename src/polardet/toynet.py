@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import EncodedSample
+from .encoding import Targets
 from .errors import DivergenceError, ShapeError, StateError, VersionError
 from .losses import LossConfig, pole_focal_loss, total_loss, total_regression_loss
 
@@ -527,52 +527,36 @@ class Adam:
             p.value -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    image: np.ndarray      # (H, W) uint8 raster, or float in [0, 1]
-    target: EncodedSample
-
-
 class BatchLoss(NamedTuple):
     total: float
     pole: float
     reg: float
 
 
-class IterStats(NamedTuple):
-    iteration: int
-    total: float
-    pole: float
-    reg: float
-
-
-def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: list[EncodedSample],
+def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: Targets,
                        cfg: LossConfig, backward: bool = True) -> BatchLoss:
     """Forward a batch, reduce the losses and (optionally) backprop.
 
     The pole loss is the mean of per-image focal losses; the regression
-    loss is the mean over all pole cells pooled across the batch. Images
-    without objects normalize their focal loss by one.
+    loss is the mean over all pole rows pooled across the batch, in row
+    order. Images without objects normalize their focal loss by one.
     """
-    if x.shape[0] != len(targets):
-        raise ShapeError(f"batch {x.shape[0]} vs {len(targets)} targets")
-    out = net.forward(x)
     n = x.shape[0]
+    if n != len(targets.heat):
+        raise ShapeError(f"batch {n} vs {len(targets.heat)} targets")
+    out = net.forward(x)
     d_rho = np.zeros_like(out.rho)
     d_theta = np.zeros_like(out.theta)
 
-    fl = pole_focal_loss(out.heat, np.stack([t.heatmap for t in targets]), cfg,
-                         [max(len(t.pole_cells), 1) for t in targets])
+    counts = np.diff(targets.first)
+    fl = pole_focal_loss(out.heat, targets.heat, cfg, np.maximum(counts, 1))
     pole_mean = float(np.mean(fl.value))
     d_heat = fl.gradients["pred"] / n
 
-    # (b, cy, cx) of every pole cell, in pole_cells order (the mean's order)
-    cells = [np.asarray(t.pole_cells, dtype=np.intp).reshape(-1, 3) for t in targets]
-    b = np.repeat(np.arange(n), [len(c) for c in cells])
-    _class_id, cx, cy = np.concatenate(cells).T
-    truth = np.stack([(t.rho, t.theta1, t.theta2) for t in targets])[b, :, cy, cx]
+    b = np.repeat(np.arange(n), counts)
+    cx, cy = targets.cell.T
     reg = total_regression_loss((out.rho[b, cy, cx], *out.theta[b, :, cy, cx].T),
-                                tuple(truth.T), cfg)
+                                tuple(targets.value.T), cfg)
     reg_mean = float(np.mean(reg.value)) if b.size else 0.0
     scale = cfg.reg_weight / b.size if b.size else 0.0
     np.add.at(d_rho, (b, cy, cx), reg.gradients["rho"] * scale)
@@ -584,30 +568,33 @@ def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: list[EncodedSample],
     return BatchLoss(total_loss(pole_mean, reg_mean, cfg), pole_mean, reg_mean)
 
 
-def train(net: ToyNet, samples: list[TrainingSample], cfg: TrainConfig,
-          loss_cfg: LossConfig | None = None, callback=None) -> list[IterStats]:
-    """SGD loop with Adam; returns per-iteration loss history.
+def train(net: ToyNet, images, targets: Targets, cfg: TrainConfig,
+          loss_cfg: LossConfig | None = None, callback=None) -> list[BatchLoss]:
+    """SGD loop with Adam; returns each iteration's losses.
 
-    Each batch's images become network input as the batch is drawn, so
-    uint8 rasters stay uint8 in memory. Raises DivergenceError the moment
-    the total loss stops being finite.
+    ``images`` holds one (H, W) uint8 raster or [0, 1] float image per image
+    of ``targets``. Each batch's images become network input as the batch is
+    drawn, so uint8 rasters stay uint8 in memory. Raises DivergenceError the
+    moment the total loss stops being finite.
     """
-    if not samples:
+    images = np.asarray(images)
+    if len(images) != len(targets.heat):
+        raise ShapeError(f"{len(images)} images vs {len(targets.heat)} targets")
+    if not len(images):
         raise ValueError("no training samples")
     loss_cfg = loss_cfg or LossConfig()
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(net.parameters(), cfg)
-    history: list[IterStats] = []
+    history: list[BatchLoss] = []
     for it in range(cfg.iterations):
-        idx = rng.integers(0, len(samples), size=cfg.batch_size)
-        batch = [samples[i] for i in idx]
+        idx = rng.integers(0, len(images), size=cfg.batch_size)
         net.zero_grads()
-        stats = compute_batch_loss(net, image_to_input([s.image for s in batch]),
-                                   [s.target for s in batch], loss_cfg)
+        stats = compute_batch_loss(net, image_to_input(images[idx]),
+                                   targets.take(idx), loss_cfg)
         if not math.isfinite(stats.total):
             raise DivergenceError(it)
         opt.step()
-        history.append(IterStats(it, stats.total, stats.pole, stats.reg))
+        history.append(stats)
         if callback is not None:
             callback(it, stats)
     return history

@@ -6,8 +6,9 @@ and matching from plain per-pair loops over that clip, gradients from
 finite differences, connected components and heatmap peaks from a full
 row-major scan, decoded corners from one scalar
 ``math`` formula per pole, conv columns from ``np.pad`` and a sliding-window
-view, and conv input gradients from one strided add per tap over the
-(n, oy, ox) columns. Tests compare
+view, conv input gradients from one strided add per tap over the
+(n, oy, ox) columns, and training targets from one Gaussian window and one
+set of dense regression planes per box and image. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -390,8 +391,11 @@ def encode_records_reference(records_per_image, class_names, cfg):
 
     ``records_per_image`` holds one list of annotation records (``corners``
     and ``class_name``) per image; ``cfg`` has the grid's width, height,
-    stride and num_classes. Returns one dict of target arrays per image,
-    keyed like ``EncodedSample``'s fields, and raises the package's errors.
+    stride and num_classes. Returns one dict per image: the (C, gh, gw)
+    ``heatmap``; the dense (gh, gw) ``rho`` (grid units), ``theta1`` and
+    ``theta2`` planes, zero away from the poles; the ``pole_mask`` of the
+    pole cells; and ``pole_cells``, one (class_id, cx, cy) tuple per record in
+    input order. It raises the package's errors.
     """
     from polardet.errors import CellCollision, DegenerateBox, OutOfBounds, UnknownClass
 
@@ -461,6 +465,51 @@ def encode_records_reference(records_per_image, class_names, cfg):
             np.maximum(window, kernel, out=window)
         out.append(target)
     return out
+
+
+def target_planes(targets, k: int = 0):
+    """The dense (gh, gw) rho, theta1 and theta2 planes of image ``k`` of a
+    ``Targets``: each pole row's values at its cell, zero elsewhere. This is
+    the layout ``decode_poles`` reads from a net's outputs."""
+    gh, gw = targets.heat.shape[2:]
+    planes = np.zeros((3, gh, gw))
+    rows = slice(targets.first[k], targets.first[k + 1])
+    cx, cy = targets.cell[rows].T
+    planes[:, cy, cx] = targets.value[rows].T
+    return tuple(planes)
+
+
+def batch_loss_reference(net, x, targets, cfg):
+    """``compute_batch_loss`` the per-image way: the batch's heatmaps and
+    dense planes are stacked from one ``encode_records_reference`` dict per
+    image, and the pole indices are rebuilt from each dict's ``pole_cells``.
+
+    The net, the losses and the backward are the package's; what is
+    independent is how the targets reach them. Returns (total, pole, reg)
+    and leaves the gradients in the net's parameters.
+    """
+    from polardet.losses import pole_focal_loss, total_loss, total_regression_loss
+
+    out = net.forward(x)
+    n = x.shape[0]
+    fl = pole_focal_loss(out.heat, np.stack([t["heatmap"] for t in targets]), cfg,
+                         [max(len(t["pole_cells"]), 1) for t in targets])
+    pole = float(np.mean(fl.value))
+    cells = [(k, cx, cy) for k, t in enumerate(targets) for _c, cx, cy in t["pole_cells"]]
+    b, cx, cy = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    planes = np.stack([(t["rho"], t["theta1"], t["theta2"]) for t in targets])
+    truth = planes[b, :, cy, cx]
+    reg = total_regression_loss((out.rho[b, cy, cx], *out.theta[b, :, cy, cx].T),
+                                tuple(truth.T), cfg)
+    reg_mean = float(np.mean(reg.value)) if b.size else 0.0
+    scale = cfg.reg_weight / b.size if b.size else 0.0
+    d_rho = np.zeros_like(out.rho)
+    d_theta = np.zeros_like(out.theta)
+    np.add.at(d_rho, (b, cy, cx), reg.gradients["rho"] * scale)
+    np.add.at(d_theta, (b, slice(None), cy, cx),
+              np.stack((reg.gradients["theta1"], reg.gradients["theta2"]), axis=1) * scale)
+    net.backward(fl.gradients["pred"] / n, d_rho, d_theta)
+    return total_loss(pole, reg_mean, cfg), pole, reg_mean
 
 
 def im2col_reference(x: np.ndarray, stride: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from polardet.synthdata import SceneSpec, generate_scene
 from polardet.toynet import load_checkpoint
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from oracles import mc_iou, random_rectangle  # noqa: E402
+from oracles import mc_iou, random_rectangle, target_planes  # noqa: E402
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -278,9 +278,9 @@ def test_criterion_9_encode_decode_identity():
         rng = np.random.default_rng(900 + seed)
         _image, quads = generate_scene(spec, rng)
         boxes = [quad_to_polar(q) for q in quads]
-        sample = encode_regression(boxes, cfg)
-        result = decode_poles(extract_pole_points(sample.heatmap, 0.3),
-                              sample.rho, sample.theta1, sample.theta2, cfg)
+        targets = encode_regression(boxes, cfg)
+        result = decode_poles(extract_pole_points(targets.heat[0], 0.3),
+                              *target_planes(targets), cfg)
         dets = result.detections
         assert result.dropped_invalid == 0
         assert len(dets) == len(boxes)

@@ -20,6 +20,7 @@ from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
 
+from oracles import target_planes
 from test_toynet import MALFORMED_CHECKPOINTS
 
 
@@ -614,11 +615,10 @@ class TestEncodeDump:
                                       ["class0", "class1"])
         polars = [quad_to_polar(QuadBox(corners, class_id))
                   for corners, class_id in zip(gt.corners, gt.class_id.tolist())]
-        sample = encode_regression(polars, cfg)
-        np.testing.assert_allclose(heat, sample.heatmap, rtol=1e-8)
-        np.testing.assert_allclose(rho, sample.rho, rtol=1e-8)
-        np.testing.assert_allclose(t1, sample.theta1, rtol=1e-8)
-        np.testing.assert_allclose(t2, sample.theta2, rtol=1e-8)
+        targets = encode_regression(polars, cfg)
+        np.testing.assert_allclose(heat, targets.heat[0], rtol=1e-8)
+        for got, plane in zip((rho, t1, t2), target_planes(targets)):
+            np.testing.assert_allclose(got, plane, rtol=1e-8)
 
     def test_annotation_warnings_go_to_stderr(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polardet import cli
-from polardet.encoding import GridConfig, TRUNCATION_SIGMAS, encode_regression
+from polardet.encoding import (BoxArrays, GridConfig, TRUNCATION_SIGMAS, Targets,
+                               encode_boxes, encode_regression)
 from polardet.errors import (CellCollision, DegenerateBox, OutOfBounds,
                              PolarDetError, UnknownClass)
 from polardet.formats import parse_annotations
@@ -13,20 +14,17 @@ from polardet.synthdata import SceneSpec, write_dataset, write_pgm
 
 from oracles import encode_records_reference
 
-TARGET_FIELDS = ("heatmap", "rho", "theta1", "theta2", "pole_mask")
-
-
 def make_box(x, y, rho=6.0, t1=0.5, t2=2.0, class_id=0):
     return PolarBox(Point2(x, y), rho, t1, t2, class_id)
 
 
 def pole_cell(pole, cfg):
-    ((_class_id, cx, cy),) = encode_regression([make_box(*pole)], cfg).pole_cells
+    ((cx, cy),) = encode_regression([make_box(*pole)], cfg).cell.tolist()
     return cx, cy
 
 
 def gaussian_heatmap(boxes, cfg):
-    return encode_regression(boxes, cfg).heatmap
+    return encode_regression(boxes, cfg).heat[0]
 
 
 def reference_heatmap(cfg, entries):
@@ -157,29 +155,20 @@ class TestEncodeRegression:
     def test_values_at_pole_cell(self):
         cfg = GridConfig(64, 64, 4)
         box = make_box(33.0, 21.0, rho=6.0, t1=0.5, t2=2.0)
-        sample = encode_regression([box], cfg)
-        assert sample.rho[5, 8] == pytest.approx(1.5)  # 6 px / stride 4
-        assert sample.theta1[5, 8] == 0.5
-        assert sample.theta2[5, 8] == 2.0
-        assert sample.pole_mask[5, 8]
-        assert sample.pole_cells == [(0, 8, 5)]
-
-    def test_planes_zero_away_from_poles(self):
-        cfg = GridConfig(64, 64, 4)
-        sample = encode_regression([make_box(33.0, 21.0)], cfg)
-        rho = sample.rho.copy()
-        rho[5, 8] = 0.0
-        assert not rho.any()
-        assert sample.pole_mask.sum() == 1
+        targets = encode_regression([box], cfg)
+        assert targets.first.tolist() == [0, 1]
+        assert targets.class_id.tolist() == [0]
+        assert targets.cell.tolist() == [[8, 5]]
+        assert targets.value.tolist() == [[1.5, 0.5, 2.0]]  # 6 px / stride 4
 
     def test_two_boxes_two_cells(self):
         cfg = GridConfig(64, 64, 4, num_classes=2)
         a = make_box(10.0, 10.0, rho=4.0, class_id=0)
         b = make_box(40.0, 44.0, rho=8.0, class_id=1)
-        sample = encode_regression([a, b], cfg)
-        assert sample.rho[2, 2] == pytest.approx(1.0)
-        assert sample.rho[11, 10] == pytest.approx(2.0)
-        assert set(sample.pole_cells) == {(0, 2, 2), (1, 10, 11)}
+        targets = encode_regression([a, b], cfg)
+        assert targets.class_id.tolist() == [0, 1]
+        assert targets.cell.tolist() == [[2, 2], [10, 11]]
+        assert targets.value[:, 0].tolist() == [1.0, 2.0]
 
     def test_same_cell_collision_names_both_boxes(self):
         cfg = GridConfig(64, 64, 4)
@@ -193,24 +182,26 @@ class TestEncodeRegression:
 
     def test_empty_image(self):
         cfg = GridConfig(64, 32, 4, num_classes=2)
-        sample = encode_regression([], cfg)
-        assert sample.heatmap.shape == (2, 8, 16)
-        assert not sample.heatmap.any() and not sample.pole_mask.any()
-        assert sample.pole_cells == []
+        targets = encode_regression([], cfg)
+        assert targets.heat.shape == (1, 2, 8, 16)
+        assert not targets.heat.any()
+        assert targets.first.tolist() == [0, 0]
+        assert targets.class_id.shape == (0,)
+        assert targets.cell.shape == (0, 2) and targets.value.shape == (0, 3)
 
     def test_heatmap_consistent_with_standalone_render(self):
         cfg = GridConfig(64, 64, 4, num_classes=2)
         boxes = [rect_polar(17.0, 21.0, 12.0, 9.0, phi=1.0, class_id=0),
                  rect_polar(45.0, 41.0, 16.0, 10.0, phi=2.0, class_id=1)]
-        sample = encode_regression(boxes, cfg)
+        heat = gaussian_heatmap(boxes, cfg)
         # min sides 9 and 10 px: sigma 0.75 and 5/6 cells
         expected = reference_heatmap(cfg, [(0, 4, 5, 0.75), (1, 11, 10, 10.0 / 12.0)])
-        np.testing.assert_allclose(sample.heatmap, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(heat, expected, rtol=0, atol=1e-12)
 
 
 def _encode_both(data, size):
     """The training path's targets for a dataset directory, and the per-box
-    reference's; each side is a list of targets or the error it raised."""
+    reference's; each side is the targets or the error it raised."""
     names, image_ids = cli._load_dataset(data)
     records = [parse_annotations((data / "annotations" / f"{i}.txt").read_text()).records
                for i in image_ids]
@@ -220,7 +211,7 @@ def _encode_both(data, size):
     except PolarDetError as exc:
         expected = exc
     try:
-        got = [s.target for s in cli._encode_items(data, image_ids, names, 4)[0]]
+        got = cli._encode_items(data, image_ids, names, 4)[1]
     except PolarDetError as exc:
         got = exc
     return got, expected
@@ -231,13 +222,20 @@ def _assert_same_targets(got, expected):
         assert type(got) is type(expected)
         assert str(got) == str(expected)
         return
-    assert len(got) == len(expected)
-    for sample, ref in zip(got, expected):
-        for name in TARGET_FIELDS:
-            a, b = getattr(sample, name), ref[name]
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
-        assert sample.pole_cells == ref["pole_cells"]
+    heat = np.stack([ref["heatmap"] for ref in expected])
+    assert (got.heat.dtype, got.heat.shape) == (heat.dtype, heat.shape)
+    assert got.heat.tobytes() == heat.tobytes()
+    assert got.first[-1] == len(got.class_id) == len(got.cell) == len(got.value)
+    for k, ref in enumerate(expected):
+        rows = slice(got.first[k], got.first[k + 1])
+        cells = [tuple(r) for r in zip(got.class_id[rows].tolist(),
+                                       *got.cell[rows].T.tolist())]
+        assert cells == ref["pole_cells"]
+        assert np.count_nonzero(ref["pole_mask"]) == len(cells)
+        _class_id, cx, cy = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+        planes = np.stack([ref[name][cy, cx] for name in ("rho", "theta1", "theta2")],
+                          axis=1)
+        assert got.value[rows].tobytes() == planes.tobytes()
 
 
 def _write_scenes(root, annotations, size=64, classes=("a", "b")):
@@ -289,3 +287,60 @@ class TestDatasetEncoding:
         else:
             assert isinstance(expected, error)
         _assert_same_targets(got, expected)
+
+
+def three_image_targets():
+    """Image 0 has two poles, image 1 none and image 2 one."""
+    cfg = GridConfig(64, 64, 4, num_classes=2)
+    boxes = [(0, make_box(10.0, 10.0, rho=4.0)),
+             (0, make_box(40.0, 44.0, rho=8.0, class_id=1)),
+             (2, make_box(21.0, 33.0, rho=5.0, t1=0.7, t2=1.9))]
+    image, box = zip(*boxes)
+    arrays = BoxArrays(np.array(image), np.array([b.class_id for b in box]),
+                       np.array([tuple(b.pole) for b in box]),
+                       np.array([b.rho for b in box]),
+                       np.array([(b.theta1, b.theta2) for b in box]))
+    return encode_boxes(arrays, 3, cfg)
+
+
+class TestTargets:
+    def test_rows_run_image_major_in_input_order(self):
+        cfg = GridConfig(64, 64, 4)
+        poles = [(2, (10.0, 10.0)), (0, (40.0, 44.0)), (2, (21.0, 33.0)),
+                 (0, (5.0, 50.0))]
+        image, pole = zip(*poles)
+        arrays = BoxArrays(np.array(image), np.zeros(4, dtype=np.intp),
+                           np.array(pole), np.arange(4.0, 8.0),
+                           np.tile([0.5, 2.0], (4, 1)))
+        targets = encode_boxes(arrays, 3, cfg)
+        assert targets.first.tolist() == [0, 2, 2, 4]
+        assert targets.cell.tolist() == [[10, 11], [1, 12], [2, 2], [5, 8]]
+        assert targets.value[:, 0].tolist() == [1.25, 1.75, 1.0, 1.5]
+        assert targets.heat[0, 0, 11, 10] == targets.heat[2, 0, 2, 2] == 1.0
+        assert not targets.heat[1].any()
+
+    def test_take_gathers_images_in_order_with_repeats(self):
+        targets = three_image_targets()
+        got = targets.take([2, 0, 2, 1])
+        assert got.first.tolist() == [0, 1, 3, 4, 4]
+        assert got.heat.tobytes() == targets.heat[[2, 0, 2, 1]].tobytes()
+        rows = [2, 0, 1, 2]
+        assert got.class_id.tolist() == targets.class_id[rows].tolist()
+        assert got.cell.tolist() == targets.cell[rows].tolist()
+        assert got.value.tobytes() == targets.value[rows].tobytes()
+
+    def test_take_of_images_without_poles(self):
+        targets = three_image_targets()
+        got = targets.take([1, 1])
+        assert got.first.tolist() == [0, 0, 0]
+        assert got.heat.shape == (2, 2, 16, 16) and not got.heat.any()
+        assert got.cell.shape == (0, 2) and got.value.shape == (0, 3)
+        none = targets.take([])
+        assert none.heat.shape == (0, 2, 16, 16) and none.first.tolist() == [0]
+
+    def test_take_of_every_image_is_the_targets(self):
+        targets = three_image_targets()
+        got = targets.take(np.arange(3))
+        assert isinstance(got, Targets)
+        for a, b in zip(got, targets):
+            assert a.tolist() == b.tolist()

@@ -32,8 +32,7 @@ import spans
 
 import numpy as np
 from polardet import cli, geometry, postprocess, toynet
-from polardet.encoding import GridConfig, encode_regression
-from polardet.geometry import Point2, PolarBox
+from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.losses import LossConfig
 
 counts = run.kernel_counts(256)
@@ -41,8 +40,10 @@ net = toynet.ToyNet(num_classes=2, base_channels=2)
 rng = np.random.default_rng(0)
 images = rng.uniform(0, 1, (2, 32, 32))
 grid = GridConfig(32, 32, 4, 2)
-targets = [encode_regression([PolarBox(Point2(14.0, 18.0), 5.0, 0.5, 1.6, k)],
-                             grid) for k in (0, 1)]
+# one box per image, of class k in image k
+boxes = BoxArrays(np.arange(2), np.arange(2), np.array([[14.0, 18.0]] * 2),
+                  np.full(2, 5.0), np.array([[0.5, 1.6]] * 2))
+targets = encode_boxes(boxes, 2, grid)
 # five isolated peaks decode to boxes of radius 12 px: the class-0 pair two
 # cells apart overlaps at IoU 0.3, so one of them goes; the class-1 box
 # between them stays

@@ -8,7 +8,8 @@ from polardet.errors import ShapeError
 from polardet.geometry import Point2, PolarBox, QuadBox, polar_to_quad, quad_to_polar
 from polardet.postprocess import Poles, decode_poles, extract_pole_points
 
-from oracles import decode_poles_reference, peak_scan_reference, scan_components
+from oracles import (decode_poles_reference, peak_scan_reference, scan_components,
+                     target_planes)
 
 
 def pole_rows(poles: Poles) -> list[tuple]:
@@ -33,7 +34,7 @@ def touching_row_heatmap() -> np.ndarray:
     boxes = [quad_to_polar(QuadBox(np.array([[x, y], [x + w, y], [x + w, y + h],
                                              [x, y + h]])))
              for x in x0 + np.arange(8) * (w + gap)]
-    return encode_regression(boxes, GridConfig(size, size, 4, 1)).heatmap
+    return encode_regression(boxes, GridConfig(size, size, 4, 1)).heat[0]
 
 
 class TestExtractPolePoints:
@@ -318,9 +319,9 @@ class TestDecoding:
                 boxes.append(PolarBox(Point2(x, y), rng.uniform(3, 8), t1,
                                       t1 + rng.uniform(0.5, 1.5),
                                       int(rng.integers(2))))
-            sample = encode_regression(boxes, cfg)
-            result = decode_poles(extract_pole_points(sample.heatmap, 0.3),
-                                  sample.rho, sample.theta1, sample.theta2, cfg)
+            targets = encode_regression(boxes, cfg)
+            result = decode_poles(extract_pole_points(targets.heat[0], 0.3),
+                                  *target_planes(targets), cfg)
             dets = result.detections
             assert len(dets) == 3
             assert result.dropped_invalid == 0

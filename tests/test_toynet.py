@@ -7,19 +7,21 @@ import numpy as np
 import pytest
 
 from polardet import toynet
-from polardet.encoding import GridConfig, encode_regression
+from polardet.encoding import BoxArrays, GridConfig, encode_boxes, encode_regression
 from polardet.errors import (DivergenceError, ShapeError, StateError,
                              VersionError)
 from polardet.geometry import Point2, PolarBox
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
-from polardet.toynet import (Adam, Conv2d, ReLU, ToyNet, TrainConfig,
-                             TrainingSample, _on_pitch, _pitched_cols, _sigmoid,
+from polardet.toynet import (Adam, BatchLoss, Conv2d, ReLU, ToyNet,
+                             TrainConfig, _on_pitch, _pitched_cols, _sigmoid,
                              compute_batch_loss, image_to_input,
                              load_checkpoint, predict_planes, save_checkpoint,
                              train)
 
-from oracles import col2im_reference, im2col_reference, sigmoid_reference
+from oracles import (batch_loss_reference, col2im_reference,
+                     encode_records_reference, im2col_reference,
+                     sigmoid_reference)
 
 
 def conv3x3_reference(x, weight, bias, stride):
@@ -67,12 +69,24 @@ def conv3x3_backward_reference(x, weight, dout, stride):
     return dweight, dbias, dxp[:, :, 1:-1, 1:-1]
 
 
-def tiny_batch(seed=0, num_images=2, size=32, num_classes=2):
-    """Synthetic images plus encoded targets for loss-level tests."""
+def encode_scenes(boxes_per_image, cfg):
+    """One ``Targets`` for the images' PolarBox lists, from one
+    ``encode_boxes`` call."""
+    rows = [(k, b.class_id, *b.pole, b.rho, b.theta1, b.theta2)
+            for k, boxes in enumerate(boxes_per_image) for b in boxes]
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    arrays = BoxArrays(rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp),
+                       rows[:, 2:4], rows[:, 4], rows[:, 5:])
+    return encode_boxes(arrays, len(boxes_per_image), cfg)
+
+
+def tiny_batch(seed=0, num_images=2, size=32, num_classes=2, empty=()):
+    """Synthetic images plus encoded targets for loss-level tests; the
+    images in ``empty`` get their boxes drawn but encode none."""
     rng = np.random.default_rng(seed)
     cfg = GridConfig(size, size, 4, num_classes)
     images, targets = [], []
-    for _ in range(num_images):
+    for k in range(num_images):
         images.append(rng.uniform(0, 1, (size, size)))
         boxes, cells = [], set()
         while len(boxes) < 2:
@@ -85,8 +99,8 @@ def tiny_batch(seed=0, num_images=2, size=32, num_classes=2):
             boxes.append(PolarBox(Point2(x, y), rng.uniform(3, 6), t1,
                                   t1 + rng.uniform(0.6, 1.4),
                                   int(rng.integers(num_classes))))
-        targets.append(encode_regression(boxes, cfg))
-    return image_to_input(images), targets
+        targets.append([] if k in empty else boxes)
+    return image_to_input(images), encode_scenes(targets, cfg)
 
 
 def float64_digests() -> tuple[str, str]:
@@ -608,17 +622,17 @@ class TestBatchLoss:
         stats = compute_batch_loss(net, x, targets, cfg, backward=False)
 
         out = net.forward(x)
-        pole = np.mean([pole_focal_loss(out.heat[b], t.heatmap, cfg,
-                                        len(t.pole_cells)).value
-                        for b, t in enumerate(targets)])
+        first = targets.first
+        pole = np.mean([pole_focal_loss(out.heat[b], targets.heat[b], cfg,
+                                        first[b + 1] - first[b]).value
+                        for b in range(len(x))])
         reg_terms = []
-        for b, t in enumerate(targets):
-            for _cid, cx, cy in t.pole_cells:
+        for b in range(len(x)):
+            for r in range(first[b], first[b + 1]):
+                cx, cy = targets.cell[r]
                 reg_terms.append(total_regression_loss(
                     (out.rho[b, cy, cx], out.theta[b, 0, cy, cx],
-                     out.theta[b, 1, cy, cx]),
-                    (t.rho[cy, cx], t.theta1[cy, cx], t.theta2[cy, cx]),
-                    cfg).value)
+                     out.theta[b, 1, cy, cx]), tuple(targets.value[r]), cfg).value)
         assert stats.pole == pytest.approx(pole, rel=1e-12)
         assert stats.reg == np.mean(reg_terms)
         assert stats.total == pole + 0.1 * np.mean(reg_terms)
@@ -627,7 +641,7 @@ class TestBatchLoss:
         x, targets = tiny_batch()
         net = ToyNet(num_classes=2, base_channels=2)
         with pytest.raises(ShapeError):
-            compute_batch_loss(net, x, targets[:1], LossConfig())
+            compute_batch_loss(net, x, targets.take([0]), LossConfig())
 
     def test_gradients_match_finite_differences(self):
         x, targets = tiny_batch(seed=5)
@@ -644,8 +658,8 @@ class TestBatchLoss:
                                 targets, LossConfig(), np.random.default_rng(11))
 
     def test_batch_without_pole_cells(self):
-        x, targets = tiny_batch()
-        empty = [encode_regression([], GridConfig(32, 32, 4, 2))] * len(targets)
+        x, _targets = tiny_batch()
+        empty = encode_regression([], GridConfig(32, 32, 4, 2)).take([0] * len(x))
         net = ToyNet(num_classes=2, base_channels=2, seed=3)
         stats = compute_batch_loss(net, x, empty, LossConfig())
         assert stats.reg == 0.0
@@ -657,12 +671,44 @@ class TestBatchLoss:
         assert not np.any(grads["head_angle.weight"])
 
     def test_gradients_match_fd_with_an_empty_image(self):
-        x, targets = tiny_batch(seed=5, num_images=3)
-        targets[1] = encode_regression([], GridConfig(32, 32, 4, 2))
+        x, targets = tiny_batch(seed=5, num_images=3, empty=(1,))
+        assert targets.first.tolist() == [0, 2, 2, 4]
         net = ToyNet(num_classes=2, base_channels=2, seed=7, dtype=np.float64)
         summary = check_net_gradients(net, x, targets, LossConfig(),
                                       np.random.default_rng(11), num_coords=80)
         assert summary.max_rel_error < 1e-5
+
+    def test_gathered_batch_matches_per_image_stacking(self):
+        # the batch gather of one dataset-wide Targets against the per-box
+        # reference's per-image dicts stacked for the batch: the same loss and
+        # gradients, bit for bit in float64, with repeats and an empty image
+        from types import SimpleNamespace
+        from polardet.geometry import quad_to_polar
+        from polardet.synthdata import SceneSpec, generate_dataset
+        spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
+        grid = GridConfig(32, 32, 4, 2)
+        scenes = [boxes for _iid, _img, boxes in generate_dataset(spec, 5, 3)]
+        scenes[3] = []
+        names = ["class0", "class1"]
+        records = [[SimpleNamespace(corners=b.corners, class_name=names[b.class_id])
+                    for b in boxes] for boxes in scenes]
+        targets = encode_scenes([[quad_to_polar(b) for b in boxes] for boxes in scenes],
+                                grid)
+        reference = encode_records_reference(records, names, grid)
+        idx = np.array([4, 3, 0, 4, 1, 2, 0, 3])
+        x = image_to_input(np.random.default_rng(2).uniform(0, 1, (len(idx), 32, 32)))
+        cfg = LossConfig()
+        runs = []
+        for run in (lambda: compute_batch_loss(net, x, targets.take(idx), cfg),
+                    lambda: batch_loss_reference(net, x, [reference[i] for i in idx],
+                                                 cfg)):
+            net = ToyNet(num_classes=2, base_channels=2, seed=4, dtype=np.float64)
+            net.zero_grads()
+            loss = tuple(run())
+            runs.append((loss, [p.grad.tobytes() for p in net.parameters()]))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][0][2] > 0.0
+        assert runs[0][1] == runs[1][1]
 
 
 class TestAdam:
@@ -700,21 +746,21 @@ class TestAdam:
 
 class TestTrain:
     def _samples(self, n=6, size=32, seed=0):
+        """(images, targets) of ``n`` generated scenes."""
+        from polardet.geometry import quad_to_polar
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=size, height=size, num_classes=2,
                          min_objects=1, max_objects=2)
         cfg = GridConfig(size, size, 4, 2)
-        out = []
-        from polardet.geometry import quad_to_polar
-        for _iid, img, boxes in generate_dataset(spec, n, seed):
-            out.append(TrainingSample(
-                img, encode_regression([quad_to_polar(b) for b in boxes], cfg)))
-        return out
+        scenes = list(generate_dataset(spec, n, seed))
+        return (np.array([img for _iid, img, _boxes in scenes]),
+                encode_scenes([[quad_to_polar(b) for b in boxes]
+                               for _iid, _img, boxes in scenes], cfg))
 
     def test_loss_decreases_on_overfit_task(self):
-        samples = self._samples()
+        images, targets = self._samples()
         net = ToyNet(num_classes=2, base_channels=4, seed=0)
-        history = train(net, samples,
+        history = train(net, images, targets,
                         TrainConfig(iterations=200, batch_size=4, seed=0))
         assert len(history) == 200
         start = np.mean([h.total for h in history[:20]])
@@ -722,53 +768,57 @@ class TestTrain:
         assert end < 0.5 * start
 
     def test_history_entries(self):
-        samples = self._samples(n=2)
+        images, targets = self._samples(n=2)
         net = ToyNet(num_classes=2, base_channels=2)
-        history = train(net, samples, TrainConfig(iterations=3, batch_size=2))
-        assert [h.iteration for h in history] == [0, 1, 2]
+        history = train(net, images, targets, TrainConfig(iterations=3, batch_size=2))
+        assert len(history) == 3
         for h in history:
+            assert isinstance(h, BatchLoss)
             assert h.total == pytest.approx(h.pole + 0.1 * h.reg)
 
     def test_nan_image_raises_divergence(self):
         # relu passes NaN on, so a NaN pixel reaches the loss; numpy's
         # invalid-value warnings on the way are expected here
-        samples = self._samples(n=2)
-        for s in samples:
-            s.image[3, 5] = np.nan
+        images, targets = self._samples(n=2)
+        images[:, 3, 5] = np.nan
         net = ToyNet(num_classes=2, base_channels=2)
         with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
-            train(net, samples, TrainConfig(iterations=5, batch_size=2))
+            train(net, images, targets, TrainConfig(iterations=5, batch_size=2))
         assert err.value.iteration == 0
 
     def test_non_finite_loss_raises_divergence_with_iteration(self):
-        samples = self._samples(n=2)
-        for s in samples:
-            _cid, cx, cy = s.target.pole_cells[0]
-            s.target.rho[cy, cx] = np.nan
+        images, targets = self._samples(n=2)
+        targets.value[targets.first[:-1], 0] = np.nan  # each image's first radius
         net = ToyNet(num_classes=2, base_channels=2)
         with pytest.raises(DivergenceError) as err:
-            train(net, samples, TrainConfig(iterations=5, batch_size=2))
+            train(net, images, targets, TrainConfig(iterations=5, batch_size=2))
         assert err.value.iteration == 0
 
     def test_rasters_train_like_their_float_images(self):
-        rasters = [TrainingSample(np.round(s.image * 255.0).astype(np.uint8), s.target)
-                   for s in self._samples(n=4)]
-        floats = [TrainingSample(s.image / 255.0, s.target) for s in rasters]
+        images, targets = self._samples(n=4)
+        rasters = np.round(images * 255.0).astype(np.uint8)
         runs = []
-        for samples in (rasters, floats):
+        for batch in (rasters, rasters / 255.0):
             net = ToyNet(num_classes=2, base_channels=2, seed=3)
-            history = train(net, samples, TrainConfig(iterations=3, batch_size=2))
+            history = train(net, batch, targets, TrainConfig(iterations=3, batch_size=2))
             runs.append((history, b"".join(p.value.tobytes() for p in net.parameters())))
         assert runs[0] == runs[1]
 
     def test_empty_samples_rejected(self):
+        empty = encode_regression([], GridConfig(32, 32, 4, 1)).take([])
         with pytest.raises(ValueError):
-            train(ToyNet(1, 2), [], TrainConfig())
+            train(ToyNet(1, 2), np.zeros((0, 32, 32)), empty, TrainConfig())
+
+    def test_image_count_must_match_targets(self):
+        images, targets = self._samples(n=3)
+        for bad in (images[:2], np.concatenate((images, images[:1]))):
+            with pytest.raises(ShapeError, match="images vs 3 targets"):
+                train(ToyNet(2, 2), bad, targets, TrainConfig(iterations=1))
 
     def test_callback_sees_every_iteration(self):
-        samples = self._samples(n=2)
+        images, targets = self._samples(n=2)
         seen = []
-        train(ToyNet(2, 2), samples, TrainConfig(iterations=4, batch_size=2),
+        train(ToyNet(2, 2), images, targets, TrainConfig(iterations=4, batch_size=2),
               callback=lambda it, stats: seen.append(it))
         assert seen == [0, 1, 2, 3]
 
@@ -852,12 +902,13 @@ class TestCheckpoint:
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
         grid = GridConfig(32, 32, 4, 2)
-        samples = [TrainingSample(img, encode_regression(
-            [quad_to_polar(b) for b in boxes], grid))
-            for _iid, img, boxes in generate_dataset(spec, 20, 0)]
+        scenes = list(generate_dataset(spec, 20, 0))
+        images = np.array([img for _iid, img, _boxes in scenes])
+        targets = encode_scenes([[quad_to_polar(b) for b in boxes]
+                                 for _iid, _img, boxes in scenes], grid)
         net = ToyNet(2, 4, seed=0, dtype=np.float64)
-        train(net, samples, TrainConfig(iterations=150, batch_size=4,
-                                        learning_rate=0.005))
+        train(net, images, targets, TrainConfig(iterations=150, batch_size=4,
+                                                learning_rate=0.005))
         save_checkpoint(tmp_path / "f64.npz", net)
         loaded, _meta = load_checkpoint(tmp_path / "f64.npz")
         assert loaded.dtype == np.float32
