@@ -82,8 +82,9 @@ def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
 def _read_images(data_dir, image_ids: list[str]) -> np.ndarray:
     """The images' (N, H, W) uint8 rasters; they must share one shape."""
     images = None
+    folder = Path(data_dir) / "images"
     for k, image_id in enumerate(image_ids):
-        image = read_pgm(Path(data_dir) / "images" / f"{image_id}.pgm")
+        image = read_pgm(f"{folder}/{image_id}.pgm")
         if images is None:
             images = np.empty((len(image_ids), *image.shape), dtype=np.uint8)
         elif image.shape != images.shape[1:]:
@@ -96,11 +97,14 @@ def _read_images(data_dir, image_ids: list[str]) -> np.ndarray:
 def _read_ground_truth(data_dir, image_ids: list[str],
                        class_names: list[str]) -> GroundTruth:
     """The images' annotations as one array set; each file's warnings go to
-    stderr before its class names are checked."""
+    stderr before its class names are checked. The files are UTF-8."""
+    folder = Path(data_dir) / "annotations"
+
     def records():
         for image_id in image_ids:
-            path = Path(data_dir) / "annotations" / f"{image_id}.txt"
-            parsed = parse_annotations(path.read_text())
+            path = f"{folder}/{image_id}.txt"
+            with open(path, "rb", buffering=0) as fh:
+                parsed = parse_annotations(fh.read().decode("utf-8"))
             for w in parsed.warnings:
                 print(f"{path}: {w}", file=sys.stderr)
             yield parsed.records
@@ -232,8 +236,9 @@ def cmd_detect(args) -> int:
                            f"dataset lists {len(class_names)}")
     records = []
     dropped = 0
+    folder = Path(args.data) / "images"
     for image_id in image_ids:
-        image = read_pgm(Path(args.data) / "images" / f"{image_id}.pgm")
+        image = read_pgm(f"{folder}/{image_id}.pgm")
         cfg = GridConfig(image.shape[1], image.shape[0], net.stride,
                          net.num_classes)
         heat, rho, t1, t2 = predict_planes(net, image)

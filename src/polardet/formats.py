@@ -60,12 +60,9 @@ def parse_annotations(text: str) -> ParseResult:
     """Parse oriented annotations; see the module docstring for the format."""
     result = ParseResult()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens or ":" in tokens[0]:  # blank, or a metadata header
             continue
-        if ":" in line.split()[0]:  # metadata header, not an object
-            continue
-        tokens = line.split()
         if len(tokens) != 10:
             result.warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
             continue

@@ -80,6 +80,14 @@ def normalize_angle(raw: float) -> float:
     return a
 
 
+def _normalize_angles(raw: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` of each entry, with the same bits."""
+    a = np.fmod(raw, TWO_PI)
+    a[a < 0.0] += TWO_PI
+    a[a >= TWO_PI] = 0.0
+    return a
+
+
 def _shoelace(pts: np.ndarray) -> np.ndarray:
     """Signed shoelace area over the last two axes (..., n, 2)."""
     x, y = pts[..., 0], pts[..., 1]
@@ -108,8 +116,8 @@ def quads_to_polar(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     pole = c.mean(axis=1)
     offsets = c - pole[:, None, :]
     rho = np.hypot(offsets[..., 0], offsets[..., 1]).mean(axis=1)
-    angles = np.array([normalize_angle(math.atan2(dy, dx))
-                       for dx, dy in offsets.reshape(-1, 2).tolist()])
+    dx, dy = offsets.reshape(-1, 2).T.tolist()
+    angles = _normalize_angles(np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx)))
     return pole, rho, np.sort(angles.reshape(-1, 4), axis=1)[:, :2]
 
 
@@ -124,9 +132,10 @@ def polars_to_quads(pole, rho, theta) -> np.ndarray:
     """Corners (B, 4, 2) at angles (t1, t2, t1+pi, t2+pi), counterclockwise, of
     B poles (B, 2), radii (B,) and angle pairs (B, 2); ``quads_to_polar``'s
     inverse. Each cosine and sine is one ``math`` call, as in the scalar formula."""
-    angles = np.asarray(theta, dtype=np.float64).reshape(-1, 2).tolist()
-    trig = np.array([[(math.cos(t), math.sin(t)) for t in (a, b, a + math.pi, b + math.pi)]
-                     for a, b in angles]).reshape(-1, 4, 2)
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1, 2)
+    angles = np.concatenate((theta, theta + math.pi), axis=1).ravel().tolist()
+    trig = np.stack([np.fromiter(map(f, angles), np.float64, len(angles))
+                     for f in (math.cos, math.sin)], axis=-1).reshape(-1, 4, 2)
     return (np.asarray(pole, dtype=np.float64).reshape(-1, 1, 2)
             + np.asarray(rho, dtype=np.float64).reshape(-1, 1, 1) * trig)
 

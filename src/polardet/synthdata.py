@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,31 +158,39 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(quantized.tobytes())
 
 
+# magic, width, height, maxval: each token after whitespace and '#' comments
+# (to the end of their line); a token missing at the end of the file is empty
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary 8-bit PGM into its stored (H, W) uint8 raster (a
-    read-only view of the file's bytes); ``k / 255`` is the [0, 1] image."""
-    with open(path, "rb") as fh:
+    read-only view of the file's bytes); ``k / 255`` is the [0, 1] image.
+
+    The raster starts one byte after maxval. A malformed file raises
+    ``ValueError`` naming the path and the problem.
+    """
+    with open(path, "rb", buffering=0) as fh:
         blob = fh.read()
-    # header = magic, width, height, maxval; '#' comments may interleave
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(blob[start:pos])
-    if tokens[0] != b"P5":
-        raise ValueError(f"not a binary PGM: magic {tokens[0]!r}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    header = _PGM_HEADER.match(blob)
+    magic, *fields = header.groups()
+    if magic != b"P5":
+        raise ValueError(f"{path}: not a binary PGM: magic {magic!r}")
+    values = []
+    for name, token in zip(("width", "height", "maxval"), fields):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{path}: bad PGM {name} {token!r}") from None
+    w, h, maxval = values
+    if w < 0 or h < 0:
+        raise ValueError(f"{path}: negative PGM size {w}x{h}")
     if maxval != 255:
-        raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
+        raise ValueError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    pos = header.end() + 1
+    if len(blob) - pos < w * h:
+        raise ValueError(f"{path}: raster has {max(len(blob) - pos, 0)} of "
+                         f"{w * h} bytes")
     raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return raster.reshape(h, w)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -619,21 +620,65 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
 # what np.load and reading an archive member raise on a damaged file
 _UNREADABLE = (EOFError, ValueError, zipfile.BadZipFile)
 
+# .npy format version -> (bytes of the header length, header encoding)
+_NPY_VERSIONS = {b"\x01\x00": (2, "latin1"), b"\x02\x00": (4, "latin1"),
+                 b"\x03\x00": (4, "utf8")}
+# the header np.save writes for an array of a non-structured dtype
+_NPY_HEADER = re.compile(r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+                         r"'shape': \(((?:\d+, )*\d+,?|)\), \} *\n")
 
-def _member(data, key: str) -> np.ndarray:
-    """Array ``key`` of an open checkpoint archive."""
-    if key not in data:
-        raise VersionError(f"checkpoint missing array {key}")
+
+def _npy_array(raw: bytes, key: str) -> np.ndarray:
+    """The array of ``np.save``'s bytes ``raw``, a read-only view of them.
+
+    Reads formats 1.0 to 3.0, with the header as ``np.save`` writes it;
+    any other header, and an object dtype, raise ``VersionError``.
+    """
+    version = _NPY_VERSIONS.get(raw[6:8]) if raw[:6] == b"\x93NUMPY" else None
+    if version is None:
+        raise VersionError(f"unreadable checkpoint array {key}: not an .npy member")
+    width, encoding = version
+    start = 8 + width + int.from_bytes(raw[8:8 + width], "little")
+    text = raw[8 + width:start].decode(encoding, "replace")
+    header = _NPY_HEADER.fullmatch(text)
+    if header is None:
+        raise VersionError(f"unreadable checkpoint array {key}: .npy header {text!r}")
+    descr, fortran, dims = header.groups()
     try:
-        return data[key]
-    except _UNREADABLE as exc:
+        dtype = np.dtype(descr)
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.hasobject or dtype.str != descr:
+        raise VersionError(f"unreadable checkpoint array {key}: dtype {descr!r}")
+    shape = tuple(int(n) for n in dims.split(",") if n)
+    try:
+        arr = np.frombuffer(raw, dtype, count=math.prod(shape), offset=start)
+    except ValueError as exc:
         raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
+    return arr.reshape(shape[::-1]).T if fortran == "True" else arr.reshape(shape)
 
 
-def _checkpoint_header(data) -> dict:
-    """The checked JSON header of an open checkpoint archive."""
+def _npz_reader(data):
+    """``read(key)``: the array ``key`` of an open npz archive, from the bytes
+    of the member ``np.load`` would read for it."""
+    names = data.zip.namelist()
+    member = {n.removesuffix(".npy"): n for n in names} | {n: n for n in names}
+
+    def read(key: str) -> np.ndarray:
+        if key not in member:
+            raise VersionError(f"checkpoint missing array {key}")
+        try:
+            raw = data.zip.read(member[key])
+        except _UNREADABLE as exc:
+            raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
+        return _npy_array(raw, key)
+    return read
+
+
+def _checkpoint_header(read) -> dict:
+    """The checked JSON header of a checkpoint archive's ``read``."""
     try:
-        meta = json.loads(_member(data, "meta").item())
+        meta = json.loads(read("meta").item())
     except (TypeError, ValueError) as exc:
         raise VersionError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(meta, dict):
@@ -668,10 +713,11 @@ def load_checkpoint(path) -> tuple[ToyNet, dict]:
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise VersionError("not an npz archive but a single .npy array")
     with data:
-        meta = _checkpoint_header(data)
+        read = _npz_reader(data)
+        meta = _checkpoint_header(read)
         net = ToyNet._unfilled(meta["num_classes"], meta["base_channels"])
         for i, p in enumerate(net.parameters()):
-            arr = _member(data, f"param_{i:03d}")
+            arr = read(f"param_{i:03d}")
             if arr.shape != p.value.shape:
                 raise ShapeError(f"{p.name}: checkpoint {arr.shape} vs "
                                  f"model {p.value.shape}")

@@ -7,8 +7,11 @@ finite differences, connected components and heatmap peaks from a full
 row-major scan, decoded corners from one scalar
 ``math`` formula per pole, conv columns from ``np.pad`` and a sliding-window
 view, conv input gradients from one strided add per tap over the
-(n, oy, ox) columns, and training targets from one Gaussian window and one
-set of dense regression planes per box and image. Tests compare
+(n, oy, ox) columns, training targets from one Gaussian window and one
+set of dense regression planes per box and image, and the dataset readers
+and polar conversions from their earlier one-item-at-a-time forms (a byte
+tokenizer, text reads with two splits per line, comprehensions over
+``math`` calls). Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -547,3 +550,108 @@ def sigmoid_reference(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def read_pgm_reference(path) -> np.ndarray:
+    """Binary 8-bit PGM raster, header read one byte at a time: four tokens
+    (magic, width, height, maxval) between whitespace and '#' comments that
+    run to the end of their line, then one byte, then the raster."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    tokens: list[bytes] = []
+    pos = 0
+    while len(tokens) < 4:
+        while pos < len(blob) and blob[pos:pos + 1].isspace():
+            pos += 1
+        if blob[pos:pos + 1] == b"#":
+            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(blob) and not blob[pos:pos + 1].isspace():
+            pos += 1
+        tokens.append(blob[start:pos])
+    if tokens[0] != b"P5":
+        raise ValueError(f"not a binary PGM: magic {tokens[0]!r}")
+    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if maxval != 255:
+        raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
+    pos += 1
+    raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
+    return raster.reshape(h, w)
+
+
+def parse_annotations_reference(text: str):
+    """``formats.parse_annotations`` as (records, warnings), each line
+    stripped and split twice."""
+    from polardet.formats import AnnotationRecord
+
+    records, warnings = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if ":" in line.split()[0]:
+            continue
+        tokens = line.split()
+        if len(tokens) != 10:
+            warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
+            continue
+        try:
+            coords = [float(t) for t in tokens[:8]]
+        except ValueError:
+            coords = None
+        if coords is None or not all(math.isfinite(v) for v in coords):
+            warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
+            continue
+        try:
+            difficulty = int(tokens[9])
+        except ValueError:
+            warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
+            continue
+        records.append(AnnotationRecord(tuple(coords), tokens[8], difficulty))
+    return records, warnings
+
+
+def read_annotations_reference(path):
+    """An annotation file read as text in the locale's encoding, then parsed
+    by ``parse_annotations_reference``."""
+    from pathlib import Path
+
+    return parse_annotations_reference(Path(path).read_text())
+
+
+def _normalize_angle_reference(raw: float) -> float:
+    a = math.fmod(raw, 2.0 * math.pi)
+    if a < 0.0:
+        a += 2.0 * math.pi
+    return 0.0 if a >= 2.0 * math.pi else a
+
+
+def quads_to_polar_reference(corners):
+    """(pole, rho, theta) of (B, 4, 2) corners, one ``math.atan2`` and one
+    scalar angle normalisation per corner in a comprehension."""
+    from polardet.errors import DegenerateBox
+
+    c = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+    x, y = c[..., 0], c[..., 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                        axis=-1)
+    if np.any(np.abs(area) <= 1e-6):
+        raise DegenerateBox("quad area <= 1e-06 px^2")
+    pole = c.mean(axis=1)
+    offsets = c - pole[:, None, :]
+    rho = np.hypot(offsets[..., 0], offsets[..., 1]).mean(axis=1)
+    angles = np.array([_normalize_angle_reference(math.atan2(dy, dx))
+                       for dx, dy in offsets.reshape(-1, 2).tolist()])
+    return pole, rho, np.sort(angles.reshape(-1, 4), axis=1)[:, :2]
+
+
+def polars_to_quads_reference(pole, rho, theta):
+    """(B, 4, 2) corners at (t1, t2, t1 + pi, t2 + pi), one ``math.cos`` and
+    one ``math.sin`` per corner in a nested comprehension."""
+    angles = np.asarray(theta, dtype=np.float64).reshape(-1, 2).tolist()
+    trig = np.array([[(math.cos(t), math.sin(t)) for t in (a, b, a + math.pi, b + math.pi)]
+                     for a, b in angles]).reshape(-1, 4, 2)
+    return (np.asarray(pole, dtype=np.float64).reshape(-1, 1, 2)
+            + np.asarray(rho, dtype=np.float64).reshape(-1, 1, 1) * trig)

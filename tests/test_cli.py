@@ -20,7 +20,8 @@ from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
 
-from oracles import target_planes
+from oracles import (polars_to_quads_reference, quads_to_polar_reference,
+                     read_annotations_reference, read_pgm_reference, target_planes)
 from test_toynet import MALFORMED_CHECKPOINTS
 
 
@@ -640,6 +641,81 @@ class TestEncodeDump:
                          "--image-id", "img_99999", "--out", "/tmp/x.csv"])
         assert code == 3
         capsys.readouterr()
+
+
+def encode_items_reference(data_dir, image_ids, class_names, stride, monkeypatch):
+    """``cli._encode_items`` with the one-item-at-a-time readers and polar
+    conversions of ``oracles``."""
+    from polardet import encoding
+
+    images = np.stack([read_pgm_reference(Path(data_dir) / "images" / f"{i}.pgm")
+                       for i in image_ids])
+    gt = GroundTruth.from_records(
+        [read_annotations_reference(Path(data_dir) / "annotations" / f"{i}.txt")[0]
+         for i in image_ids], class_names)
+    grid = GridConfig(images.shape[2], images.shape[1], stride, len(class_names))
+    monkeypatch.setattr(encoding, "polars_to_quads", polars_to_quads_reference)
+    boxes = encoding.BoxArrays(gt.image, gt.class_id, *quads_to_polar_reference(gt.corners))
+    return images, encoding.encode_boxes(boxes, len(image_ids), grid), grid
+
+
+# a malformed raster -> (its bytes from the stored 32x32 file, the problem named)
+MALFORMED_PGMS = {
+    "bad-magic": (lambda blob: b"P6" + blob[2:], "not a binary PGM: magic b'P6'"),
+    "maxval": (lambda blob: blob.replace(b"\n255\n", b"\n65535\n", 1),
+               "only 8-bit PGM supported, maxval=65535"),
+    "size-token": (lambda blob: blob.replace(b"32 32", b"32 3x2", 1),
+                   "bad PGM height b'3x2'"),
+    "short-raster": (lambda blob: blob[:-37], "raster has 987 of 1024 bytes"),
+}
+
+
+class TestDatasetReaders:
+    @pytest.mark.parametrize("variant", ["as-written", "comments-and-crlf"])
+    def test_encode_items_same_as_one_item_readers(self, workspace, tmp_path,
+                                                   monkeypatch, variant):
+        data = workspace["data"]
+        if variant != "as-written":
+            # header comments, metadata lines and CRLF line ends, which
+            # both sets of readers accept
+            data = tmp_path / "data"
+            shutil.copytree(workspace["data"], data)
+            for pgm in (data / "images").iterdir():
+                pgm.write_bytes(pgm.read_bytes().replace(b"P5\n", b"P5 # c\n\t", 1))
+            for ann in (data / "annotations").iterdir():
+                text = "imagesource:GoogleEarth\n\n" + ann.read_text()
+                ann.write_bytes(text.replace("\n", "\r\n").encode())
+        class_names, image_ids = cli._load_dataset(data)
+        images, targets, grid = cli._encode_items(data, image_ids, class_names, 4)
+        want_images, want, want_grid = encode_items_reference(
+            data, image_ids, class_names, 4, monkeypatch)
+        assert grid == want_grid
+        assert images.dtype == want_images.dtype
+        assert images.tobytes() == want_images.tobytes()
+        assert len(targets.class_id) > len(image_ids)
+        for name, got, ref in zip(targets._fields, targets, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("case", MALFORMED_PGMS)
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_malformed_pgm_is_io_error_naming_the_file(self, workspace, tmp_path,
+                                                       capsys, command, case):
+        edit, problem = MALFORMED_PGMS[case]
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        bad = data / "images" / "img_00004.pgm"
+        bad.write_bytes(edit(bad.read_bytes()))
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(data), "--out", str(out), "--iters", "1"]
+                if command == "train" else
+                ["detect", "--data", str(data), "--checkpoint",
+                 str(workspace["ckpt"]), "--out", str(out)])
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.splitlines() == [f"error: {bad}: {problem}"]
+        assert not out.exists()
 
 
 class TestParser:

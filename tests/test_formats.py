@@ -8,6 +8,8 @@ from polardet.formats import (AnnotationRecord, DetectionRecord, GroundTruth,
                               parse_annotations, parse_detections,
                               serialize_annotations, serialize_detections)
 
+from oracles import parse_annotations_reference
+
 
 # float() reads each of these, and none is finite ("1e999" overflows to inf)
 NON_FINITE = ["nan", "inf", "-inf", "1e999"]
@@ -95,6 +97,23 @@ class TestParseAnnotations:
         for record in result.records:
             assert len(record.corners) == 8
             assert all(np.isfinite(record.corners))
+
+    @pytest.mark.parametrize("text", [
+        SAMPLE, "", "\n\n", " \t\n", "a:b c d\n", "key: value\n",
+        " 1 2 3 4 5 6 7 8 ship 0 \r\n\x0b1 2 3 4 5 6 7 8 ship x\u2028tail",
+        "1 2 3 4 5 6 7 8 ship\n1 2 3 4 5 6 7 nan ship 0\n:\n",
+        "1 2 3 4 5 6 7 8 a:b 0\n1\u00a02 3 4 5 6 7 8 c 0\r\r\n",
+    ])
+    def test_same_as_two_split_parse(self, text):
+        result = parse_annotations(text)
+        assert (result.records, result.warnings) == parse_annotations_reference(text)
+
+    @given(st.text(alphabet=st.sampled_from(list("0123456789.-e :#abn\t\r\n\x0b\u00a0")),
+                   max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_two_split_parse_on_arbitrary_text(self, text):
+        result = parse_annotations(text)
+        assert (result.records, result.warnings) == parse_annotations_reference(text)
 
 
 class TestParseDetections:

@@ -13,7 +13,8 @@ from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
                                quad_to_polar, rotated_iou, signed_area)
 
 from oracles import (clip_iou_matrix, greedy_nms_reference, jittered_scene,
-                     mc_iou, random_rectangle, rect_polar_truth, shoelace)
+                     mc_iou, polars_to_quads_reference, quads_to_polar_reference,
+                     random_rectangle, rect_polar_truth, shoelace)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -45,6 +46,56 @@ class TestNormalizeAngle:
     def test_always_in_range(self, raw):
         a = normalize_angle(raw)
         assert 0.0 <= a < 2 * math.pi
+
+
+# angles at the wrap: signed zeros, +-pi, exact turns, and tiny negatives
+# whose fmod + 2*pi rounds to exactly 2*pi
+WRAP_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+               -1e-300, -5e-324, -1e-17, -2.0 ** -60, 2.0 ** -60,
+               math.nextafter(2 * math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+               7.0, -7.0, 1e6, -1e6]
+
+
+class TestArrayFormsKeepTheBits:
+    """The array-valued conversions give the bits of one scalar ``math``
+    call per corner."""
+
+    def test_normalize_angles_at_the_wrap(self):
+        got = geometry._normalize_angles(np.array(WRAP_ANGLES))
+        want = np.array([normalize_angle(a) for a in WRAP_ANGLES])
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[1]) == -1.0  # -0.0 stays -0.0
+
+    def test_quads_to_polar_on_wrap_corners(self):
+        # diamonds whose corner offsets are exactly (1, dy), (0, 1), (-1, dy),
+        # (0, -1): atan2 gives -0.0, +-pi and tiny negatives at the wrap
+        dys = [0.0, -0.0, -1e-300, -5e-324, -1e-17, 1e-17]
+        corners = np.array([[[9.0, dy], [8.0, 1.0], [7.0, dy], [8.0, -1.0]]
+                            for dy in dys])
+        theta = geometry.quads_to_polar(corners)[2]
+        assert np.signbit(theta[1, 0]) and not np.signbit(theta[0, 0])
+        for got, want in zip(geometry.quads_to_polar(corners),
+                             quads_to_polar_reference(corners)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_quads_to_polar_on_random_quads(self):
+        rng = np.random.default_rng(5)
+        corners = np.concatenate([random_rectangle(rng)[None] for _ in range(300)]
+                                 + [rng.uniform(-50, 50, (300, 4, 2))])
+        for got, want in zip(geometry.quads_to_polar(corners),
+                             quads_to_polar_reference(corners)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_polars_to_quads(self):
+        rng = np.random.default_rng(6)
+        theta = np.concatenate([rng.uniform(-7, 7, (400, 2)),
+                                np.array(WRAP_ANGLES[:16]).reshape(-1, 2)])
+        pole = rng.uniform(0, 64, (len(theta), 2))
+        rho = rng.uniform(0.5, 20, len(theta))
+        got = geometry.polars_to_quads(pole, rho, theta)
+        assert got.tobytes() == polars_to_quads_reference(pole, rho, theta).tobytes()
+        empty = geometry.polars_to_quads(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
+        assert empty.shape == (0, 4, 2) and empty.dtype == np.float64
 
 
 class TestAreas:

@@ -9,6 +9,8 @@ from polardet.synthdata import (SceneSpec, class_names, generate_dataset,
                                 generate_scene, read_pgm, write_dataset,
                                 write_pgm)
 
+from oracles import read_pgm_reference
+
 
 class TestSceneSpec:
     def test_defaults_are_valid(self):
@@ -184,6 +186,77 @@ class TestPgmRoundTrip:
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError):
+            read_pgm(path)
+
+
+RASTER = bytes(range(40, 52))  # a 4x3 raster, then no trailing bytes
+
+# header cases -> file bytes; the reader and the byte tokenizer must agree on
+# each: the same raster bytes, or the same exception type
+PGM_HEADERS = {
+    "plain": b"P5\n4 3\n255\n" + RASTER,
+    "comment-between-every-token": (b"# lead\nP5 # magic\n4 # w\n# x\n 3 #h\n"
+                                    b"#\n255\n" + RASTER),
+    "comment-right-after-magic": b"P5\n# after the magic\n4 3\n255\n" + RASTER,
+    "comment-glued-to-magic": b"P5# glued\n4 3\n255\n" + RASTER,
+    "comment-glued-to-width": b"P5\n4# w\n3\n255\n" + RASTER,
+    "comment-glued-to-maxval": b"P5\n4 3\n255# m\n" + RASTER,
+    "tabs": b"P5\t4\t3\t255\t" + RASTER,
+    "vertical-tab-and-form-feed": b"P5\x0b4\x0c3\x0b255\x0c" + RASTER,
+    "leading-whitespace": b" \r\n\tP5 4 3 255\n" + RASTER,
+    "crlf": b"P5\r\n4 3\r\n255\r\n" + RASTER,
+    "comment-runs-past-cr": b"P5 # c\r9 9 9\r\n4 3 255\n" + RASTER,
+    "trailing-bytes": b"P5\n4 3\n255\n" + RASTER + b"extra",
+    "plus-sign-and-underscore": b"P5\n+4 0_3\n255\n" + RASTER,
+    "zero-size": b"P5\n0 0\n255\n",
+    "zero-size-no-byte-after-maxval": b"P5\n0 0\n255",
+    "p2": b"P2\n4 3\n255\n" + b" ".join(b"%d" % v for v in RASTER),
+    "maxval-65535": b"P5\n4 3\n65535\n" + RASTER + RASTER,
+    "maxval-token-bad": b"P5\n4 3\n2x5\n" + RASTER,
+    "width-token-bad": b"P5\nfour 3\n255\n" + RASTER,
+    "short-raster": b"P5\n4 3\n255\n" + RASTER[:-1],
+    "header-cut-after-height": b"P5\n4 3",
+    "comment-to-end-of-file": b"P5\n4 3 # no maxval",
+    "empty": b"",
+}
+
+
+class TestPgmReaderEquivalence:
+    @pytest.mark.parametrize("case", PGM_HEADERS)
+    def test_same_raster_or_same_exception_as_byte_tokenizer(self, tmp_path, case):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(PGM_HEADERS[case])
+        try:
+            want = read_pgm_reference(path)
+        except Exception as exc:  # noqa: BLE001 - the type is the expectation
+            with pytest.raises(type(exc)):
+                read_pgm(path)
+        else:
+            got = read_pgm(path)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"P2\n4 3\n255\n" + RASTER, "not a binary PGM: magic b'P2'"),
+        (b"P5\n4 3\n65535\n" + RASTER, "only 8-bit PGM supported, maxval=65535"),
+        (b"P5\n4 x3\n255\n" + RASTER, "bad PGM height b'x3'"),
+        (b"P5\n4 3\n255\n" + RASTER[:5], "raster has 5 of 12 bytes"),
+        (b"P5\n4 3\n255", "raster has 0 of 12 bytes"),
+        (b"", "not a binary PGM: magic b''"),
+    ])
+    def test_error_names_the_file_and_the_problem(self, tmp_path, blob, problem):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: {problem}"
+
+    @pytest.mark.parametrize("size", [b"-1 12", b"12 -1", b"-2 6"])
+    def test_negative_size_rejected(self, tmp_path, size):
+        # the byte tokenizer read a -1 dimension as "all remaining bytes"
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + RASTER)
+        with pytest.raises(ValueError, match="negative PGM size"):
             read_pgm(path)
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import math
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -857,6 +859,31 @@ def _plain_npy(path):
         np.save(fh, np.zeros((2, 2)))
 
 
+def _rewritten_members(path, write_member, keys=None):
+    """Save a ToyNet(2, 2) to ``path``, then store each member named in
+    ``keys`` (every member if None) as the bytes ``write_member(arr)``."""
+    save_checkpoint(path, ToyNet(2, 2))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, arr in arrays.items():
+            rewrite = keys is None or key in keys
+            zf.writestr(f"{key}.npy", write_member(arr) if rewrite else _npy_bytes(arr))
+
+
+def _npy_bytes(arr, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
+def _npy_header_bytes(header: str, data: bytes) -> bytes:
+    """A format-1.0 member with the literal dict ``header``, padded as
+    np.save pads it."""
+    text = header + " " * (63 - (10 + len(header)) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode() + data
+
+
 # a malformed file ``detect --checkpoint`` may be handed -> (its writer,
 # what the VersionError must name)
 MALFORMED_CHECKPOINTS = {
@@ -876,6 +903,11 @@ MALFORMED_CHECKPOINTS = {
     "inf-bias": (lambda p: _edited_checkpoint(
         p, edit_arrays=_set_value("param_013", 0, -np.inf)),
         "head_heat.bias: non-finite value"),
+    "object-array": (lambda p: _rewritten_members(
+        p, lambda arr: _npy_bytes(arr.astype(object), allow_pickle=True), {"param_004"}),
+        "unreadable checkpoint array param_004: dtype '|O'"),
+    "raw-bytes-member": (lambda p: _rewritten_members(p, lambda arr: b"{}", {"meta"}),
+                         "unreadable checkpoint array meta: not an .npy member"),
 }
 
 
@@ -971,6 +1003,46 @@ class TestCheckpoint:
         path = tmp_path / "bad.npz"
         write(path)
         with pytest.raises(VersionError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+    def test_every_npy_format_version_loads(self, tmp_path, version):
+        path = tmp_path / "v.npz"
+        _rewritten_members(path, lambda arr: _npy_bytes(arr, version=version))
+        loaded, meta = load_checkpoint(path)
+        assert meta["magic"] == "polardet-ckpt"
+        for p, q in zip(ToyNet(2, 2).parameters(), loaded.parameters()):
+            assert q.value.tobytes() == p.value.tobytes()
+
+    def test_fortran_order_member_gives_the_same_values(self, tmp_path):
+        path = tmp_path / "f.npz"
+        _rewritten_members(path, lambda arr: _npy_bytes(np.asfortranarray(arr)))
+        with zipfile.ZipFile(path) as zf:
+            assert b"'fortran_order': True" in zf.read("param_004.npy")
+        loaded, _meta = load_checkpoint(path)
+        for p, q in zip(ToyNet(2, 2).parameters(), loaded.parameters()):
+            assert q.value.tobytes() == p.value.tobytes()
+
+    @pytest.mark.parametrize("header", [
+        # what np.load reads but np.save never writes: keys out of order,
+        # other spacing, a structured dtype, a descr without byte order
+        "{'shape': (2, 1, 3, 3), 'fortran_order': False, 'descr': '<f8', }",
+        "{'descr':'<f8','fortran_order':False,'shape':(2, 1, 3, 3)}",
+        "{'descr': [('a', '<f8')], 'fortran_order': False, 'shape': (2, 1, 3, 3), }",
+        "{'descr': 'f8', 'fortran_order': False, 'shape': (2, 1, 3, 3), }",
+    ])
+    def test_other_npy_header_is_version_error_naming_the_member(self, tmp_path,
+                                                                   header):
+        path = tmp_path / "h.npz"
+        _rewritten_members(path, lambda arr: _npy_header_bytes(header, arr.tobytes()),
+                           {"param_000"})
+        with pytest.raises(VersionError, match="unreadable checkpoint array param_000"):
+            load_checkpoint(path)
+
+    def test_short_member_is_version_error_naming_it(self, tmp_path):
+        path = tmp_path / "s.npz"
+        _rewritten_members(path, lambda arr: _npy_bytes(arr)[:-8], {"param_002"})
+        with pytest.raises(VersionError, match="unreadable checkpoint array param_002"):
             load_checkpoint(path)
 
     def test_load_draws_no_init(self, tmp_path, monkeypatch):
