@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -250,11 +251,10 @@ def cmd_detect(args) -> int:
             kept = np.array(oriented_nms(dets.corners, dets.score, dets.class_id,
                                          args.nms_iou), dtype=np.intp)
             rows = kept[np.lexsort((kept, dets.class_id[kept]))]  # class-major
-        records.extend(
-            DetectionRecord(image_id, score, tuple(corners), class_names[c])
-            for corners, c, score in zip(dets.corners[rows].reshape(-1, 8).tolist(),
-                                         dets.class_id[rows].tolist(),
-                                         dets.score[rows].tolist()))
+        records += map(DetectionRecord, itertools.repeat(image_id),
+                       dets.score[rows].tolist(),
+                       map(tuple, dets.corners[rows].reshape(-1, 8).tolist()),
+                       [class_names[c] for c in dets.class_id[rows].tolist()])
     Path(args.out).write_text(serialize_detections(records))
     print(f"wrote {len(records)} detections for {len(image_ids)} images "
           f"({dropped} invalid poles dropped)")
@@ -263,29 +263,34 @@ def cmd_detect(args) -> int:
 
 def _detections_by_image(text: str, class_names: list[str],
                          image_ids: list[str]) -> dict[str, Detections]:
+    """The detections file's rows grouped per known image, in file order
+    within each image; rows of an unknown image or class are skipped."""
     parsed = parse_detections(text)
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
-    known = set(image_ids)
-    rows: dict[str, list] = {}
-    for r in parsed.records:
-        if r.image_id not in known:
-            print(f"detections: unknown image {r.image_id!r} skipped",
-                  file=sys.stderr)
-            continue
-        if r.class_name not in class_names:
-            print(f"detections: unknown class {r.class_name!r} skipped",
-                  file=sys.stderr)
-            continue
-        rows.setdefault(r.image_id, []).append(
-            (r.corners, class_names.index(r.class_name), r.score))
-    by_image = {}
-    for image_id, image_rows in rows.items():
-        corners, class_id, score = zip(*image_rows)
-        by_image[image_id] = Detections(np.array(corners).reshape(-1, 4, 2),
-                                        np.array(class_id, dtype=np.intp),
-                                        np.array(score, dtype=np.float64))
-    return by_image
+    if not parsed.records:
+        return {}
+    image_of = {image_id: k for k, image_id in enumerate(image_ids)}
+    class_of: dict[str, int] = {}
+    for k, name in enumerate(class_names):
+        class_of.setdefault(name, k)
+    images, scores, corners, names = zip(*parsed.records)
+    image = np.array([image_of.get(i, -1) for i in images], dtype=np.intp)
+    class_id = np.array([class_of.get(n, -1) for n in names], dtype=np.intp)
+    for k in np.flatnonzero((image < 0) | (class_id < 0)).tolist():
+        if image[k] < 0:
+            print(f"detections: unknown image {images[k]!r} skipped", file=sys.stderr)
+        else:
+            print(f"detections: unknown class {names[k]!r} skipped", file=sys.stderr)
+    rows = np.flatnonzero((image >= 0) & (class_id >= 0))
+    rows = rows[np.argsort(image[rows], kind="stable")]
+    found, first = np.unique(image[rows], return_index=True)
+    corners = np.array(corners, dtype=np.float64)[rows].reshape(-1, 4, 2)
+    scores = np.array(scores, dtype=np.float64)[rows]
+    class_id = class_id[rows]
+    bounds = [*first.tolist(), len(rows)]
+    return {image_ids[k]: Detections(corners[lo:hi], class_id[lo:hi], scores[lo:hi])
+            for k, lo, hi in zip(found.tolist(), bounds, bounds[1:])}
 
 
 def score(data_dir, detections_path, ious) -> tuple[list[EvalReport], list[str]]:
@@ -315,8 +320,7 @@ def cmd_eval(args) -> int:
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["recall", "precision", "score"])
-                    writer.writerows((p.recall, p.precision, p.score)
-                                     for p in ce.curve)
+                    writer.writerows(ce.curve)
     return EXIT_OK
 
 

@@ -103,6 +103,7 @@ def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
     sigma = short / 3.0 / cfg.stride
     radius = np.ceil(TRUNCATION_SIGMAS * sigma).astype(np.intp)
     heat = np.zeros((num_images, cfg.num_classes, cfg.grid_h, cfg.grid_w))
+    flat_heat = heat.reshape(-1)
     for r in np.unique(radius):  # one window size at a time
         sel = np.flatnonzero(radius == r)
         d = np.arange(-r, r + 1)
@@ -112,10 +113,17 @@ def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
         gx = cells[sel, 0, None, None] + d[None, :]
         keep = ((r2 <= (TRUNCATION_SIGMAS * s) ** 2)
                 & (0 <= gy) & (gy < cfg.grid_h) & (0 <= gx) & (gx < cfg.grid_w))
-        index = np.broadcast_arrays(boxes.image[sel, None, None],
-                                    boxes.class_id[sel, None, None], gy, gx)
-        kernel = np.exp(-r2 / (2.0 * s * s))
-        np.maximum.at(heat, tuple(i[keep] for i in index), kernel[keep])
+        # each kept sample's flat index into the (N, C, gh, gw) stack
+        first_row = (boxes.image[sel] * cfg.num_classes + boxes.class_id[sel]) * cfg.grid_h
+        flat = ((first_row[:, None, None] + gy) * cfg.grid_w + gx)[keep]
+        value = np.exp(-r2 / (2.0 * s * s))[keep]
+        # max-merge by cell: sorted by cell index, each run's maximum goes
+        # into its cell with one np.maximum (max is exact in any order)
+        order = np.argsort(flat)
+        flat, value = flat[order], value[order]
+        start = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        flat = flat[start]
+        flat_heat[flat] = np.maximum(flat_heat[flat], np.maximum.reduceat(value, start))
     return heat
 
 

@@ -13,15 +13,16 @@ AP uses all-point interpolation (area under the precision envelope).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoClasses, UndefinedRecall
 from .formats import GroundTruth
-from .geometry import pairwise_iou
+from .geometry import ious_within_reach
 from .postprocess import Detections
 
 #: match outcomes of a detection: a false or true positive, or matched to a
@@ -31,8 +32,7 @@ FALSE_POSITIVE, TRUE_POSITIVE, IGNORED = 0, 1, -1
 _NO_OBJECTS = GroundTruth.from_records([], [])
 
 
-@dataclass(frozen=True)
-class PRPoint:
+class PRPoint(NamedTuple):
     recall: float
     precision: float
     score: float
@@ -54,53 +54,75 @@ class EvalReport:
     per_class: dict[int, ClassEval] = field(default_factory=dict)
 
 
+def check_iou_thresholds(iou_thresholds: Sequence[float]) -> None:
+    """Raise ValueError unless every threshold lies in (0, 1] (nan fails)."""
+    if not all(0.0 < t <= 1.0 for t in iou_thresholds):
+        raise ValueError("iou_threshold must lie in (0, 1]")
+
+
 def match_detections(detections: Detections, ground_truth: GroundTruth,
                      iou_thresholds: Sequence[float]) -> np.ndarray:
     """Greedy matching at each threshold; returns (T, D) int8 outcomes
     (``TRUE_POSITIVE``, ``FALSE_POSITIVE`` or ``IGNORED``), one row per
-    threshold, detections in input order. The class-masked IoU matrix is
-    built once and serves every threshold."""
-    if not all(0.0 < t <= 1.0 for t in iou_thresholds):
-        raise ValueError("iou_threshold must lie in (0, 1]")
+    threshold, detections in input order.
+
+    Only the same-class pairs that may reach the smallest threshold are
+    clipped, once for every threshold; a detection without such a pair is
+    a false positive at each of them.
+    """
+    check_iou_thresholds(iou_thresholds)
     outcome = np.full((len(iou_thresholds), len(detections)), FALSE_POSITIVE,
                       dtype=np.int8)
-    if not len(ground_truth):
+    if not len(ground_truth) or not len(iou_thresholds):
         return outcome
-    iou = pairwise_iou(detections.corners, ground_truth.corners)
-    # zero marks a ground truth a detection cannot claim: another class,
-    # or already taken; the threshold is positive, so zero never matches
-    iou[detections.class_id[:, None] != ground_truth.class_id[None, :]] = 0.0
-    order = np.argsort(-detections.score, kind="stable").tolist()
+    lowest = min(iou_thresholds)
+    same = detections.class_id[:, None] == ground_truth.class_id[None, :]
+    rows, cols, iou = ious_within_reach(detections.corners, ground_truth.corners,
+                                        same, lowest)
+    reach = iou >= lowest
+    rows, cols, iou = rows[reach], cols[reach], iou[reach]
+    # each detection's candidates in turn, by descending score (ties by
+    # index), each by descending IoU, ties by lower ground-truth index
+    rank = np.empty(len(detections), dtype=np.intp)
+    rank[np.argsort(-detections.score, kind="stable")] = np.arange(len(detections))
+    pick = np.lexsort((cols, -iou, rank[rows]))
+    pairs = list(zip(rows[pick].tolist(), cols[pick].tolist(), iou[pick].tolist()))
     difficult = ground_truth.difficult.tolist()
     for row, threshold in zip(outcome, iou_thresholds):
-        free = iou.copy()
-        for i in order:
-            j = int(np.argmax(free[i]))  # the lowest index wins ties
-            if free[i, j] >= threshold:
+        taken: set[int] = set()
+        decided = -1
+        for i, j, value in pairs:
+            # a detection is decided by its best candidate not yet taken
+            if i == decided or j in taken:
+                continue
+            decided = i
+            if value >= threshold:
                 if difficult[j]:
                     row[i] = IGNORED
                 else:
-                    free[:, j] = 0.0
+                    taken.add(j)
                     row[i] = TRUE_POSITIVE
     return outcome
 
 
-def precision_recall_curve(scores: list[float], tp_flags: list[bool],
-                           num_gt: int) -> list[PRPoint]:
+def precision_recall_curve(scores, tp_flags, num_gt: int) -> list[PRPoint]:
     """Cumulative precision/recall swept over descending score.
 
-    One point per detection prefix; recall denominators use num_gt, which
-    must be positive for recall to mean anything.
+    One point per detection prefix, ties in input order; recall
+    denominators use num_gt, which must be positive for recall to mean
+    anything. ``scores`` and ``tp_flags`` are sequences or arrays.
     """
     if num_gt < 1:
         raise UndefinedRecall("no ground-truth objects: recall is undefined")
+    scores = np.asarray(scores, dtype=np.float64)
+    tp_flags = np.asarray(tp_flags, dtype=bool)
     if len(scores) != len(tp_flags):
         raise ValueError("scores and tp_flags length mismatch")
-    order = np.argsort([-s for s in scores], kind="stable")
-    tps = np.cumsum([tp_flags[i] for i in order])
+    order = np.argsort(-scores, kind="stable")
+    tps = np.cumsum(tp_flags[order])
     ranks = np.arange(1, len(order) + 1)
-    return [PRPoint(float(tp / num_gt), float(tp / rank), float(scores[i]))
-            for i, tp, rank in zip(order, tps, ranks)]
+    return list(map(PRPoint, (tps / num_gt).tolist(), (tps / ranks).tolist(),
+                    scores[order].tolist()))
 
 
 def average_precision(curve: list[PRPoint], num_gt: int) -> float:
@@ -109,15 +131,13 @@ def average_precision(curve: list[PRPoint], num_gt: int) -> float:
         raise UndefinedRecall("no ground-truth objects: AP is undefined")
     if not curve:
         return 0.0
-    recalls = np.concatenate(([0.0], [p.recall for p in curve]))
-    precisions = np.concatenate(([0.0], [p.precision for p in curve]))
+    points = np.array(curve, dtype=np.float64)
+    recalls = np.concatenate(([0.0], points[:, 0]))
+    precisions = np.concatenate(([0.0], points[:, 1]))
     # envelope: precision at recall r is the max precision at any recall >= r
-    for k in range(len(precisions) - 2, -1, -1):
-        precisions[k] = max(precisions[k], precisions[k + 1])
-    ap = 0.0
-    for k in range(1, len(recalls)):
-        ap += (recalls[k] - recalls[k - 1]) * precisions[k]
-    return float(ap)
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    # cumsum adds left to right, as a running float sum does
+    return float(np.cumsum(np.diff(recalls) * envelope[1:])[-1])
 
 
 def mean_ap(per_class_ap: dict[int, float]) -> float:
@@ -132,35 +152,37 @@ def evaluate(detections_by_image: dict[str, Detections],
     """Pool matches across images and compute per-class AP and mAP, one
     report per IoU threshold, in the order given.
 
+    Every threshold must lie in (0, 1], with or without detections.
     Classes with zero ground-truth instances (difficult ones do not count)
     are excluded from the mean; detections for such classes still exist but
     have no defined recall. ``num_det`` counts every detection of a class,
-    the curve only those that are not ``IGNORED``.
+    the curve only those that are not ``IGNORED``. Images are pooled in
+    sorted order, so score ties rank by image, then by detection.
     """
+    check_iou_thresholds(iou_thresholds)
     num_gt: Counter = Counter()
     for gt in ground_truth_by_image.values():
         num_gt.update(gt.class_id[~gt.difficult].tolist())
-    num_det: Counter = Counter()
-    scores: list[dict[int, list[float]]] = [defaultdict(list) for _ in iou_thresholds]
-    flags: list[dict[int, list[bool]]] = [defaultdict(list) for _ in iou_thresholds]
-    for img in sorted(detections_by_image):
-        dets = detections_by_image[img]
-        outcome = match_detections(dets, ground_truth_by_image.get(img, _NO_OBJECTS),
-                                   iou_thresholds)
-        num_det.update(dets.class_id.tolist())
-        for c in np.unique(dets.class_id).tolist():
-            mine = dets.class_id == c
-            for by_class, tp_by_class, row in zip(scores, flags, outcome):
-                ranked = mine & (row != IGNORED)
-                by_class[c].extend(dets.score[ranked].tolist())
-                tp_by_class[c].extend((row[ranked] == TRUE_POSITIVE).tolist())
+    # every image's detections and outcomes, pooled in sorted image order
+    pooled = [(detections_by_image[img], ground_truth_by_image.get(img, _NO_OBJECTS))
+              for img in sorted(detections_by_image)]
+    class_id = np.concatenate([np.zeros(0, dtype=np.intp),
+                               *(dets.class_id for dets, _ in pooled)])
+    score = np.concatenate([np.zeros(0), *(dets.score for dets, _ in pooled)])
+    outcome = np.concatenate([np.zeros((len(iou_thresholds), 0), dtype=np.int8),
+                              *(match_detections(dets, gt, iou_thresholds)
+                                for dets, gt in pooled)], axis=1)
+    num_det = Counter(class_id.tolist())
 
     reports = []
-    for iou_threshold, by_class, tp_by_class in zip(iou_thresholds, scores, flags):
+    for iou_threshold, row in zip(iou_thresholds, outcome):
         report = EvalReport(iou_threshold=iou_threshold, mean_ap=0.0)
+        ranked = row != IGNORED
         aps: dict[int, float] = {}
         for c in sorted(num_gt):
-            curve = precision_recall_curve(by_class[c], tp_by_class[c], num_gt[c])
+            mine = ranked & (class_id == c)
+            curve = precision_recall_curve(score[mine], row[mine] == TRUE_POSITIVE,
+                                           num_gt[c])
             ap = average_precision(curve, num_gt[c])
             aps[c] = ap
             report.per_class[c] = ClassEval(c, ap, num_gt[c], num_det[c], curve)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +35,10 @@ class AnnotationRecord:
     difficulty: int = 0
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     image_id: str
     score: float
-    corners: tuple[float, ...]
+    corners: tuple[float, ...]  # x1 y1 ... y4, row major
     class_name: str
 
 
@@ -50,7 +50,7 @@ class ParseResult:
 
 def _finite_floats(tokens: list[str]) -> list[float] | None:
     try:
-        values = [float(t) for t in tokens]
+        values = list(map(float, tokens))
     except ValueError:
         return None
     return values if all(map(math.isfinite, values)) else None
@@ -83,10 +83,9 @@ def parse_detections(text: str) -> ParseResult:
     """Parse detection lines into DetectionRecord items plus warnings."""
     result = ParseResult()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 11:
             result.warnings.append(f"line {lineno}: expected 11 fields, got {len(tokens)}")
             continue
@@ -155,9 +154,12 @@ def serialize_annotations(records: list[AnnotationRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+#: one detection line: image id, score and eight coordinates at six decimals,
+#: class name
+_DETECTION_LINE = "%s %.6f" + " %.6f" * 8 + " %s\n"
+
+
 def serialize_detections(records: list[DetectionRecord]) -> str:
-    lines = []
-    for r in records:
-        coords = " ".join(f"{v:.6f}" for v in r.corners)
-        lines.append(f"{r.image_id} {r.score:.6f} {coords} {r.class_name}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line per record, each made by a single format of its fields."""
+    return "".join([_DETECTION_LINE % (image_id, score, *corners, class_name)
+                    for image_id, score, corners, class_name in records])

@@ -32,6 +32,10 @@ AREA_EPS = 1e-6
 # points so that clipping a polygon against itself returns the polygon
 _CLIP_EPS = 1e-9
 
+# relative slack of the IoU bound that screens pairs before they are clipped;
+# the clip's rounding error is many orders of magnitude smaller
+_BOUND_SLACK = 1e-6
+
 
 class Point2(NamedTuple):
     x: float
@@ -88,11 +92,19 @@ def _normalize_angles(raw: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _successors(pts: np.ndarray) -> np.ndarray:
+    """Each vertex's successor in polygons (..., n, 2), the last vertex's
+    being the first; ``np.roll(pts, -1, axis=-2)`` at a smaller call cost."""
+    return np.concatenate((pts[..., 1:, :], pts[..., :1, :]), axis=-2)
+
+
 def _shoelace(pts: np.ndarray) -> np.ndarray:
     """Signed shoelace area over the last two axes (..., n, 2)."""
-    x, y = pts[..., 0], pts[..., 1]
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
-                        axis=-1)
+    return 0.5 * np.sum(_cross(pts, _successors(pts)), axis=-1)
 
 
 def signed_area(corners) -> float:
@@ -155,14 +167,10 @@ def _corner_array(corners) -> np.ndarray:
     return c
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 def _inside(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """(K, 4) mask: point i of ``pts[k]`` lies on the inner side of every
     edge of the counterclockwise quad ``poly[k]``, boundary kept."""
-    edges = (np.roll(poly, -1, axis=1) - poly)[:, None, :, :]
+    edges = (_successors(poly) - poly)[:, None, :, :]
     offsets = pts[:, :, None, :] - poly[:, None, :, :]
     return np.all(_cross(edges, offsets) >= -_CLIP_EPS, axis=2)
 
@@ -174,8 +182,8 @@ def _edge_crossings(p: np.ndarray, q: np.ndarray):
     Parallel edges count as not crossing; where two of them overlap, the
     overlap's ends are corners of one quad lying inside the other.
     """
-    dp = (np.roll(p, -1, axis=1) - p)[:, :, None, :]
-    dq = (np.roll(q, -1, axis=1) - q)[:, None, :, :]
+    dp = (_successors(p) - p)[:, :, None, :]
+    dq = (_successors(q) - q)[:, None, :, :]
     w = q[:, None, :, :] - p[:, :, None, :]
     denom = _cross(dp, dq)
     num_t, num_u = _cross(w, dq), _cross(w, dp)
@@ -206,8 +214,8 @@ def _intersection_areas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     rel = pts - center[:, None, :]
     angle = np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
     order = np.argsort(angle, axis=1)
-    rel = np.take_along_axis(rel, order[..., None], axis=1)
-    keep = np.take_along_axis(keep, order, axis=1)
+    pair = np.arange(len(order))[:, None]
+    rel, keep = rel[pair, order], keep[pair, order]
     # dropped points repeat the first kept vertex, which adds no area
     rel = np.where(keep[..., None], rel, rel[:, :1])
     return np.where(count >= 3, np.maximum(_shoelace(rel), 0.0), 0.0)
@@ -219,11 +227,14 @@ def _oriented(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where((signed < 0.0)[:, None, None], c[:, ::-1], c), np.abs(signed)
 
 
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(D, G) mask of the quad pairs whose axis-aligned bounding boxes overlap."""
-    lo_a, hi_a = a.min(axis=1)[:, None], a.max(axis=1)[:, None]
-    lo_b, hi_b = b.min(axis=1)[None], b.max(axis=1)[None]
-    return np.all((lo_a <= hi_b) & (lo_b <= hi_a), axis=2)
+def _overlap_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, G) width and height of the overlap of the axis-aligned bounding
+    boxes of each quad of ``a`` (D, 4, 2) and each of ``b`` (G, 4, 2); a
+    side is negative where the boxes miss each other along it."""
+    lo_a, hi_a = a.min(axis=1).T, a.max(axis=1).T
+    lo_b, hi_b = (lo_a, hi_a) if b is a else (b.min(axis=1).T, b.max(axis=1).T)
+    return tuple(np.minimum(hi_a[k, :, None], hi_b[k])
+                 - np.maximum(lo_a[k, :, None], lo_b[k]) for k in (0, 1))
 
 
 def _pair_intersections(p: np.ndarray, q: np.ndarray, area_p: np.ndarray,
@@ -252,7 +263,8 @@ def _pairwise_overlap(a: np.ndarray, b: np.ndarray):
     """(D, G) intersection and union areas of the quads ``a`` (D, 4, 2) and
     ``b`` (G, 4, 2)."""
     (a, area_a), (b, area_b) = _oriented(a), _oriented(b)
-    rows, cols = np.nonzero(_near(a, b))
+    width, height = _overlap_sides(a, b)
+    rows, cols = np.nonzero((width >= 0.0) & (height >= 0.0))
     inter = np.zeros((len(a), len(b)))
     inter[rows, cols] = _pair_intersections(a[rows], b[cols], area_a[rows],
                                             area_b[cols])
@@ -268,6 +280,43 @@ def pairwise_iou(a, b) -> np.ndarray:
     boxes do not overlap are exactly 0; only the others are clipped.
     """
     return _iou(*_pairwise_overlap(_corner_array(a), _corner_array(b)))
+
+
+def _ious_within_reach(a: np.ndarray, area_a: np.ndarray, b: np.ndarray,
+                      area_b: np.ndarray, allowed: np.ndarray, threshold: float):
+    """``ious_within_reach`` on counterclockwise quads of known areas.
+
+    The intersection lies inside both axis-aligned bounding boxes and inside
+    the smaller quad, so with c the smaller of the boxes' overlap and that
+    quad's area, IoU <= c / (A + B - c). A pair is clipped when its bounding
+    boxes meet and this bound comes within ``_BOUND_SLACK`` of the threshold
+    or above it; at threshold 0, whenever the bounding boxes meet.
+    """
+    width, height = _overlap_sides(a, b)
+    rows, cols = np.nonzero(allowed & (width >= 0.0) & (height >= 0.0))
+    area_p, area_q = area_a[rows], area_b[cols]
+    bound = np.minimum(width[rows, cols] * height[rows, cols],
+                       np.minimum(area_p, area_q))
+    reach = bound >= threshold * (1.0 - _BOUND_SLACK) * (area_p + area_q - bound)
+    rows, cols, area_p, area_q = rows[reach], cols[reach], area_p[reach], area_q[reach]
+    if not len(rows):
+        return rows, cols, np.zeros(0)
+    inter = _pair_intersections(a[rows], b[cols], area_p, area_q)
+    return rows, cols, _iou(inter, area_p + area_q - inter)
+
+
+def ious_within_reach(a, b, allowed, threshold: float):
+    """The pairs that may reach an IoU threshold, and their rotated IoU.
+
+    ``a`` and ``b`` are corner arrays as for ``pairwise_iou`` and ``allowed``
+    a (D, G) bool mask of the pairs to consider. Returns ``(rows, cols,
+    iou)``: the allowed pairs ``a[rows[k]]``, ``b[cols[k]]`` in row-major
+    order whose IoU bound reaches the threshold, and their IoU, with the
+    bits of ``pairwise_iou``'s entries. Only these pairs are clipped; every
+    allowed pair left out has IoU below the threshold.
+    """
+    (a, area_a), (b, area_b) = _oriented(_corner_array(a)), _oriented(_corner_array(b))
+    return _ious_within_reach(a, area_a, b, area_b, allowed, threshold)
 
 
 def intersection_area(a: QuadBox, b: QuadBox) -> float:
@@ -301,19 +350,26 @@ def oriented_nms(corners, scores, class_ids, iou_threshold: float) -> list[int]:
         raise ValueError("detection scores must be finite")
     class_ids = np.asarray(class_ids)
     quads, area = _oriented(_corner_array(corners))
-    # each unordered same-class pair of overlapping bounding boxes is clipped
-    # once and mirrored: its IoU has the bits of ``pairwise_iou``'s (i, j)
-    # and (j, i), and a box's overlap with itself decides nothing
-    i, j = np.nonzero(np.triu(_near(quads, quads)
-                              & (class_ids[:, None] == class_ids[None, :]), k=1))
-    inter = _pair_intersections(quads[i], quads[j], area[i], area[j])
-    over = _iou(inter, area[i] + area[j] - inter) > iou_threshold
-    overlaps = np.zeros((len(quads), len(quads)), dtype=bool)
-    overlaps[i, j] = overlaps[j, i] = over
+    order = np.argsort(-scores, kind="stable")
+    # each unordered same-class pair that may cross the threshold is clipped
+    # once: its IoU has the bits of ``pairwise_iou``'s (i, j) and (j, i), and
+    # a box's overlap with itself decides nothing
+    index = np.arange(len(quads))
+    same = (class_ids[:, None] == class_ids[None, :]) & (index[:, None] < index)
+    i, j, iou = _ious_within_reach(quads, area, quads, area, same, iou_threshold)
+    over = iou > iou_threshold
+    if not over.any():
+        return order.tolist()
+    partners: dict[int, list[int]] = {}
+    for p, q in zip(i[over].tolist(), j[over].tolist()):
+        partners.setdefault(p, []).append(q)
+        partners.setdefault(q, []).append(p)
+    # only the boxes with a partner can suppress or be suppressed; they are
+    # visited in score order, the others are all kept
+    paired = np.zeros(len(scores), dtype=bool)
+    paired[list(partners)] = True
     suppressed = np.zeros(len(scores), dtype=bool)
-    kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable").tolist():
-        if not suppressed[i]:
-            kept.append(i)
-            suppressed |= overlaps[i]
-    return kept
+    for k in order[paired[order]].tolist():
+        if not suppressed[k]:
+            suppressed[partners[k]] = True
+    return order[~suppressed[order]].tolist()

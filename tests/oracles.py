@@ -11,7 +11,8 @@ view, conv input gradients from one strided add per tap over the
 set of dense regression planes per box and image, and the dataset readers
 and polar conversions from their earlier one-item-at-a-time forms (a byte
 tokenizer, text reads with two splits per line, comprehensions over
-``math`` calls). Tests compare
+``math`` calls), the heatmap scatter from ``np.maximum.at`` and the PR
+curve and AP from their per-point loops. Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -260,6 +261,29 @@ def voc_ap_reference(scored_flags: list[tuple[float, bool]], num_gt: int) -> flo
     return ap
 
 
+def precision_recall_reference(scores, tp_flags, num_gt: int) -> list[tuple]:
+    """(recall, precision, score) per detection prefix, by descending score
+    with ties in input order, one numpy scalar division per point."""
+    order = np.argsort([-s for s in scores], kind="stable")
+    tps = np.cumsum([tp_flags[i] for i in order])
+    ranks = np.arange(1, len(order) + 1)
+    return [(float(tp / num_gt), float(tp / rank), float(scores[i]))
+            for i, tp, rank in zip(order, tps, ranks)]
+
+
+def average_precision_reference(curve) -> float:
+    """All-point AP of (recall, precision, ...) points: the envelope by a
+    backward max loop, the area by a forward running sum."""
+    recalls = np.concatenate(([0.0], [p[0] for p in curve]))
+    precisions = np.concatenate(([0.0], [p[1] for p in curve]))
+    for k in range(len(precisions) - 2, -1, -1):
+        precisions[k] = max(precisions[k], precisions[k + 1])
+    ap = 0.0
+    for k in range(1, len(recalls)):
+        ap += (recalls[k] - recalls[k - 1]) * precisions[k]
+    return float(ap)
+
+
 def _ccw(pts: np.ndarray) -> np.ndarray:
     return pts[::-1] if signed_shoelace(pts) < 0.0 else pts
 
@@ -468,6 +492,32 @@ def encode_records_reference(records_per_image, class_names, cfg):
             np.maximum(window, kernel, out=window)
         out.append(target)
     return out
+
+
+def render_heatmaps_reference(boxes, cells, num_images: int, cfg) -> np.ndarray:
+    """The training heatmaps with every window sample scattered by one
+    ``np.maximum.at``: each box's truncated Gaussian around its pole cell,
+    sigma a third of its shorter side in grid units, merged by max."""
+    from polardet.geometry import polars_to_quads
+
+    side = np.diff(polars_to_quads(boxes.pole, boxes.rho, boxes.theta)[:, :3], axis=1)
+    sigma = np.hypot(side[..., 0], side[..., 1]).min(axis=1) / 3.0 / cfg.stride
+    radius = np.ceil(3.0 * sigma).astype(np.intp)
+    heat = np.zeros((num_images, cfg.num_classes, cfg.grid_h, cfg.grid_w))
+    for r in np.unique(radius):
+        sel = np.flatnonzero(radius == r)
+        d = np.arange(-r, r + 1)
+        r2 = d[:, None] ** 2 + d[None, :] ** 2
+        s = sigma[sel, None, None]
+        gy = cells[sel, 1, None, None] + d[:, None]
+        gx = cells[sel, 0, None, None] + d[None, :]
+        keep = ((r2 <= (3.0 * s) ** 2)
+                & (0 <= gy) & (gy < cfg.grid_h) & (0 <= gx) & (gx < cfg.grid_w))
+        index = np.broadcast_arrays(boxes.image[sel, None, None],
+                                    boxes.class_id[sel, None, None], gy, gx)
+        kernel = np.exp(-r2 / (2.0 * s * s))
+        np.maximum.at(heat, tuple(i[keep] for i in index), kernel[keep])
+    return heat
 
 
 def target_planes(targets, k: int = 0):

@@ -486,6 +486,20 @@ class TestEval:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("iou", ["nan", "0", "1.5", "-1"])
+    @pytest.mark.parametrize("empty", [True, False], ids=["empty", "non-empty"])
+    def test_iou_outside_unit_interval_is_io_error(self, workspace, tmp_path,
+                                                   capsys, iou, empty):
+        # checked before any scoring, so a file with no rows fails the same way
+        dets = tmp_path / "dets.txt"
+        dets.write_text("" if empty else workspace["dets"].read_text())
+        code = cli.main(["eval", "--data", str(workspace["data"]),
+                         "--detections", str(dets), "--iou", "0.5", iou])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: iou_threshold must lie in (0, 1]\n"
+
 
 class TestGradCheckCommand:
     def test_passes_at_default_tolerance(self, capsys):

@@ -5,14 +5,14 @@ import pytest
 
 from polardet import cli
 from polardet.encoding import (BoxArrays, GridConfig, TRUNCATION_SIGMAS, Targets,
-                               encode_boxes, encode_regression)
+                               _render_heatmaps, encode_boxes, encode_regression)
 from polardet.errors import (CellCollision, DegenerateBox, OutOfBounds,
                              PolarDetError, UnknownClass)
 from polardet.formats import parse_annotations
-from polardet.geometry import Point2, PolarBox
+from polardet.geometry import Point2, PolarBox, quads_to_polar
 from polardet.synthdata import SceneSpec, write_dataset, write_pgm
 
-from oracles import encode_records_reference
+from oracles import encode_records_reference, render_heatmaps_reference
 
 def make_box(x, y, rho=6.0, t1=0.5, t2=2.0, class_id=0):
     return PolarBox(Point2(x, y), rho, t1, t2, class_id)
@@ -287,6 +287,52 @@ class TestDatasetEncoding:
         else:
             assert isinstance(expected, error)
         _assert_same_targets(got, expected)
+
+
+class TestHeatmapScatter:
+    """Window samples are max-merged per cell by sorting and a segmented
+    max; the bytes must be those of an ``np.maximum.at`` scatter."""
+
+    @staticmethod
+    def _assert_same_as_maximum_at(boxes, num_images, cfg):
+        cells = (boxes.pole // cfg.stride).astype(np.intp)
+        got = _render_heatmaps(boxes, cells, num_images, cfg)
+        expected = render_heatmaps_reference(boxes, cells, num_images, cfg)
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    def test_reference_scenes(self, tmp_path):
+        ids = write_dataset(tmp_path, SceneSpec(), 500, 7)
+        names, image_ids = cli._load_dataset(tmp_path)
+        gt = cli._read_ground_truth(tmp_path, image_ids, names)
+        boxes = BoxArrays(gt.image, gt.class_id, *quads_to_polar(gt.corners))
+        heat = self._assert_same_as_maximum_at(boxes, len(ids),
+                                               GridConfig(64, 64, 4, len(names)))
+        assert np.count_nonzero(heat == 1.0) == len(gt)
+
+    def test_overlapping_windows_in_adjacent_cells(self):
+        # three class-0 boxes of two sizes in neighbouring cells of image 0,
+        # a class-1 box on one of those cells, an empty image 1 and a box
+        # clipped by the border in image 2
+        cfg = GridConfig(64, 64, 4, num_classes=2)
+        rows = [(0, 0, 22.0, 22.0, 9.0), (0, 0, 26.0, 22.0, 6.0),
+                (0, 0, 22.0, 26.0, 9.0), (0, 1, 26.0, 22.0, 7.0),
+                (2, 0, 1.0, 62.0, 8.0)]
+        image, class_id, x, y, rho = map(np.array, zip(*rows))
+        boxes = BoxArrays(image, class_id, np.column_stack([x, y]), rho,
+                          np.tile([0.6, 2.1], (len(rows), 1)))
+        heat = self._assert_same_as_maximum_at(boxes, 3, cfg)
+        assert not heat[1].any()
+        # the windows overlap: some cells hold the larger of two Gaussians
+        assert heat[0, 0, 5, 5] == heat[0, 0, 5, 6] == heat[0, 0, 6, 5] == 1.0
+        assert heat[0, 1, 5, 6] == 1.0
+
+    def test_no_boxes(self):
+        cfg = GridConfig(16, 16, 4, num_classes=2)
+        none = BoxArrays(np.zeros(0, np.intp), np.zeros(0, np.intp),
+                         np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
+        heat = self._assert_same_as_maximum_at(none, 2, cfg)
+        assert heat.shape == (2, 2, 4, 4) and not heat.any()
 
 
 def three_image_targets():

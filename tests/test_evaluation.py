@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polardet import evaluation
+from polardet import geometry
 from polardet.errors import NoClasses, UndefinedRecall
 from polardet.evaluation import (IGNORED, TRUE_POSITIVE, average_precision,
                                  evaluate, match_detections, mean_ap,
@@ -10,7 +10,8 @@ from polardet.formats import GroundTruth
 from polardet.geometry import QuadBox
 from polardet.postprocess import Detections
 
-from oracles import greedy_match_reference, jittered_scene, voc_ap_reference
+from oracles import (average_precision_reference, greedy_match_reference,
+                     jittered_scene, precision_recall_reference, voc_ap_reference)
 
 
 def square(cx, cy, size=4.0, class_id=0):
@@ -134,6 +135,84 @@ class TestMatchDetections:
         assert 0 < matched < 15 * len(det_idx)
 
 
+def offset_squares(side, dx, dy):
+    """Two axis-aligned squares ``side`` wide, the second shifted by (dx, dy):
+    their bounding-box overlap is their intersection, so the IoU bound is
+    exact, and dyadic sides keep every area exact."""
+    a = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+    return a, a + [dx, dy]
+
+
+class TestMatchingAtTheThreshold:
+    """Pairs are screened by an IoU bound before clipping; at and around the
+    threshold the decisions must stay those of the per-pair clip."""
+
+    SHIFTS = [(4.0, 0.5, 0.0), (4.0, 1.0, 1.0), (2.0, 0.5, 0.25), (1.0, 0.5, 0.0),
+              (8.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("side, dx, dy", SHIFTS)
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_threshold_at_and_one_ulp_around_the_iou(self, side, dx, dy, ulps):
+        det_quad, gt_quad = offset_squares(side, dx, dy)
+        inter = (side - dx) * (side - dy)
+        iou = inter / (2 * side * side - inter)
+        threshold = iou
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, 2.0 * ulps)
+        dets = Detections(det_quad[None], np.zeros(1, np.intp), np.array([0.9]))
+        gts = truth([QuadBox(gt_quad)])
+        [[outcome]] = match_detections(dets, gts, [threshold])
+        assert (outcome == TRUE_POSITIVE) == (ulps <= 0)
+        assert [outcome == TRUE_POSITIVE] == greedy_match_reference(
+            det_quad[None], [0], [0.9], gt_quad[None], [0], threshold)
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.5, 1.0])
+    def test_constructed_cases_match_scalar_reference(self, threshold):
+        unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        diamond = np.array([[1.0, 0.5], [1.5, 0.0], [2.0, 0.5], [1.5, 1.0]])
+        gt_quads = [unit, unit + 10.0, unit + [20.0, 0.0], unit + [30.0, 0.0]]
+        gt_classes = [0, 0, 1, 0]
+        det_quads = [
+            unit,                                   # identical
+            unit + 10.0,                            # identical, second gt
+            unit + [1.0, 0.0],                      # touches gt 0 at an edge
+            unit + [11.0, 11.0],                    # touches gt 1 at a corner
+            diamond,                                # touches gt 0 at a corner
+            np.full((4, 2), 30.5),                  # zero area inside gt 3
+            unit + [20.0, 0.0],                     # other class than its gt
+            unit + [20.0, 0.0],                     # same box, gt's class
+            unit + [0.5, 0.0],                      # gt 0 already taken
+        ]
+        det_classes = [0, 0, 0, 0, 0, 0, 0, 1, 0]
+        scores = [0.9, 0.9, 0.8, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3]
+        dets = Detections(np.array(det_quads), np.array(det_classes, np.intp),
+                          np.array(scores))
+        gts = GroundTruth(np.zeros(4, np.intp), np.array(gt_classes, np.intp),
+                          np.array(gt_quads), np.zeros(4, bool))
+        [row] = match_detections(dets, gts, [threshold])
+        expected = greedy_match_reference(np.array(det_quads), det_classes, scores,
+                                          np.array(gt_quads), gt_classes, threshold)
+        assert (row == TRUE_POSITIVE).tolist() == expected
+        assert expected[:2] == [True, True] and expected[7]
+
+    def test_screened_pairs_keep_the_clip_bits(self):
+        # the pairs left out never reach the threshold, and the pairs kept
+        # carry the IoU that the full matrix gives them
+        rng = np.random.default_rng(5)
+        for threshold in (0.05, 0.3, 0.5, 0.75, 1.0):
+            corners, _owner = jittered_scene(rng, num_objects=8, copies=3)
+            classes = rng.integers(0, 2, len(corners))
+            allowed = classes[:, None] == classes[None, :]
+            rows, cols, iou = geometry.ious_within_reach(corners, corners, allowed,
+                                                         threshold)
+            full = geometry.pairwise_iou(corners, corners)
+            assert iou.tobytes() == full[rows, cols].tobytes()
+            left_out = allowed.copy()
+            left_out[rows, cols] = False
+            assert np.all(full[left_out] < threshold)
+            assert np.all(allowed[rows, cols])
+
+
 class TestPrecisionRecallCurve:
     def test_hand_case(self):
         points = precision_recall_curve([0.9, 0.8, 0.7], [True, False, True], 2)
@@ -152,6 +231,23 @@ class TestPrecisionRecallCurve:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             precision_recall_curve([0.5], [True, False], 1)
+
+    def test_array_scan_equals_loop_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            num_gt = int(rng.integers(1, 30))
+            # one decimal makes many score ties
+            scores = np.round(rng.uniform(0.0, 1.0, n), 1).tolist()
+            flags = (rng.random(n) < 0.6).tolist()
+            curve = precision_recall_curve(scores, flags, num_gt)
+            expected = precision_recall_reference(scores, flags, num_gt)
+            assert [tuple(p) for p in curve] == expected
+            assert np.array(curve).reshape(-1, 3).tobytes() == \
+                np.array(expected).reshape(-1, 3).tobytes()
+            if curve:
+                ap = average_precision(curve, num_gt)
+                assert ap.hex() == average_precision_reference(expected).hex()
 
 
 class TestAveragePrecision:
@@ -264,7 +360,7 @@ class TestEvaluate:
         assert at_25.mean_ap == pytest.approx(1.0)
         assert at_50.mean_ap == 0.0
 
-    def test_one_iou_matrix_per_image_serves_every_threshold(self, monkeypatch):
+    def test_one_clip_call_per_image_serves_every_threshold(self, monkeypatch):
         rng = np.random.default_rng(21)
         dets, gts = {}, {}
         for img in ("a", "b", "c"):
@@ -278,9 +374,9 @@ class TestEvaluate:
         thresholds = [0.3, 0.5, 0.75]
         singles = [evaluate(dets, gts, [t])[0] for t in thresholds]
         calls = []
-        real = evaluation.pairwise_iou
-        monkeypatch.setattr(evaluation, "pairwise_iou",
-                            lambda a, b: calls.append(len(a)) or real(a, b))
+        real = geometry._intersection_areas
+        monkeypatch.setattr(geometry, "_intersection_areas",
+                            lambda p, q: calls.append(len(p)) or real(p, q))
         reports = evaluate(dets, gts, thresholds)
         assert len(calls) == 3  # one per image with detections
         assert [r.iou_threshold for r in reports] == thresholds

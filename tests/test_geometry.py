@@ -412,8 +412,8 @@ class TestOrientedNMS:
         assert oriented_nms(corners, [0.9, 0.8], [1, 1], 0.5) == [0]
 
     def test_clips_each_unordered_same_class_pair_once(self, monkeypatch):
-        # only pairs of one class whose bounding boxes overlap reach the
-        # clipping kernel, each once, and never a box against itself
+        # only pairs of one class whose IoU bound reaches the threshold get
+        # to the clipping kernel, each once, and never a box against itself
         clipped = []
         clip = geometry._intersection_areas
 
@@ -432,6 +432,73 @@ class TestOrientedNMS:
         clipped.clear()
         assert oriented_nms(pair, [0.9, 0.8], [0, 1], 0.5) == [0, 1]
         assert sum(clipped) == 0
+
+    def test_no_same_class_overlap_makes_no_clip_call(self, monkeypatch):
+        # boxes overlap only across classes: nothing is clipped and every
+        # box is kept in stable descending-score order
+        clipped = []
+        clip = geometry._intersection_areas
+        monkeypatch.setattr(geometry, "_intersection_areas",
+                            lambda p, q: clipped.append(len(p)) or clip(p, q))
+        corners = self._squares((10, 10), (10, 10), (30, 10), (31, 10), (50, 10))
+        scores = [0.5, 0.9, 0.5, 0.7, 0.9]
+        assert oriented_nms(corners, scores, [0, 1, 0, 1, 0], 0.0) == [1, 4, 3, 0, 2]
+        assert clipped == []
+
+    def test_pairs_below_the_bound_are_not_clipped(self, monkeypatch):
+        # 4x4 squares 3 apart: bounding boxes overlap, but IoU <= 4/28 < 0.3
+        clipped = []
+        clip = geometry._intersection_areas
+        monkeypatch.setattr(geometry, "_intersection_areas",
+                            lambda p, q: clipped.append(len(p)) or clip(p, q))
+        corners = self._squares((10, 10), (13, 10))
+        assert oriented_nms(corners, [0.9, 0.8], [0, 0], 0.3) == [0, 1]
+        assert clipped == []
+        assert oriented_nms(corners, [0.9, 0.8], [0, 0], 0.1) == [0]
+        assert clipped == [1]
+
+    @pytest.mark.parametrize("side, dx, dy", [(4.0, 0.5, 0.0), (4.0, 1.0, 1.0),
+                                              (2.0, 0.5, 0.25), (1.0, 0.5, 0.0),
+                                              (8.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_threshold_at_and_one_ulp_around_the_iou(self, side, dx, dy, ulps):
+        # axis-aligned squares: the bound equals the IoU, which is exact
+        a = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+        corners = np.stack([a, a + [dx, dy]])
+        inter = (side - dx) * (side - dy)
+        threshold = inter / (2 * side * side - inter)
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, 2.0 * ulps)
+        kept = oriented_nms(corners, [0.9, 0.8], [0, 0], threshold)
+        assert kept == ([0] if ulps < 0 else [0, 1])
+        assert kept == greedy_nms_reference(corners, [0.9, 0.8], threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.5, 1.0])
+    def test_constructed_cases_match_per_class_reference(self, threshold):
+        unit = UNIT_SQUARE
+        diamond = np.array([[1.0, 0.5], [1.5, 0.0], [2.0, 0.5], [1.5, 1.0]])
+        corners = np.stack([
+            unit, unit,                          # identical
+            unit + [1.0, 0.0],                   # touches box 0 at an edge
+            unit + [1.0, 1.0],                   # touches box 0 at a corner
+            diamond,                             # touches boxes 0 and 2
+            np.full((4, 2), 0.5),                # zero area inside box 0
+            unit + [0.5, 0.0],                   # IoU 1/3 with box 0
+            unit + [0.5, 0.0],                   # the same, other class
+            unit + [10.0, 0.0], unit + [10.25, 0.0],
+        ])
+        scores = np.array([0.9, 0.8, 0.8, 0.7, 0.6, 0.95, 0.5, 0.5, 0.4, 0.4])
+        classes = np.array([0, 0, 0, 0, 0, 0, 0, 1, 0, 0])
+        kept = oriented_nms(corners, scores, classes, threshold)
+        expected = set()
+        for c in (0, 1):
+            members = np.flatnonzero(classes == c)
+            expected.update(members[greedy_nms_reference(
+                corners[members], scores[members].tolist(), threshold)].tolist())
+        assert set(kept) == expected
+        assert kept == sorted(kept, key=lambda i: (-scores[i], i))
+        # identical boxes suppress each other below threshold 1 only
+        assert (1 in kept) == (threshold == 1.0)
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@
 read the layer shapes, and ``spans.Tracer`` wraps public functions and the
 Conv2d and Adam methods by name, and counts poles and boxes with ``len()``
 on what ``extract_pole_points``, ``decode_poles`` and ``oriented_nms`` take
-and return. ``toynet.load_checkpoint_ms`` is read from the span of the
+and return, and bytes on what ``serialize_detections`` returns. ``toynet.load_checkpoint_ms`` is read from the span of the
 ``load_checkpoint`` that ``cli`` imports by name, so ``detect`` must make
 exactly one such call. A signature change
 there crashes the benchmark before it prints a result line, or makes a
@@ -62,6 +62,18 @@ with spans.Tracer().installed() as detects:
         detects.record("cli.detect", cli.main,
                        ["detect", "--data", data, "--checkpoint", ckpt,
                         "--out", f"{work.name}/dets{k}.txt"])
+# the crowded workload's commands: detect with NMS, then eval at two IoUs
+nms_dets = f"{work.name}/nms_dets.txt"
+with spans.Tracer().installed() as scored:
+    codes = [scored.record("cli.detect", cli.main,
+                           ["detect", "--data", data, "--checkpoint", ckpt,
+                            "--out", nms_dets, "--threshold", "0.05",
+                            "--nms-iou", "0.3"]),
+             scored.record("cli.eval", cli.main,
+                           ["eval", "--data", data, "--detections", nms_dets,
+                            "--iou", "0.5", "0.75"])]
+with open(nms_dets, "rb") as fh:
+    nms_bytes = len(fh.read())
 work.cleanup()
 calls = [i for i, s in enumerate(detects.spans) if s[0] == "cli.detect"]
 loads = [[s[3] for s in detects.spans if s[0] == "toynet.load_checkpoint"].count(i)
@@ -75,6 +87,9 @@ with spans.Tracer().installed() as tracer:
                                     grid).detections
     kept = geometry.oriented_nms(dets.corners, dets.score, dets.class_id, 0.2)
 print(json.dumps({"counts": counts, "spans": sorted({s[0] for s in tracer.spans}),
+                  "scored": {"codes": codes, "file_bytes": nms_bytes,
+                             "spans": sorted({s[0] for s in scored.spans}),
+                             "counts": dict(scored.counts)},
                   "loads_per_detect": loads,
                   "heat_shape": list(planes[0].shape), "loss": loss.total,
                   "boxes": {"poles": len(poles.score), "decoded": len(dets.score),
@@ -109,3 +124,14 @@ def test_kernel_counts_and_tracer_run_on_the_package():
     assert got["boxes"] == {"poles": 5, "decoded": 5, "kept": 4}
     assert got["box_counts"] == {"postprocess.poles": 5, "postprocess.decoded": 5,
                                  "geometry.nms_in": 5, "geometry.nms_kept": 4}
+    # detect with NMS and eval at two IoUs, as the crowded workload runs
+    # them: every span it reads appears, and the byte counter reads the
+    # detections file's size
+    scored = got["scored"]
+    assert scored["codes"] == [0, 0]
+    for name in ("geometry.oriented_nms", "evaluation.match_detections",
+                 "evaluation.evaluate", "formats.serialize_detections",
+                 "formats.parse_detections"):
+        assert name in scored["spans"]
+    assert scored["file_bytes"] > 0
+    assert scored["counts"]["formats.detections_bytes"] == scored["file_bytes"]
