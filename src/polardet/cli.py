@@ -333,12 +333,10 @@ def cmd_grad_check(args) -> int:
         net = ToyNet(num_classes=2, base_channels=2, seed=args.seed,
                      dtype=np.float64)
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=2)
-        image, boxes = generate_scene(spec, rng)
+        image, corners, class_id = generate_scene(spec, rng)
         cfg = GridConfig(32, 32, 4, 2)
-        gt = GroundTruth(np.zeros(len(boxes), dtype=np.intp),
-                         np.array([b.class_id for b in boxes], dtype=np.intp),
-                         np.array([b.corners for b in boxes]),
-                         np.zeros(len(boxes), dtype=bool))
+        gt = GroundTruth(np.zeros(len(class_id), dtype=np.intp), class_id, corners,
+                         np.zeros(len(class_id), dtype=bool))
         summaries.append(check_net_gradients(
             net, image_to_input(image), _encode(gt, 1, cfg), LossConfig(), rng,
             num_coords=args.net_coords))

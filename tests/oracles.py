@@ -11,8 +11,11 @@ view, conv input gradients from one strided add per tap over the
 set of dense regression planes per box and image, and the dataset readers
 and polar conversions from their earlier one-item-at-a-time forms (a byte
 tokenizer, text reads with two splits per line, comprehensions over
-``math`` calls), the heatmap scatter from ``np.maximum.at`` and the PR
-curve and AP from their per-point loops. Tests compare
+``math`` calls), the heatmap scatter from ``np.maximum.at``, the PR
+curve and AP from their per-point loops, and synthetic scenes and their
+dataset files from the one-object-at-a-time generator and writer (scalar
+``rng.uniform`` draws, a ``math.hypot`` loop over placed centres, one
+matrix product and one ``meshgrid`` fill per rectangle). Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -335,7 +338,12 @@ def clip_intersection_area(corners_a, corners_b) -> float:
 
 
 def clip_iou(corners_a, corners_b) -> float:
-    """Rotated IoU from one scalar Sutherland-Hodgman clip per pair."""
+    """Rotated IoU from one scalar Sutherland-Hodgman clip per pair.
+
+    Boxes that only touch can leave a sliver of rounding: for two 3x3
+    squares at 0.3 rad sharing an edge it returns ~4.9e-17, not 0, so at
+    threshold 0 a reference that uses it can suppress a touching box.
+    """
     inter = clip_intersection_area(corners_a, corners_b)
     if inter <= 0.0:
         return 0.0
@@ -705,3 +713,104 @@ def polars_to_quads_reference(pole, rho, theta):
                      for a, b in angles]).reshape(-1, 4, 2)
     return (np.asarray(pole, dtype=np.float64).reshape(-1, 1, 2)
             + np.asarray(rho, dtype=np.float64).reshape(-1, 1, 1) * trig)
+
+
+def _rectangle_reference(cx, cy, w, h, phi):
+    offs = np.array([[w / 2, h / 2], [-w / 2, h / 2], [-w / 2, -h / 2], [w / 2, -h / 2]])
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return offs @ rot.T + np.array([cx, cy])
+
+
+def _fill_quad_reference(image, corners, value):
+    h, w = image.shape
+    x0 = max(int(math.floor(corners[:, 0].min())), 0)
+    x1 = min(int(math.ceil(corners[:, 0].max())) + 1, w)
+    y0 = max(int(math.floor(corners[:, 1].min())), 0)
+    y1 = min(int(math.ceil(corners[:, 1].max())) + 1, h)
+    if x0 >= x1 or y0 >= y1:
+        return
+    px, py = np.meshgrid(np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5)
+    inside = np.ones(px.shape, dtype=bool)
+    for i in range(4):
+        ax, ay = corners[i]
+        bx, by = corners[(i + 1) % 4]
+        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0
+    image[y0:y1, x0:x1][inside] = value
+
+
+def generate_scene_reference(spec, rng):
+    """``synthdata.generate_scene`` one object at a time: five scalar
+    ``rng.uniform`` calls per attempt, a loop over the placed centres with
+    ``math.hypot``, each rectangle's corners from its own (4, 2) @ (2, 2)
+    product and its pixels from a ``meshgrid``; returns (image, corners
+    (B, 4, 2), class ids (B,))."""
+    from polardet.errors import PlacementError
+
+    target = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+    placed = []  # (cx, cy, radius, long, short, phi, class_id)
+    d = spec.pole_stride
+    for k in range(target):
+        for _ in range(spec.max_attempts):
+            short = rng.uniform(*spec.side_range)
+            long = short * rng.uniform(*spec.aspect_range)
+            phi = rng.uniform(0.0, math.pi)
+            radius = math.hypot(short, long) / 2.0
+            margin = radius + 1.0
+            if spec.width - 2 * margin <= 0 or spec.height - 2 * margin <= 0:
+                raise PlacementError("objects larger than the frame")
+            cx = rng.uniform(margin, spec.width - margin)
+            cy = rng.uniform(margin, spec.height - margin)
+            if any(math.hypot(cx - ox, cy - oy) < 0.9 * (radius + orad) + 2.0
+                   or (int(cx // d) == int(ox // d) and int(cy // d) == int(oy // d))
+                   for ox, oy, orad, *_rest in placed):
+                continue
+            placed.append((cx, cy, radius, long, short, phi,
+                           int(rng.integers(spec.num_classes))))
+            break
+        else:
+            if k >= spec.min_objects:
+                break
+            raise PlacementError(f"could not place object {k} after {spec.max_attempts} tries")
+    image = np.full((spec.height, spec.width), spec.background)
+    corners = []
+    for cx, cy, _radius, long, short, phi, class_id in placed:
+        corners.append(_rectangle_reference(cx, cy, long, short, phi))
+        _fill_quad_reference(image, corners[-1], spec.class_intensity(class_id))
+    if spec.noise_sigma > 0.0:
+        image = image + rng.normal(0.0, spec.noise_sigma, image.shape)
+    return (np.clip(image, 0.0, 1.0), np.array(corners).reshape(-1, 4, 2),
+            np.array([p[-1] for p in placed], dtype=np.intp))
+
+
+def write_dataset_reference(out_dir, spec, count: int, seed: int) -> list[str]:
+    """``synthdata.write_dataset`` from ``generate_scene_reference``: a PGM
+    header and raster in two writes, one text line per box from a join of
+    ``f"{v:.6f}"`` fields, and the manifest through ``csv``."""
+    import csv
+    from pathlib import Path
+
+    out = Path(out_dir)
+    (out / "images").mkdir(parents=True, exist_ok=True)
+    (out / "annotations").mkdir(parents=True, exist_ok=True)
+    names = [f"class{c}" for c in range(spec.num_classes)]
+    rows = []
+    children = np.random.SeedSequence(seed).spawn(count)
+    for i, child in enumerate(children):
+        image_id = f"img_{i:05d}"
+        image, corners, class_id = generate_scene_reference(
+            spec, np.random.default_rng(child))
+        quantized = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+        with open(out / "images" / f"{image_id}.pgm", "wb") as fh:
+            fh.write(f"P5\n{spec.width} {spec.height}\n255\n".encode("ascii"))
+            fh.write(quantized.tobytes())
+        lines = [" ".join(f"{v:.6f}" for v in c.reshape(-1).tolist())
+                 + f" {names[k]} 0" for c, k in zip(corners, class_id.tolist())]
+        (out / "annotations" / f"{image_id}.txt").write_text(
+            "\n".join(lines) + ("\n" if lines else ""))
+        rows.append((image_id, len(lines)))
+    (out / "classes.txt").write_text("\n".join(names) + "\n")
+    with open(out / "manifest.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "num_objects"])
+        writer.writerows(rows)
+    return [image_id for image_id, _n in rows]

@@ -276,8 +276,8 @@ def test_criterion_9_encode_decode_identity():
     worst_pole, total = 0.0, 0
     for seed in range(100):
         rng = np.random.default_rng(900 + seed)
-        _image, quads = generate_scene(spec, rng)
-        boxes = [quad_to_polar(q) for q in quads]
+        _image, corners, class_id = generate_scene(spec, rng)
+        boxes = [quad_to_polar(QuadBox(c, k)) for c, k in zip(corners, class_id.tolist())]
         targets = encode_regression(boxes, cfg)
         result = decode_poles(extract_pole_points(targets.heat[0], 0.3),
                               *target_planes(targets), cfg)

@@ -86,7 +86,9 @@ class TestParseAnnotations:
             AnnotationRecord((10.0, 10.0, 30.0, 12.0, 28.0, 25.0, 8.0, 23.0),
                              "plane", 0),
         ]
-        back = parse_annotations(serialize_annotations(records))
+        back = parse_annotations(serialize_annotations(
+            [r.corners for r in records], [r.class_name for r in records],
+            [r.difficulty for r in records]))
         assert back.warnings == []
         assert back.records == records
 
@@ -201,12 +203,21 @@ class TestRecordConversion:
 
 class TestSerializers:
     def test_six_decimal_places(self):
-        text = serialize_annotations(
-            [AnnotationRecord((1 / 3,) * 8, "car", 0)])
-        assert text.startswith("0.333333 ")
+        text = serialize_annotations(np.full((1, 4, 2), 1 / 3), ["car"], [0])
+        assert text == "0.333333 " * 8 + "car 0\n"
+
+    def test_annotation_lines_match_per_field_formatting(self):
+        rng = np.random.default_rng(4)
+        corners = rng.uniform(-1e3, 1e3, (30, 4, 2))
+        corners[0, 0] = -0.0, 1e-7
+        names = [f"c{k % 3}" for k in range(30)]
+        levels = [k % 2 for k in range(30)]
+        want = "".join(" ".join(f"{v:.6f}" for v in c.reshape(-1).tolist())
+                       + f" {n} {d}\n" for c, n, d in zip(corners, names, levels))
+        assert serialize_annotations(corners, names, levels) == want
 
     def test_empty_inputs(self):
-        assert serialize_annotations([]) == ""
+        assert serialize_annotations(np.empty((0, 4, 2)), [], []) == ""
         assert serialize_detections([]) == ""
 
     def test_trailing_newline(self):

@@ -12,7 +12,7 @@ from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
                                oriented_nms, pairwise_iou, polar_to_quad,
                                quad_to_polar, rotated_iou, signed_area)
 
-from oracles import (clip_iou_matrix, greedy_nms_reference, jittered_scene,
+from oracles import (clip_iou, clip_iou_matrix, greedy_nms_reference, jittered_scene,
                      mc_iou, polars_to_quads_reference, quads_to_polar_reference,
                      random_rectangle, rect_polar_truth, shoelace)
 
@@ -519,6 +519,16 @@ class TestOrientedNMS:
         scores, classes = [0.9, 0.8, 0.7], [0, 0, 0]
         assert oriented_nms(corners, scores, classes, 0.0) == [0, 2]
         assert oriented_nms(corners, scores, classes, 1.0) == [0, 1, 2]
+
+    def test_rotated_squares_sharing_an_edge_do_not_overlap(self):
+        # two 3x3 squares at 0.3 rad, the second shifted by the first's edge
+        # from corner 1 to corner 0, so they share an edge: the clip kernel
+        # gives exactly 0, where the scalar oracle's clip_iou gives 4.9e-17
+        a = rotate_about(3.0 * UNIT_SQUARE, [1.5, 1.5], 0.3)
+        corners = np.stack([a, a + (a[1] - a[0])])
+        assert pairwise_iou(corners[:1], corners[1:])[0, 0] == 0.0
+        assert 0.0 < clip_iou(corners[0], corners[1]) < 1e-16
+        assert oriented_nms(corners, [0.9, 0.8], [0, 0], 0.0) == [0, 1]
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):

@@ -54,8 +54,10 @@ for c, y, x, score in [(0, 2, 2, 0.9), (0, 2, 4, 0.8), (1, 2, 3, 0.7),
 plane = np.ones((8, 8))
 work = tempfile.TemporaryDirectory()
 data, ckpt = f"{work.name}/data", f"{work.name}/net.npz"
-cli.main(["synth", "--out", data, "--count", "2", "--width", "32",
-          "--height", "32"])
+with spans.Tracer().installed() as synths:
+    synths.record("cli.synth", cli.main,
+                  ["synth", "--out", data, "--count", "2", "--width", "32",
+                   "--height", "32"])
 toynet.save_checkpoint(ckpt, net)
 with spans.Tracer().installed() as detects:
     for k in range(2):
@@ -87,6 +89,7 @@ with spans.Tracer().installed() as tracer:
                                     grid).detections
     kept = geometry.oriented_nms(dets.corners, dets.score, dets.class_id, 0.2)
 print(json.dumps({"counts": counts, "spans": sorted({s[0] for s in tracer.spans}),
+                  "synth_spans": [[s[0], s[3]] for s in synths.spans],
                   "scored": {"codes": codes, "file_bytes": nms_bytes,
                              "spans": sorted({s[0] for s in scored.spans}),
                              "counts": dict(scored.counts)},
@@ -109,6 +112,9 @@ def test_kernel_counts_and_tracer_run_on_the_package():
     assert got["counts"]["toynet.conv_flop_per_detect_image.computed"] == 356253696
     assert got["counts"]["toynet.conv_flop_per_train_iter.computed"] == 534380544
     assert got["heat_shape"] == [2, 8, 8]
+    # synth writes its dataset in one write_dataset call, which the tracer
+    # times inside the cli.synth span
+    assert got["synth_spans"] == [["cli.synth", -1], ["synthdata.write_dataset", 0]]
     # one load_checkpoint span inside each of the two detect calls
     assert got["loads_per_detect"] == [1, 1]
     assert got["loss"] > 0.0

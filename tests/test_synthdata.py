@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from polardet.encoding import GridConfig, encode_regression
+from polardet import cli
+from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.errors import PlacementError
 from polardet.formats import parse_annotations
-from polardet.geometry import quad_to_polar, rotated_iou, signed_area
+from polardet.geometry import pairwise_iou, quads_to_polar, signed_area
 from polardet.synthdata import (SceneSpec, class_names, generate_dataset,
                                 generate_scene, read_pgm, write_dataset,
                                 write_pgm)
 
-from oracles import read_pgm_reference
+from oracles import (generate_scene_reference, read_pgm_reference,
+                     write_dataset_reference)
 
 
 class TestSceneSpec:
@@ -28,6 +30,17 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(side_range=(1.0, 5.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("side_range", (float("nan"), 11.0)), ("side_range", (7.0, float("inf"))),
+        ("side_range", (9.0, 8.0)), ("aspect_range", (1.2, float("nan"))),
+        ("aspect_range", (1.8, 1.2)), ("background", float("nan")),
+        ("background", -0.1), ("background", 1.5), ("noise_sigma", float("inf")),
+        ("noise_sigma", -1.0), ("width", 0), ("height", -4), ("max_attempts", 0),
+        ("pole_stride", 0), ("num_classes", 0)])
+    def test_undrawable_spec_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneSpec(**{field: value})
+
     def test_class_intensities_increase_and_stay_in_range(self):
         spec = SceneSpec(num_classes=4)
         vals = [spec.class_intensity(c) for c in range(4)]
@@ -36,91 +49,173 @@ class TestSceneSpec:
         assert min(vals) > spec.background + 0.2
 
 
+class TestSynthConfigChecks:
+    @pytest.mark.parametrize("config, field", [
+        ("side_min=nan\n", "side_range"), ("side_min=inf\n", "side_range"),
+        ("side_min=12\nside_max=9\n", "side_range"),
+        ("aspect_min=2\naspect_max=1.5\n", "aspect_range"),
+        ("background=nan\n", "background"), ("noise_sigma=inf\n", "noise_sigma"),
+        ("noise_sigma=-1\n", "noise_sigma"), ("width=0\n", "width")])
+    def test_malformed_config_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                         config, field):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "ds"
+        code = cli.main(["synth", "--out", str(out), "--count", "2",
+                         "--config", str(cfg)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+        assert not out.exists()
+
+
+def _scene(spec, seed):
+    return generate_scene(spec, np.random.default_rng(seed))
+
+
 class TestGenerateScene:
+    def test_arrays_returned(self):
+        spec = SceneSpec()
+        image, corners, class_id = _scene(spec, 5)
+        assert image.shape == (64, 64) and image.dtype == np.float64
+        assert corners.shape == (len(class_id), 4, 2) and corners.dtype == np.float64
+        assert class_id.dtype == np.intp
+        assert np.all((0 <= class_id) & (class_id < spec.num_classes))
+
     def test_deterministic_given_seed(self):
         spec = SceneSpec()
-        img1, boxes1 = generate_scene(spec, np.random.default_rng(5))
-        img2, boxes2 = generate_scene(spec, np.random.default_rng(5))
-        np.testing.assert_array_equal(img1, img2)
-        assert len(boxes1) == len(boxes2)
-        for a, b in zip(boxes1, boxes2):
-            np.testing.assert_array_equal(a.corners, b.corners)
+        for a, b in zip(_scene(spec, 5), _scene(spec, 5)):
+            assert a.tobytes() == b.tobytes()
 
     def test_object_count_in_range(self):
         spec = SceneSpec(min_objects=2, max_objects=3)
         for seed in range(30):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            assert 2 <= len(boxes) <= 3
+            _, _, class_id = _scene(spec, seed)
+            assert 2 <= len(class_id) <= 3
 
     def test_boxes_inside_frame(self):
         spec = SceneSpec()
         for seed in range(50):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            for box in boxes:
-                assert box.corners.min() >= 0.0
-                assert box.corners[:, 0].max() <= spec.width
-                assert box.corners[:, 1].max() <= spec.height
+            _, corners, _ = _scene(spec, seed)
+            assert corners.min() >= 0.0
+            assert corners[..., 0].max() <= spec.width
+            assert corners[..., 1].max() <= spec.height
 
     def test_corners_counterclockwise(self):
-        _, boxes = generate_scene(SceneSpec(), np.random.default_rng(9))
-        for box in boxes:
-            assert signed_area(box.corners) > 0.0
+        _, corners, _ = _scene(SceneSpec(), 9)
+        for quad in corners:
+            assert signed_area(quad) > 0.0
 
     def test_centers_fall_in_distinct_pole_cells(self):
         spec = SceneSpec(min_objects=3, max_objects=3)
         for seed in range(50):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            cells = {tuple((box.corners.mean(axis=0) // spec.pole_stride).astype(int))
-                     for box in boxes}
-            assert len(cells) == len(boxes)
+            _, corners, _ = _scene(spec, seed)
+            cells = {tuple(c) for c in
+                     (corners.mean(axis=1) // spec.pole_stride).astype(int).tolist()}
+            assert len(cells) == len(corners)
 
     def test_encodes_without_collision(self):
         spec = SceneSpec(min_objects=3, max_objects=3)
         cfg = GridConfig(spec.width, spec.height, spec.pole_stride,
                          spec.num_classes)
         for seed in range(30):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            encode_regression([quad_to_polar(b) for b in boxes], cfg)
+            _, corners, class_id = _scene(spec, seed)
+            encode_boxes(BoxArrays(np.zeros(len(class_id), np.intp), class_id,
+                                   *quads_to_polar(corners)), 1, cfg)
 
     def test_objects_barely_overlap(self):
         spec = SceneSpec(min_objects=3, max_objects=3)
         for seed in range(30):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            for i in range(len(boxes)):
-                for j in range(i + 1, len(boxes)):
-                    assert rotated_iou(boxes[i], boxes[j]) < 0.05
+            _, corners, _ = _scene(spec, seed)
+            iou = pairwise_iou(corners, corners)
+            assert np.all(iou[~np.eye(len(corners), dtype=bool)] < 0.05)
 
     def test_rasterized_intensity_at_center(self):
         spec = SceneSpec(noise_sigma=0.0)
-        img, boxes = generate_scene(spec, np.random.default_rng(4))
-        for box in boxes:
-            cx, cy = box.corners.mean(axis=0)
-            assert img[int(cy), int(cx)] == pytest.approx(
-                spec.class_intensity(box.class_id))
+        img, corners, class_id = _scene(spec, 4)
+        for (cx, cy), c in zip(corners.mean(axis=1), class_id):
+            assert img[int(cy), int(cx)] == pytest.approx(spec.class_intensity(c))
 
     def test_background_far_from_boxes(self):
         spec = SceneSpec(noise_sigma=0.0, min_objects=1, max_objects=1)
-        img, boxes = generate_scene(spec, np.random.default_rng(4))
+        img, _, _ = _scene(spec, 4)
         corner_vals = [img[0, 0], img[0, -1], img[-1, 0], img[-1, -1]]
         assert any(v == pytest.approx(spec.background) for v in corner_vals)
 
     def test_values_clipped_to_unit_range(self):
-        img, _ = generate_scene(SceneSpec(noise_sigma=0.3),
-                                np.random.default_rng(7))
+        img, _, _ = _scene(SceneSpec(noise_sigma=0.3), 7)
         assert img.min() >= 0.0
         assert img.max() <= 1.0
 
     def test_oversized_objects_raise(self):
         spec = SceneSpec(side_range=(40.0, 48.0), aspect_range=(1.0, 1.1))
         with pytest.raises(PlacementError):
-            generate_scene(spec, np.random.default_rng(0))
+            _scene(spec, 0)
 
     def test_crowded_scene_truncates_not_fails(self):
         # 8 objects rarely fit; the scene keeps what it can place
         spec = SceneSpec(min_objects=1, max_objects=8, max_attempts=60)
         for seed in range(10):
-            _, boxes = generate_scene(spec, np.random.default_rng(seed))
-            assert len(boxes) >= 1
+            _, _, class_id = _scene(spec, seed)
+            assert len(class_id) >= 1
+
+
+#: the specs the array generator must reproduce bit for bit: the reference
+#: 64x64 scenes, perfbench's crowded 256x256 scenes of 45 objects,
+#: grad-check's 32x32 scene, a spec whose scenes stop early and one whose
+#: objects never fit
+REFERENCE_SPECS = {
+    "reference": SceneSpec(),
+    "crowded": SceneSpec(width=256, height=256, min_objects=45, max_objects=45),
+    "grad-check": SceneSpec(width=32, height=32, num_classes=2, max_objects=2),
+    "truncating": SceneSpec(min_objects=1, max_objects=8, max_attempts=60),
+    "oversized": SceneSpec(side_range=(40.0, 48.0), aspect_range=(1.0, 1.1)),
+}
+
+
+def _scene_or_error(generate, spec, seed):
+    try:
+        return generate(spec, np.random.default_rng(seed))
+    except PlacementError as exc:
+        return str(exc)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+class TestMatchesScalarReference:
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_same_arrays_or_same_error(self, name):
+        spec = REFERENCE_SPECS[name]
+        for seed in range(20):
+            want = _scene_or_error(generate_scene_reference, spec, seed)
+            got = _scene_or_error(generate_scene, spec, seed)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_same_files(self, tmp_path, name):
+        spec = REFERENCE_SPECS[name]
+        results = []
+        for side, write in (("want", write_dataset_reference), ("got", write_dataset)):
+            try:
+                results.append(write(tmp_path / side, spec, 20, 31))
+            except PlacementError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+    def test_rewriting_over_larger_files_leaves_the_same_bytes(self, tmp_path):
+        write_dataset(tmp_path / "ds", REFERENCE_SPECS["crowded"], 3, 5)
+        write_dataset(tmp_path / "ds", SceneSpec(), 5, 7)
+        write_dataset_reference(tmp_path / "want", SceneSpec(), 5, 7)
+        assert _tree(tmp_path / "ds") == _tree(tmp_path / "want")
 
 
 class TestGenerateDataset:
@@ -130,12 +225,21 @@ class TestGenerateDataset:
         run2 = list(generate_dataset(spec, 5, seed=3))
         assert [r[0] for r in run1] == ["img_00000", "img_00001", "img_00002",
                                         "img_00003", "img_00004"]
-        for (_, img1, _), (_, img2, _) in zip(run1, run2):
-            np.testing.assert_array_equal(img1, img2)
+        for (_, *arrays1), (_, *arrays2) in zip(run1, run2):
+            for a, b in zip(arrays1, arrays2):
+                assert a.tobytes() == b.tobytes()
+
+    def test_yields_each_scene_as_generate_scene_returns_it(self):
+        spec = SceneSpec()
+        children = np.random.SeedSequence(3).spawn(3)
+        for (_, *got), child in zip(generate_dataset(spec, 3, seed=3), children):
+            want = generate_scene(spec, np.random.default_rng(child))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     def test_scenes_differ_across_indices(self):
         spec = SceneSpec()
-        scenes = [img for _, img, _ in generate_dataset(spec, 4, seed=0)]
+        scenes = [img for _, img, _, _ in generate_dataset(spec, 4, seed=0)]
         assert not np.array_equal(scenes[0], scenes[1])
 
     def test_count_validation(self):
@@ -281,13 +385,12 @@ class TestWriteDataset:
     def test_annotations_match_generated_boxes(self, tmp_path):
         spec = SceneSpec()
         write_dataset(tmp_path / "ds", spec, 3, seed=2)
-        regenerated = {iid: boxes
-                       for iid, _, boxes in generate_dataset(spec, 3, seed=2)}
-        for image_id, boxes in regenerated.items():
+        names = class_names(spec)
+        for image_id, _img, corners, class_id in generate_dataset(spec, 3, seed=2):
             parsed = parse_annotations(
                 (tmp_path / "ds" / "annotations" / f"{image_id}.txt").read_text())
-            assert len(parsed.records) == len(boxes)
-            for record, box in zip(parsed.records, boxes):
-                np.testing.assert_allclose(
-                    np.asarray(record.corners).reshape(4, 2), box.corners,
-                    atol=1e-6)
+            assert [r.class_name for r in parsed.records] == \
+                [names[c] for c in class_id]
+            np.testing.assert_allclose(
+                np.array([r.corners for r in parsed.records]).reshape(-1, 4, 2),
+                corners, atol=1e-6)

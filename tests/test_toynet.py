@@ -12,7 +12,7 @@ from polardet import toynet
 from polardet.encoding import BoxArrays, GridConfig, encode_boxes, encode_regression
 from polardet.errors import (DivergenceError, ShapeError, StateError,
                              VersionError)
-from polardet.geometry import Point2, PolarBox
+from polardet.geometry import Point2, PolarBox, quads_to_polar
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
 from polardet.toynet import (Adam, BatchLoss, Conv2d, ReLU, ToyNet,
@@ -80,6 +80,16 @@ def encode_scenes(boxes_per_image, cfg):
     arrays = BoxArrays(rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp),
                        rows[:, 2:4], rows[:, 4], rows[:, 5:])
     return encode_boxes(arrays, len(boxes_per_image), cfg)
+
+
+def encode_generated(scenes, cfg):
+    """One ``Targets`` for generated scenes, each a ((B, 4, 2) corners,
+    (B,) class ids) pair, from one ``encode_boxes`` call."""
+    corners = np.concatenate([c for c, _k in scenes]).reshape(-1, 4, 2)
+    class_id = np.concatenate([k for _c, k in scenes]).astype(np.intp)
+    image = np.repeat(np.arange(len(scenes)), [len(k) for _c, k in scenes])
+    return encode_boxes(BoxArrays(image, class_id, *quads_to_polar(corners)),
+                        len(scenes), cfg)
 
 
 def tiny_batch(seed=0, num_images=2, size=32, num_classes=2, empty=()):
@@ -685,17 +695,17 @@ class TestBatchLoss:
         # reference's per-image dicts stacked for the batch: the same loss and
         # gradients, bit for bit in float64, with repeats and an empty image
         from types import SimpleNamespace
-        from polardet.geometry import quad_to_polar
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
         grid = GridConfig(32, 32, 4, 2)
-        scenes = [boxes for _iid, _img, boxes in generate_dataset(spec, 5, 3)]
-        scenes[3] = []
+        scenes = [(corners, class_id)
+                  for _iid, _img, corners, class_id in generate_dataset(spec, 5, 3)]
+        scenes[3] = (np.empty((0, 4, 2)), np.empty(0, np.intp))
         names = ["class0", "class1"]
-        records = [[SimpleNamespace(corners=b.corners, class_name=names[b.class_id])
-                    for b in boxes] for boxes in scenes]
-        targets = encode_scenes([[quad_to_polar(b) for b in boxes] for boxes in scenes],
-                                grid)
+        records = [[SimpleNamespace(corners=c, class_name=names[k])
+                    for c, k in zip(corners, class_id.tolist())]
+                   for corners, class_id in scenes]
+        targets = encode_generated(scenes, grid)
         reference = encode_records_reference(records, names, grid)
         idx = np.array([4, 3, 0, 4, 1, 2, 0, 3])
         x = image_to_input(np.random.default_rng(2).uniform(0, 1, (len(idx), 32, 32)))
@@ -749,15 +759,13 @@ class TestAdam:
 class TestTrain:
     def _samples(self, n=6, size=32, seed=0):
         """(images, targets) of ``n`` generated scenes."""
-        from polardet.geometry import quad_to_polar
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=size, height=size, num_classes=2,
                          min_objects=1, max_objects=2)
         cfg = GridConfig(size, size, 4, 2)
         scenes = list(generate_dataset(spec, n, seed))
-        return (np.array([img for _iid, img, _boxes in scenes]),
-                encode_scenes([[quad_to_polar(b) for b in boxes]
-                               for _iid, _img, boxes in scenes], cfg))
+        return (np.array([img for _iid, img, _c, _k in scenes]),
+                encode_generated([(c, k) for _iid, _img, c, k in scenes], cfg))
 
     def test_loss_decreases_on_overfit_task(self):
         images, targets = self._samples()
@@ -929,15 +937,13 @@ class TestCheckpoint:
         # float32 net: the parameters are the same bytes, and on held-out
         # scenes the detections agree in count and class, with corners and
         # scores within 1e-3 (float32 rounding moves them by about 1e-5)
-        from polardet.geometry import quad_to_polar
         from polardet.postprocess import decode_poles, extract_pole_points
         from polardet.synthdata import SceneSpec, generate_dataset
         spec = SceneSpec(width=32, height=32, num_classes=2, max_objects=3)
         grid = GridConfig(32, 32, 4, 2)
         scenes = list(generate_dataset(spec, 20, 0))
-        images = np.array([img for _iid, img, _boxes in scenes])
-        targets = encode_scenes([[quad_to_polar(b) for b in boxes]
-                                 for _iid, _img, boxes in scenes], grid)
+        images = np.array([img for _iid, img, _c, _k in scenes])
+        targets = encode_generated([(c, k) for _iid, _img, c, k in scenes], grid)
         net = ToyNet(2, 4, seed=0, dtype=np.float64)
         train(net, images, targets, TrainConfig(iterations=150, batch_size=4,
                                                 learning_rate=0.005))
@@ -952,7 +958,7 @@ class TestCheckpoint:
             return decode_poles(extract_pole_points(heat, 0.3), *reg, grid).detections
 
         total = 0
-        for _iid, img, _boxes in generate_dataset(spec, 10, 99):
+        for _iid, img, _corners, _class_id in generate_dataset(spec, 10, 99):
             ref, got = decode(net, img), decode(loaded, img)
             assert len(got) == len(ref)
             total += len(ref)
