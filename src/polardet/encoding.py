@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CellCollision, DegenerateBox, OutOfBounds
-from .geometry import PolarBox, polars_to_quads
+from .geometry import polars_to_quads
 
 # Gaussian kernels are cut at 3 sigma; the largest discarded value is e^-4.5
 TRUNCATION_SIGMAS = 3.0
@@ -161,10 +161,8 @@ def encode_boxes(boxes: BoxArrays, num_images: int, cfg: GridConfig) -> Targets:
                    boxes.class_id[rows], cells[rows], value[rows])
 
 
-def encode_regression(boxes: list[PolarBox], cfg: GridConfig) -> Targets:
-    """Build the full target set for one image; see ``encode_boxes``."""
-    rows = np.array([(b.class_id, *b.pole, b.rho, b.theta1, b.theta2) for b in boxes],
-                    dtype=np.float64).reshape(-1, 6)
-    arrays = BoxArrays(np.zeros(len(boxes), dtype=np.intp), rows[:, 0].astype(np.intp),
-                       rows[:, 1:3], rows[:, 3], rows[:, 4:])
-    return encode_boxes(arrays, 1, cfg)
+# kept only while perfbench's tracer looks this name up (ROADMAP direction 1)
+def encode_regression(class_id, pole, rho, theta, cfg: GridConfig) -> Targets:
+    """``encode_boxes`` of one image's boxes, given as ``BoxArrays`` fields."""
+    return encode_boxes(BoxArrays(np.zeros(len(rho), dtype=np.intp), np.asarray(class_id),
+                                  np.asarray(pole), np.asarray(rho), np.asarray(theta)), 1, cfg)

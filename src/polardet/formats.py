@@ -28,8 +28,7 @@ import numpy as np
 from .errors import UnknownClass
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
+class AnnotationRecord(NamedTuple):
     corners: tuple[float, ...]  # x1 y1 ... y4, row major
     class_name: str
     difficulty: int = 0

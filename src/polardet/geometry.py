@@ -8,16 +8,14 @@ Coordinate conventions, shared by the whole package:
 * "counterclockwise" corner order means increasing polar angle about the
   centroid, equivalently positive shoelace signed area in this frame.
 
-An oriented rectangle is either four corners (``QuadBox``) or a pole point
-plus one radius and the two smallest corner angles (``PolarBox``); the other
-two corners sit at ``theta + pi``.
+An oriented rectangle is either a (4, 2) corner array or a pole point plus
+one radius and the two smallest corner angles; the other two corners sit at
+``theta + pi``. Both forms travel in arrays of B boxes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,55 +35,8 @@ _CLIP_EPS = 1e-9
 _BOUND_SLACK = 1e-6
 
 
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
-@dataclass(frozen=True, eq=False)
-class QuadBox:
-    """Four-corner oriented box in image pixels.
-
-    Corner order is not trusted anywhere in this module: every angle-based
-    computation re-derives angles from scratch, so annotation corner order
-    is irrelevant. Quads produced by this module are counterclockwise.
-    """
-
-    corners: np.ndarray  # (4, 2) float64
-    class_id: int = 0
-
-    def __post_init__(self):
-        c = np.asarray(self.corners, dtype=np.float64)
-        if c.shape != (4, 2):
-            raise ValueError(f"corners must have shape (4, 2), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("corners must be finite")
-        object.__setattr__(self, "corners", c)
-
-
-@dataclass(frozen=True)
-class PolarBox:
-    """Pole point, one polar radius and the two smallest corner angles."""
-
-    pole: Point2
-    rho: float
-    theta1: float
-    theta2: float
-    class_id: int = 0
-
-
-def normalize_angle(raw: float) -> float:
-    """Map an angle to [0, 2*pi), preserving its value mod 2*pi."""
-    a = math.fmod(raw, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    if a >= TWO_PI:  # fmod of a tiny negative can round up to exactly 2*pi
-        a = 0.0
-    return a
-
-
 def _normalize_angles(raw: np.ndarray) -> np.ndarray:
-    """``normalize_angle`` of each entry, with the same bits."""
+    """Each angle mapped to [0, 2*pi), its value kept mod 2*pi."""
     a = np.fmod(raw, TWO_PI)
     a[a < 0.0] += TWO_PI
     a[a >= TWO_PI] = 0.0
@@ -105,11 +56,6 @@ def _successors(pts: np.ndarray) -> np.ndarray:
 def _shoelace(pts: np.ndarray) -> np.ndarray:
     """Signed shoelace area over the last two axes (..., n, 2)."""
     return 0.5 * np.sum(_cross(pts, _successors(pts)), axis=-1)
-
-
-def signed_area(corners) -> float:
-    """Shoelace signed area; positive for counterclockwise order."""
-    return float(_shoelace(np.asarray(corners, dtype=np.float64)))
 
 
 def quads_to_polar(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,13 +79,6 @@ def quads_to_polar(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return pole, rho, np.sort(angles.reshape(-1, 4), axis=1)[:, :2]
 
 
-def quad_to_polar(quad: QuadBox) -> PolarBox:
-    """Polar representation of one four-corner box; see ``quads_to_polar``."""
-    pole, rho, theta = quads_to_polar(quad.corners[None])
-    return PolarBox(Point2(*pole[0].tolist()), float(rho[0]), *theta[0].tolist(),
-                    quad.class_id)
-
-
 def polars_to_quads(pole, rho, theta) -> np.ndarray:
     """Corners (B, 4, 2) at angles (t1, t2, t1+pi, t2+pi), counterclockwise, of
     B poles (B, 2), radii (B,) and angle pairs (B, 2); ``quads_to_polar``'s
@@ -150,12 +89,6 @@ def polars_to_quads(pole, rho, theta) -> np.ndarray:
                      for f in (math.cos, math.sin)], axis=-1).reshape(-1, 4, 2)
     return (np.asarray(pole, dtype=np.float64).reshape(-1, 1, 2)
             + np.asarray(rho, dtype=np.float64).reshape(-1, 1, 1) * trig)
-
-
-def polar_to_quad(pbox: PolarBox) -> QuadBox:
-    """One-box call of ``polars_to_quads``."""
-    corners = polars_to_quads(pbox.pole, pbox.rho, (pbox.theta1, pbox.theta2))
-    return QuadBox(corners[0], pbox.class_id)
 
 
 def _corner_array(corners) -> np.ndarray:
@@ -259,18 +192,6 @@ def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
     return np.clip(iou, 0.0, 1.0)
 
 
-def _pairwise_overlap(a: np.ndarray, b: np.ndarray):
-    """(D, G) intersection and union areas of the quads ``a`` (D, 4, 2) and
-    ``b`` (G, 4, 2)."""
-    (a, area_a), (b, area_b) = _oriented(a), _oriented(b)
-    width, height = _overlap_sides(a, b)
-    rows, cols = np.nonzero((width >= 0.0) & (height >= 0.0))
-    inter = np.zeros((len(a), len(b)))
-    inter[rows, cols] = _pair_intersections(a[rows], b[cols], area_a[rows],
-                                            area_b[cols])
-    return inter, area_a[:, None] + area_b[None, :] - inter
-
-
 def pairwise_iou(a, b) -> np.ndarray:
     """Rotated IoU of every quad in ``a`` against every quad in ``b``.
 
@@ -279,7 +200,11 @@ def pairwise_iou(a, b) -> np.ndarray:
     a (D, G) float64 matrix in [0, 1]. Pairs whose axis-aligned bounding
     boxes do not overlap are exactly 0; only the others are clipped.
     """
-    return _iou(*_pairwise_overlap(_corner_array(a), _corner_array(b)))
+    a, b = _corner_array(a), _corner_array(b)
+    iou = np.zeros((len(a), len(b)))
+    rows, cols, reached = ious_within_reach(a, b, np.ones(iou.shape, dtype=bool), 0.0)
+    iou[rows, cols] = reached
+    return iou
 
 
 def _ious_within_reach(a: np.ndarray, area_a: np.ndarray, b: np.ndarray,
@@ -311,22 +236,17 @@ def ious_within_reach(a, b, allowed, threshold: float):
     ``a`` and ``b`` are corner arrays as for ``pairwise_iou`` and ``allowed``
     a (D, G) bool mask of the pairs to consider. Returns ``(rows, cols,
     iou)``: the allowed pairs ``a[rows[k]]``, ``b[cols[k]]`` in row-major
-    order whose IoU bound reaches the threshold, and their IoU, with the
-    bits of ``pairwise_iou``'s entries. Only these pairs are clipped; every
-    allowed pair left out has IoU below the threshold.
+    order whose IoU bound reaches the threshold, and their IoU. Only these
+    pairs are clipped; every allowed pair left out has IoU below the threshold.
     """
     (a, area_a), (b, area_b) = _oriented(_corner_array(a)), _oriented(_corner_array(b))
     return _ious_within_reach(a, area_a, b, area_b, allowed, threshold)
 
 
-def intersection_area(a: QuadBox, b: QuadBox) -> float:
-    """Area of the convex intersection of two quads."""
-    return float(_pairwise_overlap(a.corners[None], b.corners[None])[0][0, 0])
-
-
-def rotated_iou(a: QuadBox, b: QuadBox) -> float:
-    """Intersection-over-union of two oriented boxes, in [0, 1]."""
-    return float(pairwise_iou(a.corners[None], b.corners[None])[0, 0])
+# kept only while perfbench's tracer looks this name up (ROADMAP direction 1)
+def rotated_iou(a, b) -> float:
+    """Rotated IoU of two (4, 2) corner arrays; see ``pairwise_iou``."""
+    return float(pairwise_iou(np.asarray(a)[None], np.asarray(b)[None])[0, 0])
 
 
 def check_iou_threshold(iou_threshold: float) -> None:

@@ -12,7 +12,8 @@ network's angle head is range-bounded to (0, pi), so wrap-around cannot occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -35,6 +36,9 @@ class LossConfig:
     smooth_l1_beta: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("alpha_focal", "beta_focal", "lambda_ring", "reg_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

@@ -271,7 +271,8 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:
     Layout: images/<id>.pgm, annotations/<id>.txt, classes.txt and a
     manifest.csv tying ids to object counts. Scenes are generated and
     written one at a time; each annotation file is formatted from the
-    scene's corner and class arrays.
+    scene's corner and class arrays. Image and annotation files of other
+    ids, left by an earlier run into the same folder, are removed.
     """
     from .formats import serialize_annotations
 
@@ -287,6 +288,11 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:
         _write_file(annotations / f"{image_id}.txt",
                     serialize_annotations(corners, labels, [0] * len(labels)).encode())
         rows.append((image_id, len(labels)))
+    written = {image_id for image_id, _num in rows}
+    for folder, suffix in ((images, ".pgm"), (annotations, ".txt")):
+        for path in folder.glob(f"*{suffix}"):
+            if path.stem not in written:
+                path.unlink()
     (out / "classes.txt").write_text("\n".join(names) + "\n")
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -501,6 +501,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # learning_rate 0 is allowed so a no-op run can prove init identity
         if self.learning_rate < 0 or self.batch_size < 1 or self.iterations < 1:
             raise ValueError("learning_rate must be >= 0, batch_size and "

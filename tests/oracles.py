@@ -79,8 +79,9 @@ def mc_intersection_area(corners_a, corners_b, num_samples: int,
     hits = 0
     for start in range(0, num_samples, MC_CHUNK_ROWS):
         samples = rng.uniform(lo, hi, size=(min(MC_CHUNK_ROWS, num_samples - start), 2))
-        hits += int(np.count_nonzero(points_in_convex_quad(samples, corners_a)
-                                     & points_in_convex_quad(samples, corners_b)))
+        # quad b is tested only on the samples that fell inside quad a
+        in_a = samples[points_in_convex_quad(samples, corners_a)]
+        hits += int(np.count_nonzero(points_in_convex_quad(in_a, corners_b)))
     return box_area * float(hits) / num_samples
 
 

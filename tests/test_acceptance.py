@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from polardet import cli
-from polardet.encoding import GridConfig, encode_regression
+from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.evaluation import (average_precision, mean_ap,
                                  precision_recall_curve)
-from polardet.geometry import (Point2, PolarBox, QuadBox, intersection_area,
-                               polar_to_quad, quad_to_polar, rotated_iou)
+from polardet.geometry import pairwise_iou, polars_to_quads, quads_to_polar
 from polardet.gradcheck import check_all_losses
 from polardet.losses import ring_area
 from polardet.postprocess import decode_poles, extract_pole_points
@@ -25,7 +24,7 @@ from polardet.synthdata import SceneSpec, generate_scene
 from polardet.toynet import load_checkpoint
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from oracles import mc_iou, random_rectangle, target_planes  # noqa: E402
+from oracles import mc_iou, random_rectangle, shoelace, target_planes  # noqa: E402
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -37,26 +36,24 @@ def test_criterion_1_representation_round_trip():
     rng = np.random.default_rng(1)
     t_start = time.perf_counter()
 
-    polar_err = 0.0
+    # (x, y, rho, theta1, theta2) rows, drawn one box at a time
+    draws = []
     for _ in range(10_000):
-        pole = Point2(rng.uniform(-50, 50), rng.uniform(-50, 50))
+        pole = (rng.uniform(-50, 50), rng.uniform(-50, 50))
         rho = rng.uniform(0.5, 40.0)
         t1 = rng.uniform(0.0, math.pi - 0.06)
         t2 = t1 + rng.uniform(0.05, math.pi - t1 - 0.01)
-        box = PolarBox(pole, rho, t1, t2, 3)
-        rec = quad_to_polar(polar_to_quad(box))
-        polar_err = max(polar_err,
-                        abs(rec.pole.x - pole.x), abs(rec.pole.y - pole.y),
-                        abs(rec.rho - rho), abs(rec.theta1 - t1),
-                        abs(rec.theta2 - t2))
+        draws.append((*pole, rho, t1, t2))
+    draws = np.array(draws)
+    pole, rho, theta = quads_to_polar(polars_to_quads(draws[:, :2], draws[:, 2],
+                                                      draws[:, 3:]))
+    polar_err = float(np.abs(np.column_stack((pole, rho, theta)) - draws).max())
 
-    rect_err = 0.0
-    for _ in range(10_000):
-        corners = random_rectangle(rng)
-        rec = np.asarray(polar_to_quad(quad_to_polar(QuadBox(corners))).corners)
-        # corner order may start elsewhere; compare as point sets
-        dists = np.linalg.norm(corners[:, None, :] - rec[None, :, :], axis=2)
-        rect_err = max(rect_err, dists.min(axis=1).max(), dists.min(axis=0).max())
+    corners = np.array([random_rectangle(rng) for _ in range(10_000)])
+    rec = polars_to_quads(*quads_to_polar(corners))
+    # corner order may start elsewhere; compare as point sets
+    dists = np.linalg.norm(corners[:, :, None, :] - rec[:, None, :, :], axis=3)
+    rect_err = float(max(dists.min(axis=2).max(), dists.min(axis=1).max()))
 
     elapsed = time.perf_counter() - t_start
     ok = polar_err <= 1e-9 and rect_err <= 1e-6 and elapsed < 5.0
@@ -130,18 +127,19 @@ def test_criterion_5_rotated_iou_vs_monte_carlo():
     for _ in range(1000):
         a = random_rectangle(rng, (0.0, 12.0), (2.0, 9.0))
         b = random_rectangle(rng, (0.0, 12.0), (2.0, 9.0))
-        exact = rotated_iou(QuadBox(a), QuadBox(b))
+        exact = pairwise_iou(a[None], b[None])[0, 0]
         est = mc_iou(a, b, 1_000_000, rng)
         worst = max(worst, abs(exact - est))
 
     # unit-half-width square vs its 45-degree twin: for side 2 the overlap
     # is a regular octagon of area 4 * 2(sqrt(2)-1), giving IoU 1/sqrt(2)
-    axis = QuadBox(np.array([[1.0, 1], [-1, 1], [-1, -1], [1, -1]]))
+    axis = np.array([[1.0, 1], [-1, 1], [-1, -1], [1, -1]])
     s = math.sqrt(2.0)
-    tilted = QuadBox(np.array([[s, 0.0], [0, s], [-s, 0], [0, -s]]))
-    inter = intersection_area(axis, tilted)
+    tilted = np.array([[s, 0.0], [0, s], [-s, 0], [0, -s]])
+    iou_45 = pairwise_iou(axis[None], tilted[None])[0, 0]
+    # IoU = I / (A + B - I), so I = IoU * (A + B) / (1 + IoU)
+    inter = iou_45 * (shoelace(axis) + shoelace(tilted)) / (1.0 + iou_45)
     analytic_inter = 4.0 * 2.0 * (s - 1.0)
-    iou_45 = rotated_iou(axis, tilted)
 
     ok = (worst <= 1e-2
           and abs(inter - analytic_inter) <= 1e-6
@@ -277,25 +275,23 @@ def test_criterion_9_encode_decode_identity():
     for seed in range(100):
         rng = np.random.default_rng(900 + seed)
         _image, corners, class_id = generate_scene(spec, rng)
-        boxes = [quad_to_polar(QuadBox(c, k)) for c, k in zip(corners, class_id.tolist())]
-        targets = encode_regression(boxes, cfg)
+        pole, rho, theta = quads_to_polar(corners)
+        targets = encode_boxes(BoxArrays(np.zeros(len(rho), dtype=np.intp), class_id,
+                                         pole, rho, theta), 1, cfg)
         result = decode_poles(extract_pole_points(targets.heat[0], 0.3),
                               *target_planes(targets), cfg)
         dets = result.detections
         assert result.dropped_invalid == 0
-        assert len(dets) == len(boxes)
-        for box in boxes:
-            snapped = Point2(int(box.pole.x // stride) * stride + stride / 2,
-                             int(box.pole.y // stride) * stride + stride / 2)
-            expected = polar_to_quad(PolarBox(snapped, box.rho, box.theta1,
-                                              box.theta2, box.class_id))
+        assert len(dets) == len(rho)
+        snapped = (pole // stride) * stride + stride / 2
+        expected = polars_to_quads(snapped, rho, theta)
+        for k in range(len(rho)):
             # bitwise corner equality, box by box
-            same = ((dets.class_id == box.class_id)
-                    & np.all(dets.corners == expected.corners, axis=(1, 2)))
+            same = ((dets.class_id == class_id[k])
+                    & np.all(dets.corners == expected[k], axis=(1, 2)))
             assert np.count_nonzero(same) == 1, "decoded params drifted from encoding"
-            worst_pole = max(worst_pole, abs(snapped.x - box.pole.x),
-                             abs(snapped.y - box.pole.y))
-            total += 1
+        worst_pole = max(worst_pole, float(np.abs(snapped - pole).max(initial=0.0)))
+        total += len(rho)
 
     ok = worst_pole <= stride / 2
     _verdict(9, "encode-decode identity", ok,

@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 
 from polardet import cli
-from polardet.encoding import GridConfig, encode_regression
+from polardet.encoding import GridConfig
 from polardet.errors import DivergenceError
 from polardet.formats import (DetectionRecord, GroundTruth, parse_annotations,
                               parse_detections, serialize_detections)
-from polardet.geometry import QuadBox, quad_to_polar
 from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
 
 from oracles import (polars_to_quads_reference, quads_to_polar_reference,
                      read_annotations_reference, read_pgm_reference, target_planes)
-from test_toynet import MALFORMED_CHECKPOINTS
+from test_toynet import MALFORMED_CHECKPOINTS, encode_generated
 
 
 def write_heatmap_csv(path, heatmap: np.ndarray) -> None:
@@ -130,6 +129,24 @@ class TestSynth:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    def test_smaller_rerun_removes_the_earlier_runs_files(self, tmp_path, capsys):
+        data, fresh = tmp_path / "d", tmp_path / "fresh"
+        assert cli.main(["synth", "--out", str(data), "--count", "5", "--seed", "1"]) == 0
+        (data / "images" / "notes.md").write_text("kept\n")
+        assert cli.main(["synth", "--out", str(data), "--count", "2", "--seed", "2"]) == 0
+        assert cli.main(["synth", "--out", str(fresh), "--count", "2", "--seed", "2"]) == 0
+        for name in ("images", "annotations"):
+            files = sorted(p.name for p in (fresh / name).iterdir())
+            assert len(files) == 2
+            kept = ["notes.md"] if name == "images" else []
+            assert sorted(p.name for p in (data / name).iterdir()) == files + kept
+            for f in files:
+                assert (data / name / f).read_bytes() == (fresh / name / f).read_bytes()
+        assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "n.npz"),
+                         "--iters", "1", "--batch", "2", "--base-channels", "2",
+                         "--log-every", "0"]) == 0
+        assert "on 2 images" in capsys.readouterr().out
+
 
 class TestTrain:
     def test_checkpoint_and_history(self, workspace):
@@ -197,6 +214,18 @@ class TestTrain:
                       "--out", str(tmp_path / "n.npz"), flag, value])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [("--lr", "learning_rate"),
+                                             ("--lambda-ring", "lambda_ring")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_is_io_error(self, workspace, tmp_path, capsys, flag,
+                                         field, value):
+        ckpt = tmp_path / "n.npz"
+        code = cli.main(["train", "--data", str(workspace["data"]), "--out", str(ckpt),
+                         "--iters", "1", "--log-every", "0", flag, value])
+        assert code == 3
+        assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_divergence_maps_to_exit_4(self, workspace, monkeypatch, capsys):
         def explode(*a, **k):
@@ -628,9 +657,7 @@ class TestEncodeDump:
         ann = (data / "annotations" / "img_00003.txt").read_text()
         gt = GroundTruth.from_records([parse_annotations(ann).records],
                                       ["class0", "class1"])
-        polars = [quad_to_polar(QuadBox(corners, class_id))
-                  for corners, class_id in zip(gt.corners, gt.class_id.tolist())]
-        targets = encode_regression(polars, cfg)
+        targets = encode_generated([(gt.corners, gt.class_id)], cfg)
         np.testing.assert_allclose(heat, targets.heat[0], rtol=1e-8)
         for got, plane in zip((rho, t1, t2), target_planes(targets)):
             np.testing.assert_allclose(got, plane, rtol=1e-8)

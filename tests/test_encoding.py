@@ -9,22 +9,25 @@ from polardet.encoding import (BoxArrays, GridConfig, TRUNCATION_SIGMAS, Targets
 from polardet.errors import (CellCollision, DegenerateBox, OutOfBounds,
                              PolarDetError, UnknownClass)
 from polardet.formats import parse_annotations
-from polardet.geometry import Point2, PolarBox, quads_to_polar
+from polardet.geometry import quads_to_polar
 from polardet.synthdata import SceneSpec, write_dataset, write_pgm
 
 from oracles import encode_records_reference, render_heatmaps_reference
+from test_toynet import encode_scenes
+
 
 def make_box(x, y, rho=6.0, t1=0.5, t2=2.0, class_id=0):
-    return PolarBox(Point2(x, y), rho, t1, t2, class_id)
+    """One (class_id, x, y, rho, theta1, theta2) box row."""
+    return class_id, x, y, rho, t1, t2
 
 
 def pole_cell(pole, cfg):
-    ((cx, cy),) = encode_regression([make_box(*pole)], cfg).cell.tolist()
+    ((cx, cy),) = encode_scenes([[make_box(*pole)]], cfg).cell.tolist()
     return cx, cy
 
 
 def gaussian_heatmap(boxes, cfg):
-    return encode_regression(boxes, cfg).heat[0]
+    return encode_scenes([boxes], cfg).heat[0]
 
 
 def reference_heatmap(cfg, entries):
@@ -43,11 +46,11 @@ def reference_heatmap(cfg, entries):
 
 
 def rect_polar(cx, cy, w, h, phi=0.0, class_id=0):
-    """PolarBox of a w x h rectangle; mirrors the closed form used elsewhere."""
+    """Box row of a w x h rectangle; mirrors the closed form used elsewhere."""
     rho = math.hypot(w, h) / 2.0
     beta = math.atan2(h, w)
     t1, t2 = sorted(((beta + phi) % math.pi, (math.pi - beta + phi) % math.pi))
-    return PolarBox(Point2(cx, cy), rho, t1, t2, class_id)
+    return make_box(cx, cy, rho, t1, t2, class_id)
 
 
 class TestGridConfig:
@@ -68,22 +71,22 @@ class TestGridConfig:
 class TestPoleCell:
     def test_interior_point(self):
         cfg = GridConfig(64, 64, 4)
-        assert pole_cell(Point2(10.0, 7.9), cfg) == (2, 1)
+        assert pole_cell((10.0, 7.9), cfg) == (2, 1)
 
     def test_cell_boundary_belongs_to_next_cell(self):
         cfg = GridConfig(64, 64, 4)
-        assert pole_cell(Point2(8.0, 4.0), cfg) == (2, 1)
+        assert pole_cell((8.0, 4.0), cfg) == (2, 1)
 
     def test_last_pixel(self):
         cfg = GridConfig(64, 64, 4)
-        assert pole_cell(Point2(63.999, 63.999), cfg) == (15, 15)
+        assert pole_cell((63.999, 63.999), cfg) == (15, 15)
 
     def test_outside_raises(self):
         cfg = GridConfig(64, 64, 4)
         with pytest.raises(OutOfBounds):
-            pole_cell(Point2(64.0, 10.0), cfg)
+            pole_cell((64.0, 10.0), cfg)
         with pytest.raises(OutOfBounds):
-            pole_cell(Point2(10.0, -0.01), cfg)
+            pole_cell((10.0, -0.01), cfg)
 
 
 class TestGaussianHeatmap:
@@ -155,7 +158,7 @@ class TestEncodeRegression:
     def test_values_at_pole_cell(self):
         cfg = GridConfig(64, 64, 4)
         box = make_box(33.0, 21.0, rho=6.0, t1=0.5, t2=2.0)
-        targets = encode_regression([box], cfg)
+        targets = encode_scenes([[box]], cfg)
         assert targets.first.tolist() == [0, 1]
         assert targets.class_id.tolist() == [0]
         assert targets.cell.tolist() == [[8, 5]]
@@ -165,7 +168,7 @@ class TestEncodeRegression:
         cfg = GridConfig(64, 64, 4, num_classes=2)
         a = make_box(10.0, 10.0, rho=4.0, class_id=0)
         b = make_box(40.0, 44.0, rho=8.0, class_id=1)
-        targets = encode_regression([a, b], cfg)
+        targets = encode_scenes([[a, b]], cfg)
         assert targets.class_id.tolist() == [0, 1]
         assert targets.cell.tolist() == [[2, 2], [10, 11]]
         assert targets.value[:, 0].tolist() == [1.0, 2.0]
@@ -173,21 +176,30 @@ class TestEncodeRegression:
     def test_same_cell_collision_names_both_boxes(self):
         cfg = GridConfig(64, 64, 4)
         with pytest.raises(CellCollision, match="0 and 1"):
-            encode_regression([make_box(10.0, 10.0), make_box(11.0, 9.0)], cfg)
+            encode_scenes([[make_box(10.0, 10.0), make_box(11.0, 9.0)]], cfg)
 
     def test_zero_length_side_rejected(self):
         cfg = GridConfig(64, 64, 4)
         with pytest.raises(DegenerateBox, match="zero-length side"):
-            encode_regression([make_box(33.0, 21.0, t1=0.5, t2=0.5)], cfg)
+            encode_scenes([[make_box(33.0, 21.0, t1=0.5, t2=0.5)]], cfg)
 
     def test_empty_image(self):
         cfg = GridConfig(64, 32, 4, num_classes=2)
-        targets = encode_regression([], cfg)
+        targets = encode_scenes([[]], cfg)
         assert targets.heat.shape == (1, 2, 8, 16)
         assert not targets.heat.any()
         assert targets.first.tolist() == [0, 0]
         assert targets.class_id.shape == (0,)
         assert targets.cell.shape == (0, 2) and targets.value.shape == (0, 3)
+
+    def test_one_image_call_is_encode_boxes(self):
+        cfg = GridConfig(64, 64, 4, num_classes=2)
+        boxes = [make_box(10.0, 10.0, rho=4.0), make_box(40.0, 44.0, rho=8.0, class_id=1)]
+        rows = np.array(boxes)
+        got = encode_regression(rows[:, 0].astype(np.intp), rows[:, 1:3], rows[:, 3],
+                                rows[:, 4:], cfg)
+        for have, want in zip(got, encode_scenes([boxes], cfg)):
+            assert np.array_equal(have, want)
 
     def test_heatmap_consistent_with_standalone_render(self):
         cfg = GridConfig(64, 64, 4, num_classes=2)
@@ -338,15 +350,10 @@ class TestHeatmapScatter:
 def three_image_targets():
     """Image 0 has two poles, image 1 none and image 2 one."""
     cfg = GridConfig(64, 64, 4, num_classes=2)
-    boxes = [(0, make_box(10.0, 10.0, rho=4.0)),
-             (0, make_box(40.0, 44.0, rho=8.0, class_id=1)),
-             (2, make_box(21.0, 33.0, rho=5.0, t1=0.7, t2=1.9))]
-    image, box = zip(*boxes)
-    arrays = BoxArrays(np.array(image), np.array([b.class_id for b in box]),
-                       np.array([tuple(b.pole) for b in box]),
-                       np.array([b.rho for b in box]),
-                       np.array([(b.theta1, b.theta2) for b in box]))
-    return encode_boxes(arrays, 3, cfg)
+    return encode_scenes([[make_box(10.0, 10.0, rho=4.0),
+                           make_box(40.0, 44.0, rho=8.0, class_id=1)],
+                          [],
+                          [make_box(21.0, 33.0, rho=5.0, t1=0.7, t2=1.9)]], cfg)
 
 
 class TestTargets:

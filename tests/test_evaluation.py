@@ -7,7 +7,6 @@ from polardet.evaluation import (IGNORED, TRUE_POSITIVE, average_precision,
                                  evaluate, match_detections, mean_ap,
                                  precision_recall_curve, PRPoint)
 from polardet.formats import GroundTruth
-from polardet.geometry import QuadBox
 from polardet.postprocess import Detections
 
 from oracles import (average_precision_reference, greedy_match_reference,
@@ -15,10 +14,10 @@ from oracles import (average_precision_reference, greedy_match_reference,
 
 
 def square(cx, cy, size=4.0, class_id=0):
+    """An axis-aligned square as a ((4, 2) corners, class id) pair."""
     half = size / 2
-    return QuadBox(np.array([[cx - half, cy - half], [cx + half, cy - half],
-                             [cx + half, cy + half], [cx - half, cy + half]]),
-                   class_id=class_id)
+    return np.array([[cx - half, cy - half], [cx + half, cy - half],
+                     [cx + half, cy + half], [cx - half, cy + half]]), class_id
 
 
 def det(cx, cy, score, size=4.0, class_id=0):
@@ -26,18 +25,18 @@ def det(cx, cy, score, size=4.0, class_id=0):
 
 
 def truth(quads, difficult=()):
-    """One image's ``GroundTruth`` from quads; ``difficult`` holds the
-    indices of the difficult ones."""
+    """One image's ``GroundTruth`` from (corners, class id) pairs;
+    ``difficult`` holds the indices of the difficult ones."""
     return GroundTruth(np.zeros(len(quads), dtype=np.intp),
-                       np.array([q.class_id for q in quads], dtype=np.intp),
-                       np.array([q.corners for q in quads]).reshape(-1, 4, 2),
+                       np.array([k for _c, k in quads], dtype=np.intp),
+                       np.array([c for c, _k in quads]).reshape(-1, 4, 2),
                        np.isin(np.arange(len(quads)), difficult))
 
 
 def detections(*items):
-    """One image's ``Detections`` from (quad, score) pairs."""
-    return Detections(np.array([q.corners for q, _ in items]).reshape(-1, 4, 2),
-                      np.array([q.class_id for q, _ in items], dtype=np.intp),
+    """One image's ``Detections`` from ((corners, class id), score) pairs."""
+    return Detections(np.array([c for (c, _k), _s in items]).reshape(-1, 4, 2),
+                      np.array([k for (_c, k), _s in items], dtype=np.intp),
                       np.array([score for _, score in items], dtype=np.float64))
 
 
@@ -126,7 +125,7 @@ class TestMatchDetections:
                                classes[gt_idx][owner], classes)
             scores = np.round(rng.uniform(0.0, 1.0, len(corners)), 1)
             dets = Detections(corners[det_idx], classes[det_idx], scores[det_idx])
-            gts = truth([QuadBox(corners[j], int(classes[j])) for j in gt_idx])
+            gts = truth([(corners[j], classes[j]) for j in gt_idx])
             [flags] = match_detections(dets, gts, [threshold]).tolist()
             assert flags == greedy_match_reference(
                 corners[det_idx], classes[det_idx], scores[det_idx],
@@ -160,7 +159,7 @@ class TestMatchingAtTheThreshold:
         for _ in range(abs(ulps)):
             threshold = np.nextafter(threshold, 2.0 * ulps)
         dets = Detections(det_quad[None], np.zeros(1, np.intp), np.array([0.9]))
-        gts = truth([QuadBox(gt_quad)])
+        gts = truth([(gt_quad, 0)])
         [[outcome]] = match_detections(dets, gts, [threshold])
         assert (outcome == TRUE_POSITIVE) == (ulps <= 0)
         assert [outcome == TRUE_POSITIVE] == greedy_match_reference(
@@ -369,7 +368,7 @@ class TestEvaluate:
             det_idx = np.setdiff1d(np.arange(len(corners)), gt_idx)
             dets[img] = Detections(corners[det_idx], np.zeros(len(det_idx), np.intp),
                                    rng.uniform(0.0, 1.0, len(det_idx)))
-            gts[img] = truth([QuadBox(corners[j], 0) for j in gt_idx])
+            gts[img] = truth([(corners[j], 0) for j in gt_idx])
         gts["d"] = truth([square(10, 10)])  # ground truth only: nothing to match
         thresholds = [0.3, 0.5, 0.75]
         singles = [evaluate(dets, gts, [t])[0] for t in thresholds]

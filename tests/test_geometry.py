@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from polardet import geometry
 from polardet.errors import DegenerateBox
-from polardet.geometry import (AREA_EPS, Point2, PolarBox, QuadBox,
-                               intersection_area, normalize_angle,
-                               oriented_nms, pairwise_iou, polar_to_quad,
-                               quad_to_polar, rotated_iou, signed_area)
+from polardet.geometry import (AREA_EPS, oriented_nms, pairwise_iou,
+                               polars_to_quads, quads_to_polar, rotated_iou)
 
-from oracles import (clip_iou, clip_iou_matrix, greedy_nms_reference, jittered_scene,
-                     mc_iou, polars_to_quads_reference, quads_to_polar_reference,
+from oracles import (_normalize_angle_reference, clip_iou, clip_iou_matrix,
+                     greedy_nms_reference, jittered_scene, mc_iou,
+                     polars_to_quads_reference, quads_to_polar_reference,
                      random_rectangle, rect_polar_truth, shoelace)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -25,27 +24,37 @@ def rotate_about(corners, center, phi):
     return (corners - center) @ rot.T + center
 
 
-class TestNormalizeAngle:
-    def test_identity_in_range(self):
-        assert normalize_angle(1.25) == 1.25
+def iou(a, b) -> float:
+    """Rotated IoU of two (4, 2) quads, from ``pairwise_iou``."""
+    return pairwise_iou(np.asarray(a)[None], np.asarray(b)[None])[0, 0]
 
-    def test_wraps_negative(self):
-        assert normalize_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
 
-    def test_two_pi_maps_to_zero(self):
-        assert normalize_angle(2 * math.pi) == 0.0
+def overlap_area(a, b) -> float:
+    """Intersection area of two quads, IoU * (A + B) / (1 + IoU) from
+    ``pairwise_iou`` and their shoelace areas."""
+    v = iou(a, b)
+    return v * (shoelace(a) + shoelace(b)) / (1.0 + v)
 
-    def test_multiple_turns(self):
-        assert normalize_angle(5 * math.pi) == pytest.approx(math.pi)
+
+def normalize(raw) -> np.ndarray:
+    return geometry._normalize_angles(np.array(raw, dtype=np.float64))
+
+
+class TestNormalizeAngles:
+    def test_hand_values(self):
+        got = normalize([1.25, -math.pi / 2, 2 * math.pi, 5 * math.pi])
+        assert got[0] == 1.25 and got[2] == 0.0
+        assert got[1] == pytest.approx(3 * math.pi / 2)
+        assert got[3] == pytest.approx(math.pi)
 
     def test_tiny_negative_stays_in_range(self):
         # fmod(-1e-20, 2pi) + 2pi rounds to exactly 2pi; must still be < 2pi
-        assert 0.0 <= normalize_angle(-1e-20) < 2 * math.pi
+        assert 0.0 <= normalize([-1e-20])[0] < 2 * math.pi
 
-    @given(st.floats(-1000.0, 1000.0))
+    @given(st.lists(st.floats(-1000.0, 1000.0), max_size=8))
     def test_always_in_range(self, raw):
-        a = normalize_angle(raw)
-        assert 0.0 <= a < 2 * math.pi
+        a = normalize(raw)
+        assert np.all((0.0 <= a) & (a < 2 * math.pi))
 
 
 # angles at the wrap: signed zeros, +-pi, exact turns, and tiny negatives
@@ -61,8 +70,8 @@ class TestArrayFormsKeepTheBits:
     call per corner."""
 
     def test_normalize_angles_at_the_wrap(self):
-        got = geometry._normalize_angles(np.array(WRAP_ANGLES))
-        want = np.array([normalize_angle(a) for a in WRAP_ANGLES])
+        got = normalize(WRAP_ANGLES)
+        want = np.array([_normalize_angle_reference(a) for a in WRAP_ANGLES])
         assert got.tobytes() == want.tobytes()
         assert math.copysign(1.0, got[1]) == -1.0  # -0.0 stays -0.0
 
@@ -101,40 +110,27 @@ class TestArrayFormsKeepTheBits:
 class TestAreas:
     def test_unit_square_signed_area_ccw(self):
         # shoelace by hand: 0.5 * ((0-0) + (1-0) + (1-0) + (0-0)) = 1
-        assert signed_area(UNIT_SQUARE) == pytest.approx(1.0)
+        assert geometry._shoelace(UNIT_SQUARE) == pytest.approx(1.0)
 
     def test_clockwise_square_negative(self):
-        assert signed_area(UNIT_SQUARE[::-1]) == pytest.approx(-1.0)
+        assert geometry._shoelace(UNIT_SQUARE[::-1]) == pytest.approx(-1.0)
 
     def test_triangle_area(self):
         # hand value: base 4, height 3 -> 6
-        tri = [(0, 0), (4, 0), (0, 3)]
-        assert signed_area(tri) == pytest.approx(6.0)
+        tri = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])
+        assert geometry._shoelace(tri) == pytest.approx(6.0)
 
 
-class TestQuadBoxValidation:
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            QuadBox(np.zeros((3, 2)))
-
-    def test_nan_rejected(self):
-        corners = UNIT_SQUARE.copy()
-        corners[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            QuadBox(corners)
-
-
-class TestQuadToPolar:
+class TestQuadsToPolar:
     def test_axis_aligned_rectangle_hand_values(self):
         # rect centered (3, 2), w=4, h=2; offsets (+-2, +-1)
         # rho = sqrt(5); smallest angles atan2(1,2) and pi - atan2(1,2)
-        quad = QuadBox(np.array([[1.0, 1.0], [5.0, 1.0], [5.0, 3.0], [1.0, 3.0]]))
-        pb = quad_to_polar(quad)
-        assert pb.pole.x == pytest.approx(3.0)
-        assert pb.pole.y == pytest.approx(2.0)
-        assert pb.rho == pytest.approx(math.sqrt(5.0))
-        assert pb.theta1 == pytest.approx(math.atan2(1.0, 2.0))
-        assert pb.theta2 == pytest.approx(math.pi - math.atan2(1.0, 2.0))
+        quad = np.array([[1.0, 1.0], [5.0, 1.0], [5.0, 3.0], [1.0, 3.0]])
+        pole, rho, theta = quads_to_polar(quad[None])
+        assert pole[0] == pytest.approx([3.0, 2.0])
+        assert rho[0] == pytest.approx(math.sqrt(5.0))
+        assert theta[0] == pytest.approx([math.atan2(1.0, 2.0),
+                                          math.pi - math.atan2(1.0, 2.0)])
 
     def test_rotated_rectangle_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -146,41 +142,36 @@ class TestQuadToPolar:
                 np.array([[cx + w / 2, cy + h / 2], [cx - w / 2, cy + h / 2],
                           [cx - w / 2, cy - h / 2], [cx + w / 2, cy - h / 2]]),
                 np.array([cx, cy]), phi)
-            pb = quad_to_polar(QuadBox(corners))
-            rho, t1, t2 = rect_polar_truth(cx, cy, w, h, phi)
-            assert pb.rho == pytest.approx(rho, abs=1e-9)
-            assert pb.theta1 == pytest.approx(t1, abs=1e-9)
-            assert pb.theta2 == pytest.approx(t2, abs=1e-9)
+            _pole, rho, theta = quads_to_polar(corners[None])
+            truth = rect_polar_truth(cx, cy, w, h, phi)
+            assert [rho[0], *theta[0]] == pytest.approx(truth, abs=1e-9)
 
     def test_corner_order_irrelevant(self):
         # any perimeter order (rotated start, either winding) gives the same box
         rng = np.random.default_rng(3)
         corners = random_rectangle(rng)
-        reference = quad_to_polar(QuadBox(corners))
-        for perm in ([1, 2, 3, 0], [3, 2, 1, 0], [2, 3, 0, 1], [0, 3, 2, 1]):
-            pb = quad_to_polar(QuadBox(corners[perm]))
-            assert pb.rho == pytest.approx(reference.rho)
-            assert pb.theta1 == pytest.approx(reference.theta1)
-            assert pb.theta2 == pytest.approx(reference.theta2)
+        perms = [[0, 1, 2, 3], [1, 2, 3, 0], [3, 2, 1, 0], [2, 3, 0, 1], [0, 3, 2, 1]]
+        _pole, rho, theta = quads_to_polar(corners[perms])
+        assert rho[1:] == pytest.approx(np.full(4, rho[0]))
+        assert theta[1:] == pytest.approx(np.tile(theta[0], (4, 1)))
 
     def test_degenerate_quad_rejected(self):
         line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(DegenerateBox):
-            quad_to_polar(QuadBox(line))
+            quads_to_polar(line[None])
 
     def test_mean_radius_absorbs_corner_jitter(self):
         # one corner pushed outward: rho becomes the mean of the distances
-        quad = QuadBox(np.array([[1.0, 1.0], [5.0, 1.0], [6.0, 3.5], [1.0, 3.0]]))
-        pb = quad_to_polar(quad)
-        offsets = quad.corners - quad.corners.mean(axis=0)
-        assert pb.rho == pytest.approx(np.hypot(*offsets.T).mean())
+        quad = np.array([[1.0, 1.0], [5.0, 1.0], [6.0, 3.5], [1.0, 3.0]])
+        rho = quads_to_polar(quad[None])[1][0]
+        offsets = quad - quad.mean(axis=0)
+        assert rho == pytest.approx(np.hypot(*offsets.T).mean())
 
 
-class TestPolarToQuad:
+class TestPolarsToQuads:
     def test_corner_placement(self):
-        pb = PolarBox(Point2(10.0, 20.0), 5.0, 0.3, 2.0)
-        quad = polar_to_quad(pb)
-        for corner, t in zip(quad.corners, (0.3, 2.0, 0.3 + math.pi, 2.0 + math.pi)):
+        quad = polars_to_quads([[10.0, 20.0]], [5.0], [[0.3, 2.0]])[0]
+        for corner, t in zip(quad, (0.3, 2.0, 0.3 + math.pi, 2.0 + math.pi)):
             assert corner[0] == pytest.approx(10.0 + 5.0 * math.cos(t))
             assert corner[1] == pytest.approx(20.0 + 5.0 * math.sin(t))
 
@@ -189,74 +180,69 @@ class TestPolarToQuad:
         for _ in range(100):
             t1 = rng.uniform(0.01, math.pi - 0.1)
             t2 = rng.uniform(t1 + 0.05, math.pi)
-            quad = polar_to_quad(PolarBox(Point2(0, 0), rng.uniform(1, 9), t1, t2))
-            assert signed_area(quad.corners) > 0.0
+            quad = polars_to_quads([[0.0, 0.0]], [rng.uniform(1, 9)], [[t1, t2]])[0]
+            assert geometry._shoelace(quad) > 0.0
 
 
 class TestRoundTrips:
     def test_polar_quad_polar_exact(self):
         rng = np.random.default_rng(1234)
+        draws = []
         for _ in range(500):
             t1 = rng.uniform(0.01, math.pi - 0.11)
             t2 = rng.uniform(t1 + 0.05, math.pi - 0.01)
-            pb = PolarBox(Point2(*rng.uniform(10, 50, 2)), rng.uniform(0.5, 20), t1, t2)
-            back = quad_to_polar(polar_to_quad(pb))
-            assert back.pole.x == pytest.approx(pb.pole.x, abs=1e-9)
-            assert back.pole.y == pytest.approx(pb.pole.y, abs=1e-9)
-            assert back.rho == pytest.approx(pb.rho, abs=1e-9)
-            assert back.theta1 == pytest.approx(pb.theta1, abs=1e-9)
-            assert back.theta2 == pytest.approx(pb.theta2, abs=1e-9)
+            draws.append((*rng.uniform(10, 50, 2), rng.uniform(0.5, 20), t1, t2))
+        draws = np.array(draws)
+        pole, rho, theta = quads_to_polar(polars_to_quads(draws[:, :2], draws[:, 2],
+                                                          draws[:, 3:]))
+        np.testing.assert_allclose(np.column_stack((pole, rho, theta)), draws,
+                                   rtol=0, atol=1e-9)
 
     def test_rectangle_quad_polar_quad_recovers_corners(self):
         rng = np.random.default_rng(99)
-        for _ in range(300):
-            corners = random_rectangle(rng)
-            quad2 = polar_to_quad(quad_to_polar(QuadBox(corners)))
-            # same four points, possibly starting elsewhere in the cycle
-            dists = np.linalg.norm(corners[:, None] - quad2.corners[None], axis=2)
-            assert dists.min(axis=1).max() < 1e-6
+        corners = np.array([random_rectangle(rng) for _ in range(300)])
+        back = polars_to_quads(*quads_to_polar(corners))
+        # same four points, possibly starting elsewhere in the cycle
+        dists = np.linalg.norm(corners[:, :, None] - back[:, None], axis=3)
+        assert dists.min(axis=2).max() < 1e-6
 
 
 class TestClipping:
     def test_self_clip_returns_full_area(self):
-        square = QuadBox(UNIT_SQUARE)
-        assert intersection_area(square, square) == pytest.approx(1.0)
+        assert overlap_area(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0)
 
     def test_offset_squares_hand_value(self):
         shifted = UNIT_SQUARE + np.array([0.5, 0.25])
         # overlap is a 0.5 x 0.75 rectangle
-        assert intersection_area(QuadBox(UNIT_SQUARE), QuadBox(shifted)) == \
-            pytest.approx(0.375)
+        assert overlap_area(UNIT_SQUARE, shifted) == pytest.approx(0.375)
 
     def test_disjoint_is_empty(self):
         far = UNIT_SQUARE + 10.0
-        assert intersection_area(QuadBox(UNIT_SQUARE), QuadBox(far)) == 0.0
+        assert overlap_area(UNIT_SQUARE, far) == 0.0
 
     def test_winding_of_inputs_does_not_matter(self):
         shifted = (UNIT_SQUARE + np.array([0.3, 0.3]))[::-1]
-        assert intersection_area(QuadBox(UNIT_SQUARE), QuadBox(shifted.copy())) == \
-            pytest.approx(0.49)
+        assert overlap_area(UNIT_SQUARE, shifted.copy()) == pytest.approx(0.49)
 
 
 class TestRotatedIoU:
     def test_identical_boxes(self):
-        box = QuadBox(random_rectangle(np.random.default_rng(5)))
-        assert rotated_iou(box, box) == pytest.approx(1.0)
+        box = random_rectangle(np.random.default_rng(5))
+        assert iou(box, box) == pytest.approx(1.0)
 
     def test_rotated_square_analytic_value(self):
         # unit square vs itself rotated 45 deg: intersection is a regular
         # octagon of area 2(sqrt(2)-1); union = 2 - that; IoU = 1/sqrt(2)
-        a = QuadBox(UNIT_SQUARE)
-        b = QuadBox(rotate_about(UNIT_SQUARE, np.array([0.5, 0.5]), math.pi / 4))
-        inter = intersection_area(a, b)
+        a = UNIT_SQUARE
+        b = rotate_about(UNIT_SQUARE, np.array([0.5, 0.5]), math.pi / 4)
+        inter = overlap_area(a, b)
         assert inter == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), abs=1e-6)
-        assert rotated_iou(a, b) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+        assert iou(a, b) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
     def test_half_overlap_hand_value(self):
         shifted = UNIT_SQUARE + np.array([0.5, 0.0])
         # inter 0.5, union 1.5
-        assert rotated_iou(QuadBox(UNIT_SQUARE), QuadBox(shifted)) == \
-            pytest.approx(1.0 / 3.0)
+        assert iou(UNIT_SQUARE, shifted) == pytest.approx(1.0 / 3.0)
 
     def test_against_monte_carlo_oracle(self):
         rng = np.random.default_rng(77)
@@ -264,26 +250,23 @@ class TestRotatedIoU:
             a = random_rectangle(rng, center_range=(10, 30))
             b = random_rectangle(rng, center_range=(10, 30))
             expected = mc_iou(a, b, 200_000, rng)
-            got = rotated_iou(QuadBox(a), QuadBox(b))
-            assert got == pytest.approx(expected, abs=2e-2)
+            assert iou(a, b) == pytest.approx(expected, abs=2e-2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            a = QuadBox(random_rectangle(rng, center_range=(10, 25)))
-            b = QuadBox(random_rectangle(rng, center_range=(10, 25)))
-            assert rotated_iou(a, b) == pytest.approx(rotated_iou(b, a), abs=1e-12)
+            a = random_rectangle(rng, center_range=(10, 25))
+            b = random_rectangle(rng, center_range=(10, 25))
+            assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_contained(self, seed):
         rng = np.random.default_rng(seed)
-        a = QuadBox(random_rectangle(rng, center_range=(10, 25)))
-        b = QuadBox(random_rectangle(rng, center_range=(10, 25)))
-        iou = rotated_iou(a, b)
-        assert 0.0 <= iou <= 1.0
-        inter = intersection_area(a, b)
-        assert inter <= min(shoelace(a.corners), shoelace(b.corners)) + 1e-9
+        a = random_rectangle(rng, center_range=(10, 25))
+        b = random_rectangle(rng, center_range=(10, 25))
+        assert 0.0 <= iou(a, b) <= 1.0
+        assert overlap_area(a, b) <= min(shoelace(a), shoelace(b)) + 1e-9
 
 
 def rectangle(cx, cy, w, h, phi, start, reverse):
@@ -370,7 +353,7 @@ class TestPairwiseIoU:
         matrix = pairwise_iou(boxes, boxes)
         for i in range(12):
             for j in range(12):
-                assert rotated_iou(QuadBox(boxes[i]), QuadBox(boxes[j])) == \
+                assert rotated_iou(boxes[i], boxes[j]) == \
                     pytest.approx(matrix[i, j], abs=1e-15)
 
     def test_bad_input_rejected(self):
@@ -567,7 +550,7 @@ class TestOrientedNMS:
 def test_area_eps_guards_degeneracy():
     # a sliver just above the cutoff converts; at the cutoff it raises
     tall = np.array([[0, 0], [1, 0], [1, 2.1 * AREA_EPS], [0, 2.1 * AREA_EPS]])
-    quad_to_polar(QuadBox(tall))
+    quads_to_polar(tall[None])
     flat = np.array([[0, 0], [1, 0], [1, AREA_EPS], [0, AREA_EPS]])
     with pytest.raises(DegenerateBox):
-        quad_to_polar(QuadBox(flat))
+        quads_to_polar(flat[None])

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from polardet.encoding import GridConfig, encode_regression
+from polardet.encoding import GridConfig
 from polardet.errors import ShapeError
-from polardet.geometry import Point2, PolarBox, QuadBox, polar_to_quad, quad_to_polar
+from polardet.geometry import polars_to_quads, quads_to_polar
 from polardet.postprocess import Poles, decode_poles, extract_pole_points
 
 from oracles import (decode_poles_reference, peak_scan_reference, scan_components,
                      target_planes)
+from test_toynet import encode_generated, encode_scenes
 
 
 def pole_rows(poles: Poles) -> list[tuple]:
@@ -31,10 +32,10 @@ def touching_row_heatmap() -> np.ndarray:
     w, h, gap, size = 9.0, 13.5, 2.0, 128
     x0 = (size - (8 * w + 7 * gap)) / 2
     y = (size - h) / 2
-    boxes = [quad_to_polar(QuadBox(np.array([[x, y], [x + w, y], [x + w, y + h],
-                                             [x, y + h]])))
-             for x in x0 + np.arange(8) * (w + gap)]
-    return encode_regression(boxes, GridConfig(size, size, 4, 1)).heat[0]
+    corners = np.array([[[x, y], [x + w, y], [x + w, y + h], [x, y + h]]
+                        for x in x0 + np.arange(8) * (w + gap)])
+    scene = (corners, np.zeros(8, dtype=np.intp))
+    return encode_generated([scene], GridConfig(size, size, 4, 1)).heat[0]
 
 
 class TestExtractPolePoints:
@@ -225,15 +226,15 @@ class TestDecoding:
         result = decode_poles(make_poles([(0, 3, 2, 0.9)]), rho, t1, t2, cfg)
         assert len(result.detections) == 1
         assert result.detections.score.tolist() == [0.9]
-        expected = polar_to_quad(PolarBox(Point2(14.0, 10.0), 6.0, 0.5, 2.0))
-        np.testing.assert_allclose(result.detections.corners[0], expected.corners)
+        expected = polars_to_quads([[14.0, 10.0]], [6.0], [[0.5, 2.0]])
+        np.testing.assert_allclose(result.detections.corners, expected)
 
     def test_radius_rescaled_by_stride(self):
         cfg = GridConfig(128, 128, 8)
         rho, t1, t2 = self._planes(cfg, {(1, 1): (2.0, 0.4, 1.9)})
         result = decode_poles(make_poles([(0, 1, 1, 0.5)]), rho, t1, t2, cfg)
-        back = quad_to_polar(QuadBox(result.detections.corners[0]))
-        assert back.rho == pytest.approx(16.0)
+        _pole, rho, _theta = quads_to_polar(result.detections.corners)
+        assert rho.tolist() == pytest.approx([16.0])
 
     def test_invalid_regression_dropped_and_counted(self):
         cfg = GridConfig(64, 64, 4)
@@ -316,24 +317,20 @@ class TestDecoding:
                     continue
                 cells.add(cell)
                 t1 = rng.uniform(0.2, 1.2)
-                boxes.append(PolarBox(Point2(x, y), rng.uniform(3, 8), t1,
-                                      t1 + rng.uniform(0.5, 1.5),
-                                      int(rng.integers(2))))
-            targets = encode_regression(boxes, cfg)
+                rho = rng.uniform(3, 8)
+                t2 = t1 + rng.uniform(0.5, 1.5)
+                boxes.append((int(rng.integers(2)), x, y, rho, t1, t2))
+            targets = encode_scenes([boxes], cfg)
             result = decode_poles(extract_pole_points(targets.heat[0], 0.3),
                                   *target_planes(targets), cfg)
             dets = result.detections
             assert len(dets) == 3
             assert result.dropped_invalid == 0
-            centers = dets.corners.mean(axis=1)
-            for box in boxes:
-                best = int(np.argmin(np.hypot(centers[:, 0] - box.pole.x,
-                                              centers[:, 1] - box.pole.y)))
-                back = quad_to_polar(QuadBox(dets.corners[best]))
-                assert dets.class_id[best] == box.class_id
+            pole, rho, theta = quads_to_polar(dets.corners)
+            for class_id, x, y, *polar in boxes:
+                best = int(np.argmin(np.hypot(pole[:, 0] - x, pole[:, 1] - y)))
+                assert dets.class_id[best] == class_id
                 # pole recovered to the cell center, radius and angles exactly
-                assert abs(back.pole.x - box.pole.x) <= 2.0
-                assert abs(back.pole.y - box.pole.y) <= 2.0
-                assert back.rho == pytest.approx(box.rho, abs=1e-9)
-                assert back.theta1 == pytest.approx(box.theta1, abs=1e-9)
-                assert back.theta2 == pytest.approx(box.theta2, abs=1e-9)
+                assert abs(pole[best, 0] - x) <= 2.0
+                assert abs(pole[best, 1] - y) <= 2.0
+                assert [rho[best], *theta[best]] == pytest.approx(polar, abs=1e-9)

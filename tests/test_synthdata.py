@@ -5,12 +5,12 @@ from polardet import cli
 from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.errors import PlacementError
 from polardet.formats import parse_annotations
-from polardet.geometry import pairwise_iou, quads_to_polar, signed_area
+from polardet.geometry import pairwise_iou, quads_to_polar
 from polardet.synthdata import (SceneSpec, class_names, generate_dataset,
                                 generate_scene, read_pgm, write_dataset,
                                 write_pgm)
 
-from oracles import (generate_scene_reference, read_pgm_reference,
+from oracles import (generate_scene_reference, read_pgm_reference, signed_shoelace,
                      write_dataset_reference)
 
 
@@ -104,7 +104,7 @@ class TestGenerateScene:
     def test_corners_counterclockwise(self):
         _, corners, _ = _scene(SceneSpec(), 9)
         for quad in corners:
-            assert signed_area(quad) > 0.0
+            assert signed_shoelace(quad) > 0.0
 
     def test_centers_fall_in_distinct_pole_cells(self):
         spec = SceneSpec(min_objects=3, max_objects=3)

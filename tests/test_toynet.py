@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from polardet import toynet
-from polardet.encoding import BoxArrays, GridConfig, encode_boxes, encode_regression
+from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.errors import (DivergenceError, ShapeError, StateError,
                              VersionError)
-from polardet.geometry import Point2, PolarBox, quads_to_polar
+from polardet.geometry import quads_to_polar
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
 from polardet.toynet import (Adam, BatchLoss, Conv2d, ReLU, ToyNet,
@@ -72,10 +72,9 @@ def conv3x3_backward_reference(x, weight, dout, stride):
 
 
 def encode_scenes(boxes_per_image, cfg):
-    """One ``Targets`` for the images' PolarBox lists, from one
-    ``encode_boxes`` call."""
-    rows = [(k, b.class_id, *b.pole, b.rho, b.theta1, b.theta2)
-            for k, boxes in enumerate(boxes_per_image) for b in boxes]
+    """One ``Targets`` for the images' lists of (class_id, x, y, rho,
+    theta1, theta2) boxes, from one ``encode_boxes`` call."""
+    rows = [(k, *b) for k, boxes in enumerate(boxes_per_image) for b in boxes]
     rows = np.array(rows, dtype=np.float64).reshape(-1, 7)
     arrays = BoxArrays(rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp),
                        rows[:, 2:4], rows[:, 4], rows[:, 5:])
@@ -108,9 +107,9 @@ def tiny_batch(seed=0, num_images=2, size=32, num_classes=2, empty=()):
                 continue
             cells.add(cell)
             t1 = rng.uniform(0.3, 1.0)
-            boxes.append(PolarBox(Point2(x, y), rng.uniform(3, 6), t1,
-                                  t1 + rng.uniform(0.6, 1.4),
-                                  int(rng.integers(num_classes))))
+            rho = rng.uniform(3, 6)
+            t2 = t1 + rng.uniform(0.6, 1.4)
+            boxes.append((int(rng.integers(num_classes)), x, y, rho, t1, t2))
         targets.append([] if k in empty else boxes)
     return image_to_input(images), encode_scenes(targets, cfg)
 
@@ -671,7 +670,7 @@ class TestBatchLoss:
 
     def test_batch_without_pole_cells(self):
         x, _targets = tiny_batch()
-        empty = encode_regression([], GridConfig(32, 32, 4, 2)).take([0] * len(x))
+        empty = encode_scenes([[]], GridConfig(32, 32, 4, 2)).take([0] * len(x))
         net = ToyNet(num_classes=2, base_channels=2, seed=3)
         stats = compute_batch_loss(net, x, empty, LossConfig())
         assert stats.reg == 0.0
@@ -815,7 +814,7 @@ class TestTrain:
         assert runs[0] == runs[1]
 
     def test_empty_samples_rejected(self):
-        empty = encode_regression([], GridConfig(32, 32, 4, 1)).take([])
+        empty = encode_scenes([[]], GridConfig(32, 32, 4, 1)).take([])
         with pytest.raises(ValueError):
             train(ToyNet(1, 2), np.zeros((0, 32, 32)), empty, TrainConfig())
 
