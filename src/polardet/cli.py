@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -27,8 +26,8 @@ import numpy as np
 from .encoding import BoxArrays, GridConfig, Targets, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import EvalReport, evaluate
-from .formats import (DetectionRecord, GroundTruth, parse_annotations,
-                      parse_detections, serialize_detections)
+from .formats import (GroundTruth, parse_annotations, parse_detections,
+                      serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
@@ -101,15 +100,15 @@ def _read_ground_truth(data_dir, image_ids: list[str],
     stderr before its class names are checked. The files are UTF-8."""
     folder = Path(data_dir) / "annotations"
 
-    def records():
+    def files():
         for image_id in image_ids:
             path = f"{folder}/{image_id}.txt"
             with open(path, "rb", buffering=0) as fh:
                 parsed = parse_annotations(fh.read().decode("utf-8"))
             for w in parsed.warnings:
                 print(f"{path}: {w}", file=sys.stderr)
-            yield parsed.records
-    return GroundTruth.from_records(records(), class_names)
+            yield parsed
+    return GroundTruth.stack(files(), class_names)
 
 
 def read_heatmap_csv(path) -> np.ndarray:
@@ -235,7 +234,7 @@ def cmd_detect(args) -> int:
     if net.num_classes != len(class_names):
         raise VersionError(f"checkpoint has {net.num_classes} classes, "
                            f"dataset lists {len(class_names)}")
-    records = []
+    ids, scores, corners, names = [], [], [], []
     dropped = 0
     folder = Path(args.data) / "images"
     for image_id in image_ids:
@@ -251,12 +250,13 @@ def cmd_detect(args) -> int:
             kept = np.array(oriented_nms(dets.corners, dets.score, dets.class_id,
                                          args.nms_iou), dtype=np.intp)
             rows = kept[np.lexsort((kept, dets.class_id[kept]))]  # class-major
-        records += map(DetectionRecord, itertools.repeat(image_id),
-                       dets.score[rows].tolist(),
-                       map(tuple, dets.corners[rows].reshape(-1, 8).tolist()),
-                       [class_names[c] for c in dets.class_id[rows].tolist()])
-    Path(args.out).write_text(serialize_detections(records))
-    print(f"wrote {len(records)} detections for {len(image_ids)} images "
+        ids += [image_id] * len(rows)
+        scores.append(dets.score[rows])
+        corners.append(dets.corners[rows])
+        names += [class_names[c] for c in dets.class_id[rows].tolist()]
+    Path(args.out).write_text(serialize_detections(
+        ids, np.concatenate(scores), np.concatenate(corners), names))
+    print(f"wrote {len(ids)} detections for {len(image_ids)} images "
           f"({dropped} invalid poles dropped)")
     return EXIT_OK
 
@@ -268,13 +268,13 @@ def _detections_by_image(text: str, class_names: list[str],
     parsed = parse_detections(text)
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
-    if not parsed.records:
+    if not parsed.image_id:
         return {}
     image_of = {image_id: k for k, image_id in enumerate(image_ids)}
     class_of: dict[str, int] = {}
     for k, name in enumerate(class_names):
         class_of.setdefault(name, k)
-    images, scores, corners, names = zip(*parsed.records)
+    images, names = parsed.image_id, parsed.class_name
     image = np.array([image_of.get(i, -1) for i in images], dtype=np.intp)
     class_id = np.array([class_of.get(n, -1) for n in names], dtype=np.intp)
     for k in np.flatnonzero((image < 0) | (class_id < 0)).tolist():
@@ -285,9 +285,7 @@ def _detections_by_image(text: str, class_names: list[str],
     rows = np.flatnonzero((image >= 0) & (class_id >= 0))
     rows = rows[np.argsort(image[rows], kind="stable")]
     found, first = np.unique(image[rows], return_index=True)
-    corners = np.array(corners, dtype=np.float64)[rows].reshape(-1, 4, 2)
-    scores = np.array(scores, dtype=np.float64)[rows]
-    class_id = class_id[rows]
+    corners, scores, class_id = parsed.corners[rows], parsed.score[rows], class_id[rows]
     bounds = [*first.tolist(), len(rows)]
     return {image_ids[k]: Detections(corners[lo:hi], class_id[lo:hi], scores[lo:hi])
             for k, lo, hi in zip(found.tolist(), bounds, bounds[1:])}

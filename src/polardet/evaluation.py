@@ -29,7 +29,7 @@ from .postprocess import Detections
 #: difficult object and so not ranked
 FALSE_POSITIVE, TRUE_POSITIVE, IGNORED = 0, 1, -1
 
-_NO_OBJECTS = GroundTruth.from_records([], [])
+_NO_OBJECTS = GroundTruth.stack([], [])
 
 
 class PRPoint(NamedTuple):
@@ -40,11 +40,21 @@ class PRPoint(NamedTuple):
 
 @dataclass
 class ClassEval:
+    """One class's AP and its precision-recall curve, one point per ranked
+    detection, as arrays; ``curve`` lists the points."""
+
     class_id: int
     ap: float
     num_gt: int
     num_det: int
-    curve: list[PRPoint] = field(default_factory=list)
+    recall: np.ndarray
+    precision: np.ndarray
+    score: np.ndarray
+
+    @property
+    def curve(self) -> list[PRPoint]:
+        return list(map(PRPoint, self.recall.tolist(), self.precision.tolist(),
+                        self.score.tolist()))
 
 
 @dataclass
@@ -58,6 +68,19 @@ def check_iou_thresholds(iou_thresholds: Sequence[float]) -> None:
     """Raise ValueError unless every threshold lies in (0, 1] (nan fails)."""
     if not all(0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError("iou_threshold must lie in (0, 1]")
+
+
+def _pairs_sharing(key_a: np.ndarray, key_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every pair with ``key_a[row] == key_b[col]``, in
+    row-major order: one sort of ``key_b``, no (len(a), len(b)) matrix."""
+    order = np.argsort(key_b, kind="stable")
+    ranked = key_b[order]
+    lo = np.searchsorted(ranked, key_a, "left")
+    count = np.searchsorted(ranked, key_a, "right") - lo
+    rows = np.repeat(np.arange(len(key_a)), count)
+    # pair j of row r takes the (j - first pair of r)-th key of r's run
+    start = np.repeat(lo - (np.cumsum(count) - count), count)
+    return rows, order[start + np.arange(len(rows))]
 
 
 def match_detections(detections: Detections, ground_truth: GroundTruth,
@@ -76,9 +99,9 @@ def match_detections(detections: Detections, ground_truth: GroundTruth,
     if not len(ground_truth) or not len(iou_thresholds):
         return outcome
     lowest = min(iou_thresholds)
-    same = detections.class_id[:, None] == ground_truth.class_id[None, :]
+    rows, cols = _pairs_sharing(detections.class_id, ground_truth.class_id)
     rows, cols, iou = ious_within_reach(detections.corners, ground_truth.corners,
-                                        same, lowest)
+                                        rows, cols, lowest)
     reach = iou >= lowest
     rows, cols, iou = rows[reach], cols[reach], iou[reach]
     # each detection's candidates in turn, by descending score (ties by
@@ -105,13 +128,9 @@ def match_detections(detections: Detections, ground_truth: GroundTruth,
     return outcome
 
 
-def precision_recall_curve(scores, tp_flags, num_gt: int) -> list[PRPoint]:
-    """Cumulative precision/recall swept over descending score.
-
-    One point per detection prefix, ties in input order; recall
-    denominators use num_gt, which must be positive for recall to mean
-    anything. ``scores`` and ``tp_flags`` are sequences or arrays.
-    """
+def _ranked_curve(scores, tp_flags, num_gt: int):
+    """``precision_recall_curve``'s points as (recall, precision, score)
+    arrays."""
     if num_gt < 1:
         raise UndefinedRecall("no ground-truth objects: recall is undefined")
     scores = np.asarray(scores, dtype=np.float64)
@@ -121,23 +140,38 @@ def precision_recall_curve(scores, tp_flags, num_gt: int) -> list[PRPoint]:
     order = np.argsort(-scores, kind="stable")
     tps = np.cumsum(tp_flags[order])
     ranks = np.arange(1, len(order) + 1)
-    return list(map(PRPoint, (tps / num_gt).tolist(), (tps / ranks).tolist(),
-                    scores[order].tolist()))
+    return tps / num_gt, tps / ranks, scores[order]
+
+
+def precision_recall_curve(scores, tp_flags, num_gt: int) -> list[PRPoint]:
+    """Cumulative precision/recall swept over descending score.
+
+    One point per detection prefix, ties in input order; recall
+    denominators use num_gt, which must be positive for recall to mean
+    anything. ``scores`` and ``tp_flags`` are sequences or arrays.
+    """
+    return list(map(PRPoint, *(a.tolist() for a in _ranked_curve(scores, tp_flags,
+                                                                  num_gt))))
+
+
+def _envelope_area(recall: np.ndarray, precision: np.ndarray) -> float:
+    """Area under the monotone precision envelope of a curve's arrays."""
+    if not len(recall):
+        return 0.0
+    recalls = np.concatenate(([0.0], recall))
+    precisions = np.concatenate(([0.0], precision))
+    # envelope: precision at recall r is the max precision at any recall >= r
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    # cumsum adds left to right, as a running float sum does
+    return float(np.cumsum(np.diff(recalls) * envelope[1:])[-1])
 
 
 def average_precision(curve: list[PRPoint], num_gt: int) -> float:
     """Area under the monotone precision envelope (all-point interpolation)."""
     if num_gt < 1:
         raise UndefinedRecall("no ground-truth objects: AP is undefined")
-    if not curve:
-        return 0.0
-    points = np.array(curve, dtype=np.float64)
-    recalls = np.concatenate(([0.0], points[:, 0]))
-    precisions = np.concatenate(([0.0], points[:, 1]))
-    # envelope: precision at recall r is the max precision at any recall >= r
-    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
-    # cumsum adds left to right, as a running float sum does
-    return float(np.cumsum(np.diff(recalls) * envelope[1:])[-1])
+    points = np.array(curve, dtype=np.float64).reshape(-1, 3)
+    return _envelope_area(points[:, 0], points[:, 1])
 
 
 def mean_ap(per_class_ap: dict[int, float]) -> float:
@@ -157,21 +191,36 @@ def evaluate(detections_by_image: dict[str, Detections],
     are excluded from the mean; detections for such classes still exist but
     have no defined recall. ``num_det`` counts every detection of a class,
     the curve only those that are not ``IGNORED``. Images are pooled in
-    sorted order, so score ties rank by image, then by detection.
+    sorted order, so score ties rank by image, then by detection. Every
+    image is matched in one ``match_detections`` call, whose class ids are
+    then (image, class) groups, so a detection meets only the objects of
+    its own image and class, and the pairs of every image are clipped at
+    once.
     """
     check_iou_thresholds(iou_thresholds)
     num_gt: Counter = Counter()
     for gt in ground_truth_by_image.values():
         num_gt.update(gt.class_id[~gt.difficult].tolist())
-    # every image's detections and outcomes, pooled in sorted image order
-    pooled = [(detections_by_image[img], ground_truth_by_image.get(img, _NO_OBJECTS))
-              for img in sorted(detections_by_image)]
-    class_id = np.concatenate([np.zeros(0, dtype=np.intp),
-                               *(dets.class_id for dets, _ in pooled)])
-    score = np.concatenate([np.zeros(0), *(dets.score for dets, _ in pooled)])
-    outcome = np.concatenate([np.zeros((len(iou_thresholds), 0), dtype=np.int8),
-                              *(match_detections(dets, gt, iou_thresholds)
-                                for dets, gt in pooled)], axis=1)
+    images = sorted(detections_by_image)
+    dets = [detections_by_image[img] for img in images]
+    gts = [ground_truth_by_image.get(img, _NO_OBJECTS) for img in images]
+    class_id = np.concatenate([np.zeros(0, dtype=np.intp), *(d.class_id for d in dets)])
+    gt_class = np.concatenate([np.zeros(0, dtype=np.intp), *(g.class_id for g in gts)])
+    score = np.concatenate([np.zeros(0), *(d.score for d in dets)])
+    # group id (image k, class c) -> k * span + c - lowest, distinct per pair
+    both = np.concatenate([class_id, gt_class])
+    lowest = int(both.min(initial=0))
+    span = int(both.max(initial=0)) - lowest + 1
+    index = np.arange(len(images))
+    det_image = np.repeat(index, [len(d) for d in dets])
+    pooled = Detections(np.concatenate([np.zeros((0, 4, 2)), *(d.corners for d in dets)]),
+                        det_image * span + class_id - lowest, score)
+    gt_image = np.repeat(index, [len(g) for g in gts])
+    truth = GroundTruth(gt_image, gt_image * span + gt_class - lowest,
+                        np.concatenate([np.zeros((0, 4, 2)), *(g.corners for g in gts)]),
+                        np.concatenate([np.zeros(0, dtype=bool),
+                                        *(g.difficult for g in gts)]))
+    outcome = match_detections(pooled, truth, iou_thresholds)
     num_det = Counter(class_id.tolist())
 
     reports = []
@@ -181,11 +230,9 @@ def evaluate(detections_by_image: dict[str, Detections],
         aps: dict[int, float] = {}
         for c in sorted(num_gt):
             mine = ranked & (class_id == c)
-            curve = precision_recall_curve(score[mine], row[mine] == TRUE_POSITIVE,
-                                           num_gt[c])
-            ap = average_precision(curve, num_gt[c])
-            aps[c] = ap
-            report.per_class[c] = ClassEval(c, ap, num_gt[c], num_det[c], curve)
+            points = _ranked_curve(score[mine], row[mine] == TRUE_POSITIVE, num_gt[c])
+            aps[c] = _envelope_area(*points[:2])
+            report.per_class[c] = ClassEval(c, aps[c], num_gt[c], num_det[c], *points)
         report.mean_ap = mean_ap(aps)
         reports.append(report)
     return reports

@@ -10,41 +10,51 @@ confidence up front:
 
     image_id score x1 y1 x2 y2 x3 y3 x4 y4 class_name
 
-Parsers never raise on malformed content; bad lines are dropped and
-reported as human-readable warnings so a corrupt line cannot take down a
-whole evaluation run. A dataset's parsed annotations become one
-``GroundTruth`` array set, where an unknown class name raises.
+Parsers return a file's well-formed lines as columns (``Annotations``,
+``DetectionRows``) and never raise on malformed content; bad lines are
+dropped and reported as human-readable warnings so a corrupt line cannot
+take down a whole evaluation run. Each parser splits a file into tokens
+once and converts all its numbers at once; only a file with a line to drop
+is read again line by line, for the warnings. A dataset's parsed
+annotations become one ``GroundTruth`` array set, where an unknown class
+name raises.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import UnknownClass
 
 
-class AnnotationRecord(NamedTuple):
-    corners: tuple[float, ...]  # x1 y1 ... y4, row major
-    class_name: str
-    difficulty: int = 0
+@dataclass(eq=False)
+class Annotations:
+    """The well-formed lines of an annotation file as columns, in file
+    order, and one warning per dropped line. ``coords`` holds each row's
+    eight coordinates in turn, as the file does, so a dataset's files
+    become one array at once (``GroundTruth.stack``)."""
+
+    coords: list[float]
+    class_name: list[str]
+    difficulty: list[int]
+    warnings: list[str]
 
 
-class DetectionRecord(NamedTuple):
-    image_id: str
-    score: float
-    corners: tuple[float, ...]  # x1 y1 ... y4, row major
-    class_name: str
+@dataclass(eq=False)
+class DetectionRows:
+    """The well-formed lines of a detections file as columns, in file
+    order, and one warning per dropped line."""
 
-
-@dataclass
-class ParseResult:
-    records: list = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    image_id: list[str]
+    score: np.ndarray     # (R,) float64
+    corners: np.ndarray   # (R, 4, 2) float64
+    class_name: list[str]
+    warnings: list[str]
 
 
 def _finite_floats(tokens: list[str]) -> list[float] | None:
@@ -55,46 +65,66 @@ def _finite_floats(tokens: list[str]) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
-def parse_annotations(text: str) -> ParseResult:
+def parse_annotations(text: str) -> Annotations:
     """Parse oriented annotations; see the module docstring for the format."""
-    result = ParseResult()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or ":" in tokens[0]:  # blank, or a metadata header
-            continue
-        if len(tokens) != 10:
-            result.warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
-            continue
-        coords = _finite_floats(tokens[:8])
-        if coords is None:
-            result.warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
-            continue
+    rows = [t for t in map(str.split, text.splitlines()) if t and ":" not in t[0]]
+    coords = None
+    if all(len(t) == 10 for t in rows):
+        coords = _finite_floats(list(chain.from_iterable([t[:8] for t in rows])))
         try:
-            difficulty = int(tokens[9])
+            difficulty = [int(t[9]) for t in rows]
         except ValueError:
-            result.warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
-            continue
-        result.records.append(AnnotationRecord(tuple(coords), tokens[8], difficulty))
-    return result
+            coords = None
+    warnings: list[str] = []
+    if coords is None:
+        rows, coords, difficulty = [], [], []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split()
+            if not tokens or ":" in tokens[0]:  # blank, or a metadata header
+                continue
+            if len(tokens) != 10:
+                warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
+                continue
+            values = _finite_floats(tokens[:8])
+            if values is None:
+                warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
+                continue
+            try:
+                difficulty.append(int(tokens[9]))
+            except ValueError:
+                warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
+                continue
+            rows.append(tokens)
+            coords += values
+    return Annotations(coords, [t[8] for t in rows], difficulty, warnings)
 
 
-def parse_detections(text: str) -> ParseResult:
-    """Parse detection lines into DetectionRecord items plus warnings."""
-    result = ParseResult()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != 11:
-            result.warnings.append(f"line {lineno}: expected 11 fields, got {len(tokens)}")
-            continue
-        values = _finite_floats(tokens[1:10])
-        if values is None:
-            result.warnings.append(f"line {lineno}: non-numeric or non-finite values")
-            continue
-        result.records.append(
-            DetectionRecord(tokens[0], values[0], tuple(values[1:]), tokens[10]))
-    return result
+def parse_detections(text: str) -> DetectionRows:
+    """Parse detection lines into columns plus warnings."""
+    rows = [t for t in map(str.split, text.splitlines()) if t]
+    values = None
+    if all(len(t) == 11 for t in rows):
+        values = _finite_floats(list(chain.from_iterable([t[1:10] for t in rows])))
+    warnings: list[str] = []
+    if values is None:
+        rows, values = [], []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if len(tokens) != 11:
+                warnings.append(f"line {lineno}: expected 11 fields, got {len(tokens)}")
+                continue
+            numbers = _finite_floats(tokens[1:10])
+            if numbers is None:
+                warnings.append(f"line {lineno}: non-numeric or non-finite values")
+                continue
+            rows.append(tokens)
+            values += numbers
+    values = np.array(values, dtype=np.float64).reshape(-1, 9)
+    return DetectionRows([t[0] for t in rows], values[:, 0].copy(),
+                         values[:, 1:].reshape(-1, 4, 2), [t[10] for t in rows],
+                         warnings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,32 +140,32 @@ class GroundTruth:
         return len(self.class_id)
 
     @classmethod
-    def from_records(cls, records_per_image: Iterable[list[AnnotationRecord]],
-                     class_names: list[str]) -> GroundTruth:
-        """Stack the records of each image in turn, image k's rows tagged k.
+    def stack(cls, files: Iterable[Annotations], class_names: list[str]) -> GroundTruth:
+        """Stack the rows of each image's annotations in turn, image k's
+        rows tagged k.
 
-        Each image's class names are checked as its records arrive, so an
-        iterable that reports a file's warnings before yielding its records
+        Each image's class names are checked as its annotations arrive, so
+        an iterable that reports a file's warnings before yielding it
         reports every file up to the first with an unknown class, which
         raises ``UnknownClass``.
         """
         index: dict[str, int] = {}
         for k, name in enumerate(class_names):
             index.setdefault(name, k)
-        counts, class_id, corners, difficult = [], [], [], []
-        for records in records_per_image:
-            ids = [index.get(r.class_name, -1) for r in records]
+        counts, class_id, coords, difficulty = [], [], [], []
+        for ann in files:
+            ids = [index.get(name, -1) for name in ann.class_name]
             if -1 in ids:
-                name = records[ids.index(-1)].class_name
+                name = ann.class_name[ids.index(-1)]
                 raise UnknownClass(f"class {name!r} not in {class_names}")
             counts.append(len(ids))
             class_id += ids
-            corners += [r.corners for r in records]
-            difficult += [r.difficulty != 0 for r in records]
+            coords += ann.coords
+            difficulty += ann.difficulty
         return cls(np.repeat(np.arange(len(counts)), counts),
                    np.array(class_id, dtype=np.intp),
-                   np.array(corners, dtype=np.float64).reshape(-1, 4, 2),
-                   np.array(difficult, dtype=bool))
+                   np.array(coords, dtype=np.float64).reshape(-1, 4, 2),
+                   np.array([d != 0 for d in difficulty], dtype=bool))
 
     def per_image(self, num_images: int) -> list[GroundTruth]:
         """Row views of images 0 to num_images - 1, one set each."""
@@ -163,7 +193,11 @@ def serialize_annotations(corners, class_names, difficulty) -> str:
 _DETECTION_LINE = "%s %.6f" + " %.6f" * 8 + " %s\n"
 
 
-def serialize_detections(records: list[DetectionRecord]) -> str:
-    """One line per record, each made by a single format of its fields."""
-    return "".join([_DETECTION_LINE % (image_id, score, *corners, class_name)
-                    for image_id, score, corners, class_name in records])
+def serialize_detections(image_id, score, corners, class_name) -> str:
+    """One line per box, all made by a single format of the whole file's
+    fields: R boxes' image ids (R,), scores (R,), corners (R, 4, 2) and
+    class names (R,)."""
+    coords = np.asarray(corners, dtype=np.float64).reshape(-1, 8).T.tolist()
+    score = np.asarray(score, dtype=np.float64).tolist()
+    fields = chain.from_iterable(zip(image_id, score, *coords, class_name))
+    return (_DETECTION_LINE * len(score)) % tuple(fields)

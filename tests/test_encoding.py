@@ -12,7 +12,7 @@ from polardet.formats import parse_annotations
 from polardet.geometry import quads_to_polar
 from polardet.synthdata import SceneSpec, write_dataset, write_pgm
 
-from oracles import encode_records_reference, render_heatmaps_reference
+from oracles import annotation_rows, encode_records_reference, render_heatmaps_reference
 from test_toynet import encode_scenes
 
 
@@ -215,8 +215,8 @@ def _encode_both(data, size):
     """The training path's targets for a dataset directory, and the per-box
     reference's; each side is the targets or the error it raised."""
     names, image_ids = cli._load_dataset(data)
-    records = [parse_annotations((data / "annotations" / f"{i}.txt").read_text()).records
-               for i in image_ids]
+    records = [annotation_rows(parse_annotations(
+        (data / "annotations" / f"{i}.txt").read_text())) for i in image_ids]
     try:
         expected = encode_records_reference(records, names,
                                             GridConfig(size, size, 4, len(names)))

@@ -503,15 +503,29 @@ class TestOrientedNMS:
         assert oriented_nms(corners, scores, classes, 0.0) == [0, 2]
         assert oriented_nms(corners, scores, classes, 1.0) == [0, 1, 2]
 
-    def test_rotated_squares_sharing_an_edge_do_not_overlap(self):
-        # two 3x3 squares at 0.3 rad, the second shifted by the first's edge
-        # from corner 1 to corner 0, so they share an edge: the clip kernel
-        # gives exactly 0, where the scalar oracle's clip_iou gives 4.9e-17
+    @pytest.mark.parametrize("edge", range(4))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rotated_squares_sharing_an_edge_do_not_overlap(self, edge, sign):
+        # two 3x3 squares at 0.3 rad, the second shifted by one of the first's
+        # edge vectors, so they share an edge. The clip leaves up to 3.5e-17
+        # of rounding (the scalar oracle's clip_iou up to 4.9e-17, for the
+        # shift from corner 1 to corner 0), far below 1e-9 of a square's
+        # area, so it is contact: IoU exactly 0, and NMS at 0 keeps both
         a = rotate_about(3.0 * UNIT_SQUARE, [1.5, 1.5], 0.3)
-        corners = np.stack([a, a + (a[1] - a[0])])
+        shift = sign * (a[(edge + 1) % 4] - a[edge])
+        corners = np.stack([a, a + shift])
         assert pairwise_iou(corners[:1], corners[1:])[0, 0] == 0.0
-        assert 0.0 < clip_iou(corners[0], corners[1]) < 1e-16
+        oracle = clip_iou(corners[0], corners[1])
+        assert 0.0 <= oracle < 1e-16
+        if (edge, sign) == (0, 1.0):
+            assert oracle > 0.0  # the oracle's own sliver of rounding
         assert oriented_nms(corners, [0.9, 0.8], [0, 0], 0.0) == [0, 1]
+        # shortened by 1e-6 of its length, the shift leaves a sliver of
+        # overlap, 3 x 3e-6 (1e-6 of a square's area), which NMS at 0 drops
+        near = np.stack([a, a + shift * (1.0 - 1e-6)])
+        iou = pairwise_iou(near[:1], near[1:])[0, 0]
+        assert iou == pytest.approx(9e-6 / (18.0 - 9e-6), rel=1e-6)
+        assert oriented_nms(near, [0.9, 0.8], [0, 0], 0.0) == [0]
 
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
     def test_decisions_match_scalar_reference(self, threshold):

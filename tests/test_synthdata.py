@@ -380,7 +380,7 @@ class TestWriteDataset:
             parsed = parse_annotations(
                 (tmp_path / "ds" / "annotations" / f"{image_id}.txt").read_text())
             assert parsed.warnings == []
-            assert all(r.class_name in names for r in parsed.records)
+            assert set(parsed.class_name) <= set(names)
 
     def test_annotations_match_generated_boxes(self, tmp_path):
         spec = SceneSpec()
@@ -389,8 +389,6 @@ class TestWriteDataset:
         for image_id, _img, corners, class_id in generate_dataset(spec, 3, seed=2):
             parsed = parse_annotations(
                 (tmp_path / "ds" / "annotations" / f"{image_id}.txt").read_text())
-            assert [r.class_name for r in parsed.records] == \
-                [names[c] for c in class_id]
+            assert parsed.class_name == [names[c] for c in class_id]
             np.testing.assert_allclose(
-                np.array([r.corners for r in parsed.records]).reshape(-1, 4, 2),
-                corners, atol=1e-6)
+                np.array(parsed.coords).reshape(-1, 4, 2), corners, atol=1e-6)

@@ -1050,6 +1050,42 @@ class TestCheckpoint:
         with pytest.raises(VersionError, match="unreadable checkpoint array param_002"):
             load_checkpoint(path)
 
+    def test_deflated_archive_loads_the_same_weights(self, tmp_path):
+        net = ToyNet(2, 2, seed=5)
+        save_checkpoint(tmp_path / "net.npz", net)
+        with np.load(tmp_path / "net.npz") as data:
+            np.savez_compressed(tmp_path / "z.npz", **{k: data[k] for k in data.files})
+        loaded, _meta = load_checkpoint(tmp_path / "z.npz")
+        for p, q in zip(net.parameters(), loaded.parameters()):
+            assert p.value.tobytes() == q.value.tobytes()
+
+    @pytest.mark.parametrize("method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+    def test_other_compression_is_version_error_naming_the_member(self, tmp_path,
+                                                                  method):
+        path = tmp_path / "c.npz"
+        save_checkpoint(path, ToyNet(2, 2))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        with zipfile.ZipFile(path, "w") as zf:
+            for key, arr in arrays.items():
+                zf.writestr(f"{key}.npy", _npy_bytes(arr),
+                            compress_type=method if key == "param_001" else None)
+        with pytest.raises(VersionError, match="param_001: .* compressed by method"):
+            load_checkpoint(path)
+
+    def test_local_header_of_another_member_is_version_error(self, tmp_path):
+        # the central directory points param_003 at a local header that
+        # names another member
+        path = tmp_path / "n.npz"
+        save_checkpoint(path, ToyNet(2, 2))
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.getinfo("param_003.npy").header_offset
+        raw[offset + 30:offset + 43] = b"param_009.npy"  # after the 30-byte header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VersionError, match="param_003: bad local header"):
+            load_checkpoint(path)
+
     def test_load_draws_no_init(self, tmp_path, monkeypatch):
         # the topology comes from the header and the weights from the file:
         # a random init would be drawn only to be overwritten
