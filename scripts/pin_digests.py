@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print the float64 output and gradient digests pinned in tests/test_toynet.py.
+"""Print the float64 digests pinned in tests/test_toynet.py.
 
     python scripts/pin_digests.py
 
 OpenBLAS picks its float64 GEMM kernel by CPU family, and each family rounds
-differently, so the test accepts one digest per family. For each family this
-runs ``test_toynet.float64_digests`` in a child process whose environment
-alone has OPENBLAS_CORETYPE set to it, and prints the family, the outputs'
-digest and the gradients' digest. A family the CPU cannot run falls back to
-the library's own choice, so run it on a CPU with AVX-512 for all five.
+differently, so the tests accept one digest per family. For each family this
+runs ``test_toynet.float64_digests`` and ``test_toynet.float64_train_digest``
+in a child process whose environment alone has OPENBLAS_CORETYPE set to it,
+and prints the family, the outputs' digest, the gradients' digest and the
+digest of the parameters after three training iterations. A family the CPU
+cannot run falls back to the library's own choice, so run it on a CPU with
+AVX-512 for all five.
 """
 
 import os
@@ -18,7 +20,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")
-CHILD = "import test_toynet; print(*test_toynet.float64_digests())"
+CHILD = ("import test_toynet; print(*test_toynet.float64_digests(), "
+         "test_toynet.float64_train_digest())")
 
 
 def main() -> int:

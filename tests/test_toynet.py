@@ -131,6 +131,19 @@ def float64_digests() -> tuple[str, str]:
             digest([p.grad for p in net.parameters()]))
 
 
+def float64_train_digest() -> str:
+    """SHA-256 of the parameters of a small all-float64 net after three
+    ``train`` iterations (forward, losses, backward and Adam) on a fixed
+    tiny set of rasters."""
+    _x, targets = tiny_batch(seed=6, num_images=3)
+    images = np.random.default_rng(6).integers(0, 256, (3, 32, 32), dtype=np.uint8)
+    net = ToyNet(num_classes=2, base_channels=4, seed=3, dtype=np.float64)
+    train(net, images, targets, TrainConfig(learning_rate=0.01, batch_size=2,
+                                            iterations=3, seed=1))
+    return hashlib.sha256(b"".join(p.value.tobytes()
+                                   for p in net.parameters())).hexdigest()
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_loop_reference(self, stride):
@@ -617,6 +630,18 @@ class TestToyNetForward:
             "26d9f89ca1e1a96f403e2336d768ba7eba589fab04763a165001b95b36c57900",
             "cd6f5ed2e404709de657df806cdd2379e3494f3718365795930a9068bb22958a",
             "0dbb7769c3eaf2b34e2d501252a30928814a96e753278b59f2e41e538d82cee1",
+        }
+
+    def test_float64_train_step_is_pinned(self):
+        # Three whole train iterations, Adam included, one digest per
+        # OpenBLAS float64 GEMM kernel family as above (Nehalem and
+        # Sandybridge agree here); ``python scripts/pin_digests.py`` prints
+        # them in its last column.
+        assert float64_train_digest() in {
+            "4439a6296ecd8a9f01dbe17de8fb6759f72e1d0531a02cd0ec629aa7d7ae08b4",
+            "925d9ecbf66da6faa0da7c750dbf83959bcf7851cd7017ce7ca76c2e9cba7550",
+            "4cd8d79c524cd43846267e65ab118a022dab7dedb1784e0a50161cc78ca245ea",
+            "289ca3698bde66842474bcc0f217065270905103adad41021eb30441bcadcf75",
         }
 
     def test_parameter_count_small_variant(self):
