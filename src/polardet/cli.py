@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
@@ -26,14 +27,15 @@ import numpy as np
 from .encoding import BoxArrays, GridConfig, Targets, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import EvalReport, evaluate
-from .formats import (GroundTruth, parse_annotations, parse_detections,
-                      serialize_detections)
+from .formats import (GroundTruth, parse_annotation_files, parse_annotations,
+                      parse_detections, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
 from .postprocess import (Detections, Poles, check_score_threshold,
                           decode_poles, extract_pole_points)
-from .synthdata import SceneSpec, generate_scene, read_pgm, write_dataset
+from .synthdata import (SceneSpec, generate_scene, pgm_layout, read_bytes, read_pgm,
+                        write_dataset)
 from .toynet import (ToyNet, TrainConfig, image_to_input, load_checkpoint,
                      predict_planes, save_checkpoint, train)
 
@@ -80,31 +82,67 @@ def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
 
 
 def _read_images(data_dir, image_ids: list[str]) -> np.ndarray:
-    """The images' (N, H, W) uint8 rasters; they must share one shape."""
-    images = None
+    """The images' (N, H, W) uint8 rasters; they must share one shape.
+
+    Each file is read once and its raster copied into the stack. A file
+    that holds the first file's header and then exactly a raster of its
+    size, as every file ``synth`` writes, is taken without parsing its
+    header again; any other goes through ``pgm_layout``, which raises for a
+    malformed one.
+    """
     folder = Path(data_dir) / "images"
+    header = None
     for k, image_id in enumerate(image_ids):
-        image = read_pgm(f"{folder}/{image_id}.pgm")
-        if images is None:
-            images = np.empty((len(image_ids), *image.shape), dtype=np.uint8)
-        elif image.shape != images.shape[1:]:
-            raise ShapeError(f"{image_id}: image {image.shape} differs from "
-                             f"{images.shape[1:]}")
-        images[k] = image
-    return images
+        path = f"{folder}/{image_id}.pgm"
+        blob = read_bytes(path)
+        if header is not None and len(blob) == len(header) + area and blob.startswith(header):
+            pos = len(header)
+        else:
+            h, w, pos = pgm_layout(blob, path)
+            if header is None:
+                shape, header, area = (h, w), blob[:pos], h * w
+                rasters = bytearray(len(image_ids) * area)
+            elif (h, w) != shape:
+                raise ShapeError(f"{image_id}: image {(h, w)} differs from {shape}")
+        rasters[k * area:(k + 1) * area] = memoryview(blob)[pos:pos + area]
+    return np.frombuffer(rasters, dtype=np.uint8).reshape(-1, *shape)
+
+
+# annotation files parsed in one pass: enough to share the per-call cost,
+# few enough that their tokens stay small next to the dataset's arrays
+_ANNOTATION_BATCH = 100
 
 
 def _read_ground_truth(data_dir, image_ids: list[str],
                        class_names: list[str]) -> GroundTruth:
     """The images' annotations as one array set; each file's warnings go to
-    stderr before its class names are checked. The files are UTF-8."""
+    stderr before its class names are checked. The files are UTF-8.
+
+    While every line of every file is a well-formed row (there is nothing
+    to warn about), the files are parsed ``_ANNOTATION_BATCH`` at a time
+    (``parse_annotation_files``); from the first batch with any other line,
+    or with a file that cannot be read, file by file.
+    """
     folder = Path(data_dir) / "annotations"
+    paths = [f"{folder}/{image_id}.txt" for image_id in image_ids]
+    batches, counts = [], []
+    for lo in range(0, len(paths), _ANNOTATION_BATCH):
+        try:
+            parsed = parse_annotation_files([read_bytes(p).decode("utf-8")
+                                             for p in paths[lo:lo + _ANNOTATION_BATCH]])
+        except (OSError, UnicodeDecodeError):  # raised again, in file order, below
+            parsed = None
+        if parsed is None:
+            break
+        batches.append(parsed[0])
+        counts += parsed[1]
+    else:
+        gt = GroundTruth.stack(batches, class_names)
+        return dataclasses.replace(gt, image=np.repeat(np.arange(len(counts)), counts))
 
     def files():
-        for image_id in image_ids:
-            path = f"{folder}/{image_id}.txt"
-            with open(path, "rb", buffering=0) as fh:
-                parsed = parse_annotations(fh.read().decode("utf-8"))
+        for path in paths:
+            parsed = parse_annotations(read_bytes(path).decode("utf-8"))
             for w in parsed.warnings:
                 print(f"{path}: {w}", file=sys.stderr)
             yield parsed

@@ -117,13 +117,8 @@ def _render_heatmaps(boxes: BoxArrays, cells: np.ndarray, num_images: int,
         first_row = (boxes.image[sel] * cfg.num_classes + boxes.class_id[sel]) * cfg.grid_h
         flat = ((first_row[:, None, None] + gy) * cfg.grid_w + gx)[keep]
         value = np.exp(-r2 / (2.0 * s * s))[keep]
-        # max-merge by cell: sorted by cell index, each run's maximum goes
-        # into its cell with one np.maximum (max is exact in any order)
-        order = np.argsort(flat)
-        flat, value = flat[order], value[order]
-        start = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-        flat = flat[start]
-        flat_heat[flat] = np.maximum(flat_heat[flat], np.maximum.reduceat(value, start))
+        # max-merge by cell (max is exact in any order)
+        np.maximum.at(flat_heat, flat, value)
     return heat
 
 

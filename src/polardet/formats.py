@@ -65,18 +65,28 @@ def _finite_floats(tokens: list[str]) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
+def _annotation_columns(rows: list[list[str]]) -> tuple[list[float], list[int]] | None:
+    """(coords, difficulty) of annotation rows split into tokens, or None
+    if a row would be dropped: not 10 tokens, a coordinate that is not a
+    finite float, or a difficulty that is not an integer."""
+    if not all(len(t) == 10 for t in rows):
+        return None
+    coords = _finite_floats(list(chain.from_iterable([t[:8] for t in rows])))
+    try:
+        difficulty = [int(t[9]) for t in rows]
+    except ValueError:
+        return None
+    return None if coords is None else (coords, difficulty)
+
+
 def parse_annotations(text: str) -> Annotations:
     """Parse oriented annotations; see the module docstring for the format."""
     rows = [t for t in map(str.split, text.splitlines()) if t and ":" not in t[0]]
-    coords = None
-    if all(len(t) == 10 for t in rows):
-        coords = _finite_floats(list(chain.from_iterable([t[:8] for t in rows])))
-        try:
-            difficulty = [int(t[9]) for t in rows]
-        except ValueError:
-            coords = None
+    columns = _annotation_columns(rows)
     warnings: list[str] = []
-    if coords is None:
+    if columns is not None:
+        coords, difficulty = columns
+    else:
         rows, coords, difficulty = [], [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             tokens = raw.split()
@@ -97,6 +107,21 @@ def parse_annotations(text: str) -> Annotations:
             rows.append(tokens)
             coords += values
     return Annotations(coords, [t[8] for t in rows], difficulty, warnings)
+
+
+def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | None:
+    """The rows of all ``texts`` as one ``Annotations``, file after file,
+    and each file's row count, when every line of every file is a
+    well-formed row: then each file's ``parse_annotations`` gives its rows
+    with no warning. None when a file has a blank, metadata or malformed
+    line, which only the per-file parser reports."""
+    lines = [text.splitlines() for text in texts]
+    rows = list(map(str.split, chain.from_iterable(lines)))
+    columns = _annotation_columns(rows)
+    if columns is None or any(":" in t[0] for t in rows):
+        return None
+    coords, difficulty = columns
+    return Annotations(coords, [t[8] for t in rows], difficulty, []), list(map(len, lines))
 
 
 def parse_detections(text: str) -> DetectionRows:

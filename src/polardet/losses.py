@@ -79,22 +79,22 @@ def pole_focal_loss(pred: np.ndarray, target: np.ndarray, cfg: LossConfig,
 
     a, b = cfg.alpha_focal, cfg.beta_focal
     p = np.clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    pos = target == 1.0
 
-    log_p = np.log(p)
+    # every cell as a negative, then the few positives overwritten with
+    # their own term and gradient, taken at those cells only
     log_1p = np.log1p(-p)
-    pos_term = (1.0 - p) ** a * log_p
+    p_a = p ** a
     damp = (1.0 - target) ** b
-    neg_term = damp * p ** a * log_1p
+    terms = damp * p_a * log_1p
+    grad = -damp * (a * p ** (a - 1.0) * log_1p - p_a / (1.0 - p))
+    pos = target == 1.0
+    pp = p[pos]
+    log_p = np.log(pp)
+    terms[pos] = (1.0 - pp) ** a * log_p
+    grad[pos] = -(-a * (1.0 - pp) ** (a - 1.0) * log_p + (1.0 - pp) ** a / pp)
     per_image = tuple(range(counts.ndim, pred.ndim))
-    value = -np.where(pos, pos_term, neg_term).sum(axis=per_image) / counts
-
-    per_cell = counts.reshape(counts.shape + (1,) * len(per_image))
-    grad = np.where(
-        pos,
-        -(-a * (1.0 - p) ** (a - 1.0) * log_p + (1.0 - p) ** a / p),
-        -damp * (a * p ** (a - 1.0) * log_1p - p ** a / (1.0 - p)),
-    ) / per_cell
+    value = -terms.sum(axis=per_image) / counts
+    grad /= counts.reshape(counts.shape + (1,) * len(per_image))
     return LossValue(value if counts.ndim else float(value), {"pred": grad})
 
 
@@ -149,24 +149,26 @@ def total_regression_loss(pred: tuple[ArrayLike, ArrayLike, ArrayLike],
     """Ring-area terms for both angles plus Smooth-L1 on all three values.
 
     ``pred`` and ``target`` are (rho, theta1, theta2) triples of scalars or
-    of equal-shape arrays, one entry per pole cell; the value and the
-    gradients for all three predictions are elementwise.
+    of equal-shape arrays, one entry per pole cell (or (3, ...) arrays of
+    the three rows); the value and the gradients for all three predictions
+    are elementwise. The three Smooth-L1 terms run as one stacked array and
+    the two ring terms as another, each entry with the expression of its
+    own call, and the terms are summed in the order ring, rho, theta1,
+    theta2.
     """
-    rho, t1, t2 = pred
-    rho_s, t1_s, t2_s = target
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     lam, beta = cfg.lambda_ring, cfg.smooth_l1_beta
 
-    ring1 = polar_ring_loss(rho, rho_s, t1, t1_s, beta)
-    ring2 = polar_ring_loss(rho, rho_s, t2, t2_s, beta)
-    sl_rho = smooth_l1(rho, rho_s, beta)
-    sl_t1 = smooth_l1(t1, t1_s, beta)
-    sl_t2 = smooth_l1(t2, t2_s, beta)
+    ring = polar_ring_loss(pred[0], target[0], pred[1:], target[1:], beta)
+    sl = smooth_l1(pred, target, beta)
+    ring_rho, ring_theta, sl_grad = ring.gradients["rho"], ring.gradients["theta"], sl.gradients["u"]
 
-    value = lam * (ring1.value + ring2.value) + sl_rho.value + sl_t1.value + sl_t2.value
+    value = lam * (ring.value[0] + ring.value[1]) + sl.value[0] + sl.value[1] + sl.value[2]
     grads = {
-        "rho": lam * (ring1.gradients["rho"] + ring2.gradients["rho"]) + sl_rho.gradients["u"],
-        "theta1": lam * ring1.gradients["theta"] + sl_t1.gradients["u"],
-        "theta2": lam * ring2.gradients["theta"] + sl_t2.gradients["u"],
+        "rho": lam * (ring_rho[0] + ring_rho[1]) + sl_grad[0],
+        "theta1": lam * ring_theta[0] + sl_grad[1],
+        "theta2": lam * ring_theta[1] + sl_grad[2],
     }
     return LossValue(value, grads)
 

@@ -233,15 +233,32 @@ def write_pgm(path, image: np.ndarray) -> None:
 _PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM into its stored (H, W) uint8 raster (a
-    read-only view of the file's bytes); ``k / 255`` is the [0, 1] image.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
-    The raster starts one byte after maxval. A malformed file raises
-    ``ValueError`` naming the path and the problem.
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``, through one ``os.open`` and
+    ``os.read`` (a file over 64 KiB takes more reads): on the 4 KiB files of
+    a dataset, half the cost of ``open(path, "rb").read()``."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = [os.read(fd, 1 << 16)]
+        while len(chunks[-1]) == 1 << 16:
+            chunks.append(os.read(fd, 1 << 16))
+    except OSError as exc:  # name the file, as open() does (a directory)
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def pgm_layout(blob: bytes, path) -> tuple[int, int, int]:
+    """(height, width, offset) of the raster of the binary 8-bit PGM file
+    ``blob``: the raster starts one byte after maxval, at ``offset``.
+
+    A malformed file raises ``ValueError`` naming ``path`` and the problem,
+    a raster shorter than height * width bytes included.
     """
-    with open(path, "rb", buffering=0) as fh:
-        blob = fh.read()
     header = _PGM_HEADER.match(blob)
     magic, *fields = header.groups()
     if magic != b"P5":
@@ -261,8 +278,19 @@ def read_pgm(path) -> np.ndarray:
     if len(blob) - pos < w * h:
         raise ValueError(f"{path}: raster has {max(len(blob) - pos, 0)} of "
                          f"{w * h} bytes")
-    raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
-    return raster.reshape(h, w)
+    return h, w, pos
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary 8-bit PGM into its stored (H, W) uint8 raster (a
+    read-only view of the file's bytes); ``k / 255`` is the [0, 1] image.
+
+    A malformed file raises ``ValueError`` naming the path and the problem
+    (``pgm_layout``).
+    """
+    blob = read_bytes(path)
+    h, w, pos = pgm_layout(blob, path)
+    return np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
 
 
 def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:

@@ -27,6 +27,15 @@ keep their forward columns for the weight gradient, and ``down``'s input
 gradient adds its column gradients back tap by tap (``_col2im``): the same
 fewer-rows rule, applied to the backward.
 
+The parameters live in one flat float64 vector and their gradients in
+another (``ToyNet.flat``); every layer's weight and bias, and each head's
+rows that ``parameters()`` and the checkpoint list, are views of them. So
+``zero_grads`` is one fill, and an Adam step is one chain of vector ops
+into two scratch vectors allocated with the optimizer. Each ReLU keeps its
+output, and its backward forms the ``x > 0`` mask as ``out > 0`` (the same
+mask, signed zeros, subnormals and NaN included), so the forward reads its
+input once.
+
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
 net's ``dtype``, float32 by default, while the parameters, their gradients,
@@ -37,9 +46,11 @@ which reproduces the all-float64 arithmetic exactly.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
+import os
 import re
 import struct
 import zipfile
@@ -77,8 +88,10 @@ def _out_len(size: int, stride: int) -> int:
     return (size - 1) // stride + 1
 
 
-def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, list]:
-    """(oh, ow, pitch, rows, phases): the phase planes of a padded (h, w) map.
+@functools.lru_cache(maxsize=64)
+def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, tuple]:
+    """(oh, ow, pitch, rows, phases): the phase planes of a padded (h, w) map,
+    computed once per (h, w, stride).
 
     The map, zero-padded by one, is split into stride x stride phase planes
     of ``rows`` rows of ``pitch`` columns: padded pixel (s*r + a, s*q + b)
@@ -107,34 +120,34 @@ def _pitched_layout(h: int, w: int, stride: int) -> tuple[int, int, int, int, li
         for b in range(s):
             xs, cs = axis(w, b)
             phases.append(((..., ys, xs), (a, b, ..., rs, cs)))
-    return oh, ow, ow + 2 // s, oh + 2 // s + 1, phases
+    return oh, ow, ow + 2 // s, oh + 2 // s + 1, tuple(phases)
 
 
-def _padded_planes(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple]:
-    """(N, C, H, W) -> its (s, s, C, N, rows*pitch) phase planes, laid out
-    by ``_pitched_layout``, and (oh, ow, pitch)."""
-    n, c, h, w = x.shape
+def _padded_planes(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple]:
+    """Channel-major (C, N, H, W) -> its (s, s, C, N, rows*pitch) phase
+    planes, laid out by ``_pitched_layout``, and (oh, ow, pitch)."""
+    c, n, h, w = xt.shape
     s = stride
     oh, ow, pitch, rows, phases = _pitched_layout(h, w, s)
-    planes = np.zeros((s, s, c, n, rows, pitch), dtype=x.dtype)
-    xt = x.transpose(1, 0, 2, 3)
+    planes = np.zeros((s, s, c, n, rows, pitch), dtype=xt.dtype)
     for pixels, cells in phases:
         planes[cells] = xt[pixels]
     return planes.reshape(s, s, c, n, rows * pitch), (oh, ow, pitch)
 
 
-def _pitched_cols(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """(N, C, H, W) -> (C*9, N*oh*pitch) columns and (oh, ow, pitch).
+def _pitched_cols(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Channel-major (C, N, H, W) -> (C*9, N*oh*pitch) columns and
+    (oh, ow, pitch).
 
     Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
     the row pitch; the ``ox < ow`` columns are the conv's columns, the
     others are junk whose products the caller drops.
     """
-    n, c = x.shape[:2]
+    c, n = xt.shape[:2]
     s = stride
-    planes, (oh, ow, pitch) = _padded_planes(x, s)
+    planes, (oh, ow, pitch) = _padded_planes(xt, s)
     span = oh * pitch
-    cols = np.empty((c, 3, 3, n, span), dtype=x.dtype)
+    cols = np.empty((c, 3, 3, n, span), dtype=xt.dtype)
     for ki in range(3):
         for kj in range(3):
             off = ki // s * pitch + kj // s
@@ -229,8 +242,9 @@ class Conv2d:
         n, c = x.shape[:2]
         o = self.out_ch
         bias = self.bias.value.astype(self.dtype, copy=False)
+        xt = x.transpose(1, 0, 2, 3)
         if self.stride == 1 and o < c:
-            planes, (oh, ow, pitch) = _padded_planes(x, 1)
+            planes, (oh, ow, pitch) = _padded_planes(xt, 1)
             wtaps = self.weight.value.transpose(0, 2, 3, 1).reshape(o * 9, c)
             taps = wtaps.astype(self.dtype) @ planes.reshape(c, -1)
             taps = taps.reshape(o, 9, n, -1)
@@ -241,7 +255,7 @@ class Conv2d:
                 y += taps[:, k, :, off:off + span]
             cols = None
         else:
-            cols, (oh, ow, pitch) = _pitched_cols(x, self.stride)
+            cols, (oh, ow, pitch) = _pitched_cols(xt, self.stride)
             y = self._wmat() @ cols
             y += bias[:, None]
         y = y.reshape(o, n, oh, pitch)
@@ -270,7 +284,7 @@ class Conv2d:
         if cols is None:
             # tap row (o, ki, kj), column (n, y, x) holds dout[n, o, y+ki-1,
             # x+kj-1], which meets weight tap (2-ki, 2-kj)
-            taps, (_, _, pitch) = _pitched_cols(dout, 1)
+            taps, (_, _, pitch) = _pitched_cols(dmat, 1)
             xpitch = _on_pitch(x.transpose(1, 0, 2, 3), pitch)
             dflip = (taps @ xpitch.T).reshape(o, 3, 3, c)
             self.weight.grad += dflip[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -287,17 +301,25 @@ class Conv2d:
 
 
 class ReLU:
+    """max(x, 0), keeping its output: ``out > 0`` is the ``x > 0`` mask,
+    signed zeros, subnormals and NaN included, without a second pass over
+    the forward's input."""
+
     def __init__(self):
-        self._cache = None  # the x > 0 mask
+        self._out = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0.0
-        return np.maximum(x, 0.0)  # NaN stays NaN, so divergence shows
+        self._out = np.maximum(x, 0.0)  # NaN stays NaN, so divergence shows
+        return self._out
+
+    def mask(self) -> np.ndarray:
+        """The latest forward's ``x > 0``."""
+        if self._out is None:
+            raise StateError("relu mask before forward")
+        return self._out > 0.0
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StateError("relu backward before forward")
-        return dout * self._cache
+        return dout * self.mask()
 
 
 class ResidualBlock:
@@ -383,6 +405,17 @@ class ToyNet:
         # parameters() and the checkpoint keep each head's rows as views
         self.head = Conv2d("head", c2, num_classes + 3, 1, rng, dtype=dtype)
         self.head.bias.value[:num_classes] = HEAT_BIAS_INIT
+        # every layer's weight and bias become views of one flat vector, and
+        # their gradients of one flat gradient vector, in layer order
+        layer_params = [p for conv in self._convs() for p in (conv.weight, conv.bias)]
+        self.flat = Param("flat", np.concatenate([p.value.reshape(-1)
+                                                  for p in layer_params]))
+        start = 0
+        for p in layer_params:
+            stop = start + p.value.size
+            p.value = self.flat.value[start:stop].reshape(p.value.shape)
+            p.grad = self.flat.grad[start:stop].reshape(p.value.shape)
+            start = stop
         heads = (("head_heat", slice(0, num_classes)),
                  ("head_rho", slice(num_classes, num_classes + 1)),
                  ("head_angle", slice(num_classes + 1, None)))
@@ -409,19 +442,16 @@ class ToyNet:
         return sum(p.value.size for p in self.parameters())
 
     def relu_signs(self) -> np.ndarray:
-        """Concatenated activation sign pattern from the latest forward.
+        """Concatenated activation sign pattern (``x > 0``) from the latest
+        forward.
 
         Finite-difference checks use this to detect when a perturbation
         flips a unit across zero, which invalidates the central difference.
         """
-        relus = self._relus()
-        if any(r._cache is None for r in relus):
-            raise StateError("relu_signs before forward")
-        return np.concatenate([r._cache.reshape(-1) for r in relus])
+        return np.concatenate([r.mask().reshape(-1) for r in self._relus()])
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.grad.fill(0.0)
+        self.flat.grad.fill(0.0)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
@@ -518,14 +548,30 @@ class TrainConfig:
         if self.learning_rate < 0 or self.batch_size < 1 or self.iterations < 1:
             raise ValueError("learning_rate must be >= 0, batch_size and "
                              "iterations must be >= 1")
+        # a decay of 1 leaves a bias correction of 0, which Adam divides by
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 class Adam:
-    def __init__(self, params: list[Param], cfg: TrainConfig):
-        self.params = params
+    """Adam on one parameter, in place: a ``Param`` whose value and gradient
+    are flat vectors (``ToyNet.flat``), so a step is one chain of vector ops.
+
+    Each step runs the elementwise update of Kingma & Ba through two
+    preallocated scratch vectors, with the operations and rounding of the
+    per-array expression ``value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
+    """
+
+    def __init__(self, param: Param, cfg: TrainConfig):
+        self.param = param
         self.cfg = cfg
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = np.zeros_like(param.value)
+        self.v = np.zeros_like(param.value)
+        self._step = np.empty_like(param.value)
+        self._denom = np.empty_like(param.value)
         self.t = 0
 
     def step(self) -> None:
@@ -533,12 +579,14 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * p.grad
-            v *= c.beta2
-            v += (1.0 - c.beta2) * p.grad ** 2
-            p.value -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        g, m, v, step, denom = self.param.grad, self.m, self.v, self._step, self._denom
+        m *= c.beta1
+        m += np.multiply(g, 1.0 - c.beta1, out=step)
+        v *= c.beta2
+        v += np.multiply(np.square(g, out=step), 1.0 - c.beta2, out=step)
+        np.multiply(np.divide(m, bc1, out=step), c.learning_rate, out=step)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), c.eps, out=denom)
+        self.param.value -= np.divide(step, denom, out=step)
 
 
 class BatchLoss(NamedTuple):
@@ -570,7 +618,7 @@ def compute_batch_loss(net: ToyNet, x: np.ndarray, targets: Targets,
     b = np.repeat(np.arange(n), counts)
     cx, cy = targets.cell.T
     reg = total_regression_loss((out.rho[b, cy, cx], *out.theta[b, :, cy, cx].T),
-                                tuple(targets.value.T), cfg)
+                                targets.value.T, cfg)
     reg_mean = float(np.mean(reg.value)) if b.size else 0.0
     scale = cfg.reg_weight / b.size if b.size else 0.0
     np.add.at(d_rho, (b, cy, cx), reg.gradients["rho"] * scale)
@@ -598,7 +646,7 @@ def train(net: ToyNet, images, targets: Targets, cfg: TrainConfig,
         raise ValueError("no training samples")
     loss_cfg = loss_cfg or LossConfig()
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(net.parameters(), cfg)
+    opt = Adam(net.flat, cfg)
     history: list[BatchLoss] = []
     for it in range(cfg.iterations):
         idx = rng.integers(0, len(images), size=cfg.batch_size)
@@ -618,7 +666,12 @@ def train(net: ToyNet, images, targets: Targets, cfg: TrainConfig,
 
 
 def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
-    """Serialize weights plus a JSON header describing the topology."""
+    """Serialize weights plus a JSON header describing the topology.
+
+    The file is ``np.savez``'s archive, byte for byte, built in memory and
+    written with one call; as with ``np.savez``, a path that does not end
+    in ``.npz`` gets that suffix.
+    """
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -630,7 +683,11 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
     if extra:
         meta["extra"] = extra
     arrays = {f"param_{i:03d}": p.value for i, p in enumerate(net.parameters())}
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    archive = io.BytesIO()
+    np.savez(archive, meta=json.dumps(meta), **arrays)
+    path = os.fspath(path)
+    with open(path if path.endswith(".npz") else f"{path}.npz", "wb") as fh:
+        fh.write(archive.getbuffer())
 
 
 # .npy format version -> (bytes of the header length, header encoding)

@@ -603,6 +603,46 @@ def col2im_reference(dcols: np.ndarray, x_shape: tuple, stride: int) -> np.ndarr
     return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
 
 
+def adam_step_reference(params, m, v, t: int, cfg) -> None:
+    """Adam step ``t`` (from 1) as a loop over parameter arrays, each
+    updated by one expression; ``m`` and ``v`` hold one moment array per
+    parameter and are updated in place."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for p, mi, vi in zip(params, m, v):
+        mi *= cfg.beta1
+        mi += (1.0 - cfg.beta1) * p.grad
+        vi *= cfg.beta2
+        vi += (1.0 - cfg.beta2) * p.grad ** 2
+        p.value -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+
+
+def pole_focal_loss_reference(pred, target, cfg, num_objects):
+    """The penalty-reduced focal loss with both branches computed at every
+    cell and one picked per cell by ``np.where``: (value, gradient), with
+    ``pole_focal_loss``'s batch convention for an (N,) ``num_objects``."""
+    from polardet.losses import CLAMP_EPS
+
+    counts = np.asarray(num_objects, dtype=np.float64)
+    a, b = cfg.alpha_focal, cfg.beta_focal
+    p = np.clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    pos = target == 1.0
+    log_p = np.log(p)
+    log_1p = np.log1p(-p)
+    pos_term = (1.0 - p) ** a * log_p
+    damp = (1.0 - target) ** b
+    neg_term = damp * p ** a * log_1p
+    per_image = tuple(range(counts.ndim, p.ndim))
+    value = -np.where(pos, pos_term, neg_term).sum(axis=per_image) / counts
+    per_cell = counts.reshape(counts.shape + (1,) * len(per_image))
+    grad = np.where(
+        pos,
+        -(-a * (1.0 - p) ** (a - 1.0) * log_p + (1.0 - p) ** a / p),
+        -damp * (a * p ** (a - 1.0) * log_1p - p ** a / (1.0 - p)),
+    ) / per_cell
+    return value, grad
+
+
 def sigmoid_reference(z: np.ndarray) -> np.ndarray:
     """Logistic function, one masked pass per sign of ``z``."""
     out = np.empty_like(z)

@@ -765,6 +765,41 @@ class TestDatasetReaders:
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
 
+    @pytest.mark.parametrize("odd", [0, 4, 19])
+    def test_one_odd_file_goes_through_the_full_readers(self, workspace, tmp_path,
+                                                        monkeypatch, capsys, odd):
+        # a PGM whose header has a comment and whose raster has trailing
+        # bytes, and an annotation file with a line to drop; with three
+        # annotation files per batch, most batches hold only clean files
+        monkeypatch.setattr(cli, "_ANNOTATION_BATCH", 3)
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        class_names, image_ids = cli._load_dataset(data)
+        pgm = data / "images" / f"{image_ids[odd]}.pgm"
+        pgm.write_bytes(pgm.read_bytes().replace(b"P5\n", b"P5 # c\n", 1) + b"tail")
+        ann = data / "annotations" / f"{image_ids[odd]}.txt"
+        text = ann.read_text()
+        ann.write_text(text + "1 2 3 4 5 6 7 8 class0\n")
+        images, targets, _grid = cli._encode_items(data, image_ids, class_names, 4)
+        want_images, want, _ = encode_items_reference(data, image_ids, class_names, 4,
+                                                      monkeypatch)
+        assert images.tobytes() == want_images.tobytes()
+        for name, got, ref in zip(targets._fields, targets, want):
+            assert got.tobytes() == ref.tobytes(), name
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == f"{ann}: line {line}: expected 10 fields, got 9\n"
+
+    def test_image_of_another_size_is_io_error_naming_it(self, workspace, tmp_path,
+                                                          capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        image = np.zeros((32, 36), dtype=np.uint8)
+        (data / "images" / "img_00007.pgm").write_bytes(b"P5\n36 32\n255\n" + image.tobytes())
+        out = tmp_path / "net.npz"
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--iters", "1"]) == 3
+        assert capsys.readouterr().err == "error: img_00007: image (32, 36) differs from (32, 32)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", MALFORMED_PGMS)
     @pytest.mark.parametrize("command", ["train", "detect"])
     def test_malformed_pgm_is_io_error_naming_the_file(self, workspace, tmp_path,

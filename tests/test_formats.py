@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polardet.errors import UnknownClass
-from polardet.formats import (GroundTruth, parse_annotations, parse_detections,
-                              serialize_annotations, serialize_detections)
+from polardet.formats import (GroundTruth, parse_annotation_files, parse_annotations,
+                              parse_detections, serialize_annotations,
+                              serialize_detections)
 
 from oracles import (AnnotationRow, DetectionRow, annotation_rows, detection_rows,
                      parse_annotations_reference, parse_detections_reference)
@@ -286,6 +287,29 @@ class TestMatchesPerLineParsers:
             records, warnings = reference(text)
             assert bits(rows(result)) == bits(records)
             assert result.warnings == warnings
+        # the batch parser takes a file only when each of its lines is a row
+        # the per-line parser keeps, and then gives the same rows
+        records, warnings = parse_annotations_reference(text)
+        batch = parse_annotation_files([text, GOOD_ANNOTATION, text])
+        if warnings or len(records) != len(text.splitlines()):
+            assert batch is None
+        else:
+            joined = [*records, *parse_annotations_reference(GOOD_ANNOTATION)[0], *records]
+            assert bits(annotation_rows(batch[0])) == bits(joined)
+            assert batch[1] == [len(records), 1, len(records)]
+            assert batch[0].warnings == []
+
+    def test_batch_of_generated_files(self):
+        rng = np.random.default_rng(4)
+        texts = [annotation_file(rng, lines) for lines in (3, 0, 1, 45, 2)]
+        batch, counts = parse_annotation_files(texts)
+        assert counts == [3, 0, 1, 45, 2]
+        rows = [r for text in texts for r in parse_annotations_reference(text)[0]]
+        assert bits(annotation_rows(batch)) == bits(rows)
+        empty, counts = parse_annotation_files([])
+        assert counts == [] and annotation_rows(empty) == []
+        for bad in ("", "gsd:0.5", MALFORMED["nan"]):
+            assert parse_annotation_files([*texts, texts[0] + bad + "\n"]) is None
 
     def test_generated_files(self):
         rng = np.random.default_rng(8)

@@ -10,7 +10,8 @@ from polardet.losses import (CLAMP_EPS, LossConfig, LossValue, pole_focal_loss,
                              polar_ring_loss, ring_area, smooth_l1,
                              total_loss, total_regression_loss)
 
-from oracles import fd_gradient, regression_loss_reference
+from oracles import (fd_gradient, pole_focal_loss_reference,
+                     regression_loss_reference)
 
 
 def focal_reference(pred, target, alpha, beta, num_objects):
@@ -115,6 +116,28 @@ class TestPoleFocalLoss:
                 focal_reference(pred[b], target[b], 2.0, 4.0, n), rel=1e-12)
             np.testing.assert_array_equal(batch.gradients["pred"][b],
                                           one.gradients["pred"])
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 4.0), (1.5, 3.0), (0.0, 0.0)])
+    def test_positives_overwritten_is_the_two_branch_formulation(self, alpha, beta):
+        # every cell as a negative, then the positives' own terms: the value
+        # and gradient bits of both branches taken everywhere and picked by
+        # np.where, also on a channel-major pred (the net's fused head) and
+        # at the clamp bounds
+        cfg = LossConfig(alpha_focal=alpha, beta_focal=beta)
+        rng = np.random.default_rng(21)
+        target = rng.uniform(0.0, 1.0, (3, 2, 5, 7))
+        target[rng.uniform(size=target.shape) < 0.1] = 1.0
+        target[1] = 0.0
+        pred = rng.uniform(0.0, 1.0, (2, 3, 5, 7)).transpose(1, 0, 2, 3)
+        pred[0, 0, 0, :3] = (0.0, 1.0, 1e-9)
+        target[0, 0, 0, :3] = 1.0
+        for counts in (np.array([2, 1, 4]), 5):
+            for p, t in ((pred, target), (pred[0], target[0])):
+                c = counts[0] if p.ndim == 3 and np.ndim(counts) else counts
+                got = pole_focal_loss(p, t, cfg, c)
+                value, grad = pole_focal_loss_reference(p, t, cfg, c)
+                assert np.asarray(got.value).tobytes() == np.asarray(value).tobytes()
+                assert got.gradients["pred"].tobytes() == grad.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -21,9 +21,9 @@ from polardet.toynet import (Adam, BatchLoss, Conv2d, ReLU, ToyNet,
                              load_checkpoint, predict_planes, save_checkpoint,
                              train)
 
-from oracles import (batch_loss_reference, col2im_reference,
-                     encode_records_reference, im2col_reference,
-                     sigmoid_reference)
+from oracles import (adam_step_reference, batch_loss_reference,
+                     col2im_reference, encode_records_reference,
+                     im2col_reference, sigmoid_reference)
 
 
 def conv3x3_reference(x, weight, bias, stride):
@@ -114,6 +114,22 @@ def tiny_batch(seed=0, num_images=2, size=32, num_classes=2, empty=()):
     return image_to_input(images), encode_scenes(targets, cfg)
 
 
+def flat_spans(net) -> list[slice]:
+    """The slice of ``net.flat`` that each of ``net.parameters()`` views,
+    in parameter order; every value and gradient must be such a view."""
+    spans = []
+    for p in net.parameters():
+        starts = set()
+        for arr, base in ((p.value, net.flat.value), (p.grad, net.flat.grad)):
+            assert arr.flags.c_contiguous and np.shares_memory(arr, base)
+            start, rest = divmod(arr.ctypes.data - base.ctypes.data, base.itemsize)
+            assert rest == 0 and 0 <= start <= base.size - arr.size
+            starts.add(start)
+        (start,) = starts
+        spans.append(slice(start, start + p.value.size))
+    return spans
+
+
 def float64_digests() -> tuple[str, str]:
     """SHA-256 of the outputs and of the parameter gradients of one forward
     and backward of a small all-float64 net."""
@@ -179,12 +195,13 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_im2col_is_the_sliding_window_oracle(self, stride, dtype):
-        # the ox < ow columns on the row pitch, byte for byte
+        # the ox < ow columns on the row pitch, byte for byte, from the
+        # channel-major input
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9), (1, 2)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
-                cols, (oh, ow, pitch) = _pitched_cols(x, stride)
+                cols, (oh, ow, pitch) = _pitched_cols(x.transpose(1, 0, 2, 3), stride)
                 ref = im2col_reference(x, stride)
                 assert cols.dtype == dtype and cols.shape == (27, n * oh * pitch)
                 valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
@@ -200,7 +217,7 @@ class TestConv2d:
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
-                cols, (oh, ow, pitch) = _pitched_cols(x, stride)
+                cols, (oh, ow, pitch) = _pitched_cols(x.transpose(1, 0, 2, 3), stride)
                 assert (oh, ow) == ((h - 1) // stride + 1, (w - 1) // stride + 1)
                 valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
                 assert valid.tobytes() == im2col_reference(x, stride).tobytes()
@@ -387,11 +404,41 @@ class TestReLU:
         assert not np.signbit(out[:3]).any()
         grad = relu.backward(np.full(7, -5.0))
         np.testing.assert_array_equal(grad, [0.0] * 5 + [-5.0, -5.0])
-        np.testing.assert_array_equal(relu._cache, x > 0.0)
+        # the mask backward and relu_signs form from the output is x > 0
+        net = ToyNet(num_classes=1, base_channels=1)
+        for r in net._relus():
+            r.forward(x)
+        np.testing.assert_array_equal(net.relu_signs(), np.tile(x > 0.0, 6))
 
     def test_nan_propagates(self):
         out = ReLU().forward(np.array([np.nan, 1.0]))
         assert np.isnan(out[0]) and out[1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_from_the_output_is_x_gt_0(self, dtype):
+        # signed zeros, subnormals of both signs and NaN of both signs: the
+        # backward's mask and relu_signs are x > 0, and the backward's bits
+        # (signed zeros, NaN) are those of dout * (x > 0)
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([-np.inf, -2.0, -tiny, -0.0, 0.0, tiny, 3.0, np.inf,
+                      np.nan, -np.nan], dtype=dtype)
+        dout = np.array([-5.0, 5.0, -5.0, -5.0, 5.0, -5.0, np.inf, np.nan, -5.0,
+                         np.nan], dtype=dtype)
+        relu = ReLU()
+        relu.forward(x)
+        grad = relu.backward(dout)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == (dout * (x > 0.0)).tobytes()
+        net = ToyNet(num_classes=1, base_channels=1)
+        for r in net._relus():
+            r.forward(x)
+        np.testing.assert_array_equal(net.relu_signs(), np.tile(x > 0.0, 6))
+
+    def test_backward_and_signs_require_forward(self):
+        with pytest.raises(StateError):
+            ReLU().backward(np.ones(2))
+        with pytest.raises(StateError):
+            ToyNet(num_classes=1, base_channels=1).relu_signs()
 
 
 class TestToyNetForward:
@@ -485,9 +532,9 @@ class TestToyNetForward:
         seen = []
         cols = toynet._pitched_cols
 
-        def spy(x, stride):
-            seen.append((x.shape[1], stride))
-            return cols(x, stride)
+        def spy(xt, stride):
+            seen.append((xt.shape[0], stride))
+            return cols(xt, stride)
 
         monkeypatch.setattr(toynet, "_pitched_cols", spy)
         net = ToyNet(num_classes=2, base_channels=16)
@@ -650,6 +697,42 @@ class TestToyNetForward:
         assert net.num_parameters() == 873
 
 
+class TestFlatParameters:
+    @staticmethod
+    def check(net):
+        # each element of the flat vectors belongs to exactly one parameter,
+        # and each conv's weight and bias are views too
+        covered = np.zeros(net.flat.value.size, dtype=int)
+        for span in flat_spans(net):
+            covered[span] += 1
+        assert (covered == 1).all()
+        assert net.flat.value.dtype == net.flat.grad.dtype == np.float64
+        for conv in net._convs():
+            for p in (conv.weight, conv.bias):
+                assert np.shares_memory(p.value, net.flat.value)
+                assert np.shares_memory(p.grad, net.flat.grad)
+
+    def test_every_parameter_views_the_flat_vectors(self, tmp_path):
+        net = ToyNet(num_classes=3, base_channels=4, seed=1)
+        self.check(net)
+        self.check(ToyNet._unfilled(3, 4))
+        self.check(ToyNet(num_classes=1, base_channels=2, dtype=np.float64))
+        save_checkpoint(tmp_path / "net.npz", net)
+        loaded, _meta = load_checkpoint(tmp_path / "net.npz")
+        self.check(loaded)
+        assert loaded.flat.value.tobytes() == net.flat.value.tobytes()
+
+    def test_zero_grads_zeroes_every_gradient(self):
+        x, targets = tiny_batch()
+        net = ToyNet(num_classes=2, base_channels=2, seed=3)
+        compute_batch_loss(net, x, targets, LossConfig())
+        assert net.flat.grad.any()
+        net.head.weight.grad[:] = np.nan
+        net.zero_grads()
+        assert not net.flat.grad.any()
+        assert not any(p.grad.any() for p in net.parameters())
+
+
 class TestBatchLoss:
     def test_matches_manual_composition(self):
         x, targets = tiny_batch()
@@ -754,7 +837,7 @@ class TestAdam:
         p = Param("p", np.array([1.0, -2.0]))
         p.grad = np.array([0.5, -0.25])
         cfg = TrainConfig(learning_rate=0.01)
-        opt = Adam([p], cfg)
+        opt = Adam(p, cfg)
         opt.step()
         np.testing.assert_allclose(p.value, [1.0 - 0.01, -2.0 + 0.01], atol=1e-6)
 
@@ -771,11 +854,50 @@ class TestAdam:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta1", 1.5),
+        ("beta2", 1.0), ("beta2", 1.5), ("beta2", -1e-12),
+        ("eps", 0.0), ("eps", -1e-8)])
+    def test_decays_outside_0_1_and_nonpositive_eps_rejected(self, field, value):
+        # beta = 1 makes the first step's bias correction 0 (0 / 0, then NaN
+        # weights); eps = 0 divides by 0 where a gradient is 0
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
+
+    def test_decay_range_ends(self):
+        cfg = TrainConfig(beta1=0.0, beta2=0.0, eps=1e-300)
+        assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)
+        TrainConfig(beta1=np.nextafter(1.0, 0.0), beta2=np.nextafter(1.0, 0.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_the_per_parameter_loop_bit_for_bit(self, dtype):
+        # Adam on the flat vectors against the per-array loop of oracles,
+        # over every parameter view of a second net: same values and moments
+        cfg = TrainConfig(learning_rate=0.01, beta1=0.8, beta2=0.99)
+        nets = [ToyNet(num_classes=2, base_channels=4, seed=5, dtype=dtype)
+                for _ in range(2)]
+        opt = Adam(nets[0].flat, cfg)
+        params = nets[1].parameters()
+        m = [np.zeros_like(p.value) for p in params]
+        v = [np.zeros_like(p.value) for p in params]
+        rng = np.random.default_rng(9)
+        for t in range(1, 6):
+            grad = rng.standard_normal(nets[0].flat.grad.size) * 10.0 ** rng.integers(-6, 3)
+            grad[rng.uniform(size=grad.size) < 0.1] = 0.0
+            for net in nets:
+                net.flat.grad[:] = grad
+            opt.step()
+            adam_step_reference(params, m, v, t, cfg)
+            assert nets[0].flat.value.tobytes() == nets[1].flat.value.tobytes()
+            for span, mi, vi in zip(flat_spans(nets[0]), m, v):
+                assert opt.m[span].tobytes() == mi.tobytes()
+                assert opt.v[span].tobytes() == vi.tobytes()
+
     def test_zero_learning_rate_leaves_params_unchanged(self):
         from polardet.toynet import Param
         p = Param("p", np.array([3.0, -1.0]))
         p.grad = np.array([10.0, -10.0])
-        opt = Adam([p], TrainConfig(learning_rate=0.0))
+        opt = Adam(p, TrainConfig(learning_rate=0.0))
         opt.step()
         np.testing.assert_array_equal(p.value, [3.0, -1.0])
 
@@ -955,6 +1077,23 @@ class TestCheckpoint:
         img = np.random.default_rng(0).uniform(0, 1, (32, 32))
         for a, b in zip(predict_planes(net, img), predict_planes(loaded, img)):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["net.npz", "net", "net.ckpt"])
+    def test_file_is_the_savez_archive(self, tmp_path, name):
+        # the archive np.savez writes for the header and parameters, byte for
+        # byte, under the path np.savez would give it
+        net = ToyNet(num_classes=2, base_channels=2, seed=5)
+        save_checkpoint(tmp_path / name, net, extra={"iterations": 3})
+        want = tmp_path / "want" / name
+        want.parent.mkdir()
+        meta = {"magic": "polardet-ckpt", "version": 1, "num_classes": 2,
+                "base_channels": 2, "stride": 4,
+                "reg_reduction": "mean_over_pole_cells", "extra": {"iterations": 3}}
+        np.savez(want, meta=json.dumps(meta),
+                 **{f"param_{i:03d}": p.value for i, p in enumerate(net.parameters())})
+        written = sorted(f.name for f in tmp_path.iterdir() if f.is_file())
+        assert written == sorted(f.name for f in want.parent.iterdir())
+        assert (tmp_path / written[0]).read_bytes() == (want.parent / written[0]).read_bytes()
 
     def test_float64_checkpoint_loads_into_float32_net(self, tmp_path):
         # a net trained in float64, saved, and loaded into the default
