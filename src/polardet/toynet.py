@@ -31,7 +31,7 @@ The parameters live in one flat float64 vector and their gradients in
 another (``ToyNet.flat``); every layer's weight and bias, and each head's
 rows that ``parameters()`` and the checkpoint list, are views of them. So
 ``zero_grads`` is one fill, and an Adam step is one chain of vector ops
-per 16,384 elements, into two scratch vectors of that size allocated with
+per 8,192 elements, into two scratch vectors of that size allocated with
 the optimizer. Each ReLU keeps its
 output, and its backward forms the ``x > 0`` mask as ``out > 0`` (the same
 mask, signed zeros, subnormals and NaN included), so the forward reads its
@@ -558,9 +558,11 @@ class TrainConfig:
 
 
 # Adam runs over the flat vectors this many elements at a time, so that its
-# two scratch vectors stay at 128 KiB whatever the net's size; one pass over
-# a base-16 net's 43,237 parameters ran at the same speed and held 0.69 MB
-_ADAM_CHUNK = 1 << 14
+# two scratch vectors stay at 64 KiB whatever the net's size. On the train
+# benchmark (a base-16 net, 43,237 parameters) one whole pass took 252 µs
+# per step against 285, ~0.2% of an iteration, but raised the peak RSS by
+# 0.55 MB, and 16,384-element chunks by 1.9 MB; 8,192 by 0.1-0.2 MB
+_ADAM_CHUNK = 1 << 13
 
 
 class Adam:
