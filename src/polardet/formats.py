@@ -117,8 +117,9 @@ def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | 
     line, which only the per-file parser reports."""
     lines = [text.splitlines() for text in texts]
     rows = list(map(str.split, chain.from_iterable(lines)))
+    # a metadata line's first token holds a ':', so it is no coordinate
     columns = _annotation_columns(rows)
-    if columns is None or any(":" in t[0] for t in rows):
+    if columns is None:
         return None
     coords, difficulty = columns
     return Annotations(coords, [t[8] for t in rows], difficulty, []), list(map(len, lines))

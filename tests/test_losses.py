@@ -125,13 +125,13 @@ class TestPoleFocalLoss:
         # at the clamp bounds
         cfg = LossConfig(alpha_focal=alpha, beta_focal=beta)
         rng = np.random.default_rng(21)
-        target = rng.uniform(0.0, 1.0, (3, 2, 5, 7))
+        target = rng.uniform(0.0, 1.0, (8, 2, 16, 16))
         target[rng.uniform(size=target.shape) < 0.1] = 1.0
         target[1] = 0.0
-        pred = rng.uniform(0.0, 1.0, (2, 3, 5, 7)).transpose(1, 0, 2, 3)
+        pred = rng.uniform(0.0, 1.0, (2, 8, 16, 16)).transpose(1, 0, 2, 3)
         pred[0, 0, 0, :3] = (0.0, 1.0, 1e-9)
         target[0, 0, 0, :3] = 1.0
-        for counts in (np.array([2, 1, 4]), 5):
+        for counts in (np.arange(1, 9), 5):
             for p, t in ((pred, target), (pred[0], target[0])):
                 c = counts[0] if p.ndim == 3 and np.ndim(counts) else counts
                 got = pole_focal_loss(p, t, cfg, c)
