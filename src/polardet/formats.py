@@ -117,7 +117,7 @@ def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | 
     line, which only the per-file parser reports."""
     lines = [text.splitlines() for text in texts]
     rows = list(map(str.split, chain.from_iterable(lines)))
-    # a metadata line's first token holds a ':', so it is no coordinate
+    # a metadata line fails here too: no coordinate holds a ':'
     columns = _annotation_columns(rows)
     if columns is None:
         return None
