@@ -12,14 +12,22 @@ training loop is forward -> loss gradients on the activated outputs ->
 backward -> Adam. No autodiff framework is involved; the analytic gradients
 are validated against finite differences in the test suite. Inference calls
 the layers instead (``ToyNet.predict``): the same products, bit for bit,
-with nothing cached, so only one layer's columns are alive at a time.
+with nothing cached, so only one band of one layer's columns is alive at a
+time.
 
-Each conv's forward is one matrix product on the padded input's row pitch,
-where each 3x3 tap is one long slice, and it builds whichever of its two
-product matrices has fewer rows: the C*9 rows of im2col columns
-(``_pitched_cols``), or, for a stride-1 conv with fewer output than input
-channels (only the fused head), the O*9 rows of output taps, which are then
-added, each shifted by its offset. A stride-1 backward lays the output
+Each conv's forward multiplies on the padded input's row pitch, where each
+3x3 tap is one long slice, and it builds whichever of its two product
+matrices has fewer rows: the C*9 rows of im2col columns, or, for a stride-1
+conv with fewer output than input channels (only the fused head), the O*9
+rows of output taps, which are then added, each shifted by its offset. The
+columns come in bands of output rows, one rule for ``forward`` and the
+call: the most rows whose columns for one image fit ``_BAND_BYTES`` (640
+KiB, in a 2 MiB L2), each band spanning every image, built in one reused
+buffer and multiplied at once (``_banded_product``). A map of one band,
+every training shape among them, is one product over the whole
+``_pitched_cols``; a 256x256 detect image's block convs take 8-row bands.
+The stride-2 ``forward`` still writes its bands into whole columns, which
+its backward reads. A stride-1 backward lays the output
 gradient's taps on the same pitch and takes both gradients from that one
 matrix: the input gradient is the output gradient convolved with the
 flipped filter, so the forward keeps only its input. The stride-2 layers
@@ -74,7 +82,7 @@ HEAT_BIAS_INIT = -2.19
 
 
 class Param:
-    """A learnable array and its accumulated gradient."""
+    """A learnable array and its accumulated gradient (zeros unless given)."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -82,6 +90,13 @@ class Param:
         self.name = name
         self.value = value
         self.grad = np.zeros_like(value) if grad is None else grad
+
+
+# the gradient of a Param whose owner binds a view of its own gradient vector
+# in its place (``Conv2d(..., grads=False)``); read-only, so a backward into
+# an unbound Param raises instead of writing anywhere
+_UNBOUND = np.empty(0)
+_UNBOUND.flags.writeable = False
 
 
 def _out_len(size: int, stride: int) -> int:
@@ -136,6 +151,20 @@ def _padded_planes(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple]:
     return planes.reshape(s, s, c, n, rows * pitch), (oh, ow, pitch)
 
 
+def _write_taps(planes: np.ndarray, stride: int, pitch: int, first: int,
+                cols: np.ndarray) -> np.ndarray:
+    """Fill ``cols``, (C, 3, 3, N, span), with the columns of the output rows
+    ``first`` to ``first + span // pitch`` from the phase planes of
+    ``_padded_planes``: each tap one slice per image, in tap order."""
+    s = stride
+    span = cols.shape[-1]
+    for ki in range(3):
+        for kj in range(3):
+            off = (first + ki // s) * pitch + kj // s
+            cols[:, ki, kj] = planes[ki % s, kj % s, :, :, off:off + span]
+    return cols
+
+
 def _pitched_cols(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Channel-major (C, N, H, W) -> (C*9, N*oh*pitch) columns and
     (oh, ow, pitch).
@@ -145,15 +174,63 @@ def _pitched_cols(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, i
     others are junk whose products the caller drops.
     """
     c, n = xt.shape[:2]
-    s = stride
-    planes, (oh, ow, pitch) = _padded_planes(xt, s)
-    span = oh * pitch
-    cols = np.empty((c, 3, 3, n, span), dtype=xt.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            off = ki // s * pitch + kj // s
-            cols[:, ki, kj] = planes[ki % s, kj % s, :, :, off:off + span]
-    return cols.reshape(c * 9, n * span), (oh, ow, pitch)
+    planes, (oh, ow, pitch) = _padded_planes(xt, stride)
+    cols = np.empty((c, 3, 3, n, oh * pitch), dtype=xt.dtype)
+    _write_taps(planes, stride, pitch, 0, cols)
+    return cols.reshape(c * 9, -1), (oh, ow, pitch)
+
+
+# The column bytes of one image that one band of output rows may take. At a
+# 256x256 detect image a block conv's whole columns take 4.9 MB, more than
+# the 2 MiB per-core L2 of the Xeon this was sized on; in 640 KiB bands (8
+# rows there) each band is multiplied while its columns are still in L2.
+# Median time of `predict_planes` at 256x256 against whole columns, 400
+# calls round robin at one BLAS thread: 384 KiB 0.94, 512 KiB 0.92,
+# 640 KiB 0.86, 768 KiB 0.87, 1 MiB 0.88
+_BAND_BYTES = 640 << 10
+
+
+def _band_rows(c: int, pitch: int, itemsize: int) -> int:
+    """Output rows per band of a conv with ``c`` input channels: the most
+    whose columns for one image, C*9 rows of rows*pitch elements, fit
+    ``_BAND_BYTES``, and at least one."""
+    return max(1, _BAND_BYTES // (c * 9 * pitch * itemsize))
+
+
+def _banded_product(wmat: np.ndarray, bias: np.ndarray, xt: np.ndarray,
+                    stride: int, rows: int, keep: bool):
+    """(columns or None, (O, N*oh*pitch) output, (oh, ow, pitch)): the
+    im2col product of channel-major ``xt``, ``rows`` output rows at a time.
+
+    Each band's (C*9, N*rows*pitch) columns, for every image, go into one
+    reused buffer and are multiplied at once, so they are read back from
+    cache; the last band may be shorter. At N = 1 a band's product goes
+    straight into its slice of the output. The bias is added to the whole
+    output once: per band, numpy's broadcast add cost 4x as much. With
+    ``keep`` each band is also copied into the whole (C*9, N*oh*pitch)
+    columns, which are returned.
+    """
+    c, n = xt.shape[:2]
+    o = wmat.shape[0]
+    planes, (oh, ow, pitch) = _padded_planes(xt, stride)
+    y = np.empty((o, n, oh * pitch), dtype=xt.dtype)
+    buf = np.empty(c * 9 * n * rows * pitch, dtype=xt.dtype)
+    prod = None if n == 1 else np.empty(o * n * rows * pitch, dtype=xt.dtype)
+    cols = np.empty((c, 3, 3, n, oh * pitch), dtype=xt.dtype) if keep else None
+    for first in range(0, oh, rows):
+        span = (min(first + rows, oh) - first) * pitch
+        band = _write_taps(planes, stride, pitch, first,
+                           buf[:c * 9 * n * span].reshape(c, 3, 3, n, span))
+        part = np.s_[..., first * pitch:first * pitch + span]
+        if keep:
+            cols[part] = band
+        out = y[:, 0][part] if n == 1 else prod[:o * n * span].reshape(o, -1)
+        np.matmul(wmat, band.reshape(c * 9, -1), out=out)
+        if n > 1:
+            y[part] = out.reshape(o, n, span)
+    y += bias[:, None, None]
+    return (None if cols is None else cols.reshape(c * 9, -1),
+            y.reshape(o, -1), (oh, ow, pitch))
 
 
 def _on_pitch(a: np.ndarray, pitch: int) -> np.ndarray:
@@ -198,29 +275,36 @@ class Conv2d:
     """3x3 convolution, pad 1, stride 1 or 2, He fan-in init, zero bias.
 
     With ``rng`` None the weight starts at zero instead, for a checkpoint to
-    fill, and nothing is drawn.
+    fill, and nothing is drawn. With ``grads`` False the weight and bias get
+    no gradient arrays: their owner binds its own (``ToyNet._build``).
 
-    Every product is one matrix product over the whole batch on the row
-    pitch, in ``dtype``; the float64 weight is cast once per call, and the
-    weight and bias gradients accumulate into float64. The forward builds
-    whichever of its two product matrices has fewer rows (``_conv``): O*9
-    output taps or C*9 im2col columns. A stride-1 ``forward`` keeps only
+    Every product runs over the whole batch on the row pitch, in ``dtype``;
+    the float64 weight is cast once per call, and the weight and bias
+    gradients accumulate into float64. The forward builds whichever of its
+    two product matrices has fewer rows (``_conv``): O*9 output taps or C*9
+    im2col columns. The columns of a map whose columns for one image take
+    more than ``_BAND_BYTES`` are built and multiplied one band of output
+    rows at a time, all images at once, in one reused buffer; a smaller map
+    is one band, one product. ``forward`` and the call share that band
+    rule, so they give the same bits. A stride-1 ``forward`` keeps only
     its input: ``backward`` lays the output gradient's taps on the pitch, an
     (O*9, N*H*pitch) matrix, and multiplies it by the flipped, transposed
     weight for the input gradient and by the input on the pitch for the
-    flipped weight gradient. A stride-2 ``forward`` keeps its columns for
-    the weight gradient, and ``_col2im`` gives ``down``'s input gradient.
+    flipped weight gradient. A stride-2 ``forward`` keeps its whole columns,
+    banded or not, for the weight gradient, and ``_col2im`` gives ``down``'s
+    input gradient.
     Calling the layer computes the forward's output and keeps nothing.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, stride: int,
                  rng: np.random.Generator | None, input_grad: bool = True,
-                 dtype=np.float32):
+                 dtype=np.float32, grads: bool = True):
         shape = (out_ch, in_ch, 3, 3)
         weight = (np.zeros(shape) if rng is None
                   else rng.standard_normal(shape) * math.sqrt(2.0 / (in_ch * 9)))
-        self.weight = Param(f"{name}.weight", weight)
-        self.bias = Param(f"{name}.bias", np.zeros(out_ch))
+        grad = None if grads else _UNBOUND
+        self.weight = Param(f"{name}.weight", weight, grad)
+        self.bias = Param(f"{name}.bias", np.zeros(out_ch), grad)
         self.stride = stride
         self.out_ch = out_ch
         self.input_grad = input_grad
@@ -230,7 +314,8 @@ class Conv2d:
     def _wmat(self) -> np.ndarray:
         return self.weight.value.reshape(self.out_ch, -1).astype(self.dtype, copy=False)
 
-    def _conv(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    def _conv(self, x: np.ndarray, keep: bool = False
+              ) -> tuple[np.ndarray | None, np.ndarray]:
         """(columns, output) for an input already in ``dtype``.
 
         The product builds whichever matrix has fewer rows. A stride-1 conv
@@ -238,9 +323,13 @@ class Conv2d:
         taps by the padded input on the pitch, and adds the nine (O, N*H*pitch)
         tap slices, each shifted by its offset, onto the bias; it has no
         columns (None). Every other conv multiplies the weight by its C*9
-        rows of ``_pitched_cols``.
+        rows of im2col columns, in bands of ``_band_rows`` output rows: a map
+        of one band multiplies the whole ``_pitched_cols`` at once, a taller
+        one goes through ``_banded_product``, which returns its columns only
+        if asked to ``keep`` them. ``forward`` and ``__call__`` share this
+        rule, so they run the same products.
         """
-        n, c = x.shape[:2]
+        n, c, h, w = x.shape
         o = self.out_ch
         bias = self.bias.value.astype(self.dtype, copy=False)
         xt = x.transpose(1, 0, 2, 3)
@@ -256,9 +345,15 @@ class Conv2d:
                 y += taps[:, k, :, off:off + span]
             cols = None
         else:
-            cols, (oh, ow, pitch) = _pitched_cols(xt, self.stride)
-            y = self._wmat() @ cols
-            y += bias[:, None]
+            pitch = _pitched_layout(h, w, self.stride)[2]
+            rows = _band_rows(c, pitch, self.dtype.itemsize)
+            if rows >= _out_len(h, self.stride):
+                cols, (oh, ow, pitch) = _pitched_cols(xt, self.stride)
+                y = self._wmat() @ cols
+                y += bias[:, None]
+            else:
+                cols, y, (oh, ow, pitch) = _banded_product(
+                    self._wmat(), bias, xt, self.stride, rows, keep)
         y = y.reshape(o, n, oh, pitch)
         return cols, y[..., :ow].transpose(1, 0, 2, 3)
 
@@ -268,7 +363,7 @@ class Conv2d:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = None  # so two sets of columns are never live at once
         x = x.astype(self.dtype, copy=False)
-        cols, y = self._conv(x)
+        cols, y = self._conv(x, keep=self.stride == 2)
         # stride 1 keeps the input, stride 2 the columns
         self._cache = (x.shape, x, None) if self.stride == 1 else (x.shape, None, cols)
         return y
@@ -324,13 +419,16 @@ class ReLU:
 
 
 class ResidualBlock:
-    """conv-relu-conv plus identity skip, final relu."""
+    """conv-relu-conv plus identity skip, final relu. Its convs get no
+    gradient arrays: the net binds them (``ToyNet._build``)."""
 
     def __init__(self, name: str, channels: int, rng: np.random.Generator | None,
                  dtype):
-        self.conv1 = Conv2d(f"{name}.conv1", channels, channels, 1, rng, dtype=dtype)
+        self.conv1 = Conv2d(f"{name}.conv1", channels, channels, 1, rng,
+                            dtype=dtype, grads=False)
         self.relu1 = ReLU()
-        self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng, dtype=dtype)
+        self.conv2 = Conv2d(f"{name}.conv2", channels, channels, 1, rng,
+                            dtype=dtype, grads=False)
         self.relu2 = ReLU()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -396,15 +494,19 @@ class ToyNet:
         self.num_classes = num_classes
         self.base_channels = base_channels
         self.dtype = np.dtype(dtype)
-        self.stem = Conv2d("stem", 1, c1, 2, rng, input_grad=False, dtype=dtype)
+        # the layers get no gradient arrays of their own: each is bound to a
+        # view of the flat gradient vector below
+        self.stem = Conv2d("stem", 1, c1, 2, rng, input_grad=False, dtype=dtype,
+                           grads=False)
         self.stem_relu = ReLU()
-        self.down = Conv2d("down", c1, c2, 2, rng, dtype=dtype)
+        self.down = Conv2d("down", c1, c2, 2, rng, dtype=dtype, grads=False)
         self.down_relu = ReLU()
         self.block1 = ResidualBlock("block1", c2, rng, dtype)
         self.block2 = ResidualBlock("block2", c2, rng, dtype)
         # one conv for all heads (one draw gives three per-head draws' values);
         # parameters() and the checkpoint keep each head's rows as views
-        self.head = Conv2d("head", c2, num_classes + 3, 1, rng, dtype=dtype)
+        self.head = Conv2d("head", c2, num_classes + 3, 1, rng, dtype=dtype,
+                           grads=False)
         self.head.bias.value[:num_classes] = HEAT_BIAS_INIT
         # every layer's weight and bias become views of one flat vector, and
         # their gradients of one flat gradient vector, in layer order

@@ -160,6 +160,25 @@ def float64_train_digest() -> str:
                                    for p in net.parameters())).hexdigest()
 
 
+# input shapes whose maps take several row bands at base 16, the last band
+# shorter, in float32 and float64: one image and two
+BAND_SHAPES = ((1, 1, 200, 120), (2, 1, 256, 136))
+
+
+def predict_is_forward_in_bands() -> bool:
+    """Whether ``predict`` gives ``forward``'s outputs byte for byte, in
+    float32 and float64, at ``BAND_SHAPES``."""
+    for dtype in (np.float32, np.float64):
+        for shape in BAND_SHAPES:
+            net = ToyNet(num_classes=2, base_channels=16, seed=3, dtype=dtype)
+            x = np.random.default_rng(5).standard_normal(shape)
+            ref, got = net.forward(x), net.predict(x)
+            if any(getattr(got, key).tobytes() != getattr(ref, key).tobytes()
+                   for key in ("heat", "rho", "theta")):
+                return False
+    return True
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_loop_reference(self, stride):
@@ -225,6 +244,30 @@ class TestConv2d:
                     centre = cols.reshape(3, 9, -1)[:, 4]
                     xpitch = _on_pitch(x.transpose(1, 0, 2, 3), pitch)
                     assert centre.tobytes() == xpitch.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_row_bands_are_the_im2col_product(self, stride, n):
+        # 16 channels on a 40-row output grid in float64 take 13-row bands,
+        # the last one row: within 1e-12 of the whole product's largest
+        # magnitude, and a stride-2 forward keeps the whole columns, byte
+        # for byte, for its backward
+        rng = np.random.default_rng(17)
+        h = w = 40 * stride
+        pitch = 40 + 2 // stride
+        assert toynet._band_rows(16, pitch, 8) == 13
+        conv = Conv2d("c", 16, 8, stride, rng, dtype=np.float64)
+        conv.bias.value[:] = rng.standard_normal(8)
+        x = rng.standard_normal((n, 16, h, w))
+        ref = (conv.weight.value.reshape(8, -1) @ im2col_reference(x, stride)
+               + conv.bias.value[:, None])
+        ref = ref.reshape(8, n, 40, 40).transpose(1, 0, 2, 3)
+        for got in (conv.forward(x), conv(x)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        if stride == 2:
+            cols = _pitched_cols(x.transpose(1, 0, 2, 3), stride)[0]
+            assert conv._cache[2].tobytes() == cols.tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 32, 16, 16, 32, 1),   # block convs
                                        (8, 16, 32, 32, 32, 2),   # down
@@ -526,6 +569,61 @@ class TestToyNetForward:
                 assert b.shape == a.shape
                 assert np.abs(b - a).max() <= bound * np.abs(a).max()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_is_forward_bit_for_bit_in_row_bands(self, dtype, monkeypatch):
+        # maps whose columns take several bands, the last one shorter, at
+        # N = 1 and N = 2: forward and predict share the band rule, so they
+        # run the same products; only forward keeps down's columns
+        seen = []
+        banded = toynet._banded_product
+
+        def spy(wmat, bias, xt, stride, rows, keep):
+            seen.append((xt.shape[2], stride, rows, keep))
+            return banded(wmat, bias, xt, stride, rows, keep)
+
+        monkeypatch.setattr(toynet, "_banded_product", spy)
+        for shape in BAND_SHAPES:
+            net = ToyNet(num_classes=2, base_channels=16, seed=3, dtype=dtype)
+            x = np.random.default_rng(5).standard_normal(shape)
+            runs = []
+            for run in (net.forward, net.predict):
+                seen.clear()
+                runs.append((run(x), list(seen)))
+            (ref, bands), (got, predict_bands) = runs
+            # down and the four block convs, each in more than one band
+            assert len(bands) == 5 and all(rows < h for h, _s, rows, _k in bands)
+            assert any(h % rows for h, _s, rows, _k in bands)
+            assert [b[:3] for b in predict_bands] == [b[:3] for b in bands]
+            assert [b[3] for b in bands] == [True] + [False] * 4
+            assert not any(b[3] for b in predict_bands)
+            for key in ("heat", "rho", "theta"):
+                assert getattr(got, key).tobytes() == getattr(ref, key).tobytes()
+
+    def test_training_shapes_take_one_band(self, monkeypatch):
+        # the reference training batch (8 of 64x64, base 16, float32) fits
+        # every conv's columns in one band: a train step multiplies whole
+        # columns, as before bands
+        def fail(*args):
+            raise AssertionError("banded product at a training shape")
+
+        monkeypatch.setattr(toynet, "_banded_product", fail)
+        net = ToyNet(num_classes=2, base_channels=16)
+        net.forward(np.zeros((8, 1, 64, 64)))
+
+    def test_predict_peak_memory_is_one_band_of_columns(self):
+        # at 512x512 a block conv's whole columns take 19.2 MB and down's
+        # 9.5 MB; in bands of at most 640 KiB the traced peak of predict is
+        # 11.3 MB, where whole columns reach 27.6 MB
+        net = ToyNet(num_classes=2, base_channels=16)
+        x = np.random.default_rng(0).standard_normal((1, 1, 512, 512))
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
     def test_only_the_head_sums_output_taps(self, monkeypatch):
         # the stem, down and the four block convs multiply im2col columns;
         # the fused head (5 rows from 32 channels) builds none
@@ -569,10 +667,11 @@ class TestToyNetForward:
         assert grads[0] == grads[1]
 
     def test_predict_planes_peak_memory(self):
-        # one layer's columns alive at a time (4.9 MB at most here, on the
-        # row pitch; the head's output taps take 0.8 MB): the traced peak is
-        # 7.5 MB, where a training forward, which keeps the stride-2 columns
-        # and the stride-1 inputs, peaks at 11.6 MB
+        # one band of one layer's columns alive at a time (at most 640 KiB
+        # per image, on the row pitch; the head's output taps take 0.8 MB):
+        # the traced peak is 3.7 MB, 7.5 MB with whole columns, where a
+        # training forward, which keeps the stride-2 columns and the
+        # stride-1 inputs, peaks at 8.1 MB (11.6 MB with whole columns)
         net = ToyNet(num_classes=2, base_channels=16)
         image = np.random.default_rng(0).uniform(0, 1, (256, 256))
         tracemalloc.start()
@@ -721,6 +820,27 @@ class TestFlatParameters:
         loaded, _meta = load_checkpoint(tmp_path / "net.npz")
         self.check(loaded)
         assert loaded.flat.value.tobytes() == net.flat.value.tobytes()
+
+    def test_layers_allocate_no_gradients_of_their_own(self, monkeypatch):
+        # the flat gradient vector is the only gradient array a net
+        # allocates; a conv built on its own still gets zeroed gradients
+        made = []
+        zeros_like = np.zeros_like
+
+        def spy(a, *args, **kwargs):
+            made.append(a.shape)
+            return zeros_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", spy)
+        net = ToyNet._unfilled(2, 16)
+        assert made == [net.flat.value.shape]
+        self.check(net)
+        conv = Conv2d("c", 2, 3, 1, None)
+        assert conv.weight.grad.shape == (3, 2, 3, 3) and not conv.weight.grad.any()
+        unbound = Conv2d("c", 2, 3, 1, None, grads=False)
+        unbound.forward(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(ValueError):
+            unbound.backward(np.ones((1, 3, 4, 4)))
 
     def test_zero_grads_zeroes_every_gradient(self):
         x, targets = tiny_batch()
