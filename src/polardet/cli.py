@@ -69,16 +69,18 @@ def _resolve(flag_value, config: dict, key: str, default, cast):
 
 
 def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
-    """Return (class_names, image_ids): the ids of images/<id>.pgm, in file
-    name order."""
+    """Return (class_names, image_ids): the names of classes.txt, stripped
+    of surrounding whitespace, and the ids of images/<id>.pgm, sorted as
+    strings."""
     data = Path(data_dir)
-    names = [n for n in (data / "classes.txt").read_text().splitlines() if n.strip()]
+    names = [n for n in map(str.strip, (data / "classes.txt").read_text().splitlines())
+             if n]
     images = data / "images"
-    files = sorted(f for f in (os.listdir(images) if images.is_dir() else [])
-                   if f.endswith(".pgm"))
-    if not files:
+    ids = sorted(f[:-len(".pgm")] for f in (os.listdir(images) if images.is_dir() else [])
+                 if f.endswith(".pgm"))
+    if not ids:
         raise FileNotFoundError(f"no images under {images}")
-    return names, [f[:-len(".pgm")] for f in files]
+    return names, ids
 
 
 def _read_images(data_dir, image_ids: list[str]) -> np.ndarray:
@@ -299,15 +301,14 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _detections_by_image(text: str, class_names: list[str],
-                         image_ids: list[str]) -> dict[str, Detections]:
-    """The detections file's rows grouped per known image, in file order
-    within each image; rows of an unknown image or class are skipped."""
+def _read_detections(text: str, class_names: list[str],
+                     image_ids: list[str]) -> tuple[Detections, np.ndarray]:
+    """The detections file's rows of known images and classes, and the
+    index of each row's image, image after image and in file order within
+    one; rows of an unknown image or class are skipped."""
     parsed = parse_detections(text)
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
-    if not parsed.image_id:
-        return {}
     image_of = {image_id: k for k, image_id in enumerate(image_ids)}
     class_of: dict[str, int] = {}
     for k, name in enumerate(class_names):
@@ -322,11 +323,8 @@ def _detections_by_image(text: str, class_names: list[str],
             print(f"detections: unknown class {names[k]!r} skipped", file=sys.stderr)
     rows = np.flatnonzero((image >= 0) & (class_id >= 0))
     rows = rows[np.argsort(image[rows], kind="stable")]
-    found, first = np.unique(image[rows], return_index=True)
-    corners, scores, class_id = parsed.corners[rows], parsed.score[rows], class_id[rows]
-    bounds = [*first.tolist(), len(rows)]
-    return {image_ids[k]: Detections(corners[lo:hi], class_id[lo:hi], scores[lo:hi])
-            for k, lo, hi in zip(found.tolist(), bounds, bounds[1:])}
+    return (Detections(parsed.corners[rows], class_id[rows], parsed.score[rows]),
+            image[rows])
 
 
 def score(data_dir, detections_path, ious) -> tuple[list[EvalReport], list[str]]:
@@ -335,10 +333,9 @@ def score(data_dir, detections_path, ious) -> tuple[list[EvalReport], list[str]]
     Annotation and detection-file warnings go to stderr."""
     class_names, image_ids = _load_dataset(data_dir)
     gt = _read_ground_truth(data_dir, image_ids, class_names)
-    dets = _detections_by_image(Path(detections_path).read_text(), class_names,
-                                image_ids)
-    gt_by_image = dict(zip(image_ids, gt.per_image(len(image_ids))))
-    return evaluate(dets, gt_by_image, ious), class_names
+    dets, image = _read_detections(Path(detections_path).read_text(), class_names,
+                                   image_ids)
+    return evaluate(dets, image, gt, ious), class_names
 
 
 def cmd_eval(args) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +28,6 @@ from .postprocess import Detections
 #: match outcomes of a detection: a false or true positive, or matched to a
 #: difficult object and so not ranked
 FALSE_POSITIVE, TRUE_POSITIVE, IGNORED = 0, 1, -1
-
-_NO_OBJECTS = GroundTruth.stack([], [])
 
 
 class PRPoint(NamedTuple):
@@ -180,46 +178,31 @@ def mean_ap(per_class_ap: dict[int, float]) -> float:
     return float(np.mean(list(per_class_ap.values())))
 
 
-def evaluate(detections_by_image: dict[str, Detections],
-             ground_truth_by_image: dict[str, GroundTruth],
+def evaluate(detections: Detections, image: np.ndarray, ground_truth: GroundTruth,
              iou_thresholds: Sequence[float]) -> list[EvalReport]:
     """Pool matches across images and compute per-class AP and mAP, one
     report per IoU threshold, in the order given.
 
-    Every threshold must lie in (0, 1], with or without detections.
-    Classes with zero ground-truth instances (difficult ones do not count)
-    are excluded from the mean; detections for such classes still exist but
-    have no defined recall. ``num_det`` counts every detection of a class,
-    the curve only those that are not ``IGNORED``. Images are pooled in
-    sorted order, so score ties rank by image, then by detection. Every
-    image is matched in one ``match_detections`` call, whose class ids are
-    then (image, class) groups, so a detection meets only the objects of
-    its own image and class, and the pairs of every image are clipped at
-    once.
+    ``image`` holds each detection's image, indexed as
+    ``ground_truth.image`` indexes the objects'. Every threshold must lie
+    in (0, 1], with or without detections. Classes with zero ground-truth
+    instances (difficult ones do not count) are excluded from the mean;
+    detections for such classes still exist but have no defined recall.
+    ``num_det`` counts every detection of a class, the curve only those
+    that are not ``IGNORED``. Score ties rank in input order. Every image
+    is matched in one ``match_detections`` call, whose class ids are then
+    (image, class) groups, so a detection meets only the objects of its
+    own image and class, and the pairs of every image are clipped at once.
     """
     check_iou_thresholds(iou_thresholds)
-    num_gt: Counter = Counter()
-    for gt in ground_truth_by_image.values():
-        num_gt.update(gt.class_id[~gt.difficult].tolist())
-    images = sorted(detections_by_image)
-    dets = [detections_by_image[img] for img in images]
-    gts = [ground_truth_by_image.get(img, _NO_OBJECTS) for img in images]
-    class_id = np.concatenate([np.zeros(0, dtype=np.intp), *(d.class_id for d in dets)])
-    gt_class = np.concatenate([np.zeros(0, dtype=np.intp), *(g.class_id for g in gts)])
-    score = np.concatenate([np.zeros(0), *(d.score for d in dets)])
+    class_id, score, gt_class = detections.class_id, detections.score, ground_truth.class_id
+    num_gt = Counter(gt_class[~ground_truth.difficult].tolist())
     # group id (image k, class c) -> k * span + c - lowest, distinct per pair
     both = np.concatenate([class_id, gt_class])
     lowest = int(both.min(initial=0))
     span = int(both.max(initial=0)) - lowest + 1
-    index = np.arange(len(images))
-    det_image = np.repeat(index, [len(d) for d in dets])
-    pooled = Detections(np.concatenate([np.zeros((0, 4, 2)), *(d.corners for d in dets)]),
-                        det_image * span + class_id - lowest, score)
-    gt_image = np.repeat(index, [len(g) for g in gts])
-    truth = GroundTruth(gt_image, gt_image * span + gt_class - lowest,
-                        np.concatenate([np.zeros((0, 4, 2)), *(g.corners for g in gts)]),
-                        np.concatenate([np.zeros(0, dtype=bool),
-                                        *(g.difficult for g in gts)]))
+    pooled = Detections(detections.corners, image * span + class_id - lowest, score)
+    truth = replace(ground_truth, class_id=ground_truth.image * span + gt_class - lowest)
     outcome = match_detections(pooled, truth, iou_thresholds)
     num_det = Counter(class_id.tolist())
 

@@ -193,13 +193,6 @@ class GroundTruth:
                    np.array(coords, dtype=np.float64).reshape(-1, 4, 2),
                    np.array([d != 0 for d in difficulty], dtype=bool))
 
-    def per_image(self, num_images: int) -> list[GroundTruth]:
-        """Row views of images 0 to num_images - 1, one set each."""
-        bounds = np.searchsorted(self.image, np.arange(num_images + 1)).tolist()
-        return [GroundTruth(self.image[lo:hi], self.class_id[lo:hi],
-                            self.corners[lo:hi], self.difficult[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])]
-
 
 #: one annotation line: eight coordinates at six decimals, class name,
 #: difficulty

@@ -37,7 +37,8 @@ class Poles:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """Oriented boxes of one image with class and confidence, one row each."""
+    """Oriented boxes with class and confidence, one row each: one image's
+    from ``decode_poles``, or a detections file's pooled for ``evaluate``."""
 
     corners: np.ndarray   # (D, 4, 2) float64 pixels
     class_id: np.ndarray  # (D,) intp

@@ -805,11 +805,8 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
         fh.write(archive.getbuffer())
 
 
-# .npy format version -> (bytes of the header length, header encoding)
-_NPY_VERSIONS = {b"\x01\x00": (2, "latin1"), b"\x02\x00": (4, "latin1"),
-                 b"\x03\x00": (4, "utf8")}
-# the header np.save writes for an array of a non-structured dtype
-_NPY_HEADER = re.compile(r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+# the header np.save writes for a C-order array of a non-structured dtype
+_NPY_HEADER = re.compile(r"\{'descr': '([^']+)', 'fortran_order': False, "
                          r"'shape': \(((?:\d+, )*\d+,?|)\), \} *\n")
 
 # what zipfile raises on a damaged central directory
@@ -823,19 +820,21 @@ _ZIP_LOCAL = struct.Struct("<4s5H3L2H")
 def _npy_array(raw: bytes, key: str) -> np.ndarray:
     """The array of ``np.save``'s bytes ``raw``, a read-only view of them.
 
-    Reads formats 1.0 to 3.0, with the header as ``np.save`` writes it;
-    any other header, and an object dtype, raise ``VersionError``.
+    Reads format 1.0 in C order, with the header as ``np.save`` writes it,
+    the only form ``save_checkpoint`` writes; any other version or header,
+    and an object dtype, raise ``VersionError``.
     """
-    version = _NPY_VERSIONS.get(raw[6:8]) if raw[:6] == b"\x93NUMPY" else None
-    if version is None:
+    if raw[:6] != b"\x93NUMPY":
         raise VersionError(f"unreadable checkpoint array {key}: not an .npy member")
-    width, encoding = version
-    start = 8 + width + int.from_bytes(raw[8:8 + width], "little")
-    text = raw[8 + width:start].decode(encoding, "replace")
+    if raw[6:8] != b"\x01\x00":
+        raise VersionError(f"unreadable checkpoint array {key}: .npy format version "
+                           f"{'.'.join(map(str, raw[6:8]))}")
+    start = 10 + int.from_bytes(raw[8:10], "little")
+    text = raw[10:start].decode("latin1")
     header = _NPY_HEADER.fullmatch(text)
     if header is None:
         raise VersionError(f"unreadable checkpoint array {key}: .npy header {text!r}")
-    descr, fortran, dims = header.groups()
+    descr, dims = header.groups()
     try:
         dtype = np.dtype(descr)
     except (TypeError, ValueError):
@@ -847,13 +846,14 @@ def _npy_array(raw: bytes, key: str) -> np.ndarray:
         arr = np.frombuffer(raw, dtype, count=math.prod(shape), offset=start)
     except ValueError as exc:
         raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
-    return arr.reshape(shape[::-1]).T if fortran == "True" else arr.reshape(shape)
+    return arr.reshape(shape)
 
 
 def _zip_member(raw: bytes, info: zipfile.ZipInfo, key: str) -> bytes:
     """The checked bytes of the member ``info`` of the zip archive ``raw``:
-    its local header carries its name, it is stored or deflated and not
-    encrypted, and its bytes have the CRC-32 its directory entry records."""
+    its local header carries its name, it is stored (``np.savez`` does not
+    compress) and not encrypted, and its bytes have the CRC-32 its directory
+    entry records."""
     try:
         sig, *_, name_len, extra_len = _ZIP_LOCAL.unpack_from(raw, info.header_offset)
         start = info.header_offset + _ZIP_LOCAL.size
@@ -861,19 +861,16 @@ def _zip_member(raw: bytes, info: zipfile.ZipInfo, key: str) -> bytes:
             "utf8" if info.flag_bits & 0x800 else "cp437")
         if sig != b"PK\x03\x04" or name != info.orig_filename:
             raise ValueError(f"bad local header for file {info.filename!r}")
-        if info.flag_bits & 0x1 or info.compress_type not in (zipfile.ZIP_STORED,
-                                                               zipfile.ZIP_DEFLATED):
+        if info.flag_bits & 0x1 or info.compress_type != zipfile.ZIP_STORED:
             raise ValueError(f"file {info.filename!r} is encrypted or compressed "
                              f"by method {info.compress_type}")
         start += name_len + extra_len
         data = raw[start:start + info.compress_size]
         if len(data) != info.compress_size:
             raise ValueError(f"file {info.filename!r} is cut short")
-        if info.compress_type == zipfile.ZIP_DEFLATED:
-            data = zlib.decompress(data, -15)
         if zlib.crc32(data) != info.CRC:
             raise ValueError(f"Bad CRC-32 for file {info.filename!r}")
-    except (struct.error, ValueError, zlib.error) as exc:
+    except (struct.error, ValueError) as exc:
         raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
     return data
 

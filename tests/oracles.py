@@ -372,11 +372,18 @@ def greedy_nms_reference(corners, scores, iou_threshold: float) -> list[int]:
 
 
 def greedy_match_reference(det_corners, det_classes, det_scores, gt_corners,
-                           gt_classes, iou_threshold: float) -> list[bool]:
-    """VOC greedy matching with one scalar clip per (detection, GT) pair."""
+                           gt_classes, iou_threshold: float,
+                           difficult=None) -> list[bool | None]:
+    """VOC greedy matching with one scalar clip per (detection, GT) pair.
+
+    A detection is True when it takes its best untaken object, False when
+    that object misses the threshold or there is none. When the object is
+    flagged in ``difficult`` (a flag per object; none by default), the
+    detection is None, not ranked, and the object stays untaken.
+    """
     order = sorted(range(len(det_scores)), key=lambda i: -det_scores[i])
     gt_taken = [False] * len(gt_corners)
-    flags = [False] * len(det_scores)
+    flags: list[bool | None] = [False] * len(det_scores)
     for i in order:
         best_iou, best_j = 0.0, -1
         for j, gt in enumerate(gt_corners):
@@ -386,8 +393,11 @@ def greedy_match_reference(det_corners, det_classes, det_scores, gt_corners,
             if iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= iou_threshold:
-            gt_taken[best_j] = True
-            flags[i] = True
+            if difficult is not None and difficult[best_j]:
+                flags[i] = None
+            else:
+                gt_taken[best_j] = True
+                flags[i] = True
     return flags
 
 

@@ -198,6 +198,24 @@ class TestTrain:
         assert f"{first}: line " in err and "expected 10 fields, got 3" in err
         assert "'zeppelin' not in ['class0', 'class1']" in err
 
+    def test_class_names_are_stripped(self, workspace, tmp_path, capsys):
+        # whitespace around a name in classes.txt is not part of it: train
+        # and eval read the annotations' plain names against it
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "classes.txt").write_text("class0 \n\tclass1\n")
+        ckpt = tmp_path / "n.npz"
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--iters", "2", "--base-channels", "2",
+                         "--log-every", "0"]) == 0
+        assert load_checkpoint(ckpt)[1]["extra"]["classes"] == ["class0", "class1"]
+        capsys.readouterr()
+        for folder in (workspace["data"], data):
+            assert cli.main(["eval", "--data", str(folder),
+                             "--detections", str(workspace["dets"])]) == 0
+        clean, stripped = capsys.readouterr().out.split("IoU")[1:]
+        assert stripped == clean and "class0: AP" in clean
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "n.npz")])
@@ -530,6 +548,30 @@ class TestEval:
         dets.write_text(f"x 0.9 {easy} a\nx 0.95 20 20 28 20 28 28 20 28 a\n")
         assert cli.main(["eval", "--data", str(data), "--detections", str(dets)]) == 0
         assert "a: AP 1.0000 (gt 1, det 2)" in capsys.readouterr().out
+
+    def test_equal_scores_rank_in_image_id_order(self, tmp_path, capsys):
+        # images a and a-b hold one square each; a misses its square and a-b
+        # finds its own at the same score. Ids rank as strings, a before
+        # a-b (the file names sort the other way: '-' < '.'), so the miss
+        # comes first: precision 1/2 at recall 1/2, AP 0.25
+        data = tmp_path / "data"
+        (data / "annotations").mkdir(parents=True)
+        (data / "images").mkdir()
+        (data / "classes.txt").write_text("s\n")
+        square = "4 4 12 4 12 12 4 12"
+        for image_id in ("a", "a-b"):
+            (data / "images" / f"{image_id}.pgm").write_bytes(
+                b"P5\n32 32\n255\n" + bytes(1024))
+            (data / "annotations" / f"{image_id}.txt").write_text(f"{square} s 0\n")
+        dets = tmp_path / "dets.txt"
+        dets.write_text(f"a-b 0.9 {square} s\na 0.9 20 20 28 20 28 28 20 28 s\n")
+        assert cli._load_dataset(data)[1] == ["a", "a-b"]
+        assert cli.main(["eval", "--data", str(data), "--detections", str(dets),
+                         "--pr-out", str(tmp_path / "pr")]) == 0
+        assert capsys.readouterr().out == (
+            "IoU 0.50: mAP 0.2500\n  s: AP 0.2500 (gt 2, det 2)\n")
+        assert (tmp_path / "pr" / "pr_iou0.50_s.csv").read_text().splitlines() == [
+            "recall,precision,score", "0.0,0.0,0.9", "0.5,0.5,0.9"]
 
     def test_missing_detections_file_is_io_error(self, workspace, tmp_path,
                                                  capsys):

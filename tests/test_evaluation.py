@@ -24,17 +24,18 @@ def det(cx, cy, score, size=4.0, class_id=0):
     return square(cx, cy, size, class_id), score
 
 
-def truth(quads, difficult=()):
-    """One image's ``GroundTruth`` from (corners, class id) pairs;
-    ``difficult`` holds the indices of the difficult ones."""
-    return GroundTruth(np.zeros(len(quads), dtype=np.intp),
+def truth(quads, difficult=(), image=0):
+    """A ``GroundTruth`` from (corners, class id) pairs: ``image`` holds the
+    objects' image index, one for all or one each, and ``difficult`` the
+    indices of the difficult ones."""
+    return GroundTruth(np.zeros(len(quads), dtype=np.intp) + image,
                        np.array([k for _c, k in quads], dtype=np.intp),
                        np.array([c for c, _k in quads]).reshape(-1, 4, 2),
                        np.isin(np.arange(len(quads)), difficult))
 
 
 def detections(*items):
-    """One image's ``Detections`` from ((corners, class id), score) pairs."""
+    """``Detections`` from ((corners, class id), score) pairs."""
     return Detections(np.array([c for (c, _k), _s in items]).reshape(-1, 4, 2),
                       np.array([k for (_c, k), _s in items], dtype=np.intp),
                       np.array([score for _, score in items], dtype=np.float64))
@@ -308,17 +309,17 @@ class TestMeanAP:
             mean_ap({})
 
 
+def images(*counts):
+    """Image indices of pooled rows: ``counts[k]`` rows of image k in turn."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
 class TestEvaluate:
     def test_pools_across_images(self):
-        dets = {
-            "a": detections(det(10, 10, 0.9), det(30, 30, 0.8)),   # TP, FP
-            "b": detections(det(10, 10, 0.7)),                     # TP
-        }
-        gts = {
-            "a": truth([square(10, 10)]),
-            "b": truth([square(10, 10), square(50, 50)]),
-        }
-        [report] = evaluate(dets, gts, [0.5])
+        dets = detections(det(10, 10, 0.9), det(30, 30, 0.8),   # image 0: TP, FP
+                          det(10, 10, 0.7))                     # image 1: TP
+        gts = truth([square(10, 10), square(10, 10), square(50, 50)], image=[0, 1, 1])
+        [report] = evaluate(dets, images(2, 1), gts, [0.5])
         ce = report.per_class[0]
         assert ce.num_gt == 3
         assert ce.num_det == 3
@@ -328,87 +329,178 @@ class TestEvaluate:
         assert report.mean_ap == pytest.approx(expected)
 
     def test_gt_in_one_image_cannot_match_detection_in_another(self):
-        dets = {"a": detections(det(10, 10, 0.9))}
-        gts = {"a": truth([]), "b": truth([square(10, 10)])}
-        [report] = evaluate(dets, gts, [0.5])
+        # the object lies in image 1, which has no detection
+        [report] = evaluate(detections(det(10, 10, 0.9)), images(1),
+                            truth([square(10, 10)], image=1), [0.5])
         assert report.per_class[0].ap == 0.0
+        assert report.per_class[0].num_gt == 1
 
     def test_classes_without_gt_are_excluded(self):
-        dets = {"a": detections(det(10, 10, 0.9, class_id=0),
-                                det(20, 20, 0.8, class_id=1))}
-        gts = {"a": truth([square(10, 10, class_id=0)])}
-        [report] = evaluate(dets, gts, [0.5])
+        dets = detections(det(10, 10, 0.9, class_id=0), det(20, 20, 0.8, class_id=1))
+        gts = truth([square(10, 10, class_id=0)])
+        [report] = evaluate(dets, images(2), gts, [0.5])
         assert set(report.per_class) == {0}
         assert report.mean_ap == pytest.approx(1.0)
 
     def test_multi_class_mean(self):
-        dets = {"a": detections(det(10, 10, 0.9, class_id=0),
-                                det(40, 40, 0.8, class_id=1),
-                                det(20, 20, 0.7, class_id=1))}  # second class1 det is FP
-        gts = {"a": truth([square(10, 10, class_id=0), square(40, 40, class_id=1)])}
-        [report] = evaluate(dets, gts, [0.5])
+        dets = detections(det(10, 10, 0.9, class_id=0),
+                          det(40, 40, 0.8, class_id=1),
+                          det(20, 20, 0.7, class_id=1))  # second class1 det is FP
+        gts = truth([square(10, 10, class_id=0), square(40, 40, class_id=1)])
+        [report] = evaluate(dets, images(3), gts, [0.5])
         assert report.per_class[0].ap == pytest.approx(1.0)
         assert report.per_class[1].ap == pytest.approx(1.0)
         assert report.mean_ap == pytest.approx(1.0)
 
     def test_iou_threshold_changes_outcome(self):
         # det offset so IoU is 1/3: TP at 0.25, FP at 0.5
-        dets = {"a": detections(det(12, 10, 0.9))}
-        gts = {"a": truth([square(10, 10)])}
-        at_25, at_50 = evaluate(dets, gts, [0.25, 0.5])
+        at_25, at_50 = evaluate(detections(det(12, 10, 0.9)), images(1),
+                                truth([square(10, 10)]), [0.25, 0.5])
         assert at_25.mean_ap == pytest.approx(1.0)
         assert at_50.mean_ap == 0.0
 
-    def test_one_clip_call_per_image_serves_every_threshold(self, monkeypatch):
+    def test_one_clip_call_serves_every_image_and_threshold(self, monkeypatch):
         rng = np.random.default_rng(21)
-        dets, gts = {}, {}
-        for img in ("a", "b", "c"):
-            corners, owner = jittered_scene(rng, num_objects=5, copies=2)
+        corners, score, gt_corners, gt_image = [], [], [], []
+        for _ in range(3):
+            boxes, owner = jittered_scene(rng, num_objects=5, copies=2)
             gt_idx = np.unique(owner, return_index=True)[1]
-            det_idx = np.setdiff1d(np.arange(len(corners)), gt_idx)
-            dets[img] = Detections(corners[det_idx], np.zeros(len(det_idx), np.intp),
-                                   rng.uniform(0.0, 1.0, len(det_idx)))
-            gts[img] = truth([(corners[j], 0) for j in gt_idx])
-        gts["d"] = truth([square(10, 10)])  # ground truth only: nothing to match
+            det_idx = np.setdiff1d(np.arange(len(boxes)), gt_idx)
+            corners.append(boxes[det_idx])
+            score.append(rng.uniform(0.0, 1.0, len(det_idx)))
+            gt_corners.append(boxes[gt_idx])
+        dets = Detections(np.concatenate(corners), np.zeros(30, np.intp),
+                          np.concatenate(score))
+        # image 3 holds ground truth only: nothing to match
+        gt_corners.append(square(10, 10)[0][None])
+        gts = truth([(c, 0) for c in np.concatenate(gt_corners)],
+                    image=images(5, 5, 5, 1))
         thresholds = [0.3, 0.5, 0.75]
-        singles = [evaluate(dets, gts, [t])[0] for t in thresholds]
+        singles = [evaluate(dets, images(10, 10, 10), gts, [t])[0] for t in thresholds]
         calls = []
         real = geometry._intersection_areas
         monkeypatch.setattr(geometry, "_intersection_areas",
                             lambda p, q: calls.append(len(p)) or real(p, q))
-        reports = evaluate(dets, gts, thresholds)
+        reports = evaluate(dets, images(10, 10, 10), gts, thresholds)
         # one call clips the pairs of every image with detections
         assert len(calls) == 1
         assert [r.iou_threshold for r in reports] == thresholds
         for got, ref in zip(reports, singles):
             assert got.mean_ap == ref.mean_ap
             assert got.per_class[0].curve == ref.per_class[0].curve
+        assert reports[0].per_class[0].num_gt == 16
         assert 0.0 < reports[2].mean_ap < reports[0].mean_ap
 
     def test_difficult_objects_leave_recall_and_ranking(self):
         # VOC: an exact detection of the easy square alone scores AP 1
-        gts = {"a": truth([square(10, 10), square(30, 30)], difficult=[1])}
-        [report] = evaluate({"a": detections(det(10, 10, 0.9))}, gts, [0.5])
+        gts = truth([square(10, 10), square(30, 30)], difficult=[1])
+        [report] = evaluate(detections(det(10, 10, 0.9)), images(1), gts, [0.5])
         assert report.per_class[0].num_gt == 1
         assert report.per_class[0].ap == 1.0
         # a higher-scored detection of the difficult square changes nothing
         # but the detection count
-        [again] = evaluate({"a": detections(det(30, 30, 0.95), det(10, 10, 0.9))},
+        [again] = evaluate(detections(det(30, 30, 0.95), det(10, 10, 0.9)), images(2),
                            gts, [0.5])
         assert again.per_class[0].curve == report.per_class[0].curve
         assert again.per_class[0].num_det == 2
 
     def test_class_with_only_difficult_objects_is_excluded(self):
-        gts = {"a": truth([square(10, 10), square(30, 30, class_id=1)],
-                          difficult=[1])}
-        [report] = evaluate({"a": detections(det(10, 10, 0.9))}, gts, [0.5])
+        gts = truth([square(10, 10), square(30, 30, class_id=1)], difficult=[1])
+        [report] = evaluate(detections(det(10, 10, 0.9)), images(1), gts, [0.5])
         assert set(report.per_class) == {0}
 
     def test_no_gt_anywhere_raises(self):
         with pytest.raises(NoClasses):
-            evaluate({"a": detections(det(1, 1, 0.5))}, {"a": truth([])}, [0.5])
+            evaluate(detections(det(1, 1, 0.5)), images(1), truth([]), [0.5])
 
     def test_curve_attached_to_report(self):
-        [report] = evaluate({"a": detections(det(10, 10, 0.9))},
-                            {"a": truth([square(10, 10)])}, [0.5])
+        [report] = evaluate(detections(det(10, 10, 0.9)), images(1),
+                            truth([square(10, 10)]), [0.5])
         assert report.per_class[0].curve == [PRPoint(1.0, 1.0, 0.9)]
+
+
+def random_pooled_scene(rng, num_images: int):
+    """(detections, image, ground truth) of ``num_images`` jittered scenes:
+    the ground truth image after image, the detections pooled in a shuffled
+    order. Objects take three classes and about a fifth are difficult (not
+    the first); a detection mostly keeps its object's class, else takes one
+    of four; scores lie on a 0.1 grid, so equal scores recur within and
+    across images; the last image may have no detection."""
+    corners, class_id, score, image = [], [], [], []
+    gt_corners, gt_class, gt_image = [], [], []
+    for k in range(num_images):
+        boxes, owner = jittered_scene(rng, num_objects=int(rng.integers(2, 6)), copies=2)
+        gt_idx = np.unique(owner, return_index=True)[1]
+        det_idx = np.setdiff1d(np.arange(len(boxes)), gt_idx)
+        if k == num_images - 1 and rng.random() < 0.3:
+            det_idx = det_idx[:0]
+        classes = rng.integers(0, 3, len(boxes))[gt_idx][owner]
+        classes = np.where(rng.uniform(size=len(boxes)) < 0.8, classes,
+                           rng.integers(0, 4, len(boxes)))
+        corners.append(boxes[det_idx])
+        class_id.append(classes[det_idx])
+        score.append(np.round(rng.uniform(0.05, 0.95, len(det_idx)), 1))
+        image.append(np.full(len(det_idx), k))
+        gt_corners.append(boxes[gt_idx])
+        gt_class.append(classes[gt_idx])
+        gt_image.append(np.full(len(gt_idx), k))
+    order = rng.permutation(sum(map(len, score)))
+    dets = Detections(np.concatenate(corners)[order], np.concatenate(class_id)[order],
+                      np.concatenate(score)[order])
+    difficult = rng.uniform(size=sum(map(len, gt_class))) < 0.2
+    difficult[0] = False
+    gts = GroundTruth(np.concatenate(gt_image), np.concatenate(gt_class),
+                      np.concatenate(gt_corners), difficult)
+    return dets, np.concatenate(image)[order], gts
+
+
+def evaluate_reference(dets, image, gts, threshold):
+    """{class: (num_gt, num_det, curve, AP)} for the classes with an easy
+    object: ``greedy_match_reference`` on each image alone, then each
+    class's ranked detections pooled in input order."""
+    flags: list = [None] * len(dets)
+    for k in set(image.tolist()):
+        rows = np.flatnonzero(image == k)
+        mine = gts.image == k
+        matched = greedy_match_reference(
+            dets.corners[rows], dets.class_id[rows], dets.score[rows], gts.corners[mine],
+            gts.class_id[mine], threshold, gts.difficult[mine])
+        for i, flag in zip(rows.tolist(), matched):
+            flags[i] = flag
+    out = {}
+    for c in sorted(set(gts.class_id[~gts.difficult].tolist())):
+        num_gt = int(np.count_nonzero((gts.class_id == c) & ~gts.difficult))
+        ranked = [i for i in range(len(dets))
+                  if dets.class_id[i] == c and flags[i] is not None]
+        curve = precision_recall_reference([dets.score[i] for i in ranked],
+                                           [flags[i] for i in ranked], num_gt)
+        out[c] = (num_gt, int(np.count_nonzero(dets.class_id == c)), curve,
+                  average_precision_reference(curve))
+    return out, flags
+
+
+class TestEvaluateAgainstPerImageReference:
+    def test_every_report_matches_the_reference(self):
+        thresholds = [0.3, 0.5, 0.75]
+        rng = np.random.default_rng(2025)
+        seen = {"ignored": 0, "tp": 0, "cross_image_ties": 0, "excluded": 0}
+        for _ in range(12):
+            dets, image, gts = random_pooled_scene(rng, int(rng.integers(2, 5)))
+            reports = evaluate(dets, image, gts, thresholds)
+            for threshold, report in zip(thresholds, reports):
+                expected, flags = evaluate_reference(dets, image, gts, threshold)
+                assert report.iou_threshold == threshold
+                assert sorted(report.per_class) == sorted(expected)
+                for c, (num_gt, num_det, curve, ap) in expected.items():
+                    got = report.per_class[c]
+                    assert (got.num_gt, got.num_det) == (num_gt, num_det)
+                    assert got.curve == curve
+                    assert got.ap == ap
+                assert report.mean_ap == mean_ap({c: e[3] for c, e in expected.items()})
+                seen["ignored"] += flags.count(None)
+                seen["tp"] += flags.count(True)
+            seen["excluded"] += len(set(dets.class_id.tolist()) - set(expected))
+            for s in set(dets.score.tolist()):
+                seen["cross_image_ties"] += len(set(image[dets.score == s].tolist())) > 1
+        # the scenes reach every rule the reference encodes
+        assert all(seen.values()), seen

@@ -175,8 +175,6 @@ class TestRecordConversion:
         assert gt.difficult.tolist() == [False, True, False]
         assert gt.corners.shape == (3, 4, 2) and gt.corners.dtype == np.float64
         assert gt.corners[0, 2].tolist() == [28.0, 25.0]
-        assert [len(g) for g in gt.per_image(3)] == [2, 0, 1]
-        assert gt.per_image(3)[2].corners.tolist() == gt.corners[2:].tolist()
 
     def test_first_unknown_class_of_a_file_stops_reading(self):
         seen = []
@@ -195,7 +193,7 @@ class TestRecordConversion:
     def test_no_records(self):
         gt = GroundTruth.stack([annotations(), annotations()], ["plane"])
         assert len(gt) == 0 and gt.corners.shape == (0, 4, 2)
-        assert [len(g) for g in gt.per_image(2)] == [0, 0]
+        assert gt.image.shape == (0,)
 
 
 class TestSerializers:
