@@ -41,7 +41,7 @@ def main() -> int:
 
     rows = []
     for lam, tag in (("0.01", "with_ring"), ("0", "no_ring")):
-        ckpt = out / f"{tag}.npz"
+        ckpt = out / f"{tag}.ckpt"
         dets = out / f"{tag}_detections.txt"
         for step in (
             ["train", "--data", str(train_dir), "--out", str(ckpt),

@@ -35,7 +35,7 @@ def main() -> int:
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
     train_dir, eval_dir = work / "train_data", work / "eval_data"
-    ckpt, dets = work / "net.npz", work / "detections.txt"
+    ckpt, dets = work / "net.ckpt", work / "detections.txt"
 
     steps = [
         ["synth", "--out", str(train_dir), "--count", str(args.images),

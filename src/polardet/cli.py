@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the detector on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="checkpoint path (.npz)")
+    p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--config", help="key=value overrides for training")
     p.add_argument("--iters", "--iterations", type=_positive_int, dest="iterations")
     p.add_argument("--batch", type=_positive_int)

@@ -13,11 +13,12 @@ confidence up front:
 Parsers return a file's well-formed lines as columns (``Annotations``,
 ``DetectionRows``) and never raise on malformed content; bad lines are
 dropped and reported as human-readable warnings so a corrupt line cannot
-take down a whole evaluation run. Each parser splits a file into tokens
-once and converts all its numbers at once; only a file with a line to drop
-is read again line by line, for the warnings. A dataset's parsed
-annotations become one ``GroundTruth`` array set, where an unknown class
-name raises.
+take down a whole evaluation run. A quad's coordinates must be finite, and
+so must its shoelace area, so that no overflow reaches the geometry. Each
+parser splits a file into tokens once and converts all its numbers at once;
+only a file with a line to drop is read again line by line, for the
+warnings. A dataset's parsed annotations become one ``GroundTruth`` array
+set, where an unknown class name raises.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import UnknownClass
+from .geometry import _shoelace
 
 
 @dataclass(eq=False)
@@ -65,10 +67,18 @@ def _finite_floats(tokens: list[str]) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
+def _finite_areas(coords) -> bool:
+    """Whether each quad of ``coords``, eight finite coordinates in turn,
+    has a finite shoelace area; an overflow on the way warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(_shoelace(np.reshape(coords, (-1, 4, 2)))).all())
+
+
 def _annotation_columns(rows: list[list[str]]) -> tuple[list[float], list[int]] | None:
     """(coords, difficulty) of annotation rows split into tokens, or None
     if a row would be dropped: not 10 tokens, a coordinate that is not a
-    finite float, or a difficulty that is not an integer."""
+    finite float, a quad whose area is not finite, or a difficulty that is
+    not an integer."""
     if not all(len(t) == 10 for t in rows):
         return None
     coords = _finite_floats(list(chain.from_iterable([t[:8] for t in rows])))
@@ -76,7 +86,9 @@ def _annotation_columns(rows: list[list[str]]) -> tuple[list[float], list[int]] 
         difficulty = [int(t[9]) for t in rows]
     except ValueError:
         return None
-    return None if coords is None else (coords, difficulty)
+    if coords is None or not _finite_areas(coords):
+        return None
+    return coords, difficulty
 
 
 def parse_annotations(text: str) -> Annotations:
@@ -98,6 +110,9 @@ def parse_annotations(text: str) -> Annotations:
             values = _finite_floats(tokens[:8])
             if values is None:
                 warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
+                continue
+            if not _finite_areas(values):
+                warnings.append(f"line {lineno}: quad area is not finite")
                 continue
             try:
                 difficulty.append(int(tokens[9]))
@@ -131,6 +146,8 @@ def parse_detections(text: str) -> DetectionRows:
     values = None
     if all(len(t) == 11 for t in rows):
         values = _finite_floats(list(chain.from_iterable([t[1:10] for t in rows])))
+        if values is not None and not _finite_areas(np.reshape(values, (-1, 9))[:, 1:]):
+            values = None
     warnings: list[str] = []
     if values is None:
         rows, values = [], []
@@ -144,6 +161,9 @@ def parse_detections(text: str) -> DetectionRows:
             numbers = _finite_floats(tokens[1:10])
             if numbers is None:
                 warnings.append(f"line {lineno}: non-numeric or non-finite values")
+                continue
+            if not _finite_areas(numbers[1:]):
+                warnings.append(f"line {lineno}: quad area is not finite")
                 continue
             rows.append(tokens)
             values += numbers

@@ -37,13 +37,13 @@ fewer-rows rule, applied to the backward.
 
 The parameters live in one flat float64 vector and their gradients in
 another (``ToyNet.flat``); every layer's weight and bias, and each head's
-rows that ``parameters()`` and the checkpoint list, are views of them. So
-``zero_grads`` is one fill, and an Adam step is one chain of vector ops
-per 8,192 elements, into two scratch vectors of that size allocated with
-the optimizer. Each ReLU keeps its
-output, and its backward forms the ``x > 0`` mask as ``out > 0`` (the same
-mask, signed zeros, subnormals and NaN included), so the forward reads its
-input once.
+rows that ``parameters()`` lists, are views of them, and the checkpoint
+stores the parameter vector as it is. So ``zero_grads`` is one fill, and
+an Adam step is one chain of vector ops per 8,192 elements, into two
+scratch vectors of that size allocated with the optimizer. Each ReLU
+keeps its output, and its backward forms the ``x > 0`` mask as ``out >
+0`` (the same mask, signed zeros, subnormals and NaN included), so the
+forward reads its input once.
 
 Precision is split as in mixed-precision training: the conv stack (input,
 im2col columns, activations and both backward products) computes in the
@@ -56,13 +56,8 @@ which reproduces the all-float64 arithmetic exactly.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
-import os
-import re
-import struct
-import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,7 +69,9 @@ from .errors import DivergenceError, ShapeError, StateError, VersionError
 from .losses import LossConfig, pole_focal_loss, total_loss, total_regression_loss
 
 CHECKPOINT_MAGIC = "polardet-ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# a checkpoint file's first bytes
+_MAGIC_LINE = f"{CHECKPOINT_MAGIC}\n".encode()
 
 # heatmap-head bias so that sigmoid(bias) ~ 0.1: predictions start near the
 # background value instead of 0.5, which keeps early focal gradients small
@@ -504,7 +501,7 @@ class ToyNet:
         self.block1 = ResidualBlock("block1", c2, rng, dtype)
         self.block2 = ResidualBlock("block2", c2, rng, dtype)
         # one conv for all heads (one draw gives three per-head draws' values);
-        # parameters() and the checkpoint keep each head's rows as views
+        # parameters() keeps each head's rows as views
         self.head = Conv2d("head", c2, num_classes + 3, 1, rng, dtype=dtype,
                            grads=False)
         self.head.bias.value[:num_classes] = HEAT_BIAS_INIT
@@ -781,12 +778,11 @@ def train(net: ToyNet, images, targets: Targets, cfg: TrainConfig,
 
 
 def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
-    """Serialize weights plus a JSON header describing the topology.
-
-    The file is ``np.savez``'s archive, byte for byte, built in memory and
-    written with one call; as with ``np.savez``, a path that does not end
-    in ``.npz`` gets that suffix.
-    """
+    """Write ``net`` to exactly ``path`` as a version-2 checkpoint, in one
+    write: the magic line, the JSON header's byte length (4 bytes, little
+    endian) and the header, ``net.flat``'s values as little-endian float64,
+    and a CRC-32 trailer (4 bytes, little endian) over every byte before
+    it."""
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -797,108 +793,41 @@ def save_checkpoint(path, net: ToyNet, extra: dict | None = None) -> None:
     }
     if extra:
         meta["extra"] = extra
-    arrays = {f"param_{i:03d}": p.value for i, p in enumerate(net.parameters())}
-    archive = io.BytesIO()
-    np.savez(archive, meta=json.dumps(meta), **arrays)
-    path = os.fspath(path)
-    with open(path if path.endswith(".npz") else f"{path}.npz", "wb") as fh:
-        fh.write(archive.getbuffer())
+    header = json.dumps(meta).encode()
+    body = b"".join((_MAGIC_LINE, len(header).to_bytes(4, "little"), header,
+                     net.flat.value.astype("<f8", copy=False).tobytes()))
+    with open(path, "wb") as fh:
+        fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
-# the header np.save writes for a C-order array of a non-structured dtype
-_NPY_HEADER = re.compile(r"\{'descr': '([^']+)', 'fortran_order': False, "
-                         r"'shape': \(((?:\d+, )*\d+,?|)\), \} *\n")
+def load_checkpoint(path) -> tuple[ToyNet, dict]:
+    """Rebuild a float32 ToyNet and its header dict from a checkpoint.
 
-# what zipfile raises on a damaged central directory
-_UNREADABLE = (EOFError, ValueError, zipfile.BadZipFile)
-# the local header in front of each zip member's bytes (PKWARE APPNOTE
-# 4.3.7): signature, five 2-byte and three 4-byte fields, then the lengths
-# of the member's name and of its extra field
-_ZIP_LOCAL = struct.Struct("<4s5H3L2H")
-
-
-def _npy_array(raw: bytes, key: str) -> np.ndarray:
-    """The array of ``np.save``'s bytes ``raw``, a read-only view of them.
-
-    Reads format 1.0 in C order, with the header as ``np.save`` writes it,
-    the only form ``save_checkpoint`` writes; any other version or header,
-    and an object dtype, raise ``VersionError``.
+    The file is read once and checked in turn: its magic line, its CRC-32,
+    its header (a JSON object with the magic, the version, and
+    ``num_classes`` and ``base_channels`` as integers >= 1), and the exact
+    byte count of that topology's parameters. Then the vector is copied
+    into the ``flat`` of a net built with zero weights, drawing no init,
+    and checked finite. A failed check raises ``VersionError`` naming it
+    (``ShapeError`` for a wrong byte count; a non-finite value names its
+    parameter), and no net is returned.
     """
-    if raw[:6] != b"\x93NUMPY":
-        raise VersionError(f"unreadable checkpoint array {key}: not an .npy member")
-    if raw[6:8] != b"\x01\x00":
-        raise VersionError(f"unreadable checkpoint array {key}: .npy format version "
-                           f"{'.'.join(map(str, raw[6:8]))}")
-    start = 10 + int.from_bytes(raw[8:10], "little")
-    text = raw[10:start].decode("latin1")
-    header = _NPY_HEADER.fullmatch(text)
-    if header is None:
-        raise VersionError(f"unreadable checkpoint array {key}: .npy header {text!r}")
-    descr, dims = header.groups()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(b"PK\x03\x04"):
+        raise VersionError("a version-1 checkpoint (an npz archive); only "
+                           f"version {CHECKPOINT_VERSION} is read")
+    if not raw.startswith(_MAGIC_LINE):
+        raise VersionError(f"not a polardet checkpoint: starts {raw[:16]!r}")
+    body = memoryview(raw)[:-4]
+    if zlib.crc32(body) != int.from_bytes(raw[-4:], "little"):
+        raise VersionError("checkpoint CRC-32 mismatch: the file is damaged "
+                           "or cut short")
+    start = len(_MAGIC_LINE) + 4
+    end = start + int.from_bytes(raw[len(_MAGIC_LINE):start], "little")
     try:
-        dtype = np.dtype(descr)
-    except (TypeError, ValueError):
-        dtype = None
-    if dtype is None or dtype.hasobject or dtype.str != descr:
-        raise VersionError(f"unreadable checkpoint array {key}: dtype {descr!r}")
-    shape = tuple(int(n) for n in dims.split(",") if n)
-    try:
-        arr = np.frombuffer(raw, dtype, count=math.prod(shape), offset=start)
+        meta = json.loads(raw[start:end])
     except ValueError as exc:
-        raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
-    return arr.reshape(shape)
-
-
-def _zip_member(raw: bytes, info: zipfile.ZipInfo, key: str) -> bytes:
-    """The checked bytes of the member ``info`` of the zip archive ``raw``:
-    its local header carries its name, it is stored (``np.savez`` does not
-    compress) and not encrypted, and its bytes have the CRC-32 its directory
-    entry records."""
-    try:
-        sig, *_, name_len, extra_len = _ZIP_LOCAL.unpack_from(raw, info.header_offset)
-        start = info.header_offset + _ZIP_LOCAL.size
-        name = raw[start:start + name_len].decode(
-            "utf8" if info.flag_bits & 0x800 else "cp437")
-        if sig != b"PK\x03\x04" or name != info.orig_filename:
-            raise ValueError(f"bad local header for file {info.filename!r}")
-        if info.flag_bits & 0x1 or info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(f"file {info.filename!r} is encrypted or compressed "
-                             f"by method {info.compress_type}")
-        start += name_len + extra_len
-        data = raw[start:start + info.compress_size]
-        if len(data) != info.compress_size:
-            raise ValueError(f"file {info.filename!r} is cut short")
-        if zlib.crc32(data) != info.CRC:
-            raise ValueError(f"Bad CRC-32 for file {info.filename!r}")
-    except (struct.error, ValueError) as exc:
-        raise VersionError(f"unreadable checkpoint array {key}: {exc}") from exc
-    return data
-
-
-def _npz_reader(raw: bytes):
-    """``read(key)``: the array ``key`` of the npz archive ``raw``, from the
-    bytes of the member ``np.load`` would read for it. ``zipfile`` reads the
-    central directory; each member is sliced from ``raw`` itself, about half
-    the cost of opening it through ``ZipFile.read``."""
-    try:
-        infos = zipfile.ZipFile(io.BytesIO(raw)).infolist()
-    except _UNREADABLE as exc:
-        raise VersionError(f"not an npz archive: {exc}") from exc
-    member = {i.filename.removesuffix(".npy"): i for i in infos}
-    member |= {i.filename: i for i in infos}
-
-    def read(key: str) -> np.ndarray:
-        if key not in member:
-            raise VersionError(f"checkpoint missing array {key}")
-        return _npy_array(_zip_member(raw, member[key], key), key)
-    return read
-
-
-def _checkpoint_header(read) -> dict:
-    """The checked JSON header of a checkpoint archive's ``read``."""
-    try:
-        meta = json.loads(read("meta").item())
-    except (TypeError, ValueError) as exc:
         raise VersionError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(meta, dict):
         raise VersionError(f"checkpoint header is a JSON {type(meta).__name__}, "
@@ -911,39 +840,15 @@ def _checkpoint_header(read) -> dict:
         if type(meta.get(key)) is not int or meta[key] < 1:
             raise VersionError(f"checkpoint {key} must be an integer >= 1, "
                                f"got {meta.get(key)!r}")
-    return meta
-
-
-def load_checkpoint(path) -> tuple[ToyNet, dict]:
-    """Rebuild a float32 ToyNet and its header dict from a checkpoint.
-
-    The file must be an npz archive; its header a JSON object with the
-    magic, the version, and ``num_classes`` and ``base_channels`` as
-    integers >= 1; and each parameter array present, real, finite and of
-    the topology's shape. A failed check raises ``VersionError`` naming it
-    (``ShapeError`` for a wrong shape), and no net is returned. The net is
-    built from the header with zero weights, drawing no init, and each
-    parameter is copied in from its array once that array has passed.
-    The file is read once, and each member is taken from its bytes once
-    they match the CRC-32 the archive records for them.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw.startswith(b"\x93NUMPY"):
-        raise VersionError("not an npz archive but a single .npy array")
-    read = _npz_reader(raw)
-    meta = _checkpoint_header(read)
     net = ToyNet._unfilled(meta["num_classes"], meta["base_channels"])
-    for i, p in enumerate(net.parameters()):
-        arr = read(f"param_{i:03d}")
-        if arr.shape != p.value.shape:
-            raise ShapeError(f"{p.name}: checkpoint {arr.shape} vs "
-                             f"model {p.value.shape}")
-        if arr.dtype.kind not in "iuf":
-            raise VersionError(f"{p.name}: {arr.dtype} array, not real")
-        if not np.isfinite(arr).all():
-            raise VersionError(f"{p.name}: non-finite value in checkpoint")
-        p.value[...] = arr
+    flat = net.flat.value
+    if len(body) - end != flat.nbytes:
+        raise ShapeError(f"checkpoint holds {len(body) - end} parameter bytes, "
+                         f"its topology {flat.nbytes}")
+    flat[...] = np.frombuffer(raw, "<f8", count=flat.size, offset=end)
+    if not np.isfinite(flat).all():
+        name = next(p.name for p in net.parameters() if not np.isfinite(p.value).all())
+        raise VersionError(f"{name}: non-finite value in checkpoint")
     return net, meta
 
 

@@ -727,6 +727,13 @@ def detection_rows(parsed) -> list[DetectionRow]:
                     parsed.class_name))
 
 
+def _finite_area_reference(coords) -> bool:
+    """Whether the quad of eight coordinates has a finite shoelace area,
+    summed in Python floats, where an overflow gives inf or NaN."""
+    x, y = coords[0::2], coords[1::2]
+    return math.isfinite(sum(x[i] * y[i - 3] - x[i - 3] * y[i] for i in range(4)))
+
+
 def parse_annotations_reference(text: str):
     """``formats.parse_annotations`` as (rows, warnings): the per-line
     parser the package had before it read whole files at once."""
@@ -741,6 +748,9 @@ def parse_annotations_reference(text: str):
         coords = _finite_floats_reference(tokens[:8])
         if coords is None:
             warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
+            continue
+        if not _finite_area_reference(coords):
+            warnings.append(f"line {lineno}: quad area is not finite")
             continue
         try:
             difficulty = int(tokens[9])
@@ -765,6 +775,9 @@ def parse_detections_reference(text: str):
         values = _finite_floats_reference(tokens[1:10])
         if values is None:
             warnings.append(f"line {lineno}: non-numeric or non-finite values")
+            continue
+        if not _finite_area_reference(values[1:]):
+            warnings.append(f"line {lineno}: quad area is not finite")
             continue
         records.append(
             DetectionRow(tokens[0], values[0], tuple(values[1:]), tokens[10]))

@@ -184,7 +184,7 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
     cpu_start = time.process_time()
     wall_start = time.perf_counter()
     train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
-    ckpt, hist = tmp_path / "net.npz", tmp_path / "history.csv"
+    ckpt, hist = tmp_path / "net.ckpt", tmp_path / "history.csv"
     dets_path = tmp_path / "detections.txt"
 
     assert cli.main(["synth", "--out", str(train_dir), "--count", "500",
@@ -232,7 +232,7 @@ def test_criterion_8_ring_loss_ablation_harness(tmp_path):
     results = {}
     pr_files_ok = True
     for lam, tag in (("0.01", "with_ring"), ("0", "no_ring")):
-        ckpt = tmp_path / f"{tag}.npz"
+        ckpt = tmp_path / f"{tag}.ckpt"
         dets = tmp_path / f"{tag}.txt"
         pr_dir = tmp_path / f"pr_{tag}"
         assert cli.main(["train", "--data", str(train_dir), "--out", str(ckpt),

@@ -1,12 +1,9 @@
 import csv
-import json
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import tracemalloc
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +50,16 @@ def read_encoding_csv(path, cfg: GridConfig):
     return heat, planes["rho"], planes["theta1"], planes["theta2"]
 
 
+# an annotation line with finite coordinates whose shoelace area overflows
+OVERFLOWING_QUAD = "1e308 1 20 1 20 20 1 20 class0 0\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One small end-to-end run shared by the read-only tests below."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
-    ckpt = root / "net.npz"
+    ckpt = root / "net.ckpt"
     dets = root / "detections.txt"
     cfg = root / "scene.cfg"
     cfg.write_text("width=32\nheight=32\nmax_objects=2\n")
@@ -143,7 +144,7 @@ class TestSynth:
             assert sorted(p.name for p in (data / name).iterdir()) == files + kept
             for f in files:
                 assert (data / name / f).read_bytes() == (fresh / name / f).read_bytes()
-        assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "n.npz"),
+        assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "n.ckpt"),
                          "--iters", "1", "--batch", "2", "--base-channels", "2",
                          "--log-every", "0"]) == 0
         assert "on 2 images" in capsys.readouterr().out
@@ -152,8 +153,7 @@ class TestSynth:
 class TestTrain:
     def test_checkpoint_and_history(self, workspace):
         assert workspace["ckpt"].exists()
-        with np.load(workspace["ckpt"]) as data:
-            meta = json.loads(data["meta"].item())
+        meta = load_checkpoint(workspace["ckpt"])[1]
         assert meta["magic"] == "polardet-ckpt"
         assert meta["extra"]["classes"] == ["class0", "class1"]
         assert meta["extra"]["iterations"] == 400
@@ -176,7 +176,7 @@ class TestTrain:
         tracemalloc.start()
         try:
             code = cli.main(["train", "--data", str(data),
-                             "--out", str(tmp_path / "net.npz"),
+                             "--out", str(tmp_path / "net.ckpt"),
                              "--iters", "2", "--log-every", "0"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -192,11 +192,43 @@ class TestTrain:
         first.write_text(first.read_text() + "1 2 3\n")
         second.write_text("0 0 4 0 4 4 0 4 zeppelin 0\n")
         code = cli.main(["train", "--data", str(data),
-                         "--out", str(tmp_path / "n.npz"), "--iters", "1"])
+                         "--out", str(tmp_path / "n.ckpt"), "--iters", "1"])
         err = capsys.readouterr().err
         assert code == 3
         assert f"{first}: line " in err and "expected 10 fields, got 3" in err
         assert "'zeppelin' not in ['class0', 'class1']" in err
+
+    def test_checkpoint_is_written_to_the_given_path(self, workspace, tmp_path,
+                                                     capsys):
+        # the path train reports is the one file it writes, and detect
+        # reads it back
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--data", str(workspace["data"]), "--out", str(ckpt),
+                         "--iters", "1", "--batch", "2", "--base-channels", "2",
+                         "--log-every", "0"]) == 0
+        assert capsys.readouterr().out.endswith(f"checkpoint at {ckpt}\n")
+        assert list(tmp_path.iterdir()) == [ckpt]
+        assert cli.main(["detect", "--data", str(workspace["data"]), "--checkpoint",
+                         str(ckpt), "--out", str(tmp_path / "d.txt")]) == 0
+        capsys.readouterr()
+
+    def test_overflowing_quad_is_dropped_with_a_warning(self, workspace, tmp_path,
+                                                        capsys):
+        # finite coordinates whose shoelace area overflows: the line is
+        # dropped before any geometry sees it, so the run trains the same
+        # net as without it
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        ann = data / "annotations" / "img_00003.txt"
+        lineno = len(ann.read_text().splitlines()) + 1
+        ann.write_text(ann.read_text() + OVERFLOWING_QUAD)
+        ckpts = [tmp_path / "clean.ckpt", tmp_path / "dropped.ckpt"]
+        for folder, ckpt in zip((workspace["data"], data), ckpts):
+            assert cli.main(["train", "--data", str(folder), "--out", str(ckpt),
+                             "--iters", "2", "--batch", "2", "--base-channels", "2",
+                             "--log-every", "0"]) == 0
+        assert capsys.readouterr().err == f"{ann}: line {lineno}: quad area is not finite\n"
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
 
     def test_class_names_are_stripped(self, workspace, tmp_path, capsys):
         # whitespace around a name in classes.txt is not part of it: train
@@ -204,7 +236,7 @@ class TestTrain:
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
         (data / "classes.txt").write_text("class0 \n\tclass1\n")
-        ckpt = tmp_path / "n.npz"
+        ckpt = tmp_path / "n.ckpt"
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
                          "--iters", "2", "--base-channels", "2",
                          "--log-every", "0"]) == 0
@@ -218,7 +250,7 @@ class TestTrain:
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nope"),
-                         "--out", str(tmp_path / "n.npz")])
+                         "--out", str(tmp_path / "n.ckpt")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
@@ -230,7 +262,7 @@ class TestTrain:
     def test_bad_count_is_usage_error(self, flag, value, message, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["train", "--data", str(tmp_path / "d"),
-                      "--out", str(tmp_path / "n.npz"), flag, value])
+                      "--out", str(tmp_path / "n.ckpt"), flag, value])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -239,7 +271,7 @@ class TestTrain:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rate_is_io_error(self, workspace, tmp_path, capsys, flag,
                                          field, value):
-        ckpt = tmp_path / "n.npz"
+        ckpt = tmp_path / "n.ckpt"
         code = cli.main(["train", "--data", str(workspace["data"]), "--out", str(ckpt),
                          "--iters", "1", "--log-every", "0", flag, value])
         assert code == 3
@@ -251,13 +283,13 @@ class TestTrain:
             raise DivergenceError(7)
         monkeypatch.setattr(cli, "train", explode)
         code = cli.main(["train", "--data", str(workspace["data"]),
-                         "--out", "/tmp/unused.npz", "--iterations", "1"])
+                         "--out", "/tmp/unused.ckpt", "--iterations", "1"])
         assert code == 4
         assert "iteration 7" in capsys.readouterr().err
 
     def test_zero_lr_checkpoint_equals_init(self, workspace, tmp_path, capsys):
         from polardet.toynet import ToyNet, load_checkpoint
-        ckpt = tmp_path / "frozen.npz"
+        ckpt = tmp_path / "frozen.ckpt"
         assert cli.main(["train", "--data", str(workspace["data"]),
                          "--out", str(ckpt), "--iters", "3", "--batch", "2",
                          "--lr", "0", "--base-channels", "2",
@@ -270,7 +302,7 @@ class TestTrain:
 
     def test_same_seed_same_checkpoint(self, workspace, tmp_path, capsys):
         from polardet.toynet import load_checkpoint
-        paths = [tmp_path / "r1.npz", tmp_path / "r2.npz"]
+        paths = [tmp_path / "r1.ckpt", tmp_path / "r2.ckpt"]
         for p in paths:
             assert cli.main(["train", "--data", str(workspace["data"]),
                              "--out", str(p), "--iters", "20", "--batch", "2",
@@ -285,8 +317,8 @@ class TestTrain:
     def test_lambda_ring_zero_changes_training(self, workspace, tmp_path,
                                                capsys):
         from polardet.toynet import load_checkpoint
-        base = tmp_path / "with_ring.npz"
-        ablated = tmp_path / "no_ring.npz"
+        base = tmp_path / "with_ring.ckpt"
+        ablated = tmp_path / "no_ring.ckpt"
         common = ["train", "--data", str(workspace["data"]), "--iters", "30",
                   "--batch", "2", "--base-channels", "2", "--seed", "3",
                   "--log-every", "0"]
@@ -398,7 +430,7 @@ class TestDetect:
 
     def test_missing_checkpoint_is_io_error(self, workspace, tmp_path, capsys):
         code = cli.main(["detect", "--data", str(workspace["data"]),
-                         "--checkpoint", str(tmp_path / "none.npz"),
+                         "--checkpoint", str(tmp_path / "none.ckpt"),
                          "--out", str(tmp_path / "d.txt")])
         assert code == 3
         capsys.readouterr()
@@ -415,29 +447,25 @@ class TestDetect:
     @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
     def test_malformed_checkpoint_is_io_error(self, workspace, tmp_path,
                                               capsys, case):
-        write, message = MALFORMED_CHECKPOINTS[case]
-        bad = tmp_path / "bad.npz"
+        write, _error, message = MALFORMED_CHECKPOINTS[case]
+        bad = tmp_path / "bad.ckpt"
         write(bad)
         out = tmp_path / "d.txt"
         code = cli.main(["detect", "--data", str(workspace["data"]),
                          "--checkpoint", str(bad), "--out", str(out)])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
         assert not out.exists()
 
-    def test_flipped_byte_in_a_member_is_io_error_naming_it(self, workspace,
-                                                           tmp_path, capsys):
-        # the flipped bit moves one weight's exponent and leaves it finite,
-        # so only the member's CRC-32 can tell
+    def test_flipped_byte_is_io_error_naming_the_crc(self, workspace, tmp_path,
+                                                      capsys):
+        # the lowest mantissa bit of the 100th value before the 4-byte
+        # CRC-32, a head weight: it stays finite, so only the CRC-32 can tell
         raw = bytearray(workspace["ckpt"].read_bytes())
-        with zipfile.ZipFile(workspace["ckpt"]) as zf:
-            info = zf.getinfo("param_005.npy")
-        # a local file header is 30 bytes, then the name and the extra field
-        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
-        end = info.header_offset + 30 + name_len + extra_len + info.compress_size
-        raw[end - 1] ^= 0x01
-        bad = tmp_path / "flipped.npz"
+        raw[len(raw) - 4 - 8 * 100] ^= 0x01
+        bad = tmp_path / "flipped.ckpt"
         bad.write_bytes(bytes(raw))
         out = tmp_path / "d.txt"
         code = cli.main(["detect", "--data", str(workspace["data"]),
@@ -445,7 +473,7 @@ class TestDetect:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: ") and "param_005" in err[0]
+        assert err[0].startswith("error: ") and "CRC-32 mismatch" in err[0]
         assert not out.exists()
 
 
@@ -500,6 +528,23 @@ class TestEval:
                 assert f"pr_iou{iou}_{cls}.csv" in names
         header = (pr_dir / "pr_iou0.50_class0.csv").read_text().splitlines()[0]
         assert header == "recall,precision,score"
+
+    def test_overflowing_ground_truth_quad_is_dropped_with_a_warning(
+            self, workspace, tmp_path, capsys):
+        # finite coordinates whose shoelace area overflows are no ground
+        # truth: the line is dropped before any geometry sees it
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        ann = data / "annotations" / "img_00003.txt"
+        lineno = len(ann.read_text().splitlines()) + 1
+        ann.write_text(ann.read_text() + OVERFLOWING_QUAD)
+        for folder in (workspace["data"], data):
+            assert cli.main(["eval", "--data", str(folder),
+                             "--detections", str(workspace["dets"])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"{ann}: line {lineno}: quad area is not finite\n"
+        clean, dropped = captured.out.split("IoU")[1:]
+        assert dropped == clean
 
     def test_unknown_class_detection_skipped_with_warning(self, workspace,
                                                           tmp_path, capsys):
@@ -837,7 +882,7 @@ class TestDatasetReaders:
         shutil.copytree(workspace["data"], data)
         image = np.zeros((32, 36), dtype=np.uint8)
         (data / "images" / "img_00007.pgm").write_bytes(b"P5\n36 32\n255\n" + image.tobytes())
-        out = tmp_path / "net.npz"
+        out = tmp_path / "net.ckpt"
         assert cli.main(["train", "--data", str(data), "--out", str(out), "--iters", "1"]) == 3
         assert capsys.readouterr().err == "error: img_00007: image (32, 36) differs from (32, 32)\n"
         assert not out.exists()
@@ -915,7 +960,7 @@ class TestParser:
                                         extractor, k):
         # the inputs do not exist: the flag must fail before any file is read
         inputs = {"detect": ["--data", str(tmp_path / "data"),
-                             "--checkpoint", str(tmp_path / "ckpt.npz")],
+                             "--checkpoint", str(tmp_path / "ckpt.ckpt")],
                   "extract": ["--heatmap", str(tmp_path / "heat.csv")]}[command]
         out = tmp_path / "out.txt"
         with pytest.raises(SystemExit) as err:

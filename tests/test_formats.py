@@ -75,10 +75,19 @@ class TestParseAnnotations:
         assert result.warnings == ["line 1: non-numeric or non-finite coordinates"]
 
     def test_extreme_finite_tokens_kept(self):
-        result = parse_annotations("1e308 -1e308 5e-324 -0 +3 1E2 .5 7. plane 0\n")
+        # quads whose shoelace areas stay finite
+        result = parse_annotations("1e308 -1e308 5e-324 -0 +3 1E2 -0 .5 plane 0\n"
+                                   "7. 0 0 0 0 1 1 1 plane 0\n")
         assert result.warnings == []
-        assert annotation_rows(result)[0].corners == (1e308, -1e308, 5e-324, -0.0,
-                                                      3.0, 100.0, 0.5, 7.0)
+        assert [r.corners for r in annotation_rows(result)] == [
+            (1e308, -1e308, 5e-324, -0.0, 3.0, 100.0, -0.0, 0.5),
+            (7.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)]
+
+    def test_overflowing_area_drops_the_line(self):
+        # finite coordinates, but 1e308 * 7 overflows in the shoelace sum
+        result = parse_annotations("1e308 -1e308 5e-324 -0 +3 1E2 .5 7. plane 0\n")
+        assert annotation_rows(result) == []
+        assert result.warnings == ["line 1: quad area is not finite"]
 
     def test_bad_difficulty_warns(self):
         result = parse_annotations("1 2 3 4 5 6 7 8 plane hard\n")
@@ -251,6 +260,7 @@ MALFORMED = {
     "nan": "1 2 3 nan 5 6 7 8 ship 0",
     "inf": "1 2 3 4 5 6 -inf 8 ship 0",
     "overflow": "1e999 2 3 4 5 6 7 8 ship 0",
+    "overflowing area": "1e308 1 20 1 20 20 1 20 ship 0",
     "non-numeric": "1 2 3 x 5 6 7 8 ship 0",
     "underscore": "1_0 2 3 4 5 6 7 8 ship 0",
     "signed exponent": "+1e2 2 3 4 5 6 7 8 ship 0",

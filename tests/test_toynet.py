@@ -1,9 +1,8 @@
 import hashlib
-import io
 import json
 import math
 import tracemalloc
-import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -682,7 +681,7 @@ class TestToyNetForward:
             tracemalloc.stop()
         assert peak < 12e6
 
-    def test_parameter_layout_is_the_checkpoint_layout(self):
+    def test_parameter_names_and_shapes(self):
         net = ToyNet(num_classes=2, base_channels=16)
         convs = [("stem", 1, 16), ("down", 16, 32)] + [
             (f"block{b}.conv{c}", 32, 32) for b in (1, 2) for c in (1, 2)]
@@ -816,8 +815,8 @@ class TestFlatParameters:
         self.check(net)
         self.check(ToyNet._unfilled(3, 4))
         self.check(ToyNet(num_classes=1, base_channels=2, dtype=np.float64))
-        save_checkpoint(tmp_path / "net.npz", net)
-        loaded, _meta = load_checkpoint(tmp_path / "net.npz")
+        save_checkpoint(tmp_path / "net.ckpt", net)
+        loaded, _meta = load_checkpoint(tmp_path / "net.ckpt")
         self.check(loaded)
         assert loaded.flat.value.tobytes() == net.flat.value.tobytes()
 
@@ -1102,33 +1101,51 @@ class TestTrain:
         assert seen == [0, 1, 2, 3]
 
 
-def _edited_checkpoint(path, edit_meta=None, edit_arrays=None):
-    """Save a ToyNet(2, 2) to ``path``, then rewrite its header and arrays."""
-    save_checkpoint(path, ToyNet(2, 2))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(arrays.pop("meta").item())
-    meta = edit_meta(meta) if edit_meta else meta
-    if edit_arrays:
-        edit_arrays(arrays)
-    np.savez(path, meta=json.dumps(meta), **arrays)
+# the header save_checkpoint writes for a ToyNet(2, 2) without ``extra``
+HEADER = {"magic": "polardet-ckpt", "version": 2, "num_classes": 2, "base_channels": 2,
+          "stride": 4, "reg_reduction": "mean_over_pole_cells"}
 
 
-def _without(key):
-    return lambda meta: {k: v for k, v in meta.items() if k != key}
+def _v2_bytes(header: bytes, values, magic: bytes = b"polardet-ckpt\n") -> bytes:
+    """A version-2 checkpoint built by hand from its layout: the magic line,
+    the header's byte length (4 bytes, little endian) and the header, the
+    values as little-endian float64, and the CRC-32 of all that."""
+    body = (magic + len(header).to_bytes(4, "little") + header
+            + np.asarray(values, dtype="<f8").tobytes())
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def _set_value(key, index, value):
-    def edit(arrays):
-        arrays[key] = arrays[key].copy()
-        arrays[key].flat[index] = value
+def _written(path, header=HEADER, edit=None, values=None, **kwargs):
+    """Write a ToyNet(2, 2) to ``path`` by hand, under a valid CRC-32: the
+    JSON of ``header`` (or ``header`` itself, if bytes), and the net's
+    parameter vector after ``edit(net)``, or ``values(vector)``."""
+    net = ToyNet(2, 2)
+    if edit:
+        edit(net)
+    vector = net.flat.value if values is None else values(net.flat.value)
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(_v2_bytes(text, vector, **kwargs))
+
+
+def _set_value(name, index, value):
+    def edit(net):
+        next(p for p in net.parameters() if p.name == name).value.flat[index] = value
     return edit
 
 
-def _truncated(path):
+def _saved_then(path, change):
+    """Save a ToyNet(2, 2) to ``path``, then replace its bytes by
+    ``change(bytearray)``."""
     save_checkpoint(path, ToyNet(2, 2))
-    data = path.read_bytes()
-    path.write_bytes(data[:len(data) // 2])
+    path.write_bytes(bytes(change(bytearray(path.read_bytes()))))
+
+
+def _flipped(raw: bytearray) -> bytearray:
+    # the lowest mantissa bit of the head's last weight, which the five
+    # head biases (40 bytes) and the CRC-32 (4) follow: still finite, so
+    # only the CRC-32 can tell
+    raw[-52] ^= 0x01
+    return raw
 
 
 def _plain_npy(path):
@@ -1136,87 +1153,78 @@ def _plain_npy(path):
         np.save(fh, np.zeros((2, 2)))
 
 
-def _rewritten_members(path, write_member, keys=None):
-    """Save a ToyNet(2, 2) to ``path``, then store each member named in
-    ``keys`` (every member if None) as the bytes ``write_member(arr)``."""
-    save_checkpoint(path, ToyNet(2, 2))
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    with zipfile.ZipFile(path, "w") as zf:
-        for key, arr in arrays.items():
-            rewrite = keys is None or key in keys
-            zf.writestr(f"{key}.npy", write_member(arr) if rewrite else _npy_bytes(arr))
-
-
-def _npy_bytes(arr, **kwargs) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, arr, **kwargs)
-    return buf.getvalue()
-
-
-def _npy_header_bytes(header: str, data: bytes) -> bytes:
-    """A format-1.0 member with the literal dict ``header``, padded as
-    np.save pads it."""
-    text = header + " " * (63 - (10 + len(header)) % 64) + "\n"
-    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode() + data
+def _version_1(path):
+    """What save_checkpoint wrote before version 2: np.savez's archive of
+    the JSON header and one member per parameter."""
+    net = ToyNet(2, 2)
+    with open(path, "wb") as fh:  # np.savez appends .npz to a bare path
+        np.savez(fh, meta=json.dumps({**HEADER, "version": 1}),
+                 **{f"param_{i:03d}": p.value for i, p in enumerate(net.parameters())})
 
 
 # a malformed file ``detect --checkpoint`` may be handed -> (its writer,
-# what the VersionError must name)
+# the error it raises, what the error must name)
 MALFORMED_CHECKPOINTS = {
-    "no-num-classes": (lambda p: _edited_checkpoint(p, _without("num_classes")),
-                       "num_classes must be an integer >= 1, got None"),
-    "header-list": (lambda p: _edited_checkpoint(p, lambda meta: list(meta)),
+    "no-num-classes": (
+        lambda p: _written(p, {k: v for k, v in HEADER.items() if k != "num_classes"}),
+        VersionError, "num_classes must be an integer >= 1, got None"),
+    "header-list": (lambda p: _written(p, list(HEADER)), VersionError,
                     "header is a JSON list"),
-    "string-base-channels": (
-        lambda p: _edited_checkpoint(p, lambda meta: {**meta, "base_channels": "16"}),
-        "base_channels must be an integer >= 1, got '16'"),
-    "truncated": (_truncated, "not an npz archive"),
-    "empty": (lambda p: p.write_bytes(b""), "not an npz archive"),
-    "plain-npy": (_plain_npy, "single .npy array"),
-    "nan-weight": (lambda p: _edited_checkpoint(
-        p, edit_arrays=_set_value("param_004", 7, np.nan)),
-        "block1.conv1.weight: non-finite value"),
-    "inf-bias": (lambda p: _edited_checkpoint(
-        p, edit_arrays=_set_value("param_013", 0, -np.inf)),
-        "head_heat.bias: non-finite value"),
-    "object-array": (lambda p: _rewritten_members(
-        p, lambda arr: _npy_bytes(arr.astype(object), allow_pickle=True), {"param_004"}),
-        "unreadable checkpoint array param_004: dtype '|O'"),
-    "raw-bytes-member": (lambda p: _rewritten_members(p, lambda arr: b"{}", {"meta"}),
-                         "unreadable checkpoint array meta: not an .npy member"),
+    "string-base-channels": (lambda p: _written(p, {**HEADER, "base_channels": "16"}),
+                             VersionError, "base_channels must be an integer >= 1, got '16'"),
+    "header-magic": (lambda p: _written(p, {**HEADER, "magic": "other"}), VersionError,
+                     "bad magic 'other'"),
+    "version-1-header": (lambda p: _written(p, {**HEADER, "version": 1}), VersionError,
+                         "unsupported version 1"),
+    "version-99": (lambda p: _written(p, {**HEADER, "version": 99}), VersionError,
+                   "unsupported version 99"),
+    "empty-header": (lambda p: _written(p, b""), VersionError,
+                     "unreadable checkpoint header"),
+    "magic-line": (lambda p: _written(p, magic=b"polardet-ckpx\n"), VersionError,
+                   "not a polardet checkpoint"),
+    "flipped-byte": (lambda p: _saved_then(p, _flipped), VersionError, "CRC-32 mismatch"),
+    "truncated": (lambda p: _saved_then(p, lambda raw: raw[:len(raw) // 2]),
+                  VersionError, "CRC-32 mismatch"),
+    "trailing-bytes": (lambda p: _saved_then(p, lambda raw: raw + bytes(8)),
+                       VersionError, "CRC-32 mismatch"),
+    "one-value-more": (lambda p: _written(p, values=lambda v: np.append(v, 0.0)),
+                       ShapeError, "parameter bytes"),
+    "one-value-less": (lambda p: _written(p, values=lambda v: v[:-1]), ShapeError,
+                       "parameter bytes"),
+    "empty": (lambda p: p.write_bytes(b""), VersionError, "not a polardet checkpoint"),
+    "plain-npy": (_plain_npy, VersionError, "not a polardet checkpoint"),
+    "version-1-npz": (_version_1, VersionError, "a version-1 checkpoint"),
+    "nan-weight": (lambda p: _written(p, edit=_set_value("block1.conv1.weight", 7, np.nan)),
+                   VersionError, "block1.conv1.weight: non-finite value"),
+    "inf-bias": (lambda p: _written(p, edit=_set_value("head_heat.bias", 0, -np.inf)),
+                 VersionError, "head_heat.bias: non-finite value"),
 }
 
 
 class TestCheckpoint:
     def test_round_trip_preserves_outputs(self, tmp_path):
         net = ToyNet(num_classes=2, base_channels=4, seed=5)
-        path = tmp_path / "net.npz"
+        path = tmp_path / "net.ckpt"
         save_checkpoint(path, net, extra={"classes": ["a", "b"]})
         loaded, meta = load_checkpoint(path)
         assert meta["extra"]["classes"] == ["a", "b"]
         assert meta["magic"] == "polardet-ckpt"
         assert loaded.dtype == net.dtype == np.float32
+        assert loaded.flat.value.tobytes() == net.flat.value.tobytes()
         img = np.random.default_rng(0).uniform(0, 1, (32, 32))
         for a, b in zip(predict_planes(net, img), predict_planes(loaded, img)):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name", ["net.npz", "net", "net.ckpt"])
-    def test_file_is_the_savez_archive(self, tmp_path, name):
-        # the archive np.savez writes for the header and parameters, byte for
-        # byte, under the path np.savez would give it
+    def test_file_is_the_version_2_layout(self, tmp_path, name):
+        # the layout built by hand, byte for byte, under exactly the path given
         net = ToyNet(num_classes=2, base_channels=2, seed=5)
         save_checkpoint(tmp_path / name, net, extra={"iterations": 3})
-        want = tmp_path / "want" / name
-        want.parent.mkdir()
-        meta = {"magic": "polardet-ckpt", "version": 1, "num_classes": 2,
-                "base_channels": 2, "stride": 4,
-                "reg_reduction": "mean_over_pole_cells", "extra": {"iterations": 3}}
-        np.savez(want, meta=json.dumps(meta),
-                 **{f"param_{i:03d}": p.value for i, p in enumerate(net.parameters())})
-        written = sorted(f.name for f in tmp_path.iterdir() if f.is_file())
-        assert written == sorted(f.name for f in want.parent.iterdir())
-        assert (tmp_path / written[0]).read_bytes() == (want.parent / written[0]).read_bytes()
+        header = json.dumps({**HEADER, "extra": {"iterations": 3}}).encode()
+        values = np.concatenate([a.value.reshape(-1) for conv in net._convs()
+                                 for a in (conv.weight, conv.bias)])
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_bytes() == _v2_bytes(header, values)
 
     def test_float64_checkpoint_loads_into_float32_net(self, tmp_path):
         # a net trained in float64, saved, and loaded into the default
@@ -1233,9 +1241,10 @@ class TestCheckpoint:
         net = ToyNet(2, 4, seed=0, dtype=np.float64)
         train(net, images, targets, TrainConfig(iterations=150, batch_size=4,
                                                 learning_rate=0.005))
-        save_checkpoint(tmp_path / "f64.npz", net)
-        loaded, _meta = load_checkpoint(tmp_path / "f64.npz")
+        save_checkpoint(tmp_path / "f64.ckpt", net)
+        loaded, _meta = load_checkpoint(tmp_path / "f64.ckpt")
         assert loaded.dtype == np.float32
+        assert loaded.flat.value.tobytes() == net.flat.value.tobytes()
         for p, q in zip(net.parameters(), loaded.parameters()):
             assert p.value.tobytes() == q.value.tobytes()
 
@@ -1253,143 +1262,32 @@ class TestCheckpoint:
             assert np.abs(got.score - ref.score).max(initial=0.0) < 1e-3
         assert total >= 5
 
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, meta=json.dumps({"magic": "other", "version": 1}))
-        with pytest.raises(VersionError):
-            load_checkpoint(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        net = ToyNet(1, 2)
-        path = tmp_path / "v9.npz"
-        save_checkpoint(path, net)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(arrays["meta"].item())
-        meta["version"] = 99
-        arrays["meta"] = json.dumps(meta)
-        np.savez(path, **arrays)
-        with pytest.raises(VersionError):
-            load_checkpoint(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "no_meta.npz"
-        np.savez(path, stuff=np.zeros(3))
-        with pytest.raises(VersionError):
-            load_checkpoint(path)
-
-    def test_tampered_array_shape_rejected(self, tmp_path):
-        net = ToyNet(1, 2)
-        path = tmp_path / "t.npz"
-        save_checkpoint(path, net)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["param_000"] = np.zeros((1, 1, 1, 1))
-        np.savez(path, **arrays)
-        with pytest.raises(ShapeError):
-            load_checkpoint(path)
+    def test_hand_built_file_loads(self, tmp_path):
+        # the writer the malformed cases edit gives a file that loads
+        _written(tmp_path / "net.ckpt")
+        loaded, meta = load_checkpoint(tmp_path / "net.ckpt")
+        assert meta == HEADER
+        assert loaded.flat.value.tobytes() == ToyNet(2, 2).flat.value.tobytes()
 
     @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
-    def test_malformed_file_is_version_error(self, tmp_path, case):
-        write, message = MALFORMED_CHECKPOINTS[case]
-        path = tmp_path / "bad.npz"
+    def test_malformed_file_raises_naming_the_problem(self, tmp_path, case):
+        write, error, message = MALFORMED_CHECKPOINTS[case]
+        path = tmp_path / "bad.ckpt"
         write(path)
-        with pytest.raises(VersionError, match=message):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("version", [(2, 0), (3, 0)])
-    def test_npy_format_after_1_0_is_version_error_naming_the_member(self, tmp_path,
-                                                                     version):
-        # np.savez writes a checkpoint's arrays in format 1.0
-        path = tmp_path / "v.npz"
-        _rewritten_members(path, lambda arr: _npy_bytes(arr, version=version),
-                           {"param_004"})
-        with pytest.raises(VersionError, match="unreadable checkpoint array "
-                           f"param_004: .npy format version {version[0]}.0"):
-            load_checkpoint(path)
-
-    def test_fortran_order_member_is_version_error_naming_it(self, tmp_path):
-        # np.savez writes a checkpoint's arrays in C order
-        path = tmp_path / "f.npz"
-        _rewritten_members(path, lambda arr: _npy_bytes(np.asfortranarray(arr)),
-                           {"param_004"})
-        with zipfile.ZipFile(path) as zf:
-            assert b"'fortran_order': True" in zf.read("param_004.npy")
-        with pytest.raises(VersionError, match="unreadable checkpoint array param_004: "
-                           ".npy header .*'fortran_order': True"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("header", [
-        # what np.load reads but np.save never writes: keys out of order,
-        # other spacing, a structured dtype, a descr without byte order
-        "{'shape': (2, 1, 3, 3), 'fortran_order': False, 'descr': '<f8', }",
-        "{'descr':'<f8','fortran_order':False,'shape':(2, 1, 3, 3)}",
-        "{'descr': [('a', '<f8')], 'fortran_order': False, 'shape': (2, 1, 3, 3), }",
-        "{'descr': 'f8', 'fortran_order': False, 'shape': (2, 1, 3, 3), }",
-    ])
-    def test_other_npy_header_is_version_error_naming_the_member(self, tmp_path,
-                                                                   header):
-        path = tmp_path / "h.npz"
-        _rewritten_members(path, lambda arr: _npy_header_bytes(header, arr.tobytes()),
-                           {"param_000"})
-        with pytest.raises(VersionError, match="unreadable checkpoint array param_000"):
-            load_checkpoint(path)
-
-    def test_short_member_is_version_error_naming_it(self, tmp_path):
-        path = tmp_path / "s.npz"
-        _rewritten_members(path, lambda arr: _npy_bytes(arr)[:-8], {"param_002"})
-        with pytest.raises(VersionError, match="unreadable checkpoint array param_002"):
-            load_checkpoint(path)
-
-    def test_deflated_archive_is_version_error_naming_a_member(self, tmp_path):
-        # np.savez stores its members; np.savez_compressed deflates them
-        net = ToyNet(2, 2, seed=5)
-        save_checkpoint(tmp_path / "net.npz", net)
-        with np.load(tmp_path / "net.npz") as data:
-            np.savez_compressed(tmp_path / "z.npz", **{k: data[k] for k in data.files})
-        with pytest.raises(VersionError, match="unreadable checkpoint array meta: .* "
-                           f"compressed by method {zipfile.ZIP_DEFLATED}"):
-            load_checkpoint(tmp_path / "z.npz")
-
-    @pytest.mark.parametrize("method", [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2,
-                                        zipfile.ZIP_LZMA])
-    def test_other_compression_is_version_error_naming_the_member(self, tmp_path,
-                                                                  method):
-        path = tmp_path / "c.npz"
-        save_checkpoint(path, ToyNet(2, 2))
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        with zipfile.ZipFile(path, "w") as zf:
-            for key, arr in arrays.items():
-                zf.writestr(f"{key}.npy", _npy_bytes(arr),
-                            compress_type=method if key == "param_001" else None)
-        with pytest.raises(VersionError, match="param_001: .* compressed by method"):
-            load_checkpoint(path)
-
-    def test_local_header_of_another_member_is_version_error(self, tmp_path):
-        # the central directory points param_003 at a local header that
-        # names another member
-        path = tmp_path / "n.npz"
-        save_checkpoint(path, ToyNet(2, 2))
-        raw = bytearray(path.read_bytes())
-        with zipfile.ZipFile(path) as zf:
-            offset = zf.getinfo("param_003.npy").header_offset
-        raw[offset + 30:offset + 43] = b"param_009.npy"  # after the 30-byte header
-        path.write_bytes(bytes(raw))
-        with pytest.raises(VersionError, match="param_003: bad local header"):
+        with pytest.raises(error, match=message):
             load_checkpoint(path)
 
     def test_load_draws_no_init(self, tmp_path, monkeypatch):
         # the topology comes from the header and the weights from the file:
         # a random init would be drawn only to be overwritten
         net = ToyNet(num_classes=3, base_channels=4, seed=2)
-        save_checkpoint(tmp_path / "net.npz", net)
+        save_checkpoint(tmp_path / "net.ckpt", net)
 
         def no_draw(*_args, **_kwargs):
             raise AssertionError("load_checkpoint made a generator")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        loaded, _meta = load_checkpoint(tmp_path / "net.npz")
+        loaded, _meta = load_checkpoint(tmp_path / "net.ckpt")
         assert [p.name for p in loaded.parameters()] == \
             [p.name for p in net.parameters()]
         for p, q in zip(net.parameters(), loaded.parameters()):
