@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -428,6 +429,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
+    return value
+
+
 def _add_extraction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--extractor", choices=("cc", "topk"), default="cc",
@@ -495,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-4)
     p.add_argument("--loss", choices=("focal", "smooth_l1", "ring",
                                       "total_reg", "all"), default="all")
     p.add_argument("--with-net", action="store_true")
     p.add_argument("--net-coords", type=_positive_int, default=50)
-    p.add_argument("--net-tolerance", type=float, default=1e-3)
+    p.add_argument("--net-tolerance", type=_tolerance, default=1e-3)
     p.add_argument("--out", help="also write the results as CSV here")
     p.set_defaults(func=cmd_grad_check)
 
@@ -532,10 +540,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, VersionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PolarDetError as exc:
+    except (OSError, ValueError, PolarDetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -17,17 +17,12 @@ time.
 
 Each conv's forward multiplies on the padded input's row pitch, where each
 3x3 tap is one long slice, and it builds whichever of its two product
-matrices has fewer rows: the C*9 rows of im2col columns, or, for a stride-1
-conv with fewer output than input channels (only the fused head), the O*9
-rows of output taps, which are then added, each shifted by its offset. The
-columns come in bands of output rows, one rule for ``forward`` and the
-call: the most rows whose columns for one image fit ``_BAND_BYTES`` (640
-KiB, in a 2 MiB L2), each band spanning every image, built in one reused
-buffer and multiplied at once (``_banded_product``). A map of one band,
-every training shape among them, is one product over the whole
-``_pitched_cols``; a 256x256 detect image's block convs take 8-row bands.
-The stride-2 ``forward`` still writes its bands into whole columns, which
-its backward reads. A stride-1 backward lays the output
+matrices has fewer rows: the C*9 rows of im2col columns, built and
+multiplied in row bands by ``_banded_product`` (one rule for ``forward``
+and the call), or, for a stride-1 conv with fewer output than input
+channels (only the fused head), the O*9 rows of output taps, which are then
+added, each shifted by its offset. The stride-2 ``forward`` keeps its whole
+columns, which its backward reads. A stride-1 backward lays the output
 gradient's taps on the same pitch and takes both gradients from that one
 matrix: the input gradient is the output gradient convolved with the
 flipped filter, so the forward keeps only its input. The stride-2 layers
@@ -162,21 +157,6 @@ def _write_taps(planes: np.ndarray, stride: int, pitch: int, first: int,
     return cols
 
 
-def _pitched_cols(xt: np.ndarray, stride: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Channel-major (C, N, H, W) -> (C*9, N*oh*pitch) columns and
-    (oh, ow, pitch).
-
-    Rows run (c, ki, kj) like the flattened weight, columns (n, oy, ox) on
-    the row pitch; the ``ox < ow`` columns are the conv's columns, the
-    others are junk whose products the caller drops.
-    """
-    c, n = xt.shape[:2]
-    planes, (oh, ow, pitch) = _padded_planes(xt, stride)
-    cols = np.empty((c, 3, 3, n, oh * pitch), dtype=xt.dtype)
-    _write_taps(planes, stride, pitch, 0, cols)
-    return cols.reshape(c * 9, -1), (oh, ow, pitch)
-
-
 # The column bytes of one image that one band of output rows may take. At a
 # 256x256 detect image a block conv's whole columns take 4.9 MB, more than
 # the 2 MiB per-core L2 of the Xeon this was sized on; in 640 KiB bands (8
@@ -198,36 +178,53 @@ def _banded_product(wmat: np.ndarray, bias: np.ndarray, xt: np.ndarray,
                     stride: int, rows: int, keep: bool):
     """(columns or None, (O, N*oh*pitch) output, (oh, ow, pitch)): the
     im2col product of channel-major ``xt``, ``rows`` output rows at a time.
+    This is the one builder of im2col columns.
 
-    Each band's (C*9, N*rows*pitch) columns, for every image, go into one
-    reused buffer and are multiplied at once, so they are read back from
-    cache; the last band may be shorter. At N = 1 a band's product goes
-    straight into its slice of the output. The bias is added to the whole
-    output once: per band, numpy's broadcast add cost 4x as much. With
-    ``keep`` each band is also copied into the whole (C*9, N*oh*pitch)
-    columns, which are returned.
+    Column rows run (c, ki, kj) like the flattened weight, columns (n, oy,
+    ox) on the row pitch; the products of each row's ``pitch - ow`` junk
+    columns are the caller's to drop. The band rule, which ``forward`` and
+    the call share so that they give the same bits: ``rows`` is
+    ``_band_rows``, clamped to ``oh``, and each band's (C*9, N*rows*pitch)
+    columns, for every image, go into one reused buffer and are multiplied
+    at once, while they are still in cache; the last band may be shorter.
+    Every training shape is one band; a 256x256 detect image's block convs
+    take 8-row bands. A band's product goes straight into its slice of the
+    output where that slice is one block: at N = 1 or for a map of one
+    band. The bias is added to the whole output once: per band, numpy's
+    broadcast add cost 4x as much. With ``keep`` the (C*9, N*oh*pitch)
+    columns are returned: the buffer itself for a map of one band, else a
+    copy of each band in its place.
     """
     c, n = xt.shape[:2]
     o = wmat.shape[0]
     planes, (oh, ow, pitch) = _padded_planes(xt, stride)
-    y = np.empty((o, n, oh * pitch), dtype=xt.dtype)
+    rows = min(rows, oh)
     buf = np.empty(c * 9 * n * rows * pitch, dtype=xt.dtype)
-    prod = None if n == 1 else np.empty(o * n * rows * pitch, dtype=xt.dtype)
-    cols = np.empty((c, 3, 3, n, oh * pitch), dtype=xt.dtype) if keep else None
+    direct = n == 1 or rows == oh
+    prod = None if direct else np.empty(o * n * rows * pitch, dtype=xt.dtype)
+    cols = None
+    if keep:
+        cols = buf if rows == oh else np.empty(c * 9 * n * oh * pitch, dtype=xt.dtype)
     for first in range(0, oh, rows):
         span = (min(first + rows, oh) - first) * pitch
         band = _write_taps(planes, stride, pitch, first,
                            buf[:c * 9 * n * span].reshape(c, 3, 3, n, span))
+        # in a map of one band the planes go before the output comes, so
+        # only one of them is live beside the whole columns
+        if first + rows >= oh:
+            del planes
+        if first == 0:
+            y = np.empty((o, n * oh * pitch), dtype=xt.dtype)
         part = np.s_[..., first * pitch:first * pitch + span]
-        if keep:
-            cols[part] = band
-        out = y[:, 0][part] if n == 1 else prod[:o * n * span].reshape(o, -1)
+        if cols is not None and cols is not buf:
+            cols.reshape(c, 3, 3, n, oh * pitch)[part] = band
+        out = (y[:, n * first * pitch:n * (first * pitch + span)] if direct
+               else prod[:o * n * span].reshape(o, -1))
         np.matmul(wmat, band.reshape(c * 9, -1), out=out)
-        if n > 1:
-            y[part] = out.reshape(o, n, span)
-    y += bias[:, None, None]
-    return (None if cols is None else cols.reshape(c * 9, -1),
-            y.reshape(o, -1), (oh, ow, pitch))
+        if not direct:
+            y.reshape(o, n, oh * pitch)[part] = out.reshape(o, n, span)
+    y += bias[:, None]
+    return (None if cols is None else cols.reshape(c * 9, -1), y, (oh, ow, pitch))
 
 
 def _on_pitch(a: np.ndarray, pitch: int) -> np.ndarray:
@@ -279,17 +276,13 @@ class Conv2d:
     the float64 weight is cast once per call, and the weight and bias
     gradients accumulate into float64. The forward builds whichever of its
     two product matrices has fewer rows (``_conv``): O*9 output taps or C*9
-    im2col columns. The columns of a map whose columns for one image take
-    more than ``_BAND_BYTES`` are built and multiplied one band of output
-    rows at a time, all images at once, in one reused buffer; a smaller map
-    is one band, one product. ``forward`` and the call share that band
-    rule, so they give the same bits. A stride-1 ``forward`` keeps only
-    its input: ``backward`` lays the output gradient's taps on the pitch, an
-    (O*9, N*H*pitch) matrix, and multiplies it by the flipped, transposed
-    weight for the input gradient and by the input on the pitch for the
-    flipped weight gradient. A stride-2 ``forward`` keeps its whole columns,
-    banded or not, for the weight gradient, and ``_col2im`` gives ``down``'s
-    input gradient.
+    im2col columns. ``forward`` and the call run the same products, so they
+    give the same bits. A stride-1 ``forward`` keeps only its input:
+    ``backward`` lays the output gradient's taps on the pitch, an (O*9,
+    N*H*pitch) matrix, and multiplies it by the flipped, transposed weight
+    for the input gradient and by the input on the pitch for the flipped
+    weight gradient. A stride-2 ``forward`` keeps its whole columns for the
+    weight gradient, and ``_col2im`` gives ``down``'s input gradient.
     Calling the layer computes the forward's output and keeps nothing.
     """
 
@@ -320,11 +313,8 @@ class Conv2d:
         taps by the padded input on the pitch, and adds the nine (O, N*H*pitch)
         tap slices, each shifted by its offset, onto the bias; it has no
         columns (None). Every other conv multiplies the weight by its C*9
-        rows of im2col columns, in bands of ``_band_rows`` output rows: a map
-        of one band multiplies the whole ``_pitched_cols`` at once, a taller
-        one goes through ``_banded_product``, which returns its columns only
-        if asked to ``keep`` them. ``forward`` and ``__call__`` share this
-        rule, so they run the same products.
+        rows of im2col columns through ``_banded_product``, which returns
+        them only if asked to ``keep`` them.
         """
         n, c, h, w = x.shape
         o = self.out_ch
@@ -342,15 +332,10 @@ class Conv2d:
                 y += taps[:, k, :, off:off + span]
             cols = None
         else:
-            pitch = _pitched_layout(h, w, self.stride)[2]
-            rows = _band_rows(c, pitch, self.dtype.itemsize)
-            if rows >= _out_len(h, self.stride):
-                cols, (oh, ow, pitch) = _pitched_cols(xt, self.stride)
-                y = self._wmat() @ cols
-                y += bias[:, None]
-            else:
-                cols, y, (oh, ow, pitch) = _banded_product(
-                    self._wmat(), bias, xt, self.stride, rows, keep)
+            rows = _band_rows(c, _pitched_layout(h, w, self.stride)[2],
+                              self.dtype.itemsize)
+            cols, y, (oh, ow, pitch) = _banded_product(
+                self._wmat(), bias, xt, self.stride, rows, keep)
         y = y.reshape(o, n, oh, pitch)
         return cols, y[..., :ow].transpose(1, 0, 2, 3)
 
@@ -377,7 +362,10 @@ class Conv2d:
         if cols is None:
             # tap row (o, ki, kj), column (n, y, x) holds dout[n, o, y+ki-1,
             # x+kj-1], which meets weight tap (2-ki, 2-kj)
-            taps, (_, _, pitch) = _pitched_cols(dmat, 1)
+            pitch = _pitched_layout(h, w, 1)[2]
+            taps = _write_taps(_padded_planes(dmat, 1)[0], 1, pitch, 0,
+                               np.empty((o, 3, 3, n, h * pitch), dtype=self.dtype))
+            taps = taps.reshape(o * 9, -1)
             xpitch = _on_pitch(x.transpose(1, 0, 2, 3), pitch)
             dflip = (taps @ xpitch.T).reshape(o, 3, 3, c)
             self.weight.grad += dflip[:, ::-1, ::-1].transpose(0, 3, 1, 2)

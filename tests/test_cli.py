@@ -651,6 +651,15 @@ class TestGradCheckCommand:
                          "--tolerance", "1e-18"]) == 5
         assert "[FAIL]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--tolerance", "--net-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, flag, value, capsys):
+        # nan compared as a failure (exit 5) and inf passed any error
+        with pytest.raises(SystemExit) as err:
+            cli.main(["grad-check", "--points", "20", "--with-net", f"{flag}={value}"])
+        assert err.value.code == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+
     def test_with_net_adds_fifth_line(self, capsys):
         assert cli.main(["grad-check", "--points", "20", "--with-net",
                          "--net-coords", "10"]) == 0

@@ -15,7 +15,7 @@ from polardet.geometry import quads_to_polar
 from polardet.gradcheck import check_net_gradients
 from polardet.losses import LossConfig, pole_focal_loss, total_regression_loss
 from polardet.toynet import (Adam, BatchLoss, Conv2d, ReLU, ToyNet,
-                             TrainConfig, _on_pitch, _pitched_cols, _sigmoid,
+                             TrainConfig, _on_pitch, _out_len, _sigmoid,
                              compute_batch_loss, image_to_input,
                              load_checkpoint, predict_planes, save_checkpoint,
                              train)
@@ -159,6 +159,32 @@ def float64_train_digest() -> str:
                                    for p in net.parameters())).hexdigest()
 
 
+def kept_columns(x: np.ndarray, stride: int, rows: int):
+    """The (C*9, N*oh*pitch) im2col columns that ``_banded_product`` keeps
+    for (N, C, H, W) ``x`` in bands of ``rows`` output rows, and (oh, ow,
+    pitch)."""
+    c = x.shape[1]
+    cols, _y, dims = toynet._banded_product(
+        np.zeros((1, c * 9), x.dtype), np.zeros(1, x.dtype),
+        x.transpose(1, 0, 2, 3), stride, rows, keep=True)
+    return cols, dims
+
+
+@pytest.fixture
+def banded_calls(monkeypatch):
+    """Each ``_banded_product`` call's (C, oh, stride, rows, keep), in call
+    order."""
+    calls = []
+    banded = toynet._banded_product
+
+    def spy(wmat, bias, xt, stride, rows, keep):
+        calls.append((xt.shape[0], _out_len(xt.shape[2], stride), stride, rows, keep))
+        return banded(wmat, bias, xt, stride, rows, keep)
+
+    monkeypatch.setattr(toynet, "_banded_product", spy)
+    return calls
+
+
 # input shapes whose maps take several row bands at base 16, the last band
 # shorter, in float32 and float64: one image and two
 BAND_SHAPES = ((1, 1, 200, 120), (2, 1, 256, 136))
@@ -214,16 +240,18 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_im2col_is_the_sliding_window_oracle(self, stride, dtype):
         # the ox < ow columns on the row pitch, byte for byte, from the
-        # channel-major input
+        # channel-major input: kept as the one band's buffer, or copied
+        # band by band
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9), (1, 2)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
-                cols, (oh, ow, pitch) = _pitched_cols(x.transpose(1, 0, 2, 3), stride)
                 ref = im2col_reference(x, stride)
-                assert cols.dtype == dtype and cols.shape == (27, n * oh * pitch)
-                valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
-                assert valid.tobytes() == ref.tobytes()
+                for rows in (1, 2, 10**6):
+                    cols, (oh, ow, pitch) = kept_columns(x, stride, rows)
+                    assert cols.dtype == dtype and cols.shape == (27, n * oh * pitch)
+                    valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
+                    assert valid.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -235,7 +263,7 @@ class TestConv2d:
         for n in (1, 2, 3):
             for h, w in [(8, 8), (7, 5), (6, 9), (9, 9)]:
                 x = rng.standard_normal((n, 3, h, w)).astype(dtype)
-                cols, (oh, ow, pitch) = _pitched_cols(x.transpose(1, 0, 2, 3), stride)
+                cols, (oh, ow, pitch) = kept_columns(x, stride, 10**6)
                 assert (oh, ow) == ((h - 1) // stride + 1, (w - 1) // stride + 1)
                 valid = cols.reshape(27, n, oh, pitch)[..., :ow].reshape(27, -1)
                 assert valid.tobytes() == im2col_reference(x, stride).tobytes()
@@ -265,7 +293,7 @@ class TestConv2d:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         if stride == 2:
-            cols = _pitched_cols(x.transpose(1, 0, 2, 3), stride)[0]
+            cols = kept_columns(x, stride, 40)[0]
             assert conv._cache[2].tobytes() == cols.tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 32, 16, 16, 32, 1),   # block convs
@@ -569,45 +597,58 @@ class TestToyNetForward:
                 assert np.abs(b - a).max() <= bound * np.abs(a).max()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_predict_is_forward_bit_for_bit_in_row_bands(self, dtype, monkeypatch):
+    def test_predict_is_forward_bit_for_bit_in_row_bands(self, dtype, banded_calls):
         # maps whose columns take several bands, the last one shorter, at
         # N = 1 and N = 2: forward and predict share the band rule, so they
-        # run the same products; only forward keeps down's columns
-        seen = []
-        banded = toynet._banded_product
-
-        def spy(wmat, bias, xt, stride, rows, keep):
-            seen.append((xt.shape[2], stride, rows, keep))
-            return banded(wmat, bias, xt, stride, rows, keep)
-
-        monkeypatch.setattr(toynet, "_banded_product", spy)
+        # run the same products; only forward keeps the stride-2 columns
         for shape in BAND_SHAPES:
             net = ToyNet(num_classes=2, base_channels=16, seed=3, dtype=dtype)
             x = np.random.default_rng(5).standard_normal(shape)
             runs = []
             for run in (net.forward, net.predict):
-                seen.clear()
-                runs.append((run(x), list(seen)))
+                banded_calls.clear()
+                runs.append((run(x), list(banded_calls)))
             (ref, bands), (got, predict_bands) = runs
-            # down and the four block convs, each in more than one band
-            assert len(bands) == 5 and all(rows < h for h, _s, rows, _k in bands)
-            assert any(h % rows for h, _s, rows, _k in bands)
-            assert [b[:3] for b in predict_bands] == [b[:3] for b in bands]
-            assert [b[3] for b in bands] == [True] + [False] * 4
-            assert not any(b[3] for b in predict_bands)
+            # the stem in one band; down and the four block convs each in
+            # more than one
+            assert len(bands) == 6 and bands[0][3] >= bands[0][1]
+            assert all(rows < oh for _c, oh, _s, rows, _k in bands[1:])
+            assert any(oh % rows for _c, oh, _s, rows, _k in bands[1:])
+            assert [b[:4] for b in predict_bands] == [b[:4] for b in bands]
+            assert [b[4] for b in bands] == [True] * 2 + [False] * 4
+            assert not any(b[4] for b in predict_bands)
             for key in ("heat", "rho", "theta"):
                 assert getattr(got, key).tobytes() == getattr(ref, key).tobytes()
 
-    def test_training_shapes_take_one_band(self, monkeypatch):
+    def test_training_shapes_take_one_band(self, banded_calls):
         # the reference training batch (8 of 64x64, base 16, float32) fits
         # every conv's columns in one band: a train step multiplies whole
-        # columns, as before bands
-        def fail(*args):
-            raise AssertionError("banded product at a training shape")
-
-        monkeypatch.setattr(toynet, "_banded_product", fail)
+        # columns
         net = ToyNet(num_classes=2, base_channels=16)
         net.forward(np.zeros((8, 1, 64, 64)))
+        assert len(banded_calls) == 6
+        assert all(rows >= oh for _c, oh, _s, rows, _k in banded_calls)
+
+    def test_training_forward_peak_memory(self):
+        # at the reference training batch a map of one band is built in a
+        # buffer of its own rows, not of the _band_rows it was offered (551
+        # for the stem, 66 for down), and the stride-2 forward keeps that
+        # buffer as its columns instead of a copy. Traced peaks, forward and
+        # down's forward alone: 6.3 and 1.9 MB; 15.5 and 8.2 MB with
+        # buffers of _band_rows rows; down's 3.2 MB with a copy
+        net = ToyNet(num_classes=2, base_channels=16)
+        x = np.random.default_rng(0).standard_normal((8, 1, 64, 64))
+        a = np.random.default_rng(1).standard_normal((8, 16, 32, 32))
+        for run, arg, bound in ((net.forward, x, 7e6),
+                                (net.down.forward, a.astype(np.float32), 2.5e6)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run(arg)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_predict_peak_memory_is_one_band_of_columns(self):
         # at 512x512 a block conv's whole columns take 19.2 MB and down's
@@ -623,22 +664,15 @@ class TestToyNetForward:
             tracemalloc.stop()
         assert peak < 14e6
 
-    def test_only_the_head_sums_output_taps(self, monkeypatch):
+    def test_only_the_head_sums_output_taps(self, banded_calls):
         # the stem, down and the four block convs multiply im2col columns;
         # the fused head (5 rows from 32 channels) builds none
-        seen = []
-        cols = toynet._pitched_cols
-
-        def spy(xt, stride):
-            seen.append((xt.shape[0], stride))
-            return cols(xt, stride)
-
-        monkeypatch.setattr(toynet, "_pitched_cols", spy)
         net = ToyNet(num_classes=2, base_channels=16)
         for run in (net.forward, net.predict):
-            seen.clear()
+            banded_calls.clear()
             run(np.zeros((2, 1, 32, 32)))
-            assert seen == [(1, 2), (16, 2)] + [(32, 1)] * 4
+            assert [(c, s) for c, _oh, s, _r, _k in banded_calls] == [
+                (1, 2), (16, 2)] + [(32, 1)] * 4
 
     def test_sigmoid_is_the_masked_formulation_bit_for_bit(self):
         edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
