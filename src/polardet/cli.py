@@ -28,8 +28,8 @@ import numpy as np
 from .encoding import BoxArrays, GridConfig, Targets, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import EvalReport, evaluate
-from .formats import (GroundTruth, parse_annotation_files, parse_annotations,
-                      parse_detections, serialize_detections)
+from .formats import (GroundTruth, class_index, parse_annotation_files,
+                      parse_annotations, parse_detections, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
@@ -311,9 +311,7 @@ def _read_detections(text: str, class_names: list[str],
     for w in parsed.warnings:
         print(f"detections: {w}", file=sys.stderr)
     image_of = {image_id: k for k, image_id in enumerate(image_ids)}
-    class_of: dict[str, int] = {}
-    for k, name in enumerate(class_names):
-        class_of.setdefault(name, k)
+    class_of = class_index(class_names)
     images, names = parsed.image_id, parsed.class_name
     image = np.array([image_of.get(i, -1) for i in images], dtype=np.intp)
     class_id = np.array([class_of.get(n, -1) for n in names], dtype=np.intp)

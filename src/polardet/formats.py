@@ -11,14 +11,27 @@ confidence up front:
     image_id score x1 y1 x2 y2 x3 y3 x4 y4 class_name
 
 Parsers return a file's well-formed lines as columns (``Annotations``,
-``DetectionRows``) and never raise on malformed content; bad lines are
-dropped and reported as human-readable warnings so a corrupt line cannot
-take down a whole evaluation run. A quad's coordinates must be finite, and
-so must its shoelace area, so that no overflow reaches the geometry. Each
-parser splits a file into tokens once and converts all its numbers at once;
-only a file with a line to drop is read again line by line, for the
-warnings. A dataset's parsed annotations become one ``GroundTruth`` array
-set, where an unknown class name raises.
+``DetectionRows``) and never raise on malformed content: blank lines are
+skipped, and any other line is dropped with a human-readable warning, so a
+corrupt line cannot take down a whole evaluation run, by the first of these
+rules that it breaks:
+
+1. ``expected 10 fields, got N`` (annotations; 11 for detections);
+2. ``non-numeric or non-finite coordinates`` (``values`` for detections, whose
+   score counts too): a number ``float`` does not read, or reads as inf or nan;
+3. ``quad area is not finite``: the quad's shoelace area overflows, which would
+   reach the geometry;
+4. ``quad area <= 1e-06 px^2`` (annotations only; the bound is
+   ``geometry.AREA_EPS``): a quad no detection can match. Either winding is
+   kept (DOTA's is clockwise), and a degenerate detection is kept, as a false
+   positive;
+5. ``bad difficulty 'x'`` (annotations only): a difficulty ``int`` does not read.
+
+One checker, ``_check``, holds these rules for both formats. It reads a whole
+file's rows at once, or many files' (``parse_annotation_files``); only a file
+with a line to drop is checked again line by line, for the warnings. A
+dataset's parsed annotations become one ``GroundTruth`` array set, where an
+unknown class name raises.
 """
 
 from __future__ import annotations
@@ -26,12 +39,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from .errors import UnknownClass
-from .geometry import _shoelace
+from .geometry import AREA_EPS, _shoelace
 
 
 @dataclass(eq=False)
@@ -59,68 +73,67 @@ class DetectionRows:
     warnings: list[str]
 
 
-def _finite_floats(tokens: list[str]) -> list[float] | None:
+def _check(rows: list[list[str]], fields: int, numbers: slice, what: str,
+           annotation: bool) -> tuple[list[float], list[int]] | str:
+    """The columns of token rows, their ``numbers`` row after row (the last
+    eight of a row's numbers are its quad) and, for an ``annotation``, their
+    difficulties; or, when a row breaks a rule of the module docstring, the
+    warning for the first rule a row breaks, with the field count or
+    difficulty of the first row that breaks it."""
+    wrong = next((len(t) for t in rows if len(t) != fields), None)
+    if wrong is not None:
+        return f"expected {fields} fields, got {wrong}"
     try:
-        values = list(map(float, tokens))
+        values = list(map(float, chain.from_iterable([t[numbers] for t in rows])))
+        finite = all(map(math.isfinite, values))
     except ValueError:
-        return None
-    return values if all(map(math.isfinite, values)) else None
+        finite = False
+    if not finite:
+        return f"non-numeric or non-finite {what}"
+    quads = np.reshape(values, (-1, numbers.stop - numbers.start))[:, -8:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow warns nothing
+        area = np.abs(_shoelace(quads.reshape(-1, 4, 2)))
+    if not np.isfinite(area).all():
+        return "quad area is not finite"
+    difficulty: list[int] = []
+    if annotation:
+        if (area <= AREA_EPS).any():
+            return f"quad area <= {AREA_EPS} px^2"
+        try:  # the rows read before a failing one stay in the list
+            difficulty += map(int, [t[-1] for t in rows])
+        except ValueError:
+            return f"bad difficulty {rows[len(difficulty)][-1]!r}"
+    return values, difficulty
 
 
-def _finite_areas(coords) -> bool:
-    """Whether each quad of ``coords``, eight finite coordinates in turn,
-    has a finite shoelace area; an overflow on the way warns nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(_shoelace(np.reshape(coords, (-1, 4, 2)))).all())
+_check_annotations = partial(_check, fields=10, numbers=slice(0, 8),
+                             what="coordinates", annotation=True)
+_check_detections = partial(_check, fields=11, numbers=slice(1, 10),
+                            what="values", annotation=False)
 
 
-def _annotation_columns(rows: list[list[str]]) -> tuple[list[float], list[int]] | None:
-    """(coords, difficulty) of annotation rows split into tokens, or None
-    if a row would be dropped: not 10 tokens, a coordinate that is not a
-    finite float, a quad whose area is not finite, or a difficulty that is
-    not an integer."""
-    if not all(len(t) == 10 for t in rows):
-        return None
-    coords = _finite_floats(list(chain.from_iterable([t[:8] for t in rows])))
-    try:
-        difficulty = [int(t[9]) for t in rows]
-    except ValueError:
-        return None
-    if coords is None or not _finite_areas(coords):
-        return None
-    return coords, difficulty
+def _parse(text: str, check, skip_metadata: bool):
+    """(rows, columns, warnings) of a file: the token rows of its lines that
+    ``check`` keeps, in file order, ``check``'s columns of them, and one
+    warning per line it drops. Blank lines are skipped, and so, with
+    ``skip_metadata``, are lines whose first token holds a ':'."""
+    lines = [(lineno, t) for lineno, t in enumerate(map(str.split, text.splitlines()), 1)
+             if t and not (skip_metadata and ":" in t[0])]
+    rows = [t for _, t in lines]
+    columns = check(rows)
+    warnings = []
+    if isinstance(columns, str):
+        reasons = [check([t]) for t in rows]
+        warnings = [f"line {lineno}: {r}" for (lineno, _), r in zip(lines, reasons)
+                    if isinstance(r, str)]
+        rows = [t for t, r in zip(rows, reasons) if not isinstance(r, str)]
+        columns = check(rows)
+    return rows, columns, warnings
 
 
 def parse_annotations(text: str) -> Annotations:
     """Parse oriented annotations; see the module docstring for the format."""
-    rows = [t for t in map(str.split, text.splitlines()) if t and ":" not in t[0]]
-    columns = _annotation_columns(rows)
-    warnings: list[str] = []
-    if columns is not None:
-        coords, difficulty = columns
-    else:
-        rows, coords, difficulty = [], [], []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split()
-            if not tokens or ":" in tokens[0]:  # blank, or a metadata header
-                continue
-            if len(tokens) != 10:
-                warnings.append(f"line {lineno}: expected 10 fields, got {len(tokens)}")
-                continue
-            values = _finite_floats(tokens[:8])
-            if values is None:
-                warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
-                continue
-            if not _finite_areas(values):
-                warnings.append(f"line {lineno}: quad area is not finite")
-                continue
-            try:
-                difficulty.append(int(tokens[9]))
-            except ValueError:
-                warnings.append(f"line {lineno}: bad difficulty {tokens[9]!r}")
-                continue
-            rows.append(tokens)
-            coords += values
+    rows, (coords, difficulty), warnings = _parse(text, _check_annotations, True)
     return Annotations(coords, [t[8] for t in rows], difficulty, warnings)
 
 
@@ -132,9 +145,10 @@ def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | 
     line, which only the per-file parser reports."""
     lines = [text.splitlines() for text in texts]
     rows = list(map(str.split, chain.from_iterable(lines)))
-    # a metadata line fails here too: no coordinate holds a ':'
-    columns = _annotation_columns(rows)
-    if columns is None:
+    # a blank line fails the field count, a metadata line that or the number
+    # test: no coordinate holds a ':'
+    columns = _check_annotations(rows)
+    if isinstance(columns, str):
         return None
     coords, difficulty = columns
     return Annotations(coords, [t[8] for t in rows], difficulty, []), list(map(len, lines))
@@ -142,35 +156,17 @@ def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | 
 
 def parse_detections(text: str) -> DetectionRows:
     """Parse detection lines into columns plus warnings."""
-    rows = [t for t in map(str.split, text.splitlines()) if t]
-    values = None
-    if all(len(t) == 11 for t in rows):
-        values = _finite_floats(list(chain.from_iterable([t[1:10] for t in rows])))
-        if values is not None and not _finite_areas(np.reshape(values, (-1, 9))[:, 1:]):
-            values = None
-    warnings: list[str] = []
-    if values is None:
-        rows, values = [], []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if len(tokens) != 11:
-                warnings.append(f"line {lineno}: expected 11 fields, got {len(tokens)}")
-                continue
-            numbers = _finite_floats(tokens[1:10])
-            if numbers is None:
-                warnings.append(f"line {lineno}: non-numeric or non-finite values")
-                continue
-            if not _finite_areas(numbers[1:]):
-                warnings.append(f"line {lineno}: quad area is not finite")
-                continue
-            rows.append(tokens)
-            values += numbers
+    rows, (values, _), warnings = _parse(text, _check_detections, False)
     values = np.array(values, dtype=np.float64).reshape(-1, 9)
     return DetectionRows([t[0] for t in rows], values[:, 0].copy(),
                          values[:, 1:].reshape(-1, 4, 2), [t[10] for t in rows],
                          warnings)
+
+
+def class_index(class_names: list[str]) -> dict[str, int]:
+    """Each class name's index in ``class_names``: its first, for a name
+    that repeats."""
+    return {name: k for k, name in reversed(list(enumerate(class_names)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +191,7 @@ class GroundTruth:
         reports every file up to the first with an unknown class, which
         raises ``UnknownClass``.
         """
-        index: dict[str, int] = {}
-        for k, name in enumerate(class_names):
-            index.setdefault(name, k)
+        index = class_index(class_names)
         counts, class_id, coords, difficulty = [], [], [], []
         for ann in files:
             ids = [index.get(name, -1) for name in ann.class_name]

@@ -727,11 +727,11 @@ def detection_rows(parsed) -> list[DetectionRow]:
                     parsed.class_name))
 
 
-def _finite_area_reference(coords) -> bool:
-    """Whether the quad of eight coordinates has a finite shoelace area,
-    summed in Python floats, where an overflow gives inf or NaN."""
+def _area_reference(coords) -> float:
+    """The signed shoelace area of the quad of eight coordinates, summed in
+    Python floats, where an overflow gives inf or NaN."""
     x, y = coords[0::2], coords[1::2]
-    return math.isfinite(sum(x[i] * y[i - 3] - x[i - 3] * y[i] for i in range(4)))
+    return 0.5 * sum(x[i] * y[i - 3] - x[i - 3] * y[i] for i in range(4))
 
 
 def parse_annotations_reference(text: str):
@@ -749,8 +749,12 @@ def parse_annotations_reference(text: str):
         if coords is None:
             warnings.append(f"line {lineno}: non-numeric or non-finite coordinates")
             continue
-        if not _finite_area_reference(coords):
+        area = _area_reference(coords)
+        if not math.isfinite(area):
             warnings.append(f"line {lineno}: quad area is not finite")
+            continue
+        if abs(area) <= 1e-6:  # geometry.AREA_EPS: no detection can match it
+            warnings.append(f"line {lineno}: quad area <= 1e-06 px^2")
             continue
         try:
             difficulty = int(tokens[9])
@@ -776,7 +780,7 @@ def parse_detections_reference(text: str):
         if values is None:
             warnings.append(f"line {lineno}: non-numeric or non-finite values")
             continue
-        if not _finite_area_reference(values[1:]):
+        if not math.isfinite(_area_reference(values[1:])):
             warnings.append(f"line {lineno}: quad area is not finite")
             continue
         records.append(

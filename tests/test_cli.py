@@ -52,6 +52,8 @@ def read_encoding_csv(path, cfg: GridConfig):
 
 # an annotation line with finite coordinates whose shoelace area overflows
 OVERFLOWING_QUAD = "1e308 1 20 1 20 20 1 20 class0 0\n"
+# an annotation line whose four corners lie on one line: its area is zero
+ZERO_AREA_QUAD = "5 5 9 5 13 5 7 5 class0 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +547,31 @@ class TestEval:
         assert captured.err == f"{ann}: line {lineno}: quad area is not finite\n"
         clean, dropped = captured.out.split("IoU")[1:]
         assert dropped == clean
+
+    def test_zero_area_ground_truth_quad_is_dropped_with_a_warning(
+            self, workspace, tmp_path, capsys):
+        # a quad no detection can match is no ground truth: train and eval
+        # both drop the line and name it, and they read the rest as before
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        ann = data / "annotations" / "img_00003.txt"
+        lineno = len(ann.read_text().splitlines()) + 1
+        ann.write_text(ann.read_text() + ZERO_AREA_QUAD)
+        warning = f"{ann}: line {lineno}: quad area <= 1e-06 px^2\n"
+        ckpts = [tmp_path / "clean.ckpt", tmp_path / "dropped.ckpt"]
+        for folder, ckpt in zip((workspace["data"], data), ckpts):
+            assert cli.main(["train", "--data", str(folder), "--out", str(ckpt),
+                             "--iters", "2", "--batch", "2", "--base-channels", "2",
+                             "--log-every", "0"]) == 0
+        assert capsys.readouterr().err == warning
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
+        for folder in (workspace["data"], data):
+            assert cli.main(["eval", "--data", str(folder),
+                             "--detections", str(workspace["dets"])]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == warning
+        clean, dropped = captured.out.split("IoU")[1:]
+        assert "(gt " in dropped and dropped == clean
 
     def test_unknown_class_detection_skipped_with_warning(self, workspace,
                                                           tmp_path, capsys):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polardet.errors import UnknownClass
-from polardet.formats import (GroundTruth, parse_annotation_files, parse_annotations,
-                              parse_detections, serialize_annotations,
-                              serialize_detections)
+from polardet.formats import (GroundTruth, _check_annotations, parse_annotation_files,
+                              parse_annotations, parse_detections,
+                              serialize_annotations, serialize_detections)
 
 from oracles import (AnnotationRow, DetectionRow, annotation_rows, detection_rows,
                      parse_annotations_reference, parse_detections_reference)
@@ -25,6 +25,9 @@ def annotations(*records):
         [r.corners for r in records], [r.class_name for r in records],
         [r.difficulty for r in records]))
 
+
+# a quad of area 1: a row that only its class, difficulty or layout can drop
+SQUARE = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
 
 # float() reads each of these, and none is finite ("1e999" overflows to inf)
 NON_FINITE = ["nan", "inf", "-inf", "1e999"]
@@ -90,9 +93,17 @@ class TestParseAnnotations:
         assert result.warnings == ["line 1: quad area is not finite"]
 
     def test_bad_difficulty_warns(self):
-        result = parse_annotations("1 2 3 4 5 6 7 8 plane hard\n")
+        result = parse_annotations("1 1 5 1 5 3 1 3 plane hard\n")
         assert annotation_rows(result) == []
-        assert "difficulty" in result.warnings[0]
+        assert result.warnings == ["line 1: bad difficulty 'hard'"]
+
+    def test_checker_names_the_first_offending_row(self):
+        # a whole file's check reports its first bad row, with that row's values
+        good = "1 1 5 1 5 3 1 3 plane 0".split()
+        for bad, reason in (("1 1 5 1 5 3 1 3 plane", "expected 10 fields, got 9"),
+                            ("1 1 5 1 5 3 1 3 plane hard", "bad difficulty 'hard'")):
+            rows = [good, bad.split(), good, "1 1 5 1 5 3 1 3 plane x".split()]
+            assert _check_annotations(rows) == reason
 
     def test_bad_line_does_not_poison_good_ones(self):
         text = "garbage here\n10 10 30 12 28 25 8 23 plane 0\n"
@@ -171,7 +182,7 @@ class TestRecordConversion:
             gt.corners, [[[0, 0], [4, 0], [4, 2], [0, 2]]])
 
     def test_unknown_class_rejected(self):
-        record = AnnotationRow((0.0,) * 8, "boat", 0)
+        record = AnnotationRow(SQUARE, "boat", 0)
         with pytest.raises(UnknownClass, match="'boat'"):
             GroundTruth.stack([annotations(record)], ["plane", "ship"])
 
@@ -189,9 +200,9 @@ class TestRecordConversion:
         seen = []
 
         def files():
-            for records in ([AnnotationRow((0.0,) * 8, "ship", 0)],
-                            [AnnotationRow((0.0,) * 8, "car", 0),
-                             AnnotationRow((0.0,) * 8, "boat", 0)],
+            for records in ([AnnotationRow(SQUARE, "ship", 0)],
+                            [AnnotationRow(SQUARE, "car", 0),
+                             AnnotationRow(SQUARE, "boat", 0)],
                             []):
                 seen.append(len(records))
                 yield annotations(*records)
@@ -254,6 +265,8 @@ def detection_file(rng, lines: int) -> str:
 GOOD_ANNOTATION = "1.5 2 3 4 5 6 7 8.25 ship 0"
 GOOD_DETECTION = "img_1 0.5 1.5 2 3 4 5 6 7 8.25 ship"
 # one line each, every case the per-line parsers drop or read unusually
+# (a case that only the difficulty or the layout decides holds a quad of
+# positive area, `1 2 3 4 5 6 7 9`, so that the area rule does not drop it first)
 MALFORMED = {
     "too few fields": "1 2 3 4 5 6 7 8 ship",
     "too many fields": "1 2 3 4 5 6 7 8 ship 0 extra extra",
@@ -266,16 +279,20 @@ MALFORMED = {
     "signed exponent": "+1e2 2 3 4 5 6 7 8 ship 0",
     "unicode digits": "\u0661\u0662 2 3 4 5 6 7 8 ship 0",
     "hex float": "0x1p3 2 3 4 5 6 7 8 ship 0",
-    "bad difficulty": "1 2 3 4 5 6 7 8 ship hard",
-    "float difficulty": "1 2 3 4 5 6 7 8 ship 1.0",
-    "signed difficulty": "1 2 3 4 5 6 7 8 ship -1",
+    "zero area": "5 5 9 5 13 5 7 5 ship 0",
+    "one point": "3 3 3 3 3 3 3 3 ship 0",
+    "sliver": "0 0 1 0 1 1e-7 0 1e-7 ship 0",
+    "clockwise": "0 0 0 4 4 4 4 0 ship 0",
+    "bad difficulty": "1 2 3 4 5 6 7 9 ship hard",
+    "float difficulty": "1 2 3 4 5 6 7 9 ship 1.0",
+    "signed difficulty": "1 2 3 4 5 6 7 9 ship -1",
     "metadata": "imagesource:GoogleEarth",
     "metadata with fields": "gsd:0.5 2 3 4 5 6 7 8 ship 0",
-    "class with colon": "1 2 3 4 5 6 7 8 a:b 0",
-    "crlf": "1 2 3 4 5 6 7 8 ship 0\r",
+    "class with colon": "1 2 3 4 5 6 7 9 a:b 0",
+    "crlf": "1 2 3 4 5 6 7 9 ship 0\r",
     "blank": "",
     "whitespace": " \t\x0c ",
-    "unicode whitespace": "1\u00a02\u30003 4 5 6 7 8 ship 0",
+    "unicode whitespace": "1\u00a02\u30003 4 5 6 7 9 ship 0",
     "line separator": "1 2 3 4\u2028 5 6 7 8 ship 0",
     "vertical tab": "1 2 3 4 5\x0b6 7 8 ship 0",
 }
