@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import math
 import os
@@ -29,7 +28,7 @@ from .encoding import BoxArrays, GridConfig, Targets, encode_boxes
 from .errors import DivergenceError, PolarDetError, ShapeError, VersionError
 from .evaluation import EvalReport, evaluate
 from .formats import (GroundTruth, class_index, parse_annotation_files,
-                      parse_annotations, parse_detections, serialize_detections)
+                      parse_detections, serialize_detections)
 from .gradcheck import check_all_losses, check_net_gradients
 from .geometry import check_iou_threshold, oriented_nms, quads_to_polar
 from .losses import LossConfig
@@ -46,10 +45,18 @@ EXIT_DIVERGED = 4
 EXIT_VERIFY = 5
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a ``ValueError`` names a file that is not."""
+    try:
+        return read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_config(path) -> dict[str, str]:
     """key=value lines; blank lines and '#' comments allowed."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,11 +78,14 @@ def _resolve(flag_value, config: dict, key: str, default, cast):
 
 def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
     """Return (class_names, image_ids): the names of classes.txt, stripped
-    of surrounding whitespace, and the ids of images/<id>.pgm, sorted as
-    strings."""
+    of surrounding whitespace, none twice, and the ids of images/<id>.pgm,
+    sorted as strings."""
     data = Path(data_dir)
-    names = [n for n in map(str.strip, (data / "classes.txt").read_text().splitlines())
-             if n]
+    path = data / "classes.txt"
+    names = [n for n in map(str.strip, _read_text(path).splitlines()) if n]
+    repeated = [n for k, n in enumerate(names) if n in names[:k]]
+    if repeated:
+        raise ValueError(f"{path}: class {repeated[0]!r} is listed twice")
     images = data / "images"
     ids = sorted(f[:-len(".pgm")] for f in (os.listdir(images) if images.is_dir() else [])
                  if f.endswith(".pgm"))
@@ -118,42 +128,38 @@ _ANNOTATION_BATCH = 100
 
 def _read_ground_truth(data_dir, image_ids: list[str],
                        class_names: list[str]) -> GroundTruth:
-    """The images' annotations as one array set; each file's warnings go to
-    stderr before its class names are checked. The files are UTF-8.
-
-    While every line of every file is a well-formed row (there is nothing
-    to warn about), the files are parsed ``_ANNOTATION_BATCH`` at a time
-    (``parse_annotation_files``); from the first batch with any other line,
-    or with a file that cannot be read, file by file.
-    """
+    """The images' annotations as one array set, their files read and
+    parsed ``_ANNOTATION_BATCH`` at a time. Each file's warnings go to
+    stderr in file order, up to the first file that cannot be read or holds
+    an unknown class, which raises after its own warnings."""
     folder = Path(data_dir) / "annotations"
     paths = [f"{folder}/{image_id}.txt" for image_id in image_ids]
-    batches, counts = [], []
+    index = class_index(class_names)
+    parts, counts = [], []
     for lo in range(0, len(paths), _ANNOTATION_BATCH):
-        try:
-            parsed = parse_annotation_files([read_bytes(p).decode("utf-8")
-                                             for p in paths[lo:lo + _ANNOTATION_BATCH]])
-        except (OSError, UnicodeDecodeError):  # raised again, in file order, below
-            parsed = None
-        if parsed is None:
-            break
-        batches.append(parsed[0])
-        counts += parsed[1]
-    else:
-        gt = GroundTruth.stack(batches, class_names)
-        return dataclasses.replace(gt, image=np.repeat(np.arange(len(counts)), counts))
-
-    def files():
-        for path in paths:
-            parsed = parse_annotations(read_bytes(path).decode("utf-8"))
-            for w in parsed.warnings:
+        texts, error = [], None
+        try:  # the texts read before a failure stay, and are parsed
+            texts += map(_read_text, paths[lo:lo + _ANNOTATION_BATCH])
+        except (OSError, ValueError) as exc:  # raised after their warnings
+            error = exc
+        parsed, file_counts, warnings = parse_annotation_files(texts)
+        parts.append(parsed)
+        counts += file_counts
+        unknown = [k for k, name in enumerate(parsed.class_name) if name not in index]
+        if unknown:  # the warnings up to the file of the first
+            del warnings[np.searchsorted(np.cumsum(file_counts), unknown[0], "right") + 1:]
+        for path, file_warnings in zip(paths[lo:], warnings):
+            for w in file_warnings:
                 print(f"{path}: {w}", file=sys.stderr)
-            yield parsed
-    return GroundTruth.stack(files(), class_names)
+        if unknown:
+            break  # GroundTruth.stack raises UnknownClass for it
+        if error is not None:
+            raise error
+    return GroundTruth.stack(parts, counts, class_names)
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    blocks = [b for b in Path(path).read_text().split("\n\n") if b.strip()]
+    blocks = [b for b in Path(path).read_text(encoding="utf-8").split("\n\n") if b.strip()]
     channels = []
     for block in blocks:
         rows = [[float(v) for v in line.split(",")]
@@ -173,7 +179,7 @@ def write_encoding_csv(path, targets: Targets, cfg: GridConfig) -> None:
     heat = targets.heat[0]
     cx, cy = targets.cell.T
     order = np.lexsort((cx, cy))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["map", "class", "cell_x", "cell_y", "value"])
         for c in range(cfg.num_classes):
@@ -248,7 +254,7 @@ def cmd_train(args) -> int:
         "final_loss": history[-1].total,
     })
     if args.history:
-        with open(args.history, "w", newline="") as fh:
+        with open(args.history, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "total", "pole", "reg"])
             writer.writerows((i, *h) for i, h in enumerate(history))
@@ -296,7 +302,7 @@ def cmd_detect(args) -> int:
         corners.append(dets.corners[rows])
         names += [class_names[c] for c in dets.class_id[rows].tolist()]
     Path(args.out).write_text(serialize_detections(
-        ids, np.concatenate(scores), np.concatenate(corners), names))
+        ids, np.concatenate(scores), np.concatenate(corners), names), encoding="utf-8")
     print(f"wrote {len(ids)} detections for {len(image_ids)} images "
           f"({dropped} invalid poles dropped)")
     return EXIT_OK
@@ -332,8 +338,7 @@ def score(data_dir, detections_path, ious) -> tuple[list[EvalReport], list[str]]
     Annotation and detection-file warnings go to stderr."""
     class_names, image_ids = _load_dataset(data_dir)
     gt = _read_ground_truth(data_dir, image_ids, class_names)
-    dets, image = _read_detections(Path(detections_path).read_text(), class_names,
-                                   image_ids)
+    dets, image = _read_detections(_read_text(detections_path), class_names, image_ids)
     return evaluate(dets, image, gt, ious), class_names
 
 
@@ -349,7 +354,7 @@ def cmd_eval(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             for c, ce in sorted(report.per_class.items()):
                 path = out / f"pr_iou{iou:.2f}_{class_names[c]}.csv"
-                with open(path, "w", newline="") as fh:
+                with open(path, "w", newline="", encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["recall", "precision", "score"])
                     writer.writerows(ce.curve)
@@ -381,7 +386,7 @@ def cmd_grad_check(args) -> int:
         print(f"{s.name}: points={s.num_points} max_rel_err={s.max_rel_error:.3e} "
               f"mean={s.mean_rel_error:.3e} [{status}]")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["loss", "points", "max_rel_err", "mean_rel_err"])
             writer.writerows((s.name, s.num_points, f"{s.max_rel_error:.9e}",
@@ -391,7 +396,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_extract(args) -> int:
     poles = _extract(read_heatmap_csv(args.heatmap), args)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "cell_x", "cell_y", "score"])
         rows = zip(poles.class_id.tolist(), poles.cell_x.tolist(),

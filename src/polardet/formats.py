@@ -27,20 +27,19 @@ rules that it breaks:
    positive;
 5. ``bad difficulty 'x'`` (annotations only): a difficulty ``int`` does not read.
 
-One checker, ``_check``, holds these rules for both formats. It reads a whole
-file's rows at once, or many files' (``parse_annotation_files``); only a file
-with a line to drop is checked again line by line, for the warnings. A
-dataset's parsed annotations become one ``GroundTruth`` array set, where an
-unknown class name raises.
+One checker, ``_check``, holds these rules for both formats and tests each
+rule once over all the rows it is given, one file's or many files' pooled
+(``parse_annotation_files``): every token is read once, and a row keeps the
+warning of the first rule it breaks. A dataset's parsed annotations become
+one ``GroundTruth`` array set, where an unknown class name raises.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, compress, islice
 
 import numpy as np
 
@@ -50,12 +49,12 @@ from .geometry import AREA_EPS, _shoelace
 
 @dataclass(eq=False)
 class Annotations:
-    """The well-formed lines of an annotation file as columns, in file
-    order, and one warning per dropped line. ``coords`` holds each row's
-    eight coordinates in turn, as the file does, so a dataset's files
+    """The well-formed lines of one or more annotation files as columns, in
+    file order, and one warning per dropped line. ``coords`` holds each
+    row's eight coordinates in turn, as the file does, so a dataset's files
     become one array at once (``GroundTruth.stack``)."""
 
-    coords: list[float]
+    coords: np.ndarray    # (8R,) float64
     class_name: list[str]
     difficulty: list[int]
     warnings: list[str]
@@ -73,91 +72,94 @@ class DetectionRows:
     warnings: list[str]
 
 
-def _check(rows: list[list[str]], fields: int, numbers: slice, what: str,
-           annotation: bool) -> tuple[list[float], list[int]] | str:
-    """The columns of token rows, their ``numbers`` row after row (the last
-    eight of a row's numbers are its quad) and, for an ``annotation``, their
-    difficulties; or, when a row breaks a rule of the module docstring, the
-    warning for the first rule a row breaks, with the field count or
-    difficulty of the first row that breaks it."""
-    wrong = next((len(t) for t in rows if len(t) != fields), None)
-    if wrong is not None:
-        return f"expected {fields} fields, got {wrong}"
-    try:
-        values = list(map(float, chain.from_iterable([t[numbers] for t in rows])))
-        finite = all(map(math.isfinite, values))
-    except ValueError:
-        finite = False
-    if not finite:
-        return f"non-numeric or non-finite {what}"
-    quads = np.reshape(values, (-1, numbers.stop - numbers.start))[:, -8:]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow warns nothing
-        area = np.abs(_shoelace(quads.reshape(-1, 4, 2)))
-    if not np.isfinite(area).all():
-        return "quad area is not finite"
-    difficulty: list[int] = []
-    if annotation:
-        if (area <= AREA_EPS).any():
-            return f"quad area <= {AREA_EPS} px^2"
-        try:  # the rows read before a failing one stay in the list
-            difficulty += map(int, [t[-1] for t in rows])
+def _read(convert, tokens, width: int, fill) -> tuple[list, list[int]]:
+    """``convert`` of each token, rows of ``width`` in turn, each token once,
+    and the rows with a token it rejects, whose values are all ``fill``."""
+    values, failed, tokens = [], [], iter(tokens)
+    while True:
+        try:
+            values += map(convert, tokens)  # the values read before a failure stay
+            return values, failed
         except ValueError:
-            return f"bad difficulty {rows[len(difficulty)][-1]!r}"
-    return values, difficulty
+            failed.append(len(values) // width)
+            list(islice(tokens, width - len(values) % width - 1))  # the row's rest
+            values[failed[-1] * width:] = [fill] * width
 
 
-_check_annotations = partial(_check, fields=10, numbers=slice(0, 8),
-                             what="coordinates", annotation=True)
-_check_detections = partial(_check, fields=11, numbers=slice(1, 10),
-                            what="values", annotation=False)
+def _check(rows: list[list[str]], fields: int, numbers: slice, what: str,
+           annotation: bool) -> tuple[np.ndarray, list[int], dict[int, str]]:
+    """(values, difficulty, dropped) of token rows: their ``numbers`` as one
+    row of floats each (the last eight are the quad), for an ``annotation``
+    their difficulties, and, by row index, the warning for the first rule
+    of the module docstring that a row breaks. A row of another length
+    reads as zeros, and a number that ``float`` rejects as nan."""
+    dropped = {k: f"expected {fields} fields, got {len(t)}"
+               for k, t in enumerate(rows) if len(t) != fields}
+    if dropped:
+        rows = [t if len(t) == fields else ["0"] * fields for t in rows]
+    width = numbers.stop - numbers.start
+    values, _ = _read(float, chain.from_iterable([t[numbers] for t in rows]), width,
+                      math.nan)
+    values = np.reshape(values, (-1, width))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow warns nothing
+        area = np.abs(_shoelace(values[:, -8:].reshape(-1, 4, 2)))
+    rules = [(np.isfinite(values).all(axis=1), f"non-numeric or non-finite {what}"),
+             (np.isfinite(area), "quad area is not finite")]
+    difficulty, bad = [], []
+    if annotation:
+        rules.append((area > AREA_EPS, f"quad area <= {AREA_EPS} px^2"))
+        difficulty, bad = _read(int, [t[-1] for t in rows], 1, 0)
+    for passed, warning in rules:
+        for k in np.flatnonzero(~passed).tolist():
+            dropped.setdefault(k, warning)
+    for k in bad:
+        dropped.setdefault(k, f"bad difficulty {rows[k][-1]!r}")
+    return values, difficulty, dropped
 
 
-def _parse(text: str, check, skip_metadata: bool):
-    """(rows, columns, warnings) of a file: the token rows of its lines that
-    ``check`` keeps, in file order, ``check``'s columns of them, and one
-    warning per line it drops. Blank lines are skipped, and so, with
-    ``skip_metadata``, are lines whose first token holds a ':'."""
-    lines = [(lineno, t) for lineno, t in enumerate(map(str.split, text.splitlines()), 1)
-             if t and not (skip_metadata and ":" in t[0])]
-    rows = [t for _, t in lines]
-    columns = check(rows)
-    warnings = []
-    if isinstance(columns, str):
-        reasons = [check([t]) for t in rows]
-        warnings = [f"line {lineno}: {r}" for (lineno, _), r in zip(lines, reasons)
-                    if isinstance(r, str)]
-        rows = [t for t, r in zip(rows, reasons) if not isinstance(r, str)]
-        columns = check(rows)
-    return rows, columns, warnings
+def _parse(texts: list[str], *form):
+    """(rows, values, difficulty, counts, warnings) of files, pooled: the
+    token rows that ``_check(rows, *form)`` keeps, file after file, its
+    values and difficulties of them, and each file's row count and ``line
+    N: ...`` warnings. Blank lines, and annotation lines whose first token
+    holds a ':', are dropped without one (they break rule 1 or 2)."""
+    lines = [text.splitlines() for text in texts]
+    rows = list(map(str.split, chain.from_iterable(lines)))
+    values, difficulty, dropped = _check(rows, *form)
+    counts = list(map(len, lines))
+    warnings = [[] for _ in texts]
+    if dropped:
+        starts = [0, *accumulate(counts)]
+        for k in sorted(dropped):
+            f = bisect_right(starts, k) - 1
+            counts[f] -= 1
+            if rows[k] and not (form[-1] and ":" in rows[k][0]):
+                warnings[f].append(f"line {k - starts[f] + 1}: {dropped[k]}")
+        kept = [k not in dropped for k in range(len(rows))]
+        rows, values = list(compress(rows, kept)), values[kept]
+        difficulty = list(compress(difficulty, kept))
+    return rows, values, difficulty, counts, warnings
+
+
+def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int], list]:
+    """The rows of all ``texts`` as one ``Annotations``, file after file,
+    each file's row count and each file's warnings; the ``Annotations``
+    holds all their warnings, file after file."""
+    rows, values, difficulty, counts, warnings = _parse(texts, 10, slice(0, 8),
+                                                        "coordinates", True)
+    return (Annotations(values.reshape(-1), [t[8] for t in rows], difficulty,
+                        list(chain.from_iterable(warnings))),
+            counts, warnings)
 
 
 def parse_annotations(text: str) -> Annotations:
     """Parse oriented annotations; see the module docstring for the format."""
-    rows, (coords, difficulty), warnings = _parse(text, _check_annotations, True)
-    return Annotations(coords, [t[8] for t in rows], difficulty, warnings)
-
-
-def parse_annotation_files(texts: list[str]) -> tuple[Annotations, list[int]] | None:
-    """The rows of all ``texts`` as one ``Annotations``, file after file,
-    and each file's row count, when every line of every file is a
-    well-formed row: then each file's ``parse_annotations`` gives its rows
-    with no warning. None when a file has a blank, metadata or malformed
-    line, which only the per-file parser reports."""
-    lines = [text.splitlines() for text in texts]
-    rows = list(map(str.split, chain.from_iterable(lines)))
-    # a blank line fails the field count, a metadata line that or the number
-    # test: no coordinate holds a ':'
-    columns = _check_annotations(rows)
-    if isinstance(columns, str):
-        return None
-    coords, difficulty = columns
-    return Annotations(coords, [t[8] for t in rows], difficulty, []), list(map(len, lines))
+    return parse_annotation_files([text])[0]
 
 
 def parse_detections(text: str) -> DetectionRows:
     """Parse detection lines into columns plus warnings."""
-    rows, (values, _), warnings = _parse(text, _check_detections, False)
-    values = np.array(values, dtype=np.float64).reshape(-1, 9)
+    rows, values, _, _, (warnings,) = _parse([text], 11, slice(1, 10), "values", False)
     return DetectionRows([t[0] for t in rows], values[:, 0].copy(),
                          values[:, 1:].reshape(-1, 4, 2), [t[10] for t in rows],
                          warnings)
@@ -182,30 +184,21 @@ class GroundTruth:
         return len(self.class_id)
 
     @classmethod
-    def stack(cls, files: Iterable[Annotations], class_names: list[str]) -> GroundTruth:
-        """Stack the rows of each image's annotations in turn, image k's
-        rows tagged k.
-
-        Each image's class names are checked as its annotations arrive, so
-        an iterable that reports a file's warnings before yielding it
-        reports every file up to the first with an unknown class, which
-        raises ``UnknownClass``.
-        """
+    def stack(cls, parts: list[Annotations], counts: list[int],
+              class_names: list[str]) -> GroundTruth:
+        """The rows of ``parts``, each the pooled rows of consecutive
+        images, in turn: the first ``counts[0]`` rows are image 0's, the
+        next ``counts[1]`` image 1's, and so on. The first row whose class
+        name is not in ``class_names`` raises ``UnknownClass``."""
         index = class_index(class_names)
-        counts, class_id, coords, difficulty = [], [], [], []
-        for ann in files:
-            ids = [index.get(name, -1) for name in ann.class_name]
-            if -1 in ids:
-                name = ann.class_name[ids.index(-1)]
-                raise UnknownClass(f"class {name!r} not in {class_names}")
-            counts.append(len(ids))
-            class_id += ids
-            coords += ann.coords
-            difficulty += ann.difficulty
+        names = list(chain.from_iterable(p.class_name for p in parts))
+        ids = [index.get(name, -1) for name in names]
+        if -1 in ids:
+            raise UnknownClass(f"class {names[ids.index(-1)]!r} not in {class_names}")
+        coords = np.concatenate([np.empty(0), *(p.coords for p in parts)])
         return cls(np.repeat(np.arange(len(counts)), counts),
-                   np.array(class_id, dtype=np.intp),
-                   np.array(coords, dtype=np.float64).reshape(-1, 4, 2),
-                   np.array([d != 0 for d in difficulty], dtype=bool))
+                   np.array(ids, dtype=np.intp), coords.reshape(-1, 4, 2),
+                   np.array([d != 0 for p in parts for d in p.difficulty], dtype=bool))
 
 
 #: one annotation line: eight coordinates at six decimals, class name,

@@ -321,8 +321,8 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int) -> list[str]:
         for path in folder.glob(f"*{suffix}"):
             if path.stem not in written:
                 path.unlink()
-    (out / "classes.txt").write_text("\n".join(names) + "\n")
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    (out / "classes.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "num_objects"])
         writer.writerows(rows)

@@ -1,24 +1,33 @@
 import csv
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polardet import cli
 from polardet.encoding import GridConfig
 from polardet.errors import DivergenceError
-from polardet.formats import GroundTruth, parse_annotations, parse_detections
+from polardet.formats import (GroundTruth, parse_annotation_files, parse_annotations,
+                              parse_detections)
 from polardet.postprocess import decode_poles, extract_pole_points
 from polardet.synthdata import read_pgm
 from polardet.toynet import load_checkpoint, predict_planes
 
-from oracles import (polars_to_quads_reference, quads_to_polar_reference,
+from oracles import (annotation_rows, parse_annotations_reference,
+                     polars_to_quads_reference, quads_to_polar_reference,
                      read_annotations_reference, read_pgm_reference, target_planes)
+from test_formats import GOOD_ANNOTATION, MALFORMED, bits
 from test_toynet import MALFORMED_CHECKPOINTS, encode_generated
 
 
@@ -199,6 +208,81 @@ class TestTrain:
         assert code == 3
         assert f"{first}: line " in err and "expected 10 fields, got 3" in err
         assert "'zeppelin' not in ['class0', 'class1']" in err
+
+    @pytest.mark.parametrize("batch", [100, 2])
+    def test_unknown_class_after_a_dirty_file_stops_the_warnings(
+            self, workspace, tmp_path, capsys, monkeypatch, batch):
+        # stderr holds the warnings of each file up to the first with an
+        # unknown class, that file's own included, then the error: none of
+        # a later file's, in the same batch or in the next
+        monkeypatch.setattr(cli, "_ANNOTATION_BATCH", batch)
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        anns = sorted((data / "annotations").iterdir())
+        lines = [len(ann.read_text().splitlines()) + 1 for ann in anns]
+        for k in (1, 3, 4):
+            anns[k].write_text(anns[k].read_text() + "1 2 3\n")
+        anns[3].write_text(anns[3].read_text() + "0 0 4 0 4 4 0 4 zeppelin 0\n")
+        code = cli.main(["train", "--data", str(data),
+                         "--out", str(tmp_path / "n.ckpt"), "--iters", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"{anns[1]}: line {lines[1]}: expected 10 fields, got 3\n"
+            f"{anns[3]}: line {lines[3]}: expected 10 fields, got 3\n"
+            "error: class 'zeppelin' not in ['class0', 'class1']\n")
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unreadable_annotation_file_after_a_dirty_file_is_io_error(
+            self, workspace, tmp_path, capsys, unreadable, command):
+        # the warnings of the files before it, then one error naming it
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        anns = sorted((data / "annotations").iterdir())
+        lineno = len(anns[1].read_text().splitlines()) + 1
+        for k in (1, 5):
+            anns[k].write_text(anns[k].read_text() + "1 2 3\n")
+        if unreadable == "directory":
+            anns[3].unlink()
+            anns[3].mkdir()
+            error = f"[Errno 21] Is a directory: '{anns[3]}'"
+        else:
+            text = anns[3].read_bytes() + b"0 0 4 0 4 4 0 4 cl"
+            anns[3].write_bytes(text + b"\xffss0 0\n")
+            error = (f"{anns[3]}: 'utf-8' codec can't decode byte 0xff in position "
+                     f"{len(text)}: invalid start byte")
+        argv = (["train", "--data", str(data), "--out", str(tmp_path / "n.ckpt"),
+                 "--iters", "1"] if command == "train" else
+                ["eval", "--data", str(data), "--detections", str(workspace["dets"])])
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{anns[1]}: line {lineno}: expected 10 fields, got 3\n"
+                                f"error: {error}\n")
+
+    @pytest.mark.parametrize("classes, problem", [
+        # a second channel of the same name could never be trained, and
+        # detect would write its detections under the first one's name
+        (b"class0\nclass1\n class0\n", "class 'class0' is listed twice"),
+        (b"class0\n\xffclass1\n", "'utf-8' codec can't decode byte 0xff in position 7: "
+                                "invalid start byte")], ids=["listed-twice", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["train", "detect", "eval"])
+    def test_bad_classes_file_is_io_error_naming_it(self, workspace, tmp_path, capsys,
+                                                    command, classes, problem):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "classes.txt").write_bytes(classes)
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--data", str(data), "--out", str(out), "--iters", "1"],
+                "detect": ["detect", "--data", str(data), "--checkpoint",
+                           str(workspace["ckpt"]), "--out", str(out)],
+                "eval": ["eval", "--data", str(data), "--detections",
+                         str(workspace["dets"])]}[command]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data / 'classes.txt'}: {problem}\n"
+        assert not out.exists()
 
     def test_checkpoint_is_written_to_the_given_path(self, workspace, tmp_path,
                                                      capsys):
@@ -645,6 +729,19 @@ class TestEval:
         assert (tmp_path / "pr" / "pr_iou0.50_s.csv").read_text().splitlines() == [
             "recall,precision,score", "0.0,0.0,0.9", "0.5,0.5,0.9"]
 
+    def test_non_utf8_detections_file_is_io_error_naming_it(self, workspace, tmp_path,
+                                                            capsys):
+        dets = tmp_path / "dets.txt"
+        text = workspace["dets"].read_bytes() + b"img_00001 0.5 1 2 3 4 5 6 7 9 cl"
+        dets.write_bytes(text + b"\xffss0\n")
+        code = cli.main(["eval", "--data", str(workspace["data"]),
+                         "--detections", str(dets)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (f"error: {dets}: 'utf-8' codec can't decode byte 0xff "
+                                f"in position {len(text)}: invalid start byte\n")
+
     def test_missing_detections_file_is_io_error(self, workspace, tmp_path,
                                                  capsys):
         code = cli.main(["eval", "--data", str(workspace["data"]),
@@ -801,7 +898,8 @@ class TestEncodeDump:
         heat, rho, t1, t2 = read_encoding_csv(out, cfg)
 
         ann = (data / "annotations" / "img_00003.txt").read_text()
-        gt = GroundTruth.stack([parse_annotations(ann)], ["class0", "class1"])
+        parsed = parse_annotations(ann)
+        gt = GroundTruth.stack([parsed], [len(parsed.class_name)], ["class0", "class1"])
         targets = encode_generated([(gt.corners, gt.class_id)], cfg)
         np.testing.assert_allclose(heat, targets.heat[0], rtol=1e-8)
         for got, plane in zip((rho, t1, t2), target_planes(targets)):
@@ -861,6 +959,13 @@ MALFORMED_PGMS = {
 }
 
 
+# every kind of line an annotation file can hold: rows to keep, each
+# malformed case, blank and metadata lines; and the classes they name
+ANNOTATION_LINES = [GOOD_ANNOTATION, "10 10 30 12 28 25 8 23 c1 1", *MALFORMED.values(),
+                    "", "imagesource:GoogleEarth"]
+ANNOTATION_CLASSES = ["ship", "c1", "a:b"]
+
+
 class TestDatasetReaders:
     @pytest.mark.parametrize("variant", ["as-written", "comments-and-crlf"])
     def test_encode_items_same_as_one_item_readers(self, workspace, tmp_path,
@@ -911,6 +1016,41 @@ class TestDatasetReaders:
             assert got.tobytes() == ref.tobytes(), name
         line = len(text.splitlines()) + 1
         assert capsys.readouterr().err == f"{ann}: line {line}: expected 10 fields, got 9\n"
+
+    @given(files=st.lists(st.tuples(st.lists(st.sampled_from(ANNOTATION_LINES), max_size=6),
+                                    st.sampled_from(["\n", "\r\n"]), st.booleans()),
+                          min_size=1, max_size=7),
+           batch=st.integers(1, 4))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_batches_of_files_match_the_per_line_parser(self, files, batch):
+        # clean, malformed, blank and metadata lines, LF or CRLF ends, a
+        # last line with or without one, the files spread over batches: the
+        # same rows as each file's per-line parse, bit for bit, the same
+        # counts and the same warnings, file after file
+        texts = [end.join(lines) + (end if last else "") for lines, end, last in files]
+        want = [parse_annotations_reference(text) for text in texts]
+        records = [r for rows, _ in want for r in rows]
+        parsed, counts, warnings = parse_annotation_files(texts)
+        assert bits(annotation_rows(parsed)) == bits(records)
+        assert counts == [len(rows) for rows, _ in want]
+        assert warnings == [file_warnings for _, file_warnings in want]
+        ids = [f"img_{k:05d}" for k in range(len(texts))]
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err, \
+                mock.patch.object(cli, "_ANNOTATION_BATCH", batch):
+            folder = Path(tmp) / "annotations"
+            folder.mkdir()
+            for image_id, text in zip(ids, texts):
+                (folder / f"{image_id}.txt").write_bytes(text.encode())
+            gt = cli._read_ground_truth(tmp, ids, ANNOTATION_CLASSES)
+            assert err.getvalue() == "".join(
+                f"{folder}/{image_id}.txt: {w}\n"
+                for image_id, (_, file_warnings) in zip(ids, want) for w in file_warnings)
+        assert gt.image.tolist() == [k for k, (rows, _) in enumerate(want) for _ in rows]
+        assert gt.class_id.tolist() == [ANNOTATION_CLASSES.index(r.class_name)
+                                        for r in records]
+        assert gt.difficult.tolist() == [r.difficulty != 0 for r in records]
+        assert bits([(tuple(c),) for c in gt.corners.reshape(-1, 8).tolist()]) == bits(
+            [(r.corners,) for r in records])
 
     def test_image_of_another_size_is_io_error_naming_it(self, workspace, tmp_path,
                                                           capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polardet.errors import UnknownClass
-from polardet.formats import (GroundTruth, _check_annotations, parse_annotation_files,
+from polardet.formats import (GroundTruth, _check, parse_annotation_files,
                               parse_annotations, parse_detections,
                               serialize_annotations, serialize_detections)
 
@@ -97,13 +97,20 @@ class TestParseAnnotations:
         assert annotation_rows(result) == []
         assert result.warnings == ["line 1: bad difficulty 'hard'"]
 
-    def test_checker_names_the_first_offending_row(self):
-        # a whole file's check reports its first bad row, with that row's values
+    def test_checker_names_each_rows_first_broken_rule(self):
+        # one check of all rows gives each dropped row its own warning, with
+        # that row's values, and keeps the other rows' columns
         good = "1 1 5 1 5 3 1 3 plane 0".split()
-        for bad, reason in (("1 1 5 1 5 3 1 3 plane", "expected 10 fields, got 9"),
-                            ("1 1 5 1 5 3 1 3 plane hard", "bad difficulty 'hard'")):
-            rows = [good, bad.split(), good, "1 1 5 1 5 3 1 3 plane x".split()]
-            assert _check_annotations(rows) == reason
+        rows = [good, "1 1 5 1 5 3 1 3 plane".split(), good,
+                "1 1 5 1 5 3 1 3 plane hard".split(), "x 1 5 1 5 3 1 3 plane y".split(),
+                "1 1 5 1 5 1 1 1 plane z".split(), good]
+        values, difficulty, dropped = _check(rows, 10, slice(0, 8), "coordinates", True)
+        assert dropped == {1: "expected 10 fields, got 9", 3: "bad difficulty 'hard'",
+                           4: "non-numeric or non-finite coordinates",
+                           5: "quad area <= 1e-06 px^2"}
+        assert values.shape == (7, 8) and values[[0, 2, 6]].tolist() == [
+            [1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 1.0, 3.0]] * 3
+        assert [difficulty[k] for k in (0, 2, 6)] == [0, 0, 0]
 
     def test_bad_line_does_not_poison_good_ones(self):
         text = "garbage here\n10 10 30 12 28 25 8 23 plane 0\n"
@@ -176,7 +183,7 @@ class TestParseDetections:
 class TestRecordConversion:
     def test_ground_truth_from_records(self):
         record = AnnotationRow((0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0), "ship", 0)
-        gt = GroundTruth.stack([annotations(record)], ["plane", "ship"])
+        gt = GroundTruth.stack([annotations(record)], [1], ["plane", "ship"])
         assert gt.class_id.tolist() == [1]
         np.testing.assert_array_equal(
             gt.corners, [[[0, 0], [4, 0], [4, 2], [0, 2]]])
@@ -184,34 +191,32 @@ class TestRecordConversion:
     def test_unknown_class_rejected(self):
         record = AnnotationRow(SQUARE, "boat", 0)
         with pytest.raises(UnknownClass, match="'boat'"):
-            GroundTruth.stack([annotations(record)], ["plane", "ship"])
+            GroundTruth.stack([annotations(record)], [1], ["plane", "ship"])
 
     def test_images_difficult_flags_and_dtypes(self):
-        parsed = [parse_annotations(SAMPLE), parse_annotations(""),
-                  parse_annotations("1 1 5 1 5 3 1 3 ship 0\n")]
-        gt = GroundTruth.stack(parsed, ["plane", "ship"])
+        parsed, counts, _ = parse_annotation_files(
+            [SAMPLE, "", "1 1 5 1 5 3 1 3 ship 0\n"])
+        gt = GroundTruth.stack([parsed], counts, ["plane", "ship"])
         assert gt.image.tolist() == [0, 0, 2]
         assert gt.class_id.tolist() == [0, 1, 1]
         assert gt.difficult.tolist() == [False, True, False]
         assert gt.corners.shape == (3, 4, 2) and gt.corners.dtype == np.float64
         assert gt.corners[0, 2].tolist() == [28.0, 25.0]
 
-    def test_first_unknown_class_of_a_file_stops_reading(self):
-        seen = []
-
-        def files():
-            for records in ([AnnotationRow(SQUARE, "ship", 0)],
-                            [AnnotationRow(SQUARE, "car", 0),
-                             AnnotationRow(SQUARE, "boat", 0)],
-                            []):
-                seen.append(len(records))
-                yield annotations(*records)
+    def test_parts_stack_in_turn_and_the_first_unknown_class_raises(self):
+        parts = [annotations(AnnotationRow(SQUARE, "ship", 0)),
+                 annotations(AnnotationRow(SQUARE, "plane", 1),
+                             AnnotationRow(SQUARE, "ship", 0))]
+        gt = GroundTruth.stack(parts, [1, 0, 2], ["plane", "ship"])
+        assert gt.image.tolist() == [0, 2, 2] and gt.class_id.tolist() == [1, 0, 1]
+        assert gt.difficult.tolist() == [False, True, False]
+        parts.append(annotations(AnnotationRow(SQUARE, "car", 0),
+                                 AnnotationRow(SQUARE, "boat", 0)))
         with pytest.raises(UnknownClass, match="'car'"):
-            GroundTruth.stack(files(), ["plane", "ship"])
-        assert seen == [1, 2]
+            GroundTruth.stack(parts, [1, 0, 2, 2], ["plane", "ship"])
 
     def test_no_records(self):
-        gt = GroundTruth.stack([annotations(), annotations()], ["plane"])
+        gt = GroundTruth.stack([annotations(), annotations()], [0, 0], ["plane"])
         assert len(gt) == 0 and gt.corners.shape == (0, 4, 2)
         assert gt.image.shape == (0,)
 
@@ -312,29 +317,32 @@ class TestMatchesPerLineParsers:
             records, warnings = reference(text)
             assert bits(rows(result)) == bits(records)
             assert result.warnings == warnings
-        # the batch parser takes a file only when each of its lines is a row
-        # the per-line parser keeps, and then gives the same rows
+        # the multi-file parser gives each file its own parse's rows, row
+        # count and warnings
         records, warnings = parse_annotations_reference(text)
-        batch = parse_annotation_files([text, GOOD_ANNOTATION, text])
-        if warnings or len(records) != len(text.splitlines()):
-            assert batch is None
-        else:
-            joined = [*records, *parse_annotations_reference(GOOD_ANNOTATION)[0], *records]
-            assert bits(annotation_rows(batch[0])) == bits(joined)
-            assert batch[1] == [len(records), 1, len(records)]
-            assert batch[0].warnings == []
+        batch, counts, file_warnings = parse_annotation_files([text, GOOD_ANNOTATION, text])
+        joined = [*records, *parse_annotations_reference(GOOD_ANNOTATION)[0], *records]
+        assert bits(annotation_rows(batch)) == bits(joined)
+        assert counts == [len(records), 1, len(records)]
+        assert file_warnings == [warnings, [], warnings]
+        assert batch.warnings == warnings + warnings
 
     def test_batch_of_generated_files(self):
         rng = np.random.default_rng(4)
         texts = [annotation_file(rng, lines) for lines in (3, 0, 1, 45, 2)]
-        batch, counts = parse_annotation_files(texts)
-        assert counts == [3, 0, 1, 45, 2]
+        batch, counts, warnings = parse_annotation_files(texts)
+        assert counts == [3, 0, 1, 45, 2] and warnings == [[]] * 5
         rows = [r for text in texts for r in parse_annotations_reference(text)[0]]
         assert bits(annotation_rows(batch)) == bits(rows)
-        empty, counts = parse_annotation_files([])
-        assert counts == [] and annotation_rows(empty) == []
+        empty, counts, warnings = parse_annotation_files([])
+        assert counts == [] == warnings and annotation_rows(empty) == []
+        # a line to drop or skip changes only its own file's rows and warnings
         for bad in ("", "gsd:0.5", MALFORMED["nan"]):
-            assert parse_annotation_files([*texts, texts[0] + bad + "\n"]) is None
+            dirty = texts[0] + bad + "\n"
+            batch, counts, warnings = parse_annotation_files([*texts, dirty])
+            assert counts == [3, 0, 1, 45, 2, 3]
+            assert warnings == [[]] * 5 + [parse_annotations_reference(dirty)[1]]
+            assert bits(annotation_rows(batch)) == bits(rows + rows[:3])
 
     def test_generated_files(self):
         rng = np.random.default_rng(8)

@@ -29,3 +29,23 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 found.setdefault(module.split(".")[0], path.name)
     assert {m: f for m, f in found.items() if m not in allowed} == {}
     assert "numpy" in found
+
+
+def test_package_text_io_names_its_encoding():
+    # read_text, write_text and a text-mode open() pass encoding=, so that
+    # no file's text depends on the locale
+    missing = []
+    for path in sorted(Path(polardet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call) or any(k.arg == "encoding"
+                                                     for k in node.keywords):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+                missing.append(f"{path.name}:{node.lineno}")
+            elif isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if not (isinstance(mode, ast.Constant) and "b" in mode.value):
+                    missing.append(f"{path.name}:{node.lineno}")
+    assert missing == []
