@@ -16,6 +16,10 @@ thread count, a child runs ``test_toynet.predict_is_forward_in_bands`` and
 the script prints whether ``predict`` gave ``forward``'s outputs byte for
 byte at the shapes whose convs multiply their columns in row bands.
 
+Last, a child runs ``test_synthdata.bench_set_digests`` and the script
+prints the sha256 of each of perfbench's two synth datasets, as pinned in
+tests/test_synthdata.py; they come out the same under every family.
+
 A family the CPU cannot run falls back to the library's own choice, so run
 it on a CPU with AVX-512 for all five.
 """
@@ -30,6 +34,8 @@ FAMILIES = ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")
 DIGESTS = ("import test_toynet; print(*test_toynet.float64_digests(), "
            "test_toynet.float64_train_digest())")
 BANDS = "import test_toynet; print(test_toynet.predict_is_forward_in_bands())"
+DATASETS = ("import test_synthdata\n"
+            "for item in test_synthdata.bench_set_digests().items(): print(*item)")
 
 
 def run_child(code: str, env: dict) -> list[str]:
@@ -50,6 +56,9 @@ def main() -> int:
                 env["OPENBLAS_NUM_THREADS"] = threads
             (same,) = run_child(BANDS, env)
             print(f"{family} threads={threads} predict is forward in bands: {same}")
+    words = run_child(DATASETS, dict(os.environ))
+    for name, digest in zip(words[::2], words[1::2]):
+        print(f"dataset {name} {digest}")
     return 0
 
 

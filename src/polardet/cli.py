@@ -53,27 +53,53 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_config(path) -> dict[str, str]:
-    """key=value lines; blank lines and '#' comments allowed."""
-    out: dict[str, str] = {}
-    for raw in _read_text(path).splitlines():
+#: the --config keys each command reads, and how each value is read
+_SYNTH_SETTINGS = {"width": int, "height": int, "num_classes": int,
+                   "min_objects": int, "max_objects": int, "side_min": float,
+                   "side_max": float, "aspect_min": float, "aspect_max": float,
+                   "background": float, "noise_sigma": float}
+_TRAIN_SETTINGS = {"learning_rate": float, "batch_size": int, "iterations": int,
+                   "lambda_ring": float, "base_channels": int}
+
+
+def _read_config(path, command: str, settings: dict) -> dict:
+    """The values of ``command``'s ``settings`` set by the key=value lines
+    of the config file ``path``, each read by its setting's type; blank
+    lines and '#' comments allowed, and a later line wins.
+
+    A line that is not key=value, or a value its type cannot read, raises
+    ``ValueError`` naming the file, the line and the text. A key that is
+    not one of ``settings`` gets one warning and is ignored.
+    """
+    out, unknown = {}, set()
+    for number, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ValueError(f"{path}: line {number}: bad config line {raw!r}, "
+                             "not key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        cast = settings.get(key)
+        if cast is None:
+            if key not in unknown:
+                print(f"warning: {path}: key {key!r} is not a {command} setting; "
+                      "ignored", file=sys.stderr)
+                unknown.add(key)
+            continue
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: {key}={value!r} is not "
+                             f"a valid {cast.__name__}") from None
     return out
 
 
-def _resolve(flag_value, config: dict, key: str, default, cast):
+def _resolve(flag_value, config: dict, key: str, default):
     """Precedence: explicit flag > config file > default."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
+    return config.get(key, default)
 
 
 def _load_dataset(data_dir) -> tuple[list[str], list[str]]:
@@ -159,17 +185,28 @@ def _read_ground_truth(data_dir, image_ids: list[str],
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    blocks = [b for b in Path(path).read_text(encoding="utf-8").split("\n\n") if b.strip()]
-    channels = []
-    for block in blocks:
-        rows = [[float(v) for v in line.split(",")]
-                for line in block.strip().splitlines()]
-        channels.append(np.asarray(rows, dtype=np.float64))
+    """The (C, H, W) heatmap of a UTF-8 CSV file: one block of
+    comma-separated rows per channel, blocks split by blank lines, LF or
+    CRLF. A value that is not a number, a row whose length differs from
+    its block's first and channels of different shapes raise an error
+    naming the file."""
+    channels, rows = [], []
+    for number, line in enumerate(_read_text(path).splitlines() + [""], 1):
+        if line.strip():
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ShapeError(f"{path}: line {number}: row length {len(rows[-1])}, "
+                                 f"the channel's first row has {len(rows[0])}")
+        elif rows:
+            channels.append(np.asarray(rows, dtype=np.float64))
+            rows = []
     if not channels:
-        raise ShapeError("empty heatmap file")
-    shape = channels[0].shape
-    if any(c.shape != shape for c in channels):
-        raise ShapeError("heatmap channels differ in shape")
+        raise ShapeError(f"{path}: empty heatmap file")
+    if any(c.shape != channels[0].shape for c in channels):
+        raise ShapeError(f"{path}: heatmap channels differ in shape")
     return np.stack(channels)
 
 
@@ -207,19 +244,17 @@ def _encode_items(data_dir, image_ids: list[str], class_names, stride: int):
 
 
 def cmd_synth(args) -> int:
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config, "synth", _SYNTH_SETTINGS) if args.config else {}
     spec = SceneSpec(
-        width=_resolve(args.width, config, "width", 64, int),
-        height=_resolve(args.height, config, "height", 64, int),
-        num_classes=_resolve(args.classes, config, "num_classes", 2, int),
-        min_objects=_resolve(args.objects, config, "min_objects", 1, int),
-        max_objects=_resolve(args.objects, config, "max_objects", 3, int),
-        side_range=(float(config.get("side_min", 7.0)),
-                    float(config.get("side_max", 11.0))),
-        aspect_range=(float(config.get("aspect_min", 1.2)),
-                      float(config.get("aspect_max", 1.8))),
-        background=float(config.get("background", 0.15)),
-        noise_sigma=float(config.get("noise_sigma", 0.03)),
+        width=_resolve(args.width, config, "width", 64),
+        height=_resolve(args.height, config, "height", 64),
+        num_classes=_resolve(args.classes, config, "num_classes", 2),
+        min_objects=_resolve(args.objects, config, "min_objects", 1),
+        max_objects=_resolve(args.objects, config, "max_objects", 3),
+        side_range=(config.get("side_min", 7.0), config.get("side_max", 11.0)),
+        aspect_range=(config.get("aspect_min", 1.2), config.get("aspect_max", 1.8)),
+        background=config.get("background", 0.15),
+        noise_sigma=config.get("noise_sigma", 0.03),
     )
     ids = write_dataset(args.out, spec, args.count, args.seed)
     print(f"wrote {len(ids)} images to {args.out}")
@@ -227,19 +262,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config, "train", _TRAIN_SETTINGS) if args.config else {}
     class_names, image_ids = _load_dataset(args.data)
     images, targets, _grid = _encode_items(args.data, image_ids, class_names,
                                            stride=ToyNet.stride)
     cfg = TrainConfig(
-        learning_rate=_resolve(args.lr, config, "learning_rate", 0.0025, float),
-        batch_size=_resolve(args.batch, config, "batch_size", 8, int),
-        iterations=_resolve(args.iterations, config, "iterations", 3000, int),
+        learning_rate=_resolve(args.lr, config, "learning_rate", 0.0025),
+        batch_size=_resolve(args.batch, config, "batch_size", 8),
+        iterations=_resolve(args.iterations, config, "iterations", 3000),
         seed=args.seed,
     )
     loss_cfg = LossConfig(lambda_ring=_resolve(args.lambda_ring, config,
-                                               "lambda_ring", 0.01, float))
-    base_channels = _resolve(args.base_channels, config, "base_channels", 16, int)
+                                               "lambda_ring", 0.01))
+    base_channels = _resolve(args.base_channels, config, "base_channels", 16)
     net = ToyNet(len(class_names), base_channels, seed=args.seed)
 
     def progress(it, stats):

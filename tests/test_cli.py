@@ -21,7 +21,7 @@ from polardet.errors import DivergenceError
 from polardet.formats import (GroundTruth, parse_annotation_files, parse_annotations,
                               parse_detections)
 from polardet.postprocess import decode_poles, extract_pole_points
-from polardet.synthdata import read_pgm
+from polardet.synthdata import SceneSpec, read_pgm, write_dataset
 from polardet.toynet import load_checkpoint, predict_planes
 
 from oracles import (annotation_rows, parse_annotations_reference,
@@ -119,7 +119,36 @@ class TestSynth:
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("# scene\n\nwidth = 32  # pixels\nheight=32\n")
-        assert cli._read_config(cfg) == {"width": "32", "height": "32"}
+        assert cli._read_config(cfg, "synth", cli._SYNTH_SETTINGS) == {
+            "width": 32, "height": 32}
+
+    @pytest.mark.parametrize("config, problem", [
+        ("width=abc\n", "line 1: width='abc' is not a valid int"),
+        ("# size\nheight = 32.5\n", "line 2: height='32.5' is not a valid int"),
+        ("noise_sigma=low\n", "line 1: noise_sigma='low' is not a valid float"),
+        ("width=32\nwidth\n", "line 2: bad config line 'width', not key=value"),
+    ])
+    def test_config_error_names_the_file_line_and_value(self, tmp_path, capsys,
+                                                        config, problem):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "d"
+        assert cli.main(["synth", "--out", str(out), "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: {problem}\n"
+        assert not out.exists()
+
+    def test_unknown_config_key_warns_once_and_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("min_object=5\nwidth=32\nmin_object=6\nlearning_rate=0.1\n")
+        assert cli.main(["synth", "--out", str(tmp_path / "d"), "--count", "2",
+                         "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {cfg}: key 'min_object' is not a synth setting; ignored",
+            f"warning: {cfg}: key 'learning_rate' is not a synth setting; ignored"]
+        write_dataset(tmp_path / "want", SceneSpec(width=32), 2, 0)
+        for path in (tmp_path / "want").rglob("*.*"):
+            got = tmp_path / "d" / path.relative_to(tmp_path / "want")
+            assert got.read_bytes() == path.read_bytes()
 
     def test_zero_count_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -362,6 +391,24 @@ class TestTrain:
                          "--iters", "1", "--log-every", "0", flag, value])
         assert code == 3
         assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_config_errors_and_unknown_keys_name_the_file(self, workspace, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("width=32\nbatch_size=2\n")
+        ckpt = tmp_path / "n.ckpt"
+        args = ["train", "--data", str(workspace["data"]), "--out", str(ckpt),
+                "--iters", "1", "--base-channels", "2", "--log-every", "0",
+                "--config", str(cfg)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {cfg}: key 'width' is not a train setting; ignored\n")
+        cfg.write_text("batch_size=2\nlearning_rate=fast\n")
+        ckpt.unlink()
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: learning_rate='fast' is not a valid float\n")
         assert not ckpt.exists()
 
     def test_divergence_maps_to_exit_4(self, workspace, monkeypatch, capsys):
@@ -877,6 +924,29 @@ class TestExtract:
         assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out),
                          "--extractor", extractor]) == 3
         assert "heatmap must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crlf_heatmap_reads_as_lf(self, tmp_path):
+        heat = np.random.default_rng(1).uniform(0, 1, (3, 4, 5))
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_heatmap_csv(lf, heat)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n\r\n" in crlf.read_bytes()
+        assert cli.read_heatmap_csv(crlf).tobytes() == cli.read_heatmap_csv(lf).tobytes()
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"0,0.5\n0,\xff\n", "'utf-8' codec can't decode byte 0xff in position 8"),
+        (b"0,0.5\n\n0,x\n", "line 3: could not convert string to float: 'x'"),
+        (b"0,0.5\n0\n", "line 2: row length 1, the channel's first row has 2"),
+        (b"0,0.5\n\n0\n", "heatmap channels differ in shape"),
+        (b"\r\n \n", "empty heatmap file")])
+    def test_unreadable_heatmap_is_io_error_naming_it(self, tmp_path, capsys, blob,
+                                                      problem):
+        hm_path = tmp_path / "heat.csv"
+        hm_path.write_bytes(blob)
+        out = tmp_path / "poles.csv"
+        assert cli.main(["extract", "--heatmap", str(hm_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {hm_path}: {problem}")
         assert not out.exists()
 
     def test_heatmap_csv_round_trip(self, tmp_path):

@@ -1,3 +1,8 @@
+import hashlib
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,11 +11,12 @@ from polardet.encoding import BoxArrays, GridConfig, encode_boxes
 from polardet.errors import PlacementError
 from polardet.formats import parse_annotations
 from polardet.geometry import pairwise_iou, quads_to_polar
-from polardet.synthdata import (SceneSpec, class_names, generate_dataset,
-                                generate_scene, read_pgm, write_dataset,
-                                write_pgm)
+from polardet.synthdata import (SceneSpec, _rasterize, class_names,
+                                generate_dataset, generate_scene, read_pgm,
+                                write_dataset, write_pgm)
 
-from oracles import (generate_scene_reference, read_pgm_reference, signed_shoelace,
+from oracles import (_fill_quad_reference, _rectangle_reference,
+                     generate_scene_reference, read_pgm_reference, signed_shoelace,
                      write_dataset_reference)
 
 
@@ -185,6 +191,45 @@ def _tree(root):
             for p in sorted(root.rglob("*"))}
 
 
+#: perfbench's two synth sets, (spec, count, seed): ``train``'s reference
+#: scenes and ``crowded``'s 256x256 scenes of 45 objects
+BENCH_SETS = {
+    "train": (REFERENCE_SPECS["reference"], 500, 7),
+    "crowded": (REFERENCE_SPECS["crowded"], 20, 7001),
+}
+
+#: sha256 of each set's files (``tree_digest``), recorded before the
+#: chunked writer; regenerate with scripts/pin_digests.py
+BENCH_SET_DIGESTS = {
+    "train": "9b6fe8a0a0b26c8cff2dcd4deb75d1f02fe2053eefd953749d81d614a0850610",
+    "crowded": "bd8f5de892cee9711fe01582f488754e07810a428706b16c0c4dc51d7c7cf833",
+}
+
+
+def tree_digest(root) -> str:
+    """sha256 over the files under ``root``, in sorted order of their
+    relative paths: each path, its byte length and its bytes."""
+    root = Path(root)
+    files = sorted((p.relative_to(root).as_posix(), p)
+                   for p in root.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (rel.encode(), len(data)) + data)
+    return digest.hexdigest()
+
+
+def bench_set_digests() -> dict[str, str]:
+    """``tree_digest`` of each of ``BENCH_SETS`` as ``write_dataset``
+    writes it into a fresh folder."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in BENCH_SETS.items():
+            write_dataset(Path(tmp) / name, *args)
+            digests[name] = tree_digest(Path(tmp) / name)
+    return digests
+
+
 class TestMatchesScalarReference:
     @pytest.mark.parametrize("name", REFERENCE_SPECS)
     def test_same_arrays_or_same_error(self, name):
@@ -210,6 +255,55 @@ class TestMatchesScalarReference:
                 results.append(str(exc))
         assert results[0] == results[1]
         assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+    @pytest.mark.parametrize("name, count", [("reference", 70), ("crowded", 5)])
+    def test_same_files_across_chunk_boundaries(self, tmp_path, name, count):
+        # 32 reference and 2 crowded scenes fill a chunk: both counts end
+        # in a part-filled one
+        spec = REFERENCE_SPECS[name]
+        want = write_dataset_reference(tmp_path / "want", spec, count, 13)
+        assert write_dataset(tmp_path / "got", spec, count, 13) == want
+        assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+    def test_later_box_overwrites_earlier_where_boxes_share_pixels(self):
+        rect = _rectangle_reference
+        # two scenes of one chunk: crossing boxes, a box inside a larger one
+        # (drawn before and after it), and boxes running off the frame
+        scenes = [[(rect(10, 12, 16, 6, 0.3), 0.5), (rect(12, 11, 14, 5, 2.0), 0.8),
+                   (rect(0.5, 15.5, 12, 9, 0.7), 0.65), (rect(18, 3, 9, 7, 1.1), 0.9)],
+                  [(rect(9, 9, 6, 4, 0.0), 0.7), (rect(9, 9, 15, 12, 0.4), 0.4),
+                   (rect(9, 9, 5, 3, 1.3), 0.95), (rect(19, 1, 8, 5, 2.5), 0.55)]]
+        want = np.full((2, 16, 20), 0.15)
+        for image, boxes in zip(want, scenes):
+            for corners, value in boxes:
+                _fill_quad_reference(image, corners, value)
+        got = np.full((2, 16, 20), 0.15)
+        boxes = [box for scene in scenes for box in scene]
+        pixel, value = _rasterize(got.shape, [4, 4],
+                                  np.array([corners for corners, _ in boxes]),
+                                  [value for _, value in boxes])
+        got.reshape(-1)[pixel] = value
+        assert got.tobytes() == want.tobytes()
+        # every box of the first scene shows; the second one's first box is
+        # wholly covered by the next
+        assert np.unique(want[0]).tolist() == [0.15, 0.5, 0.65, 0.8, 0.9]
+        assert np.unique(want[1]).tolist() == [0.15, 0.4, 0.55, 0.95]
+
+    @pytest.mark.parametrize("name", BENCH_SETS)
+    def test_bench_sets_match_their_pins(self, tmp_path, name):
+        write_dataset(tmp_path / name, *BENCH_SETS[name])
+        assert tree_digest(tmp_path / name) == BENCH_SET_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", BENCH_SETS)
+    def test_rewriting_a_bench_set_traces_at_most_5_mib(self, tmp_path, name):
+        write_dataset(tmp_path / name, *BENCH_SETS[name])
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path / name, *BENCH_SETS[name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 20
 
     def test_rewriting_over_larger_files_leaves_the_same_bytes(self, tmp_path):
         write_dataset(tmp_path / "ds", REFERENCE_SPECS["crowded"], 3, 5)
